@@ -12,6 +12,9 @@ working memory but a reverse control label.
 The structure is fixed at construction. Binding, releasing and querying
 change only working-memory and control state; adding a word later is an
 explicit structural extension that wires the new concept to its pool.
+A word's working memory for each hub of its pool is reserved, not built:
+the network builds it on the word's first binding to that hub, and every
+count reports the whole fixed structure.
 """
 
 from __future__ import annotations
@@ -99,7 +102,10 @@ class Blackboard:
         self.pools: dict[str, HubPool] = {}
         self._hub_pool: dict[str, str] = {}
         self._hub_pid: dict[str, int] = {}
-        self._word_wm: dict[tuple[str, str], int] = {}
+        self._hub_index: dict[str, int] = {}
+        self._pool_pids: dict[str, tuple[int, ...]] = {}
+        # word -> its working-memory ids, one per hub of its pool in hub order
+        self._word_wms: dict[str, range] = {}
         self.cells: dict[tuple[str, str, str], MatrixCell] = {}
         self._allocation: dict[str, str | None] = {}
         self._bindings: dict[int, Binding] = {}
@@ -146,22 +152,17 @@ class Blackboard:
             pool.pids[name] = pid
             self._hub_pool[name] = kind
             self._hub_pid[name] = pid
+            self._hub_index[name] = i
         self.pools[kind] = pool
+        self._pool_pids[kind] = tuple(pool.pids.values())
 
     def _link_word(self, entry) -> None:
         pool_kind = POOL_FOR_TYPE.get(entry.word_type)
-        if pool_kind is None:
+        if pool_kind is None or entry.word in self._word_wms:
             return
-        pool = self.pools[pool_kind]
-        gain = self.config.gain
-        for hub in pool.hubs:
-            key = (entry.word, hub)
-            if key in self._word_wm:
-                continue
-            wm = self.network.add_population(PopulationKind.WORKING_MEMORY)
-            self.network.add_gated_connection(entry.concept, pool.pids[hub], BindingGate(wm), gain)
-            self.network.add_gated_connection(pool.pids[hub], entry.concept, BindingGate(wm), gain)
-            self._word_wm[key] = wm
+        self._word_wms[entry.word] = self.network.reserve_bindings(
+            entry.concept, self._pool_pids[pool_kind], self.config.gain
+        )
 
     def _build_grid(self, spec) -> None:
         gain = self.config.gain
@@ -207,7 +208,7 @@ class Blackboard:
             if hub not in self._allocation:
                 self._allocation[hub] = _PENDING
                 return hub
-        raise PoolExhausted(kind)
+        raise PoolExhausted(kind, self.pools[kind].capacity)
 
     def hub_word(self, hub: str) -> str | None:
         return self._allocation.get(hub)
@@ -229,9 +230,9 @@ class Blackboard:
             )
         if hub in self._allocation and self._allocation[hub] is not None:
             raise HubBusy(f"hub {hub} already bound to {self._allocation[hub]!r}")
-        if (word, hub) not in self._word_wm:
+        if word not in self._word_wms:
             self.extend_word(word)
-        wm = self._word_wm[(word, hub)]
+        wm = self._word_wms[word][self._hub_index[hub]]
         self.network.inject(wm, 1.0)
         self._allocation[hub] = word
         binding = Binding(
@@ -270,22 +271,22 @@ class Blackboard:
     # --------------------------------------------------------------- release
 
     def release(self, target) -> None:
-        """Release a binding (idempotent). Freeing a hub also releases the
-        matrix bindings attached to it, so a reallocated hub starts clean."""
+        """Release a binding (idempotent) and forget it. Freeing a hub also
+        releases the matrix bindings attached to it, so a reallocated hub
+        starts clean."""
         binding = self._bindings.get(target) if isinstance(target, int) else target
         if binding is None or binding.released:
             return
         binding.released = True
+        del self._bindings[binding.bid]
         self.network.release_wm(binding.wm)
         if binding.kind == "concept":
             hub = binding.hub
             self._allocation.pop(hub, None)
             self._concept_bid.pop((binding.word, hub), None)
-            for bid in list(self._by_hub.get(hub, ())):
-                other = self._bindings[bid]
-                if other.kind == "cell" and not other.released:
-                    self.release(other)
-            self._by_hub.pop(hub, None)
+            # the hub's matrix bindings; this binding's own id is already forgotten
+            for bid in self._by_hub.pop(hub, ()):
+                self.release(bid)
         else:
             key = (binding.from_hub, binding.to_hub, binding.relation)
             self._cell_bid.pop(key, None)
@@ -305,13 +306,12 @@ class Blackboard:
 
     def release_all(self) -> None:
         for bid in sorted(self._bindings):
-            self.release(self._bindings[bid])
+            self.release(bid)
         self._allocation.clear()
-        self._bindings.clear()
         self._by_hub.clear()
 
     def active_bindings(self) -> list[Binding]:
-        return [b for b in self._bindings.values() if not b.released]
+        return list(self._bindings.values())
 
     def concept_binding(self, word: str, hub: str) -> Binding | None:
         bid = self._concept_bid.get((word.casefold(), hub))
@@ -326,7 +326,7 @@ class Blackboard:
     def connection_count(self) -> int:
         """Gated links in the fixed structure: each word-hub pair contributes
         its two directions, each matrix cell its forward and mirror route."""
-        return 2 * len(self._word_wm) + 2 * len(self.cells)
+        return 2 * sum(map(len, self._word_wms.values())) + 2 * len(self.cells)
 
     def expressible_bindings(self) -> int:
         """Distinct (word, relation, word) facts the fixed matrix can encode."""
@@ -347,8 +347,6 @@ class Blackboard:
         bindings = []
         for bid in sorted(self._bindings):
             b = self._bindings[bid]
-            if b.released:
-                continue
             rec = b.describe()
             rec["activation"] = self.network.activation(b.wm)
             bindings.append(rec)

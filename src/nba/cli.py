@@ -16,7 +16,7 @@ from . import demos
 from .blackboard import Blackboard
 from .config import Config
 from .encoder import compile, execute, iter_conllu
-from .errors import NbaError
+from .errors import NbaError, PoolExhausted
 from .lexicon import Lexicon
 from .query import parse_query, run_query
 from .trace import detect_rise_decline, export, trace_encode
@@ -124,8 +124,12 @@ def cmd_encode(args) -> int:
             strict_labels=config.strict_labels,
             strict_words=not config.auto_add_words,
         )
-        execute(program, bb)
         count += 1
+        try:
+            execute(program, bb)
+        except PoolExhausted as exc:
+            exc.sentence = count
+            raise
     args.state.write_text(
         json.dumps(bb.to_snapshot(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

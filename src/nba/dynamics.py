@@ -16,12 +16,18 @@ every update until an explicit release. An injected level drives a population
 through the following update as well (the cue survives the step that
 propagates it), after which activation is re-driven by inflow alone.
 
+A working-memory population may be reserved rather than built: its id and
+the ids of the two connections it gates are taken in construction order, and
+the population is built, at rest, the first time it is touched. Counts cover
+reserved structure, so the structure is the same either way.
+
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 from dataclasses import dataclass
 from enum import Enum
@@ -78,6 +84,18 @@ class GatedConnection:
     gain: float = 1.0
 
 
+@dataclass(frozen=True)
+class _Reservation:
+    """Working memory `wms[i]` gates concept -> hubs[i] over connection id
+    `cid + 2 * i` and hubs[i] -> concept over `cid + 2 * i + 1`."""
+
+    wms: range
+    cid: int
+    concept: int
+    hubs: tuple[int, ...]
+    gain: float
+
+
 @dataclass
 class _SavedState:
     activations: dict[int, float]
@@ -116,6 +134,9 @@ class Network:
         # all binding-gated edges per gating WM
         self._binding_edges: dict[int, list[GatedConnection]] = {}
         self._control_pops: dict[str, int] = {}
+        # reserved working memory, in id order; built on first touch
+        self._reservations: list[_Reservation] = []
+        self._reserved_starts: list[int] = []
         self._active: set[int] = set()
         self._floors: dict[int, float] = {}
         self._frozen = False
@@ -139,10 +160,7 @@ class Network:
             decay = self.default_wm_decay if kind is PopulationKind.WORKING_MEMORY else self.default_decay
         pid = self._next_pid
         self._next_pid += 1
-        pop = Population(pid=pid, kind=kind, sustain_threshold=thr, decay=float(decay))
-        self._pops[pid] = pop
-        if kind is PopulationKind.WORKING_MEMORY and pop.activation >= thr:
-            self._mark_sustained(pop)
+        self._build_population(pid, kind, thr, float(decay))
         return pid
 
     def add_gated_connection(
@@ -164,16 +182,37 @@ class Network:
                 raise ValueError(f"gate population {gate.wm} is not working memory")
         cid = self._next_cid
         self._next_cid += 1
-        conn = GatedConnection(cid=cid, source=source, target=target, gate=gate, gain=float(gain))
-        self._conns[cid] = conn
-        if isinstance(gate, ControlGate):
-            self._control_out.setdefault(source, []).append(conn)
-        else:
-            self._binding_edges.setdefault(gate.wm, []).append(conn)
-            # open immediately if the condition already holds
-            if self._pops[gate.wm].sustained:
-                self._open_binding_out.setdefault(source, []).append(conn)
+        self._build_connection(
+            GatedConnection(cid=cid, source=source, target=target, gate=gate, gain=float(gain))
+        )
         return cid
+
+    def reserve_bindings(self, concept: int, hubs: tuple[int, ...], gain: float = 1.0) -> range:
+        """Reserve one working-memory population per hub, the i-th gating a
+        concept -> hubs[i] connection and its hubs[i] -> concept mirror.
+
+        Ids are taken now, exactly as adding each population and its two
+        connections in turn would take them; the population and its
+        connections are built, at rest, the first time it is touched.
+        Returns the working-memory ids, in hub order.
+        """
+        if self._frozen:
+            raise RuntimeError("network structure is frozen")
+        for pid in (concept, *hubs):
+            if pid not in self._pops:
+                self.population(pid)  # builds reserved working memory, or raises
+        if gain <= 0.0:
+            raise ValueError(f"gain must be positive, got {gain}")
+        wms = range(self._next_pid, self._next_pid + len(hubs))
+        self._reservations.append(_Reservation(wms, self._next_cid, concept, hubs, float(gain)))
+        self._reserved_starts.append(wms.start)
+        self._next_pid = wms.stop
+        self._next_cid += 2 * len(hubs)
+        if self.default_sustain_threshold <= 0.0:
+            # working memory at rest is already sustained, so its edges conduct
+            for pid in wms:
+                self.population(pid)
+        return wms
 
     def register_control(self, label: str) -> int:
         """Create (once) a control population that mirrors an asserted label."""
@@ -207,25 +246,30 @@ class Network:
     # ------------------------------------------------------------ inspection
 
     def population(self, pid: int) -> Population:
+        """The population with id `pid`; reserved working memory is built here."""
         try:
             return self._pops[pid]
         except KeyError:
-            raise UnknownPopulation(f"no population with id {pid}") from None
+            return self._build_reserved(pid)
 
     def populations(self):
+        """Built populations; reserved working memory not yet touched is not listed."""
         return self._pops.values()
 
     def connections(self):
+        """Built connections; those gated by untouched reserved working memory are not listed."""
         return self._conns.values()
 
     def activation(self, pid: int) -> float:
         return self.population(pid).activation
 
     def population_count(self) -> int:
-        return len(self._pops)
+        """Populations in the structure, reserved ones included (ids are never freed)."""
+        return self._next_pid
 
     def connection_count(self) -> int:
-        return len(self._conns)
+        """Connections in the structure, reserved ones included (ids are never freed)."""
+        return self._next_cid
 
     def is_open(self, gate: ControlGate | BindingGate) -> bool:
         if isinstance(gate, ControlGate):
@@ -349,6 +393,38 @@ class Network:
         self.time = saved.time
 
     # -------------------------------------------------------------- internal
+
+    def _build_population(self, pid: int, kind: PopulationKind, thr: float, decay: float) -> Population:
+        pop = Population(pid=pid, kind=kind, sustain_threshold=thr, decay=decay)
+        self._pops[pid] = pop
+        if kind is PopulationKind.WORKING_MEMORY and pop.activation >= thr:
+            self._mark_sustained(pop)
+        return pop
+
+    def _build_connection(self, conn: GatedConnection) -> None:
+        self._conns[conn.cid] = conn
+        if isinstance(conn.gate, ControlGate):
+            self._control_out.setdefault(conn.source, []).append(conn)
+        else:
+            self._binding_edges.setdefault(conn.gate.wm, []).append(conn)
+            # open immediately if the condition already holds
+            if self._pops[conn.gate.wm].sustained:
+                self._open_binding_out.setdefault(conn.source, []).append(conn)
+
+    def _build_reserved(self, pid: int) -> Population:
+        """Build reserved working memory `pid` at rest, with its two connections."""
+        i = bisect.bisect_right(self._reserved_starts, pid) - 1
+        res = self._reservations[i] if i >= 0 else None
+        if res is None or pid not in res.wms:
+            raise UnknownPopulation(f"no population with id {pid}")
+        pop = self._build_population(
+            pid, PopulationKind.WORKING_MEMORY, self.default_sustain_threshold, self.default_wm_decay
+        )
+        k = pid - res.wms.start
+        hub, cid, gate = res.hubs[k], res.cid + 2 * k, BindingGate(pid)
+        self._build_connection(GatedConnection(cid, res.concept, hub, gate, res.gain))
+        self._build_connection(GatedConnection(cid + 1, hub, res.concept, gate, res.gain))
+        return pop
 
     def _set_activation(self, pop: Population, value: float) -> None:
         pop.activation = value

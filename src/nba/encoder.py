@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import labels
 from .blackboard import Blackboard, Binding
-from .errors import NotATree, ParseError, UnknownUpos, UnknownWord, UnmappedLabel
+from .errors import NotATree, ParseError, PoolExhausted, UnknownUpos, UnknownWord, UnmappedLabel
 from .lexicon import POOL_FOR_TYPE, Lexicon, WordType
 
 _UPOS_MAP = {
@@ -482,7 +482,11 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
             if span.open_step is None and span.start <= instr.position:
                 span.open_step = net.time
         if isinstance(instr, Allocate):
-            slot_hub[instr.slot] = blackboard.allocate_hub(instr.kind)
+            try:
+                slot_hub[instr.slot] = blackboard.allocate_hub(instr.kind)
+            except PoolExhausted as exc:
+                exc.token = next(t.surface for t in program.tokens if t.index == instr.position)
+                raise
             tick()
         elif isinstance(instr, BindConcept):
             if instr.word not in blackboard.lexicon and blackboard.config.auto_add_words:

@@ -57,9 +57,25 @@ class HubBusy(NbaError):
 
 
 class PoolExhausted(NbaError):
-    def __init__(self, kind):
+    """No free hub in pool `kind`. Whoever knows where it happened sets
+    `sentence` (1-based) and `token`; the message names them once set."""
+
+    def __init__(self, kind, capacity):
         self.kind = kind
-        super().__init__(f"no free hub in pool {kind}")
+        self.capacity = capacity
+        self.sentence = None
+        self.token = None
+        super().__init__(kind)
+
+    def __str__(self):
+        where = []
+        if self.sentence is not None:
+            where.append(f"sentence {self.sentence}")
+        if self.token is not None:
+            where.append(f"token {self.token!r}")
+        # exhausted means every hub of the pool is in use
+        message = f"no free hub in pool {self.kind} ({self.capacity}/{self.capacity} in use)"
+        return f"{', '.join(where)}: {message}" if where else message
 
 
 class NoSuchCell(NbaError):

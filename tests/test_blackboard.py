@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nba.blackboard import Blackboard
 from nba.config import Config
@@ -16,9 +18,10 @@ from nba.errors import (
     NoSuchCell,
     PoolExhausted,
     TypeMismatch,
+    UnknownPopulation,
     UnknownWord,
 )
-from nba.lexicon import Lexicon, load_lexicon
+from nba.lexicon import POOL_FOR_TYPE, Lexicon, WordType, load_lexicon
 from nba.query import parse_query, run_query
 
 
@@ -311,3 +314,127 @@ def test_persistence_round_trip_random_structures(seed):
             for text in (f"{word} {relation}?", f"? {relation} {word}"):
                 q = parse_query(text)
                 assert run_query(restored, q).words == run_query(bb, q).words
+
+
+# ------------------------------------------------------- count invariants
+
+_POOL_TYPES = {"N": WordType.NOUN, "V": WordType.VERB}
+
+
+def _closed_form(bb, n_semantic):
+    """Population and connection counts of the fixed structure, from
+    (lexicon, config) alone: concepts, hubs, K working memories per bindable
+    word (K its pool's capacity), three populations per matrix cell, two
+    control populations per relation name."""
+    cfg = bb.config
+    words = [POOL_FOR_TYPE.get(e.word_type) for e in bb.lexicon.entries()]
+    word_links = sum(cfg.capacity(pool) for pool in words if pool is not None)
+    cells = sum(cfg.capacity(s.from_pool) * cfg.capacity(s.to_pool) for s in cfg.relation_specs())
+    populations = len(words) + cfg.k_n + cfg.k_v + cfg.k_c + word_links + 3 * cells + 2 * len(bb.relation_names)
+    connections = 2 * n_semantic + 2 * word_links + 4 * cells
+    return populations, connections, 2 * word_links + 2 * cells
+
+
+def _counts(bb):
+    return bb.network.population_count(), bb.network.connection_count(), bb.connection_count()
+
+
+@given(
+    sizes=st.tuples(st.integers(0, 12), st.integers(0, 8), st.integers(0, 6), st.integers(0, 4)),
+    caps=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3)),
+    families=st.sets(st.sampled_from(("agent", "theme", "modifier", "prep", "clause"))),
+    preps=st.sets(st.sampled_from(("of", "in", "on")), min_size=1),
+    n_semantic=st.integers(0, 6),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_counts_equal_closed_form_under_operations(sizes, caps, families, preps, n_semantic, seed):
+    rng = random.Random(seed)
+    nouns, verbs, adjs = make_word_lists(*sizes[:3])
+    lex = build_lexicon(nouns, verbs, adjs)
+    for i in range(sizes[3]):
+        lex.add_word(f"d{i}", WordType.DETERMINER)
+    words = lex.words()
+    for _ in range(n_semantic if words else 0):
+        lex.add_semantic_relation(rng.choice(words), "isa", rng.choice(words))
+    n_semantic = len(lex.semantic_triples)
+    bb = Blackboard(lex, Config(k_n=caps[0], k_v=caps[1], k_c=caps[2],
+                                relations=tuple(sorted(families)), prep_labels=tuple(sorted(preps))))
+    expected = _closed_form(bb, n_semantic)
+    assert _counts(bb) == expected
+
+    # bind what fits, query, release one, release all, round-trip a snapshot
+    for pool in ("N", "V"):
+        for word in lex.words_of_pool(pool)[: bb.config.capacity(pool)]:
+            bb.bind_concept(word, bb.allocate_hub(pool))
+    bound = bb.active_bindings()
+    for (from_hub, to_hub, relation) in sorted(bb.cells):
+        if bb.hub_word(from_hub) and bb.hub_word(to_hub) and rng.random() < 0.5:
+            bb.bind_hubs(from_hub, to_hub, relation)
+    assert _counts(bb) == expected
+    for binding in bound[:1]:
+        for relation in bb.relation_names:
+            run_query(bb, parse_query(f"{binding.word} {relation}?"))
+            run_query(bb, parse_query(f"? {relation} {binding.word}"))
+        assert _counts(bb) == expected
+        bb.release(binding)
+        assert _counts(bb) == expected
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    assert _counts(restored) == expected
+    bb.release_all()
+    assert _counts(bb) == expected
+
+    # adding a word adds its concept, K working memories and their 2K edges
+    pool = rng.choice(list(_POOL_TYPES))
+    k = bb.config.capacity(pool)
+    pops, conns, links = _counts(bb)
+    bb.add_word("fresh", _POOL_TYPES[pool])
+    assert _counts(bb) == (pops + 1 + k, conns + 2 * k, links + 2 * k)
+    assert _counts(bb) == _closed_form(bb, n_semantic)
+    bb.bind_concept("fresh", bb.allocate_hub(pool))
+    assert _counts(bb) == _closed_form(bb, n_semantic)
+
+
+def test_reserved_working_memory_is_built_on_first_touch():
+    bb = small_board()
+    net = bb.network
+    built = len(net.populations())
+    assert built < net.population_count()
+    n0 = bb.allocate_hub("N")
+    binding = bb.bind_concept("cat", n0)
+    assert len(net.populations()) == built + 1
+    wm = net.population(binding.wm)
+    assert wm.sustained and wm.decay == bb.config.wm_decay
+    assert sorted((c.source, c.target) for c in net.connections() if getattr(c.gate, "wm", None) == binding.wm) == sorted(
+        [(bb.lexicon.concept("cat"), bb._hub_pid[n0]), (bb._hub_pid[n0], bb.lexicon.concept("cat"))]
+    )
+    bb.release_all()
+    assert len(net.populations()) == built + 1  # stays built after release
+    assert not net.population(binding.wm).sustained
+
+
+def test_unknown_population_past_reservations():
+    bb = small_board()
+    with pytest.raises(UnknownPopulation):
+        bb.network.population(bb.network.population_count())
+
+
+# ------------------------------------------------------------- release leak
+
+def test_bind_release_cycles_keep_only_live_bindings():
+    bb = small_board()
+    for _ in range(1000):
+        n0, v0 = bb.allocate_hub("N"), bb.allocate_hub("V")
+        cat = bb.bind_concept("cat", n0)
+        run = bb.bind_concept("run", v0)
+        cell = bb.bind_hubs(n0, v0, "agent")
+        assert len(bb._bindings) == 3
+        bb.release(cat.bid)  # also releases the cell on its hub
+        assert set(bb._bindings) == {run.bid}
+        assert cell.released and not run.released
+        bb.release(cat.bid)
+        bb.release(cell)
+        assert set(bb._bindings) == {run.bid}
+        bb.release(run)
+    assert bb._bindings == {} and bb.active_bindings() == []
+    assert bb.network.active_pids() == []

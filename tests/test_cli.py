@@ -169,3 +169,14 @@ def test_repl_loop(workdir):
     assert "error:" in text
     assert "paw" in text
     assert "(no answer)" in text
+
+
+def test_pool_exhaustion_names_sentence_token_and_occupancy(workdir, capsys):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"k_n": 1, "k_v": 2, "k_c": 1}))
+    rc = main(["encode", "--lexicon", str(workdir / "lex.tsv"), "--config", str(cfg),
+               "--sentence", str(workdir / "two.conllu"), "--state", str(workdir / "state.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: sentence 2, token 'dog': no free hub in pool N (1/1 in use)" in err
+    assert not (workdir / "state.json").exists()

@@ -405,9 +405,9 @@ def test_reserved_working_memory_is_built_on_first_touch():
     assert len(net.populations()) == built + 1
     wm = net.population(binding.wm)
     assert wm.sustained and wm.decay == bb.config.wm_decay
-    assert sorted((c.source, c.target) for c in net.connections() if getattr(c.gate, "wm", None) == binding.wm) == sorted(
-        [(bb.lexicon.concept("cat"), bb._hub_pid[n0]), (bb._hub_pid[n0], bb.lexicon.concept("cat"))]
-    )
+    cat, hub = bb.lexicon.concept("cat"), bb._hub_pid[n0]
+    gated = [(c.source, c.target) for c in net.connections() if getattr(c.gate, "wm", None) == binding.wm]
+    assert gated == [(cat, hub), (hub, cat)]
     bb.release_all()
     assert len(net.populations()) == built + 1  # stays built after release
     assert not net.population(binding.wm).sustained

@@ -16,7 +16,6 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -193,7 +192,7 @@ def test_encode_snapshot_bytes_match_golden(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(trace_phrases()))
-def test_trace_csv_matches_golden(tmp_path, name, capsys):
+def test_trace_csv_matches_golden(tmp_path, name):
     got = trace_csv(tmp_path, name, trace_phrases()[name])
     assert got == (DATA / f"trace_{name}.csv").read_bytes()
 
@@ -227,4 +226,3 @@ def record() -> None:
 
 if __name__ == "__main__":
     record()
-    sys.exit(0)

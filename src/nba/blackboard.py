@@ -13,18 +13,22 @@ The structure is fixed at construction. Binding, releasing and querying
 change only working-memory and control state; adding a word later is an
 explicit structural extension that wires the new concept to its pool.
 A word's working memory for each hub of its pool is reserved, not built:
-the network builds it on the word's first binding to that hub, and every
-count reports the whole fixed structure.
+the network builds it on the word's first binding to that hub. Matrix cells
+and their relays are reserved too: the network builds a cell when it is
+bound, or when a query or an encode first drives activation towards it.
+Every count reports the whole fixed structure, and `cells` is derived from
+each grid's reserved ids rather than stored.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import labels
 from .config import Config
-from .dynamics import BindingGate, ControlGate, Network, PopulationKind
+from .dynamics import Network, PopulationKind
 from .errors import (
     CellBusy,
     HubBusy,
@@ -46,7 +50,7 @@ class HubPool:
     pids: dict[str, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixCell:
     from_hub: str
     to_hub: str
@@ -106,7 +110,9 @@ class Blackboard:
         self._pool_pids: dict[str, tuple[int, ...]] = {}
         # word -> its working-memory ids, one per hub of its pool in hub order
         self._word_wms: dict[str, range] = {}
-        self.cells: dict[tuple[str, str, str], MatrixCell] = {}
+        # (relation, from pool, to pool) -> population ids of its reserved grid
+        self._grids: dict[tuple[str, str, str], range] = {}
+        self.cells = _Cells(self)
         self._allocation: dict[str, str | None] = {}
         self._bindings: dict[int, Binding] = {}
         self._by_hub: dict[str, list[int]] = {}
@@ -165,28 +171,23 @@ class Blackboard:
         )
 
     def _build_grid(self, spec) -> None:
-        gain = self.config.gain
-        fwd = labels.matrix_forward(spec.name)
-        rev = labels.matrix_reverse(spec.name)
-        for from_hub in self.pools[spec.from_pool].hubs:
-            for to_hub in self.pools[spec.to_pool].hubs:
-                wm = self.network.add_population(PopulationKind.WORKING_MEMORY)
-                relay_fwd = self.network.add_population(PopulationKind.HUB)
-                relay_rev = self.network.add_population(PopulationKind.HUB)
-                src = self._hub_pid[from_hub]
-                dst = self._hub_pid[to_hub]
-                self.network.add_gated_connection(src, relay_fwd, ControlGate(fwd), gain)
-                self.network.add_gated_connection(relay_fwd, dst, BindingGate(wm), gain)
-                self.network.add_gated_connection(dst, relay_rev, ControlGate(rev), gain)
-                self.network.add_gated_connection(relay_rev, src, BindingGate(wm), gain)
-                self.cells[(from_hub, to_hub, spec.name)] = MatrixCell(
-                    from_hub=from_hub,
-                    to_hub=to_hub,
-                    relation=spec.name,
-                    wm=wm,
-                    relay_fwd=relay_fwd,
-                    relay_rev=relay_rev,
-                )
+        cells = self.network.reserve_cells(
+            self._pool_pids[spec.from_pool],
+            self._pool_pids[spec.to_pool],
+            labels.matrix_forward(spec.name),
+            labels.matrix_reverse(spec.name),
+            self.config.gain,
+        )
+        self._grids[(spec.name, spec.from_pool, spec.to_pool)] = cells
+
+    def _cell_wm(self, from_hub: str, to_hub: str, relation: str) -> int | None:
+        """The working-memory id of a cell; its two relays follow it."""
+        to_pool = self._hub_pool.get(to_hub)
+        grid = self._grids.get((relation, self._hub_pool.get(from_hub), to_pool))
+        if grid is None:
+            return None
+        k = self._hub_index[from_hub] * self.pools[to_pool].capacity + self._hub_index[to_hub]
+        return grid[3 * k]
 
     def extend_word(self, word: str) -> None:
         """Wire a word added after construction to its pool (explicit extension)."""
@@ -245,17 +246,16 @@ class Blackboard:
         return binding
 
     def bind_hubs(self, from_hub: str, to_hub: str, relation: str) -> Binding:
-        cell = self.cells.get((from_hub, to_hub, relation))
-        if cell is None:
+        wm = self._cell_wm(from_hub, to_hub, relation)
+        if wm is None:
             raise NoSuchCell(f"no cell {from_hub} -> {to_hub} for relation {relation!r}")
-        wm_pop = self.network.population(cell.wm)
-        if wm_pop.sustained:
+        if self.network.population(wm).sustained:
             raise CellBusy(f"cell {from_hub} -> {to_hub} ({relation}) already bound")
-        self.network.inject(cell.wm, 1.0)
+        self.network.inject(wm, 1.0)
         binding = Binding(
             bid=self._next_bid,
             kind="cell",
-            wm=cell.wm,
+            wm=wm,
             from_hub=from_hub,
             to_hub=to_hub,
             relation=relation,
@@ -379,5 +379,34 @@ class Blackboard:
                 binding = bb.bind_hubs(rec["from"], rec["to"], rec["relation"])
             level = rec.get("activation", 1.0)
             pop = bb.network.population(binding.wm)
-            bb.network._set_activation(pop, level)
+            if level < pop.sustain_threshold:
+                # saved after its decay horizon released it; its hub stays allocated
+                bb.network.release_wm(binding.wm)
+            else:
+                bb.network._set_activation(pop, level)
         return bb
+
+
+class _Cells(Mapping):
+    """A board's matrix cells by (from hub, to hub, relation), derived from
+    its grid table; `MatrixCell` values are made on lookup."""
+
+    def __init__(self, board: Blackboard):
+        self._board = board
+
+    def __getitem__(self, key) -> MatrixCell:
+        wm = self._board._cell_wm(*key) if isinstance(key, tuple) and len(key) == 3 else None
+        if wm is None:
+            raise KeyError(key)
+        return MatrixCell(*key, wm=wm, relay_fwd=wm + 1, relay_rev=wm + 2)
+
+    def __iter__(self):
+        pools = self._board.pools
+        for relation, from_pool, to_pool in self._board._grids:
+            for from_hub in pools[from_pool].hubs:
+                for to_hub in pools[to_pool].hubs:
+                    yield (from_hub, to_hub, relation)
+
+    def __len__(self) -> int:
+        pools = self._board.pools
+        return sum(pools[f].capacity * pools[t].capacity for _, f, t in self._board._grids)

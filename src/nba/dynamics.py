@@ -16,10 +16,16 @@ every update until an explicit release. An injected level drives a population
 through the following update as well (the cue survives the step that
 propagates it), after which activation is re-driven by inflow alone.
 
-A working-memory population may be reserved rather than built: its id and
-the ids of the two connections it gates are taken in construction order, and
-the population is built, at rest, the first time it is touched. Counts cover
-reserved structure, so the structure is the same either way.
+Structure may be reserved rather than built: ids are taken in construction
+order, and the populations and connections behind them are built, at rest,
+when first needed. A word's working memory for one hub, with the two
+connections it gates, is built the first time it is touched. A matrix cell
+(working memory, forward and reverse relay, four connections) is built the
+first time one of its populations is touched, or the first step in which a
+hub that feeds one of its relays is active while that relay's control label
+is asserted. Until then nothing can flow into the cell, so laziness changes
+no trajectory. Counts cover reserved structure, so the structure is the
+same either way.
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
@@ -84,15 +90,39 @@ class GatedConnection:
     gain: float = 1.0
 
 
+def _cid(conn: GatedConnection) -> int:
+    return conn.cid
+
+
 @dataclass(frozen=True)
-class _Reservation:
-    """Working memory `wms[i]` gates concept -> hubs[i] over connection id
+class _Bindings:
+    """Working memory `pids[i]` gates concept -> hubs[i] over connection id
     `cid + 2 * i` and hubs[i] -> concept over `cid + 2 * i + 1`."""
 
-    wms: range
+    pids: range
     cid: int
     concept: int
     hubs: tuple[int, ...]
+    gain: float
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Cell k = i * len(to_hubs) + j joins from_hubs[i] to to_hubs[j].
+
+    Its working memory is `pids[3k]`, its forward relay `pids[3k + 1]` and its
+    reverse relay `pids[3k + 2]`. Connection ids `cid + 4k` ... `cid + 4k + 3`
+    are from-hub -> forward relay (forward label), forward relay -> to-hub
+    (working memory), to-hub -> reverse relay (reverse label) and reverse
+    relay -> from-hub (working memory).
+    """
+
+    pids: range
+    cid: int
+    from_hubs: tuple[int, ...]
+    to_hubs: tuple[int, ...]
+    forward: ControlGate
+    reverse: ControlGate
     gain: float
 
 
@@ -127,18 +157,23 @@ class Network:
         self.wm_decay_horizon = wm_decay_horizon
         self._pops: dict[int, Population] = {}
         self._conns: dict[int, GatedConnection] = {}
-        # static: control-gated out-edges per source
-        self._control_out: dict[int, list[GatedConnection]] = {}
+        # static: control-gated out-edges per source, then per label, in id order
+        self._control_out: dict[int, dict[str, list[GatedConnection]]] = {}
         # dynamic: binding-gated out-edges per source whose WM is sustained
         self._open_binding_out: dict[int, list[GatedConnection]] = {}
         # all binding-gated edges per gating WM
         self._binding_edges: dict[int, list[GatedConnection]] = {}
         self._control_pops: dict[str, int] = {}
-        # reserved working memory, in id order; built on first touch
-        self._reservations: list[_Reservation] = []
+        # reserved structure, in id order; built on first touch
+        self._reservations: list[_Bindings | _Grid] = []
         self._reserved_starts: list[int] = []
+        # cells whose relay a source feeds under a label, built on the first
+        # step in which the source is active while the label is asserted
+        self._unbuilt_control: dict[int, dict[str, list[tuple[_Grid, range]]]] = {}
         self._active: set[int] = set()
         self._floors: dict[int, float] = {}
+        # largest activation change made by the last step
+        self.last_change = 0.0
         self._frozen = False
         self._next_pid = 0
         self._next_cid = 0
@@ -196,23 +231,72 @@ class Network:
         connections are built, at rest, the first time it is touched.
         Returns the working-memory ids, in hub order.
         """
+        self._check_reservable((concept, *hubs), gain)
+        pids, cid = self._take_ids(len(hubs), 2 * len(hubs))
+        self._reserve(_Bindings(pids, cid, concept, hubs, float(gain)))
+        return pids
+
+    def reserve_cells(
+        self,
+        from_hubs: tuple[int, ...],
+        to_hubs: tuple[int, ...],
+        forward: str,
+        reverse: str,
+        gain: float = 1.0,
+    ) -> range:
+        """Reserve one matrix cell per (from-hub, to-hub) pair, row-major.
+
+        A cell is a working-memory population and two relays: from-hub ->
+        forward relay -> to-hub runs while `forward` is asserted and the
+        working memory is sustained, and to-hub -> reverse relay -> from-hub
+        likewise under `reverse`. Ids are taken now, exactly as adding each
+        cell's three populations and four connections in turn would take
+        them (see `_Grid`). A cell is built, at rest, when one of its
+        populations is first touched or when a step first needs one of its
+        relays. Returns the cells' population ids: cell k = i * len(to_hubs)
+        + j has working memory `pids[3k]` and relays `pids[3k + 1]`
+        (forward) and `pids[3k + 2]` (reverse).
+        """
+        self._check_reservable((*from_hubs, *to_hubs), gain)
+        cells = len(from_hubs) * len(to_hubs)
+        pids, cid = self._take_ids(3 * cells, 4 * cells)
+        grid = _Grid(pids, cid, from_hubs, to_hubs, ControlGate(forward), ControlGate(reverse), float(gain))
+        n = len(to_hubs)
+        if self.default_sustain_threshold > 0.0:
+            for i, hub in enumerate(from_hubs):
+                self._unbuilt_control.setdefault(hub, {}).setdefault(forward, []).append(
+                    (grid, range(i * n, (i + 1) * n)))
+            for j, hub in enumerate(to_hubs):
+                self._unbuilt_control.setdefault(hub, {}).setdefault(reverse, []).append(
+                    (grid, range(j, cells, n)))
+        self._reserve(grid)
+        return pids
+
+    def _check_reservable(self, pids, gain: float) -> None:
         if self._frozen:
             raise RuntimeError("network structure is frozen")
-        for pid in (concept, *hubs):
+        for pid in pids:
             if pid not in self._pops:
-                self.population(pid)  # builds reserved working memory, or raises
+                self.population(pid)  # builds reserved structure, or raises
         if gain <= 0.0:
             raise ValueError(f"gain must be positive, got {gain}")
-        wms = range(self._next_pid, self._next_pid + len(hubs))
-        self._reservations.append(_Reservation(wms, self._next_cid, concept, hubs, float(gain)))
-        self._reserved_starts.append(wms.start)
-        self._next_pid = wms.stop
-        self._next_cid += 2 * len(hubs)
+
+    def _take_ids(self, pops: int, conns: int) -> tuple[range, int]:
+        """Take the next `pops` population ids and `conns` connection ids;
+        returns the population ids and the first connection id."""
+        pids = range(self._next_pid, self._next_pid + pops)
+        cid = self._next_cid
+        self._next_pid = pids.stop
+        self._next_cid += conns
+        return pids, cid
+
+    def _reserve(self, res: _Bindings | _Grid) -> None:
+        self._reservations.append(res)
+        self._reserved_starts.append(res.pids.start)
         if self.default_sustain_threshold <= 0.0:
             # working memory at rest is already sustained, so its edges conduct
-            for pid in wms:
+            for pid in res.pids:
                 self.population(pid)
-        return wms
 
     def register_control(self, label: str) -> int:
         """Create (once) a control population that mirrors an asserted label."""
@@ -246,18 +330,18 @@ class Network:
     # ------------------------------------------------------------ inspection
 
     def population(self, pid: int) -> Population:
-        """The population with id `pid`; reserved working memory is built here."""
+        """The population with id `pid`; reserved structure is built here."""
         try:
             return self._pops[pid]
         except KeyError:
             return self._build_reserved(pid)
 
     def populations(self):
-        """Built populations; reserved working memory not yet touched is not listed."""
+        """Built populations; reserved ones not yet built are not listed."""
         return self._pops.values()
 
     def connections(self):
-        """Built connections; those gated by untouched reserved working memory are not listed."""
+        """Built connections; reserved ones not yet built are not listed."""
         return self._conns.values()
 
     def activation(self, pid: int) -> float:
@@ -333,43 +417,67 @@ class Network:
     # ------------------------------------------------------------------ step
 
     def step(self) -> None:
-        """One synchronous update of every population."""
+        """One synchronous update of every population.
+
+        Each target's inflow is summed in source order, then connection id
+        order. `last_change` is set to the largest activation change made.
+        """
         inflow: dict[int, float] = {}
+        asserted = self.asserted
         for src in sorted(self._active):
             a = self._pops[src].activation
             if a <= 0.0:
                 continue
             for conn in self._open_binding_out.get(src, ()):
                 inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
-            for conn in self._control_out.get(src, ()):
-                if conn.gate.label in self.asserted:
-                    inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
+            if src in self._unbuilt_control:
+                self._build_controlled(src)
+            by_label = self._control_out.get(src)
+            if by_label is None:
+                continue
+            edges = None
+            for label in asserted:
+                out = by_label.get(label)
+                if out:
+                    edges = out if edges is None else sorted(edges + out, key=_cid)
+            for conn in edges or ():
+                inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
         floors = self._floors
         self._floors = {}
         candidates = set(self._active)
         candidates.update(inflow)
         candidates.update(floors)
         horizon = self.wm_decay_horizon
+        change = 0.0
         for pid in sorted(candidates):
             pop = self._pops[pid]
             if pop.control_label is not None:
-                self._set_activation(pop, 1.0 if pop.control_label in self.asserted else 0.0)
-                continue
-            nxt = clamp01(pop.decay * pop.activation + inflow.get(pid, 0.0))
-            floor = floors.get(pid, 0.0)
-            if floor > nxt:
-                nxt = floor
-            if pop.kind is PopulationKind.WORKING_MEMORY and pop.sustained:
-                if (
-                    horizon is not None
-                    and pop.sustained_since is not None
-                    and self.time - pop.sustained_since >= horizon
-                ):
-                    self.release_wm(pid)
-                    continue
-                if nxt < pop.sustain_threshold:
-                    nxt = pop.sustain_threshold
-            self._set_activation(pop, nxt)
+                nxt = 1.0 if pop.control_label in asserted else 0.0
+            else:
+                nxt = clamp01(pop.decay * pop.activation + inflow.get(pid, 0.0))
+                floor = floors.get(pid, 0.0)
+                if floor > nxt:
+                    nxt = floor
+                if pop.kind is PopulationKind.WORKING_MEMORY and pop.sustained:
+                    if (
+                        horizon is not None
+                        and pop.sustained_since is not None
+                        and self.time - pop.sustained_since >= horizon
+                    ):
+                        if pop.activation > change:
+                            change = pop.activation
+                        self.release_wm(pid)
+                        continue
+                    if nxt < pop.sustain_threshold:
+                        nxt = pop.sustain_threshold
+            if nxt != pop.activation:
+                # an unchanged level needs no update: a working memory that
+                # is not sustained always sits below its threshold
+                delta = abs(nxt - pop.activation)
+                if delta > change:
+                    change = delta
+                self._set_activation(pop, nxt)
+        self.last_change = change
         self.time += 1
 
     # ----------------------------------------------------- query-time saving
@@ -404,7 +512,8 @@ class Network:
     def _build_connection(self, conn: GatedConnection) -> None:
         self._conns[conn.cid] = conn
         if isinstance(conn.gate, ControlGate):
-            self._control_out.setdefault(conn.source, []).append(conn)
+            by_label = self._control_out.setdefault(conn.source, {})
+            bisect.insort(by_label.setdefault(conn.gate.label, []), conn, key=_cid)
         else:
             self._binding_edges.setdefault(conn.gate.wm, []).append(conn)
             # open immediately if the condition already holds
@@ -412,19 +521,54 @@ class Network:
                 self._open_binding_out.setdefault(conn.source, []).append(conn)
 
     def _build_reserved(self, pid: int) -> Population:
-        """Build reserved working memory `pid` at rest, with its two connections."""
+        """Build the reserved structure that owns `pid`, at rest."""
         i = bisect.bisect_right(self._reserved_starts, pid) - 1
         res = self._reservations[i] if i >= 0 else None
-        if res is None or pid not in res.wms:
+        if res is None or pid not in res.pids:
             raise UnknownPopulation(f"no population with id {pid}")
-        pop = self._build_population(
+        k = pid - res.pids.start
+        if isinstance(res, _Grid):
+            self._build_cell(res, k // 3)
+        else:
+            self._build_binding(res, k)
+        return self._pops[pid]
+
+    def _build_binding(self, res: _Bindings, k: int) -> None:
+        """Working memory `res.pids[k]` with the two connections it gates."""
+        pid = res.pids[k]
+        self._build_population(
             pid, PopulationKind.WORKING_MEMORY, self.default_sustain_threshold, self.default_wm_decay
         )
-        k = pid - res.wms.start
         hub, cid, gate = res.hubs[k], res.cid + 2 * k, BindingGate(pid)
         self._build_connection(GatedConnection(cid, res.concept, hub, gate, res.gain))
         self._build_connection(GatedConnection(cid + 1, hub, res.concept, gate, res.gain))
-        return pop
+
+    def _build_cell(self, grid: _Grid, k: int) -> None:
+        """Cell k of `grid`: its three populations and four connections."""
+        i, j = divmod(k, len(grid.to_hubs))
+        src, dst = grid.from_hubs[i], grid.to_hubs[j]
+        wm = grid.pids[3 * k]
+        fwd, rev = wm + 1, wm + 2
+        thr, decay = self.default_sustain_threshold, self.default_decay
+        self._build_population(wm, PopulationKind.WORKING_MEMORY, thr, self.default_wm_decay)
+        self._build_population(fwd, PopulationKind.HUB, thr, decay)
+        self._build_population(rev, PopulationKind.HUB, thr, decay)
+        cid, gate, gain = grid.cid + 4 * k, BindingGate(wm), grid.gain
+        self._build_connection(GatedConnection(cid, src, fwd, grid.forward, gain))
+        self._build_connection(GatedConnection(cid + 1, fwd, dst, gate, gain))
+        self._build_connection(GatedConnection(cid + 2, dst, rev, grid.reverse, gain))
+        self._build_connection(GatedConnection(cid + 3, rev, src, gate, gain))
+
+    def _build_controlled(self, src: int) -> None:
+        """Build the unbuilt cells `src` feeds under an asserted label."""
+        unbuilt = self._unbuilt_control[src]
+        for label in [label for label in unbuilt if label in self.asserted]:
+            for grid, cells in unbuilt.pop(label):
+                for k in cells:
+                    if grid.pids[3 * k] not in self._pops:
+                        self._build_cell(grid, k)
+        if not unbuilt:
+            del self._unbuilt_control[src]
 
     def _set_activation(self, pop: Population, value: float) -> None:
         pop.activation = value

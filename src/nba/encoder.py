@@ -203,25 +203,6 @@ class BindHubs:
 
 
 @dataclass(frozen=True)
-class AssertControl:
-    label: str
-    on: bool
-    position: int
-
-    def __str__(self):
-        return f"{'assert' if self.on else 'retract'} {self.label}"
-
-
-@dataclass(frozen=True)
-class Release:
-    target: str  # only "all" is meaningful for compiled programs
-    position: int
-
-    def __str__(self):
-        return f"release {self.target}"
-
-
-@dataclass(frozen=True)
 class CloseConstituent:
     span_index: int
     start: int
@@ -232,7 +213,7 @@ class CloseConstituent:
         return f"close constituent {self.start}..{self.end}"
 
 
-Instruction = Allocate | BindConcept | BindHubs | AssertControl | Release | CloseConstituent
+Instruction = Allocate | BindConcept | BindHubs | CloseConstituent
 
 
 @dataclass
@@ -498,13 +479,6 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
                 blackboard.bind_hubs(slot_hub[instr.from_slot], slot_hub[instr.to_slot], instr.relation)
             )
             net.set_control(labels.matrix_forward(instr.relation), True)
-            tick()
-        elif isinstance(instr, AssertControl):
-            net.set_control(instr.label, instr.on)
-            tick()
-        elif isinstance(instr, Release):
-            if instr.target == "all":
-                blackboard.release_all()
             tick()
         elif isinstance(instr, CloseConstituent):
             for label in sorted(

@@ -134,14 +134,13 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
     saved = net.save_state()
     try:
         net.set_control(label, True)
-        prev = None
-        for _ in range(min(depth, blackboard.config.settle_budget)):
+        for n in range(min(depth, blackboard.config.settle_budget)):
             net.inject(entry.concept, 1.0)
             net.step()
-            cur = {pid: net.activation(pid) for pid in net.active_pids()}
-            if prev is not None and _settled(prev, cur):
+            # from the second step on, re-injecting the held cue changes nothing,
+            # so the step's largest change is that between successive states
+            if n and net.last_change <= _SETTLE_TOL:
                 break
-            prev = cur
         threshold = blackboard.config.readout_threshold
         pairs = []
         for pid in net.active_pids():
@@ -157,10 +156,3 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
         return AnswerSet.from_pairs(pairs)
     finally:
         net.restore_state(saved)
-
-
-def _settled(prev: dict, cur: dict, tol: float = _SETTLE_TOL) -> bool:
-    for key in prev.keys() | cur.keys():
-        if abs(prev.get(key, 0.0) - cur.get(key, 0.0)) > tol:
-            return False
-    return True

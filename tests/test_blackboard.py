@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from nba.blackboard import Blackboard
 from nba.config import Config
-from nba.corpus import build_lexicon, make_word_lists, random_template_sentence
-from nba.encoder import compile, execute
+from nba.corpus import build_lexicon, make_word_lists, random_template_sentence, random_tree_sentence
+from nba.encoder import compile, execute, parse_conllu
 from nba.errors import (
     CellBusy,
     HubBusy,
@@ -438,3 +438,119 @@ def test_bind_release_cycles_keep_only_live_bindings():
         bb.release(run)
     assert bb._bindings == {} and bb.active_bindings() == []
     assert bb.network.active_pids() == []
+
+
+def test_snapshot_keeps_bindings_the_decay_horizon_released():
+    lex = load_lexicon("cat\tN\neats\tV\n")
+    bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1, wm_decay_horizon=3))
+    tokens, arcs = parse_conllu(
+        "1\tcat\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n2\teats\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+    )
+    execute(compile(tokens, arcs), bb)
+    for _ in range(10):
+        bb.network.step()
+    assert run_query(bb, parse_query("cat do?")).words == ()
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    assert run_query(restored, parse_query("cat do?")).words == ()
+    assert restored.snapshot_bytes() == bb.snapshot_bytes()
+    assert [b.describe() for b in restored.active_bindings()] == [
+        b.describe() for b in bb.active_bindings()
+    ]
+    for binding in restored.active_bindings():
+        assert not restored.network.population(binding.wm).sustained
+
+
+# ------------------------------------------------- reserved cells and relays
+
+
+def _record_steps(net):
+    """Wrap the instance's step to record (pid, activation) of the active set."""
+    trace = []
+    step = net.step
+
+    def recorded():
+        step()
+        trace.append([(pid, net.activation(pid)) for pid in net.active_pids()])
+
+    net.step = recorded
+    return trace
+
+
+@given(
+    threshold=st.sampled_from((0.0, 0.5)),
+    gain=st.sampled_from((1.0, 0.7, 1.4)),
+    decay=st.sampled_from((0.0, 0.25)),
+    horizon=st.sampled_from((None, 6)),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=25, deadline=None)
+def test_reserved_cells_are_invisible(threshold, gain, decay, horizon, seed):
+    """A board whose every population was touched first, so every cell is
+    built, steps exactly like one that builds cells when flow needs them."""
+
+    def run(touch_all):
+        rng = random.Random(seed)
+        nouns, verbs, adjs = make_word_lists(6, 4, 3)
+        config = Config(k_n=10, k_v=3, k_c=2, gain=gain, decay=decay, sustain_threshold=threshold,
+                        wm_decay_horizon=horizon, prep_labels=("of", "in"))
+        bb = Blackboard(build_lexicon(nouns, verbs, adjs), config)
+        net = bb.network
+        if touch_all:
+            for pid in range(net.population_count()):
+                net.population(pid)
+        trace = _record_steps(net)
+        answers = []
+        for _ in range(2):
+            tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjs, preps=("of", "in"))
+            if threshold > 0.0:
+                execute(compile(tokens, arcs), bb)
+            else:  # every cell is sustained at rest, so none can be bound
+                for token in tokens[: config.k_v]:
+                    pool = POOL_FOR_TYPE.get(token.word_type)
+                    if pool is not None and bb.free_hubs(pool):
+                        bb.bind_concept(token.surface, bb.allocate_hub(pool))
+            for word in sorted({t.surface for t in tokens if t.surface in bb.lexicon}):
+                for relation in bb.relation_names:
+                    for text in (f"{word} {relation}?", f"? {relation} {word}"):
+                        answers.append(run_query(bb, parse_query(text)).entries)
+            bb.release_all()
+        return trace, answers, _counts(bb)
+
+    lazy, eager = run(False), run(True)
+    assert lazy == eager
+
+
+def _built_cells(bb):
+    built = {pop.pid for pop in bb.network.populations()}
+    cells = {}
+    for key, cell in bb.cells.items():
+        parts = {cell.wm, cell.relay_fwd, cell.relay_rev} & built
+        assert parts in (set(), {cell.wm, cell.relay_fwd, cell.relay_rev})  # built whole or not at all
+        if parts:
+            cells[key] = cell
+    return set(cells)
+
+
+def test_restore_and_forward_query_build_only_reached_cells():
+    rng = random.Random(3)
+    nouns, verbs, adjs = make_word_lists(60, 60, 60)
+    bb = Blackboard(build_lexicon(nouns, verbs, adjs), Config(k_n=40, k_v=12, k_c=8))
+    subjects = []
+    for _ in range(4):
+        tokens, arcs, triples = random_tree_sentence(rng, nouns, verbs, adjs)
+        execute(compile(tokens, arcs), bb)
+        subjects += [s for s, r, _ in triples if r == "agent"]
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    bound = {
+        (b.from_hub, b.to_hub, b.relation) for b in restored.active_bindings() if b.kind == "cell"
+    }
+    assert bound and _built_cells(restored) == bound
+
+    trace = _record_steps(restored.network)
+    answer = run_query(restored, parse_query(f"{subjects[0]} agent?"))
+    assert answer == run_query(bb, parse_query(f"{subjects[0]} agent?"))
+    seen = {pid for active in trace for pid, _ in active}
+    reached = {hub for hub, pid in restored.pools["N"].pids.items() if pid in seen}
+    assert reached
+    rows = {(hub, to_hub, "agent") for hub in reached for to_hub in restored.pools["V"].hubs}
+    assert _built_cells(restored) == bound | rows

@@ -308,3 +308,114 @@ def test_monotone_reachability(seed):
     for before, after in zip(base, wider):
         for a, b in zip(before, after):
             assert b >= a
+
+
+# ------------------------------------------- control edges indexed by label
+
+
+def _reference_step(net):
+    """One step as the engine took it before control edges were indexed by
+    label: every control out-edge of each active source, in connection id
+    order, is tested against the asserted labels."""
+    control_out = {}
+    for conn in sorted(net.connections(), key=lambda c: c.cid):
+        if isinstance(conn.gate, ControlGate):
+            control_out.setdefault(conn.source, []).append(conn)
+    inflow = {}
+    for src in sorted(net._active):
+        a = net.population(src).activation
+        if a <= 0.0:
+            continue
+        for conn in net._open_binding_out.get(src, ()):
+            inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
+        for conn in control_out.get(src, ()):
+            if conn.gate.label in net.asserted:
+                inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
+    floors, net._floors = net._floors, {}
+    horizon = net.wm_decay_horizon
+    for pid in sorted(set(net._active) | set(inflow) | set(floors)):
+        pop = net.population(pid)
+        if pop.control_label is not None:
+            net._set_activation(pop, 1.0 if pop.control_label in net.asserted else 0.0)
+            continue
+        nxt = max(clamp01(pop.decay * pop.activation + inflow.get(pid, 0.0)), floors.get(pid, 0.0))
+        if pop.kind is WM and pop.sustained:
+            if horizon is not None and net.time - pop.sustained_since >= horizon:
+                net.release_wm(pid)
+                continue
+            nxt = max(nxt, pop.sustain_threshold)
+        net._set_activation(pop, nxt)
+    net.time += 1
+
+
+def _multi_label_network(seed):
+    """Small gains keep sums below the clamp, so a changed summation order
+    shows in the last bits. Every label has an edge from source 0 to
+    target 1, and all labels can be asserted at once."""
+    rng = random.Random(seed)
+    net = Network(decay=rng.choice((0.0, 0.3)), wm_decay=0.9, wm_decay_horizon=rng.choice((None, 4)))
+    pops = [net.add_population(CONCEPT) for _ in range(6)]
+    wms = [net.add_population(WM) for _ in range(2)]
+    labels = ["L0", "L1", "L2", "L3"]
+    edges = [(pops[0], pops[1], ControlGate(label)) for label in labels]
+    for _ in range(24):
+        gate = ControlGate(rng.choice(labels)) if rng.random() < 0.7 else BindingGate(rng.choice(wms))
+        edges.append((rng.choice(pops[:3]), rng.choice(pops), gate))
+    rng.shuffle(edges)
+    for src, dst, gate in edges:
+        net.add_gated_connection(src, dst, gate, gain=rng.uniform(0.01, 0.3))
+    return net, pops, wms, labels
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_label_indexed_step_matches_reference(seed):
+    nets = [_multi_label_network(seed)[0], _multi_label_network(seed)[0]]
+    _, pops, wms, labels = _multi_label_network(seed)
+    rng = random.Random(seed)
+    for label in labels:
+        if rng.random() < 0.8:
+            for net in nets:
+                net.set_control(label, True)
+    for _ in range(30):
+        ops = []
+        if rng.random() < 0.6:
+            ops.append(("inject", rng.choice(pops), rng.uniform(0.05, 0.6)))
+        if rng.random() < 0.2:
+            ops.append(("inject", rng.choice(wms), 1.0))
+        if rng.random() < 0.2:
+            ops.append(("control", rng.choice(labels), rng.random() < 0.7))
+        if rng.random() < 0.05:
+            ops.append(("release", rng.choice(wms)))
+        for net in nets:
+            for op in ops:
+                if op[0] == "inject":
+                    net.inject(op[1], op[2])
+                elif op[0] == "control":
+                    net.set_control(op[1], op[2])
+                else:
+                    net.release_wm(op[1])
+        nets[0].step()
+        _reference_step(nets[1])
+        state = [
+            [(p.pid, p.activation, p.sustained, p.sustained_since) for p in net.populations()]
+            for net in nets
+        ]
+        assert state[0] == state[1]
+        assert nets[0].active_pids() == nets[1].active_pids()
+
+
+def test_step_reports_largest_change_including_horizon_releases():
+    net = Network(wm_decay_horizon=2)
+    a, b = net.add_population(CONCEPT), net.add_population(CONCEPT)
+    wm = net.add_population(WM, sustain_threshold=0.5)
+    net.add_gated_connection(a, b, ControlGate("go"), gain=0.25)
+    net.set_control("go", True)
+    net.inject(a, 0.8)
+    net.inject(wm, 0.9)
+    net.step()  # b: 0 -> 0.2; a and wm keep their floors
+    assert net.last_change == 0.8 * 0.25
+    net.step()  # a falls to 0; b holds at 0.2
+    assert net.last_change == 0.8
+    net.step()  # wm's horizon release outweighs b falling to 0
+    assert not net.population(wm).sustained
+    assert net.last_change == 0.9

@@ -4,75 +4,58 @@ Words live in situ as concept populations; a sentence is encoded by
 sustaining working-memory bindings that route activation through shared
 noun/verb/clause hubs and a relation-labelled connection matrix. Queries are
 answered by controlling the flow of activation, not by lookup.
+
+The names below are loaded from their submodules on first use, so a program
+that only queries never loads the encoder or the tracer.
 """
 
-from .blackboard import Binding, Blackboard, HubPool, MatrixCell
-from .config import Config, RelationSpec
-from .dynamics import (
-    BindingGate,
-    ControlGate,
-    GatedConnection,
-    Network,
-    Population,
-    PopulationKind,
-)
-from .encoder import (
-    ConnectionPathReport,
-    ConstituentSpan,
-    ControlProgram,
-    DependencyArc,
-    RelationMap,
-    Token,
-    compile,
-    default_relation_map,
-    execute,
-    iter_conllu,
-    parse_conllu,
-)
-from .errors import NbaError
-from .lexicon import LexicalEntry, Lexicon, WordType, load_lexicon
-from .oracle import OracleStore
-from .query import AnswerSet, Query, parse_query, run_query
-from .trace import ActivityTrace, PatternReport, detect_rise_decline, trace_encode
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnswerSet",
-    "Binding",
-    "BindingGate",
-    "Blackboard",
-    "Config",
-    "ConnectionPathReport",
-    "ConstituentSpan",
-    "ControlGate",
-    "ControlProgram",
-    "DependencyArc",
-    "GatedConnection",
-    "HubPool",
-    "LexicalEntry",
-    "Lexicon",
-    "MatrixCell",
-    "NbaError",
-    "Network",
-    "OracleStore",
-    "PatternReport",
-    "Population",
-    "PopulationKind",
-    "Query",
-    "RelationMap",
-    "RelationSpec",
-    "Token",
-    "WordType",
-    "ActivityTrace",
-    "compile",
-    "default_relation_map",
-    "detect_rise_decline",
-    "execute",
-    "iter_conllu",
-    "load_lexicon",
-    "parse_conllu",
-    "parse_query",
-    "run_query",
-    "trace_encode",
-]
+_EXPORTS = {
+    "blackboard": ("Binding", "Blackboard", "HubPool", "MatrixCell"),
+    "config": ("Config", "RelationSpec"),
+    "dynamics": (
+        "BindingGate",
+        "ControlGate",
+        "GatedConnection",
+        "Network",
+        "Population",
+        "PopulationKind",
+    ),
+    "encoder": (
+        "ConnectionPathReport",
+        "ConstituentSpan",
+        "ControlProgram",
+        "DependencyArc",
+        "RelationMap",
+        "Token",
+        "compile",
+        "default_relation_map",
+        "execute",
+        "iter_conllu",
+        "parse_conllu",
+    ),
+    "errors": ("NbaError",),
+    "lexicon": ("LexicalEntry", "Lexicon", "WordType", "load_lexicon"),
+    "oracle": ("OracleStore",),
+    "query": ("AnswerSet", "Query", "parse_query", "run_query"),
+    "trace": ("ActivityTrace", "PatternReport", "detect_rise_decline", "trace_encode"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -122,8 +122,7 @@ class Blackboard:
 
         for kind, capacity in (("N", self.config.k_n), ("V", self.config.k_v), ("C", self.config.k_c)):
             self._build_pool(kind, capacity)
-        for entry in self.lexicon.entries():
-            self._link_word(entry)
+        self._link_words(self.lexicon.entries())
         for spec in self.config.relation_specs():
             self._build_grid(spec)
         for name in self.relation_names:
@@ -162,13 +161,18 @@ class Blackboard:
         self.pools[kind] = pool
         self._pool_pids[kind] = tuple(pool.pids.values())
 
-    def _link_word(self, entry) -> None:
-        pool_kind = POOL_FOR_TYPE.get(entry.word_type)
-        if pool_kind is None or entry.word in self._word_wms:
-            return
-        self._word_wms[entry.word] = self.network.reserve_bindings(
-            entry.concept, self._pool_pids[pool_kind], self.config.gain
-        )
+    def _link_words(self, entries) -> None:
+        """Reserve, as one block, the working memory of each bindable word
+        not yet wired: one population per hub of its pool."""
+        words, concepts, hubs = [], [], []
+        for entry in entries:
+            pool_kind = POOL_FOR_TYPE.get(entry.word_type)
+            if pool_kind is not None and entry.word not in self._word_wms:
+                words.append(entry.word)
+                concepts.append(entry.concept)
+                hubs.append(self._pool_pids[pool_kind])
+        wms = self.network.reserve_bindings(concepts, hubs, self.config.gain)
+        self._word_wms.update(zip(words, wms))
 
     def _build_grid(self, spec) -> None:
         cells = self.network.reserve_cells(
@@ -193,7 +197,7 @@ class Blackboard:
         """Wire a word added after construction to its pool (explicit extension)."""
         entry = self.lexicon.entry(word)
         with self.network.structural_extension():
-            self._link_word(entry)
+            self._link_words([entry])
 
     def add_word(self, word: str, word_type) -> None:
         """Add to the lexicon and wire in one go; usable immediately."""
@@ -250,6 +254,11 @@ class Blackboard:
         if wm is None:
             raise NoSuchCell(f"no cell {from_hub} -> {to_hub} for relation {relation!r}")
         if self.network.population(wm).sustained:
+            if self.config.sustain_threshold == 0.0:
+                raise CellBusy(
+                    f"cell {from_hub} -> {to_hub} ({relation}) cannot be bound: "
+                    "every cell is sustained at rest because sustain_threshold is 0"
+                )
             raise CellBusy(f"cell {from_hub} -> {to_hub} ({relation}) already bound")
         self.network.inject(wm, 1.0)
         binding = Binding(

@@ -12,18 +12,34 @@ import json
 import sys
 from pathlib import Path
 
-from . import demos
 from .blackboard import Blackboard
 from .config import Config
-from .encoder import compile, execute, iter_conllu
 from .errors import NbaError, PoolExhausted
 from .lexicon import Lexicon
 from .query import parse_query, run_query
-from .trace import detect_rise_decline, export, trace_encode
+
+# The encoder, the tracer and the demos are imported by the commands that use
+# them, so `query` and `state show` load only the query path.
 
 
 class _UsageError(Exception):
     pass
+
+
+class _DemoNames:
+    """The `demo` argument's choices, read from the demos module only when a
+    demo is named or help is shown."""
+
+    def _names(self) -> list[str]:
+        from . import demos
+
+        return demos.demo_names() + ["all"]
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +85,8 @@ def _build_parser() -> _Parser:
     trace_p.set_defaults(func=cmd_trace)
 
     demo_p = sub.add_parser("demo", help="run a built-in demonstration")
-    demo_p.add_argument("name", choices=demos.demo_names() + ["all"])
+    # a metavar keeps argparse from listing the choices while it builds the parser
+    demo_p.add_argument("name", metavar="name", choices=_DemoNames(), help="one of: %(choices)s")
     demo_p.set_defaults(func=cmd_demo)
 
     state_p = sub.add_parser("state", help="state snapshot utilities")
@@ -112,6 +129,8 @@ def cmd_lexicon_check(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from .encoder import compile, execute, iter_conllu
+
     config = _load_config(args.config)
     lex = _load_lexicon(args)
     bb = Blackboard(lex, config)
@@ -194,6 +213,9 @@ def run_repl(bb: Blackboard | None, in_stream, out_stream) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .encoder import compile, iter_conllu
+    from .trace import detect_rise_decline, export, trace_encode
+
     config = _load_config(args.config)
     lex = _load_lexicon(args)
     bb = Blackboard(lex, config)
@@ -233,6 +255,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from . import demos
+
     names = demos.demo_names() if args.name == "all" else [args.name]
     all_ok = True
     for name in names:

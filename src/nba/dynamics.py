@@ -18,8 +18,9 @@ propagates it), after which activation is re-driven by inflow alone.
 
 Structure may be reserved rather than built: ids are taken in construction
 order, and the populations and connections behind them are built, at rest,
-when first needed. A word's working memory for one hub, with the two
-connections it gates, is built the first time it is touched. A matrix cell
+when first needed. Word working memory is reserved for many words in one
+block; a word's working memory for one hub, with the two connections it
+gates, is built the first time it is touched. A matrix cell
 (working memory, forward and reverse relay, four connections) is built the
 first time one of its populations is touched, or the first step in which a
 hub that feeds one of its relays is active while that relay's control label
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,13 +98,18 @@ def _cid(conn: GatedConnection) -> int:
 
 @dataclass(frozen=True)
 class _Bindings:
-    """Working memory `pids[i]` gates concept -> hubs[i] over connection id
-    `cid + 2 * i` and hubs[i] -> concept over `cid + 2 * i + 1`."""
+    """Working memory of many words, one run of consecutive ids per word.
+
+    Word w's run starts at `starts[w]`; its i-th id gates concepts[w] ->
+    hubs[w][i] over connection id `cid + 2 * (pid - pids.start)` and the
+    mirror hubs[w][i] -> concepts[w] over the id after it.
+    """
 
     pids: range
     cid: int
-    concept: int
-    hubs: tuple[int, ...]
+    starts: list[int]
+    concepts: list[int]
+    hubs: list[tuple[int, ...]]
     gain: float
 
 
@@ -132,6 +139,9 @@ class _SavedState:
     asserted: set[str]
     floors: dict[int, float]
     time: int
+    last_change: float
+    # (population, its sustained_since before the change) per sustain change since the save
+    sustain_log: list[tuple[Population, int | None]]
 
 
 class Network:
@@ -159,7 +169,7 @@ class Network:
         self._conns: dict[int, GatedConnection] = {}
         # static: control-gated out-edges per source, then per label, in id order
         self._control_out: dict[int, dict[str, list[GatedConnection]]] = {}
-        # dynamic: binding-gated out-edges per source whose WM is sustained
+        # dynamic: binding-gated out-edges per source whose WM is sustained, in id order
         self._open_binding_out: dict[int, list[GatedConnection]] = {}
         # all binding-gated edges per gating WM
         self._binding_edges: dict[int, list[GatedConnection]] = {}
@@ -172,6 +182,8 @@ class Network:
         self._unbuilt_control: dict[int, dict[str, list[tuple[_Grid, range]]]] = {}
         self._active: set[int] = set()
         self._floors: dict[int, float] = {}
+        # sustain changes since the last save_state, until it is restored
+        self._sustain_log: list[tuple[Population, int | None]] | None = None
         # largest activation change made by the last step
         self.last_change = 0.0
         self._frozen = False
@@ -186,6 +198,16 @@ class Network:
         sustain_threshold: float | None = None,
         decay: float | None = None,
     ) -> int:
+        return self.add_populations(kind, 1, sustain_threshold, decay)[0]
+
+    def add_populations(
+        self,
+        kind: PopulationKind,
+        count: int,
+        sustain_threshold: float | None = None,
+        decay: float | None = None,
+    ) -> range:
+        """Add `count` populations of one kind, at rest; returns their ids."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
         thr = self.default_sustain_threshold if sustain_threshold is None else float(sustain_threshold)
@@ -193,10 +215,10 @@ class Network:
             raise ValueError(f"sustain_threshold must be in [0, 1], got {thr}")
         if decay is None:
             decay = self.default_wm_decay if kind is PopulationKind.WORKING_MEMORY else self.default_decay
-        pid = self._next_pid
-        self._next_pid += 1
-        self._build_population(pid, kind, thr, float(decay))
-        return pid
+        pids, _ = self._take_ids(count, 0)
+        for pid in pids:
+            self._build_population(pid, kind, thr, float(decay))
+        return pids
 
     def add_gated_connection(
         self,
@@ -222,19 +244,24 @@ class Network:
         )
         return cid
 
-    def reserve_bindings(self, concept: int, hubs: tuple[int, ...], gain: float = 1.0) -> range:
-        """Reserve one working-memory population per hub, the i-th gating a
-        concept -> hubs[i] connection and its hubs[i] -> concept mirror.
+    def reserve_bindings(
+        self, concepts: list[int], hubs: list[tuple[int, ...]], gain: float = 1.0
+    ) -> list[range]:
+        """Reserve the working memory of many words as one block: for word w,
+        one population per hub, the i-th gating a concepts[w] -> hubs[w][i]
+        connection and its mirror.
 
-        Ids are taken now, exactly as adding each population and its two
-        connections in turn would take them; the population and its
-        connections are built, at rest, the first time it is touched.
-        Returns the working-memory ids, in hub order.
+        Ids are taken now, word after word, exactly as adding each population
+        and its two connections in turn would take them; a population and its
+        connections are built, at rest, the first time it is touched. Returns
+        each word's working-memory ids, in hub order.
         """
-        self._check_reservable((concept, *hubs), gain)
-        pids, cid = self._take_ids(len(hubs), 2 * len(hubs))
-        self._reserve(_Bindings(pids, cid, concept, hubs, float(gain)))
-        return pids
+        self._check_reservable([*concepts, *(pid for pool in set(hubs) for pid in pool)], gain)
+        starts = list(itertools.accumulate(map(len, hubs), initial=self._next_pid))
+        pids, cid = self._take_ids(starts[-1] - starts[0], 2 * (starts[-1] - starts[0]))
+        if pids:
+            self._reserve(_Bindings(pids, cid, starts[:-1], list(concepts), list(hubs), float(gain)))
+        return list(map(range, starts, starts[1:]))
 
     def reserve_cells(
         self,
@@ -257,7 +284,7 @@ class Network:
         + j has working memory `pids[3k]` and relays `pids[3k + 1]`
         (forward) and `pids[3k + 2]` (reverse).
         """
-        self._check_reservable((*from_hubs, *to_hubs), gain)
+        self._check_reservable([*from_hubs, *to_hubs], gain)
         cells = len(from_hubs) * len(to_hubs)
         pids, cid = self._take_ids(3 * cells, 4 * cells)
         grid = _Grid(pids, cid, from_hubs, to_hubs, ControlGate(forward), ControlGate(reverse), float(gain))
@@ -272,12 +299,13 @@ class Network:
         self._reserve(grid)
         return pids
 
-    def _check_reservable(self, pids, gain: float) -> None:
+    def _check_reservable(self, pids: list[int], gain: float) -> None:
+        """Reserved structure may join any population id already taken."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
-        for pid in pids:
-            if pid not in self._pops:
-                self.population(pid)  # builds reserved structure, or raises
+        if pids and not (0 <= min(pids) and max(pids) < self._next_pid):
+            bad = next(pid for pid in pids if not 0 <= pid < self._next_pid)
+            raise UnknownPopulation(f"no population with id {bad}")
         if gain <= 0.0:
             raise ValueError(f"gain must be positive, got {gain}")
 
@@ -405,14 +433,10 @@ class Network:
             raise ValueError(f"population {pid} is not working memory")
         if not pop.sustained and pop.activation == 0.0:
             return
-        pop.sustained = False
-        pop.sustained_since = None
+        if pop.sustained:
+            self._unsustain(pop)
         self._floors.pop(pid, None)
         self._set_activation(pop, 0.0)
-        for conn in self._binding_edges.get(pid, ()):
-            out = self._open_binding_out.get(conn.source)
-            if out is not None and conn in out:
-                out.remove(conn)
 
     # ------------------------------------------------------------------ step
 
@@ -483,14 +507,27 @@ class Network:
     # ----------------------------------------------------- query-time saving
 
     def save_state(self) -> _SavedState:
+        """Save what a probe changes; one saved state is open at a time."""
+        self._sustain_log = []
         return _SavedState(
             activations={pid: self._pops[pid].activation for pid in self._active},
             asserted=set(self.asserted),
             floors=dict(self._floors),
             time=self.time,
+            last_change=self.last_change,
+            sustain_log=self._sustain_log,
         )
 
     def restore_state(self, saved: _SavedState) -> None:
+        """Return to a saved state. Sustain changes made since, such as
+        releases by the decay horizon, are undone newest first, so
+        `sustained_since` and the open binding edges are as saved."""
+        self._sustain_log = None
+        for pop, since in reversed(saved.sustain_log):
+            if pop.sustained:
+                self._unsustain(pop)
+            if since is not None:
+                self._sustain(pop, since)
         for pid in list(self._active):
             if pid not in saved.activations:
                 self._set_activation(self._pops[pid], 0.0)
@@ -499,14 +536,15 @@ class Network:
         self.asserted = set(saved.asserted)
         self._floors = dict(saved.floors)
         self.time = saved.time
+        self.last_change = saved.last_change
 
     # -------------------------------------------------------------- internal
 
     def _build_population(self, pid: int, kind: PopulationKind, thr: float, decay: float) -> Population:
-        pop = Population(pid=pid, kind=kind, sustain_threshold=thr, decay=decay)
+        pop = Population(pid, kind, 0.0, thr, decay)  # positional: half the cost of keywords
         self._pops[pid] = pop
         if kind is PopulationKind.WORKING_MEMORY and pop.activation >= thr:
-            self._mark_sustained(pop)
+            self._sustain(pop, self.time)
         return pop
 
     def _build_connection(self, conn: GatedConnection) -> None:
@@ -518,7 +556,7 @@ class Network:
             self._binding_edges.setdefault(conn.gate.wm, []).append(conn)
             # open immediately if the condition already holds
             if self._pops[conn.gate.wm].sustained:
-                self._open_binding_out.setdefault(conn.source, []).append(conn)
+                bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
 
     def _build_reserved(self, pid: int) -> Population:
         """Build the reserved structure that owns `pid`, at rest."""
@@ -526,22 +564,22 @@ class Network:
         res = self._reservations[i] if i >= 0 else None
         if res is None or pid not in res.pids:
             raise UnknownPopulation(f"no population with id {pid}")
-        k = pid - res.pids.start
         if isinstance(res, _Grid):
-            self._build_cell(res, k // 3)
+            self._build_cell(res, (pid - res.pids.start) // 3)
         else:
-            self._build_binding(res, k)
+            self._build_binding(res, pid)
         return self._pops[pid]
 
-    def _build_binding(self, res: _Bindings, k: int) -> None:
-        """Working memory `res.pids[k]` with the two connections it gates."""
-        pid = res.pids[k]
+    def _build_binding(self, res: _Bindings, pid: int) -> None:
+        """Working memory `pid` of `res` with the two connections it gates."""
+        w = bisect.bisect_right(res.starts, pid) - 1
+        concept, hub = res.concepts[w], res.hubs[w][pid - res.starts[w]]
         self._build_population(
             pid, PopulationKind.WORKING_MEMORY, self.default_sustain_threshold, self.default_wm_decay
         )
-        hub, cid, gate = res.hubs[k], res.cid + 2 * k, BindingGate(pid)
-        self._build_connection(GatedConnection(cid, res.concept, hub, gate, res.gain))
-        self._build_connection(GatedConnection(cid + 1, hub, res.concept, gate, res.gain))
+        cid, gate = res.cid + 2 * (pid - res.pids.start), BindingGate(pid)
+        self._build_connection(GatedConnection(cid, concept, hub, gate, res.gain))
+        self._build_connection(GatedConnection(cid + 1, hub, concept, gate, res.gain))
 
     def _build_cell(self, grid: _Grid, k: int) -> None:
         """Cell k of `grid`: its three populations and four connections."""
@@ -581,10 +619,22 @@ class Network:
             and not pop.sustained
             and value >= pop.sustain_threshold
         ):
-            self._mark_sustained(pop)
+            self._sustain(pop, self.time)
 
-    def _mark_sustained(self, pop: Population) -> None:
+    def _sustain(self, pop: Population, since: int) -> None:
+        if self._sustain_log is not None:
+            self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained = True
-        pop.sustained_since = self.time
+        pop.sustained_since = since
         for conn in self._binding_edges.get(pop.pid, ()):
-            self._open_binding_out.setdefault(conn.source, []).append(conn)
+            bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
+
+    def _unsustain(self, pop: Population) -> None:
+        if self._sustain_log is not None:
+            self._sustain_log.append((pop, pop.sustained_since))
+        pop.sustained = False
+        pop.sustained_since = None
+        for conn in self._binding_edges.get(pop.pid, ()):
+            out = self._open_binding_out.get(conn.source)
+            if out is not None and conn in out:
+                out.remove(conn)

@@ -53,17 +53,26 @@ class Lexicon:
     # -------------------------------------------------------------- entries
 
     def add_word(self, word: str, word_type: WordType) -> LexicalEntry:
-        word = word.casefold()
-        if not word:
+        return self._add_entries([self._new_word(word, ())], [word_type])[0]
+
+    def _new_word(self, word: str, pending) -> str:
+        """`word` casefolded, if neither the lexicon nor `pending` has it."""
+        key = word.casefold()
+        if not key:
             raise ValueError("word must be nonempty")
-        if word in self._entries:
-            raise DuplicateWord(word)
+        if key in self._entries or key in pending:
+            raise DuplicateWord(key)
+        return key
+
+    def _add_entries(self, words: list[str], word_types: list[WordType]) -> list[LexicalEntry]:
+        """Concept populations for new, distinct, casefolded words, added in
+        one structural extension."""
         with self.network.structural_extension():
-            pid = self.network.add_population(PopulationKind.CONCEPT)
-        entry = LexicalEntry(word=word, word_type=word_type, concept=pid)
-        self._entries[word] = entry
-        self._word_of_pid[pid] = word
-        return entry
+            pids = self.network.add_populations(PopulationKind.CONCEPT, len(words))
+        entries = list(map(LexicalEntry, words, word_types, pids))
+        self._entries.update(zip(words, entries))
+        self._word_of_pid.update(zip(pids, words))
+        return entries
 
     def entry(self, word: str) -> LexicalEntry:
         try:
@@ -102,30 +111,40 @@ class Lexicon:
 
     def add_semantic_relation(self, subject: str, relation_label: str, obj: str) -> None:
         """Install a directed control-gated edge subject -> object plus its mirror."""
+        self._add_relations([self._relation(subject, relation_label, obj)])
+
+    def _relation(self, subject: str, relation_label: str, obj: str) -> tuple[str, str, str]:
         s = self.entry(subject)
         o = self.entry(obj)
         if not relation_label:
             raise ValueError("relation label must be nonempty")
-        triple = (s.word, relation_label, o.word)
-        if triple in self._triple_set:
-            return
-        with self.network.structural_extension():
-            self.network.add_gated_connection(
-                s.concept, o.concept, ControlGate(labels.semantic_forward(relation_label))
-            )
-            self.network.add_gated_connection(
-                o.concept, s.concept, ControlGate(labels.semantic_reverse(relation_label))
-            )
-        self._triple_set.add(triple)
-        self.semantic_triples.append(triple)
-        self.semantic_labels.add(relation_label)
+        return (s.word, relation_label, o.word)
+
+    def _add_relations(self, triples: list[tuple[str, str, str]]) -> None:
+        """Wire checked (subject, label, object) triples not yet installed, in
+        one structural extension."""
+        net = self.network
+        with net.structural_extension():
+            for triple in triples:
+                if triple in self._triple_set:
+                    continue
+                subject, label, obj = triple
+                s, o = self._entries[subject].concept, self._entries[obj].concept
+                net.add_gated_connection(s, o, ControlGate(labels.semantic_forward(label)))
+                net.add_gated_connection(o, s, ControlGate(labels.semantic_reverse(label)))
+                self._triple_set.add(triple)
+                self.semantic_triples.append(triple)
+                self.semantic_labels.add(label)
 
     # ------------------------------------------------------------- file I/O
 
     @classmethod
     def from_tsv(cls, text: str, network: Network | None = None) -> "Lexicon":
-        lex = cls(network)
+        """Parse word<TAB>type rows; every row is checked before any is added,
+        so an error names the first bad line and leaves nothing built."""
         tags = {t.value: t for t in WordType}
+        words, word_types = [], []
+        seen = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -138,14 +157,20 @@ class Lexicon:
                 raise ParseError("empty word", line=lineno)
             if tag not in tags:
                 raise ParseError(f"unknown type tag {tag!r}", line=lineno)
-            if word.casefold() in lex._entries:
+            key = word.casefold()
+            if key in seen:
                 raise DuplicateWord(word, line=lineno)
-            lex.add_word(word, tags[tag])
+            seen.add(key)
+            words.append(key)
+            word_types.append(tags[tag])
+        lex = cls(network)
+        lex._add_entries(words, word_types)
         return lex
 
     def load_relations(self, text: str) -> int:
-        """Load subject<TAB>label<TAB>object rows; returns the number added."""
-        count = 0
+        """Load subject<TAB>label<TAB>object rows; returns the number of rows.
+        Every row is checked before any is added."""
+        triples = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -160,9 +185,9 @@ class Lexicon:
                 raise UnknownWord(obj, line=lineno)
             if not label:
                 raise ParseError("empty relation label", line=lineno)
-            self.add_semantic_relation(subject, label, obj)
-            count += 1
-        return count
+            triples.append((subject.casefold(), label, obj.casefold()))
+        self._add_relations(triples)
+        return len(triples)
 
     # ------------------------------------------------------------- snapshot
 
@@ -176,10 +201,18 @@ class Lexicon:
     def from_dict(cls, data: dict, network: Network | None = None) -> "Lexicon":
         lex = cls(network)
         tags = {t.value: t for t in WordType}
+        words, word_types = [], []
+        seen = set()
         for word, tag in data.get("entries", []):
-            lex.add_word(word, tags[tag])
-        for subject, label, obj in data.get("semantic_relations", []):
-            lex.add_semantic_relation(subject, label, obj)
+            word_type = tags[tag]
+            key = lex._new_word(word, seen)
+            seen.add(key)
+            words.append(key)
+            word_types.append(word_type)
+        lex._add_entries(words, word_types)
+        lex._add_relations(
+            [lex._relation(subject, label, obj) for subject, label, obj in data.get("semantic_relations", [])]
+        )
         return lex
 
 

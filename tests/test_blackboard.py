@@ -138,6 +138,19 @@ def test_bind_hubs_errors():
         bb.bind_hubs(n0, v0, "theme")  # relation not configured
 
 
+def test_zero_threshold_cell_busy_names_the_threshold():
+    bb = small_board(sustain_threshold=0.0)
+    n0, v0 = bb.allocate_hub("N"), bb.allocate_hub("V")
+    bb.bind_concept("cat", n0)
+    bb.bind_concept("run", v0)
+    with pytest.raises(CellBusy, match="sustained at rest because sustain_threshold is 0"):
+        bb.bind_hubs(n0, v0, "agent")
+    board = small_board()
+    board.bind_hubs("N0", "V0", "agent")
+    with pytest.raises(CellBusy, match="already bound$"):  # above zero the threshold is not blamed
+        board.bind_hubs("N0", "V0", "agent")
+
+
 def test_dual_gate_truth_table():
     # activation crosses a cell only when the binding WM is sustained AND the
     # relation label is asserted
@@ -554,3 +567,86 @@ def test_restore_and_forward_query_build_only_reached_cells():
     assert reached
     rows = {(hub, to_hub, "agent") for hub in reached for to_hub in restored.pools["V"].hubs}
     assert _built_cells(restored) == bound | rows
+
+
+
+# ----------------------------------------------- bulk and one-word wiring
+
+
+def _pid_names(bb):
+    """A name for every population id that does not depend on the order in
+    which the structure was built."""
+    net = bb.network
+    names = {e.concept: ("concept", e.word) for e in bb.lexicon.entries()}
+    names.update({pid: ("hub", hub) for hub, pid in bb._hub_pid.items()})
+    for word, wms in bb._word_wms.items():
+        hubs = bb.pools[POOL_FOR_TYPE[bb.lexicon.classify(word)]].hubs
+        names.update({wm: ("wm", word, hub) for wm, hub in zip(wms, hubs, strict=True)})
+    for key, cell in bb.cells.items():
+        names.update({cell.wm: ("cell", *key), cell.relay_fwd: ("fwd", *key), cell.relay_rev: ("rev", *key)})
+    names.update({pid: ("control", label) for label, pid in net._control_pops.items()})
+    assert len(names) == net.population_count()
+    return names
+
+
+def _word_wiring(bb, names):
+    """Per word: its working memories by name, and every connection they gate
+    as (source, target, cid less the word's first cid), in cid order. Touches,
+    and so builds, every word's working memory."""
+    net = bb.network
+    for wms in bb._word_wms.values():
+        for wm in wms:
+            net.population(wm)
+    gated = {}
+    for conn in sorted(net.connections(), key=lambda c: c.cid):
+        name = names[conn.gate.wm] if hasattr(conn.gate, "wm") else None
+        if name and name[0] == "wm":
+            gated.setdefault(name[1], []).append(conn)
+    wiring = {}
+    for word, wms in bb._word_wms.items():
+        conns = gated[word]
+        first = conns[0].cid
+        assert [c.cid for c in conns] == list(range(first, first + 2 * len(wms)))
+        wiring[word] = (
+            [names[wm] for wm in wms],
+            [(names[c.source], names[c.target], c.cid - first) for c in conns],
+        )
+    return wiring
+
+
+@pytest.mark.parametrize("k_n,k_v", [(3, 1), (4, 2), (7, 3)])
+def test_words_added_one_at_a_time_match_a_bulk_built_board(k_n, k_v):
+    rng = random.Random(k_n)
+    nouns, verbs, adjs = make_word_lists(5, 4, 3)
+    rows = [f"{w}\tN" for w in nouns] + [f"{w}\tV" for w in verbs] + [f"{w}\tADJ" for w in adjs]
+    rows += ["the\tDET", "of\tP"]
+    rng.shuffle(rows)  # interleave the pools, so word runs differ in length
+    config = Config(k_n=k_n, k_v=k_v, k_c=1, relations=("agent", "theme", "modifier"))
+    bulk = Blackboard(Lexicon.from_tsv("\n".join(rows)), config)
+    single = Blackboard(Lexicon(), config)
+    for entry in bulk.lexicon.entries():
+        single.add_word(entry.word, entry.word_type)
+    boards = (bulk, single)
+    names = [_pid_names(bb) for bb in boards]
+
+    assert [list(bb._word_wms) for bb in boards] == [list(bulk._word_wms)] * 2
+    assert set(bulk._word_wms) == set(nouns + verbs + adjs)
+    assert _counts(single) == _counts(bulk) == _closed_form(bulk, 0)
+
+    sentences = [random_template_sentence(rng, nouns, verbs, adjs)[:2] for _ in range(min(k_n // 3, k_v))]
+    for bb in boards:
+        for tokens, arcs in sentences:
+            execute(compile(tokens, arcs), bb)
+    traces = [_record_steps(bb.network) for bb in boards]
+    for word in sorted(set(nouns + verbs + adjs)):
+        for relation in bulk.relation_names:
+            for text in (f"{word} {relation}?", f"? {relation} {word}"):
+                answers = [run_query(bb, parse_query(text)) for bb in boards]
+                assert answers[0] == answers[1]
+    named = [
+        [sorted((name[pid], act) for pid, act in step) for step in trace]
+        for name, trace in zip(names, traces)
+    ]
+    assert named[0] == named[1] and any(named[0])
+
+    assert _word_wiring(bulk, names[0]) == _word_wiring(single, names[1])

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -180,3 +183,71 @@ def test_pool_exhaustion_names_sentence_token_and_occupancy(workdir, capsys):
     err = capsys.readouterr().err
     assert "error: sentence 2, token 'dog': no free hub in pool N (1/1 in use)" in err
     assert not (workdir / "state.json").exists()
+
+
+# Modules a query never runs: the encoder, the tracer (and csv), the demos,
+# the oracle and the corpus generator.
+_NOT_ON_QUERY_PATH = ("nba.encoder", "nba.trace", "nba.demos", "nba.oracle", "nba.corpus", "csv")
+
+
+def _run_python(code, *args):
+    import nba
+
+    src = os.path.dirname(os.path.dirname(nba.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_query_and_state_show_import_only_the_query_path(workdir):
+    state = workdir / "state.json"
+    assert main(["encode", "--lexicon", str(workdir / "lex.tsv"),
+                 "--sentence", str(workdir / "s.conllu"), "--state", str(state)]) == 0
+    code = (
+        "import sys\n"
+        "from nba.cli import main\n"
+        "assert main(['query', '--state', sys.argv[1], 'cat do?']) == 0\n"
+        "assert main(['state', 'show', '--state', sys.argv[1]]) == 0\n"
+        f"print(sorted(m for m in {_NOT_ON_QUERY_PATH!r} if m in sys.modules))\n"
+    )
+    result = _run_python(code, str(state))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "runs"
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_star_import_binds_every_exported_name():
+    code = (
+        "import nba\n"
+        "namespace = {}\n"
+        "exec('from nba import *', namespace)\n"
+        "missing = [name for name in nba.__all__ if name not in namespace]\n"
+        "print(len(nba.__all__), missing)\n"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    count, missing = result.stdout.split(" ", 1)
+    assert int(count) > 0 and missing.strip() == "[]"
+
+
+def test_package_names_resolve_to_their_submodules():
+    import nba
+    from nba.blackboard import Blackboard
+
+    assert nba.Blackboard is Blackboard
+    assert "run_query" in dir(nba)
+    with pytest.raises(AttributeError):
+        getattr(nba, "no_such_name")
+
+
+def test_unknown_demo_is_usage_error(capsys):
+    assert main(["demo", "nosuch"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_demo_help_lists_the_demo_names(capsys):
+    from nba.demos import demo_names
+
+    assert main(["demo", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for name in demo_names() + ["all"]:
+        assert name in out

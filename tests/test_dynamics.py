@@ -419,3 +419,41 @@ def test_step_reports_largest_change_including_horizon_releases():
     net.step()  # wm's horizon release outweighs b falling to 0
     assert not net.population(wm).sustained
     assert net.last_change == 0.9
+
+
+def _full_state(net):
+    pops = [(p.pid, p.activation, p.sustained, p.sustained_since) for p in net.populations()]
+    open_edges = {src: [c.cid for c in out] for src, out in sorted(net._open_binding_out.items()) if out}
+    return net.time, sorted(net.asserted), dict(net._floors), net.last_change, pops, open_edges
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_restore_state_undoes_horizon_releases_exactly(seed):
+    """A probe long enough for the decay horizon to release working memory,
+    then restored, leaves every population, sustain record and open binding
+    edge list as saved; later steps match a network that was never probed."""
+    nets = [_multi_label_network(seed)[0] for _ in range(2)]
+    probed, plain = nets
+    _, pops, wms, labels = _multi_label_network(seed)
+    rng = random.Random(seed)
+    for net in nets:
+        net.wm_decay_horizon = 3
+        net.set_control(labels[0], True)
+        net.inject(wms[1], 1.0)  # sustained before wms[0], so its edges open first
+        net.step()
+        net.inject(wms[0], 1.0)
+        net.inject(pops[0], 0.5)
+        net.step()
+    saved_view = _full_state(probed)
+    saved = probed.save_state()
+    probed.set_control(rng.choice(labels), True)
+    for _ in range(6):
+        probed.inject(pops[rng.randrange(3)], 1.0)
+        probed.step()
+    assert not any(probed.population(wm).sustained for wm in wms)
+    probed.restore_state(saved)
+    assert _full_state(probed) == saved_view
+    for _ in range(8):
+        for net in nets:
+            net.step()
+        assert _full_state(probed) == _full_state(plain)

@@ -66,6 +66,26 @@ def test_load_lexicon_duplicate_reports_line():
     assert info.value.line == 2
 
 
+def test_load_lexicon_reports_the_first_bad_line():
+    # a duplicate after a parse error: the parse error's line is reported
+    with pytest.raises(ParseError) as info:
+        load_lexicon("cat\tN\nrun\tQ\ncat\tN\n")
+    assert info.value.line == 2
+    # a parse error after a duplicate: the duplicate's line is reported
+    with pytest.raises(DuplicateWord) as info:
+        load_lexicon("cat\tN\nCat\tV\nrun\n")
+    assert info.value.line == 2 and info.value.word == "Cat"
+
+
+def test_load_relations_checks_every_row_before_adding_any():
+    lex = load_lexicon("cat\tN\npaw\tN\n")
+    conns = lex.network.connection_count()
+    with pytest.raises(ParseError) as info:
+        lex.load_relations("cat\thas\tpaw\ncat\t\tpaw\n")
+    assert info.value.line == 2
+    assert lex.semantic_triples == [] and lex.network.connection_count() == conns
+
+
 def test_load_relations():
     lex = load_lexicon("cat\tN\npaw\tN\n")
     n = lex.load_relations("# facts\ncat\thas\tpaw\n")

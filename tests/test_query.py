@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nba.blackboard import Blackboard
 from nba.config import Config
@@ -111,6 +113,83 @@ def test_queries_are_non_destructive():
     assert {pid: net.activation(pid) for pid in net.active_pids()} == before_acts
     assert net.asserted == before_asserted
     assert bb.snapshot_bytes() == before_snap
+
+
+def _network_state(net):
+    """Everything a later step reads: clock, controls, floors, every population
+    that is active or sustained, and the open binding edges per source."""
+    pops = [
+        (p.pid, p.activation, p.sustained, p.sustained_since)
+        for p in sorted(net.populations(), key=lambda p: p.pid)
+        if p.activation or p.sustained
+    ]
+    open_edges = {src: [c.cid for c in out] for src, out in sorted(net._open_binding_out.items()) if out}
+    return net.time, sorted(net.asserted), dict(net._floors), net.last_change, pops, open_edges
+
+
+def test_query_keeps_sustain_bookkeeping_under_decay_horizon():
+    lex = load_lexicon("cat\tN\nchase\tV\n")
+    bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1, wm_decay_horizon=3))
+    bb.bind_concept("cat", "N0")
+    bb.bind_concept("chase", "V0")
+    bb.bind_hubs("N0", "V0", "agent")
+    net = bb.network
+    net.step()
+    net.step()
+    wms = [b.wm for b in bb.active_bindings()]
+    before = _network_state(net)
+    assert [net.population(wm).sustained_since for wm in wms] == [0, 0, 0]
+    # the horizon releases all three at step 3, before activation reaches chase
+    assert run_query(bb, parse_query("cat do?")).words == ()
+    assert [net.population(wm).sustained_since for wm in wms] == [0, 0, 0]
+    assert _network_state(net) == before
+
+
+@given(
+    horizon=st.integers(1, 6),
+    ops=st.lists(
+        st.tuples(st.sampled_from(("concept", "cell", "step", "query", "release")), st.integers(0, 10**6)),
+        max_size=40,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_queries_are_non_destructive_under_decay_horizon(horizon, ops):
+    """Two boards run the same binds, releases and steps; one also answers
+    queries in between. Their networks must stay equal throughout."""
+    nouns, verbs, _ = make_word_lists(4, 3, 0)
+    config = Config(k_n=3, k_v=2, k_c=1, relations=("agent", "theme", "modifier"), wm_decay_horizon=horizon)
+    boards = [Blackboard(build_lexicon(nouns, verbs, []), config) for _ in range(2)]
+    queried, plain = boards
+    for op, n in ops:
+        if op == "query":
+            bound = sorted(b.word for b in queried.active_bindings() if b.kind == "concept")
+            if bound:
+                word = bound[n % len(bound)]
+                relation = queried.relation_names[n // len(bound) % len(queried.relation_names)]
+                text = f"{word} {relation}?" if n % 2 else f"? {relation} {word}"
+                run_query(queried, parse_query(text))
+        for bb in boards:
+            if op == "concept":
+                pool = "NV"[n % 2]
+                words = nouns if pool == "N" else verbs
+                word = words[n // 2 % len(words)]
+                if bb.free_hubs(pool) and not any(bb.concept_binding(word, h) for h in bb.pools[pool].hubs):
+                    bb.bind_concept(word, bb.allocate_hub(pool))
+            elif op == "cell":
+                cells = sorted(
+                    key for key in bb.cells
+                    if bb.hub_word(key[0]) and bb.hub_word(key[1])
+                    and not bb.network.population(bb.cells[key].wm).sustained
+                )
+                if cells:
+                    bb.bind_hubs(*cells[n % len(cells)])
+            elif op == "step":
+                bb.network.step()
+            elif op == "release":
+                live = sorted(bb._bindings)
+                if live:
+                    bb.release(live[n % len(live)])
+        assert _network_state(queried.network) == _network_state(plain.network)
 
 
 def test_readout_determinism():

@@ -7,8 +7,6 @@ however the structure is stored. To re-record (only when a change is meant
 to alter trajectories):
 
     PYTHONPATH=src python tests/test_structure_golden.py
-
-No case sets `wm_decay_horizon`: its liveness rules are still open.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ ROOT = Path(__file__).parent.parent
 CASES = {
     "default": ({}, 1, 1, (1, 2)),
     "bench_pools": ({"k_n": 40, "k_v": 12, "k_c": 8}, 4, 2, (1,)),
+    "horizon": ({"wm_decay_horizon": 24, "wm_decay": 0.9}, 1, 1, (1, 2)),
 }
 RUNS = [(case, seed) for case in sorted(CASES) for seed in CASES[case][3]]
 BOARDS = 2

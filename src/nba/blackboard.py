@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import labels
 from .config import Config
-from .dynamics import Network, PopulationKind
+from .dynamics import BindingGate, PopulationKind
 from .errors import (
     CellBusy,
     HubBusy,
@@ -62,9 +62,14 @@ class MatrixCell:
 
 @dataclass
 class Binding:
-    """An active working-memory element of the current connection path."""
+    """A working-memory element of a board's connection path.
 
-    bid: int
+    Its id is its working-memory population id, so a board holds at most one
+    binding per working memory. It is released once its board no longer
+    holds it, and active while held and its working memory is sustained.
+    """
+
+    _board: Blackboard = field(repr=False, compare=False)
     kind: str  # "concept" | "cell"
     wm: int
     word: str | None = None
@@ -72,15 +77,18 @@ class Binding:
     from_hub: str | None = None
     to_hub: str | None = None
     relation: str | None = None
-    released: bool = False
-    _network: Network | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def bid(self) -> int:
+        return self.wm
+
+    @property
+    def released(self) -> bool:
+        return self._board._bindings.get(self.wm) is not self
 
     @property
     def active(self) -> bool:
-        if self.released or self._network is None:
-            return False
-        pop = self._network.population(self.wm)
-        return pop.sustained and pop.activation >= pop.sustain_threshold
+        return not self.released and self._board.network.is_open(BindingGate(self.wm))
 
     def describe(self) -> dict:
         if self.kind == "concept":
@@ -94,7 +102,13 @@ class Binding:
 
 
 class Blackboard:
-    """One mutating context per instance; parallelism across instances only."""
+    """One mutating context per instance; parallelism across instances only.
+
+    The board's one record of what it holds is a table of bindings keyed by
+    working-memory id, in bind order. Whether a held binding is live is read
+    from the network: the decay horizon may release its working memory while
+    the board still holds it, with its hub allocated.
+    """
 
     def __init__(self, lexicon: Lexicon, config: Config | None = None):
         self.config = (config or Config()).validate()
@@ -115,10 +129,6 @@ class Blackboard:
         self.cells = _Cells(self)
         self._allocation: dict[str, str | None] = {}
         self._bindings: dict[int, Binding] = {}
-        self._by_hub: dict[str, list[int]] = {}
-        self._concept_bid: dict[tuple[str, str], int] = {}
-        self._cell_bid: dict[tuple[str, str, str], int] = {}
-        self._next_bid = 1
 
         for kind, capacity in (("N", self.config.k_n), ("V", self.config.k_v), ("C", self.config.k_c)):
             self._build_pool(kind, capacity)
@@ -238,16 +248,8 @@ class Blackboard:
         if word not in self._word_wms:
             self.extend_word(word)
         wm = self._word_wms[word][self._hub_index[hub]]
-        self.network.inject(wm, 1.0)
         self._allocation[hub] = word
-        binding = Binding(
-            bid=self._next_bid, kind="concept", wm=wm, word=word, hub=hub, _network=self.network
-        )
-        self._next_bid += 1
-        self._bindings[binding.bid] = binding
-        self._by_hub.setdefault(hub, []).append(binding.bid)
-        self._concept_bid[(word, hub)] = binding.bid
-        return binding
+        return self._hold(Binding(self, "concept", wm, word=word, hub=hub))
 
     def bind_hubs(self, from_hub: str, to_hub: str, relation: str) -> Binding:
         wm = self._cell_wm(from_hub, to_hub, relation)
@@ -260,75 +262,58 @@ class Blackboard:
                     "every cell is sustained at rest because sustain_threshold is 0"
                 )
             raise CellBusy(f"cell {from_hub} -> {to_hub} ({relation}) already bound")
-        self.network.inject(wm, 1.0)
-        binding = Binding(
-            bid=self._next_bid,
-            kind="cell",
-            wm=wm,
-            from_hub=from_hub,
-            to_hub=to_hub,
-            relation=relation,
-            _network=self.network,
+        return self._hold(
+            Binding(self, "cell", wm, from_hub=from_hub, to_hub=to_hub, relation=relation)
         )
-        self._next_bid += 1
-        self._bindings[binding.bid] = binding
-        self._by_hub.setdefault(from_hub, []).append(binding.bid)
-        self._by_hub.setdefault(to_hub, []).append(binding.bid)
-        self._cell_bid[(from_hub, to_hub, relation)] = binding.bid
+
+    def _hold(self, binding: Binding) -> Binding:
+        """Sustain a binding's working memory and hold it last in bind order,
+        in place of any binding of that working memory the horizon released."""
+        self.network.inject(binding.wm, 1.0)
+        self._bindings.pop(binding.wm, None)
+        self._bindings[binding.wm] = binding
         return binding
 
     # --------------------------------------------------------------- release
 
     def release(self, target) -> None:
-        """Release a binding (idempotent) and forget it. Freeing a hub also
-        releases the matrix bindings attached to it, so a reallocated hub
-        starts clean."""
+        """Release a binding, given as itself or by its id (idempotent), and
+        forget it. Releasing a concept frees its hub and releases the matrix
+        bindings on it, so a reallocated hub starts clean."""
         binding = self._bindings.get(target) if isinstance(target, int) else target
         if binding is None or binding.released:
             return
-        binding.released = True
-        del self._bindings[binding.bid]
+        del self._bindings[binding.wm]
         self.network.release_wm(binding.wm)
         if binding.kind == "concept":
             hub = binding.hub
             self._allocation.pop(hub, None)
-            self._concept_bid.pop((binding.word, hub), None)
-            # the hub's matrix bindings; this binding's own id is already forgotten
-            for bid in self._by_hub.pop(hub, ()):
-                self.release(bid)
-        else:
-            key = (binding.from_hub, binding.to_hub, binding.relation)
-            self._cell_bid.pop(key, None)
-            for hub in (binding.from_hub, binding.to_hub):
-                bids = self._by_hub.get(hub)
-                if bids and binding.bid in bids:
-                    bids.remove(binding.bid)
+            for cell in [b for b in self._bindings.values() if hub in (b.from_hub, b.to_hub)]:
+                self.release(cell)
 
     def release_hub(self, hub: str) -> None:
-        word = self._allocation.get(hub, "__missing__")
-        if word == "__missing__":
-            return
+        word = self._allocation.get(hub)
         if word is _PENDING:
             self._allocation.pop(hub, None)
-            return
-        self.release(self._concept_bid[(word, hub)])
+        else:
+            self.release(self.concept_binding(word, hub))
 
     def release_all(self) -> None:
-        for bid in sorted(self._bindings):
-            self.release(bid)
+        for wm in self._bindings:
+            self.network.release_wm(wm)
+        self._bindings.clear()
         self._allocation.clear()
-        self._by_hub.clear()
 
     def active_bindings(self) -> list[Binding]:
-        return list(self._bindings.values())
+        """Held bindings whose working memory is sustained, in bind order."""
+        return [b for b in self._bindings.values() if b.active]
 
     def concept_binding(self, word: str, hub: str) -> Binding | None:
-        bid = self._concept_bid.get((word.casefold(), hub))
-        return self._bindings.get(bid) if bid is not None else None
+        word = word.casefold()
+        return next((b for b in self._bindings.values() if (b.word, b.hub) == (word, hub)), None)
 
     def cell_binding(self, from_hub: str, to_hub: str, relation: str) -> Binding | None:
-        bid = self._cell_bid.get((from_hub, to_hub, relation))
-        return self._bindings.get(bid) if bid is not None else None
+        return self._bindings.get(self._cell_wm(from_hub, to_hub, relation))
 
     # -------------------------------------------------------------- counting
 
@@ -354,10 +339,12 @@ class Blackboard:
 
         allocation = [[hub, self._allocation[hub]] for hub in sorted(self._allocation, key=hub_key)]
         bindings = []
-        for bid in sorted(self._bindings):
-            b = self._bindings[bid]
+        for b in self._bindings.values():
+            pop = self.network.population(b.wm)
             rec = b.describe()
-            rec["activation"] = self.network.activation(b.wm)
+            rec["activation"] = pop.activation
+            if self.config.wm_decay_horizon is not None and pop.sustained:
+                rec["age"] = self.network.time - pop.sustained_since
             bindings.append(rec)
         return {
             "format": "nba-state",
@@ -381,18 +368,22 @@ class Blackboard:
         for hub, word in data.get("allocation", []):
             if word is None:
                 bb._allocation[hub] = _PENDING
+        net = bb.network
         for rec in data.get("bindings", []):
             if rec["kind"] == "concept":
                 binding = bb.bind_concept(rec["word"], rec["hub"])
             else:
                 binding = bb.bind_hubs(rec["from"], rec["to"], rec["relation"])
             level = rec.get("activation", 1.0)
-            pop = bb.network.population(binding.wm)
+            pop = net.population(binding.wm)
             if level < pop.sustain_threshold:
                 # saved after its decay horizon released it; its hub stays allocated
-                bb.network.release_wm(binding.wm)
+                net.release_wm(binding.wm)
             else:
-                bb.network._set_activation(pop, level)
+                net._set_activation(pop, level)
+                if "age" in rec:
+                    pop.sustained_since = net.time - rec["age"]
+        net._floors.clear()  # the replayed binds leave no injection pending
         return bb
 
 

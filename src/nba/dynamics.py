@@ -63,10 +63,14 @@ class Population:
     activation: float = 0.0
     sustain_threshold: float = 0.5
     decay: float = 0.0
-    sustained: bool = False
+    # the step at which a working memory became sustained; None while it is not
     sustained_since: int | None = None
     # set only for populations that mirror an asserted control label
     control_label: str | None = None
+
+    @property
+    def sustained(self) -> bool:
+        return self.sustained_since is not None
 
 
 @dataclass(frozen=True)
@@ -482,12 +486,8 @@ class Network:
                 floor = floors.get(pid, 0.0)
                 if floor > nxt:
                     nxt = floor
-                if pop.kind is PopulationKind.WORKING_MEMORY and pop.sustained:
-                    if (
-                        horizon is not None
-                        and pop.sustained_since is not None
-                        and self.time - pop.sustained_since >= horizon
-                    ):
+                if pop.sustained_since is not None:  # only working memory sustains
+                    if horizon is not None and self.time - pop.sustained_since >= horizon:
                         if pop.activation > change:
                             change = pop.activation
                         self.release_wm(pid)
@@ -616,7 +616,7 @@ class Network:
             self._active.discard(pop.pid)
         if (
             pop.kind is PopulationKind.WORKING_MEMORY
-            and not pop.sustained
+            and pop.sustained_since is None
             and value >= pop.sustain_threshold
         ):
             self._sustain(pop, self.time)
@@ -624,7 +624,6 @@ class Network:
     def _sustain(self, pop: Population, since: int) -> None:
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
-        pop.sustained = True
         pop.sustained_since = since
         for conn in self._binding_edges.get(pop.pid, ()):
             bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
@@ -632,7 +631,6 @@ class Network:
     def _unsustain(self, pop: Population) -> None:
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
-        pop.sustained = False
         pop.sustained_since = None
         for conn in self._binding_edges.get(pop.pid, ()):
             out = self._open_binding_out.get(conn.source)

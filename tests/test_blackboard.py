@@ -473,6 +473,71 @@ def test_snapshot_keeps_bindings_the_decay_horizon_released():
         assert not restored.network.population(binding.wm).sustained
 
 
+def test_active_bindings_leave_out_what_the_horizon_released():
+    lex = load_lexicon("cat\tN\neats\tV\n")
+    bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1, wm_decay_horizon=3))
+    tokens, arcs = parse_conllu(
+        "1\tcat\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n2\teats\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+    )
+    execute(compile(tokens, arcs), bb)
+    for _ in range(10):
+        bb.network.step()
+    assert bb.active_bindings() == []
+    assert bb.hub_word("N0") == "cat"
+    records = json.loads(bb.snapshot_bytes())["bindings"]
+    assert [rec["activation"] for rec in records] == [0.0, 0.0, 0.0]
+
+
+def test_rebinding_a_cell_the_horizon_released_replaces_it():
+    bb = small_board(wm_decay_horizon=1)
+    bb.bind_concept("cat", "N0")
+    bb.bind_concept("run", "V0")
+    first = bb.bind_hubs("N0", "V0", "agent")
+    bb.network.step()
+    bb.network.step()
+    dog = bb.bind_concept("dog", "N1")
+    again = bb.bind_hubs("N0", "V0", "agent")
+    assert first.released and not again.released
+    assert bb.cell_binding("N0", "V0", "agent") is again
+    assert bb.active_bindings() == [dog, again]
+    snapshot = json.loads(bb.snapshot_bytes())
+    assert [rec.get("word") for rec in snapshot["bindings"]] == ["cat", "run", "dog", None]
+    restored = Blackboard.from_snapshot(snapshot)
+    assert restored.snapshot_bytes() == bb.snapshot_bytes()
+
+
+def test_restored_board_steps_like_the_original():
+    bb = small_board(wm_decay=0.9)
+    bb.bind_concept("cat", "N0")
+    bb.bind_concept("run", "V0")
+    bb.bind_hubs("N0", "V0", "agent")
+    for _ in range(20):
+        bb.network.step()  # every binding decays to its sustain pin
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    for board in (bb, restored):
+        board.network.step()
+    assert restored.snapshot_bytes() == bb.snapshot_bytes()
+    assert {b.wm: restored.network.activation(b.wm) for b in restored.active_bindings()} == {
+        b.wm: 0.5 for b in bb.active_bindings()
+    }
+
+
+def test_restored_board_keeps_binding_age_under_decay_horizon():
+    bb = Blackboard(load_lexicon("n000\tN\nv000\tV\n"), Config(wm_decay_horizon=6))
+    bb.bind_concept("n000", "N0")
+    bb.bind_concept("v000", "V0")
+    bb.bind_hubs("N0", "V0", "agent")
+    for _ in range(4):
+        bb.network.step()
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    # the probe's third step reaches the horizon, before v000 is reached
+    query = parse_query("n000 agent?")
+    assert run_query(bb, query).words == ()
+    assert run_query(restored, query).words == ()
+    assert restored.snapshot_bytes() == bb.snapshot_bytes()
+    assert [rec["age"] for rec in json.loads(bb.snapshot_bytes())["bindings"]] == [4, 4, 4]
+
+
 # ------------------------------------------------- reserved cells and relays
 
 

@@ -88,6 +88,19 @@ def test_encode_two_sentences_and_state_show(workdir, capsys):
     assert "cat @ N0" in out
 
 
+def test_encode_and_state_show_count_only_active_bindings(workdir, capsys):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"wm_decay_horizon": 1}))
+    state = workdir / "state.json"
+    rc = main(["encode", "--lexicon", str(workdir / "lex.tsv"), "--config", str(cfg),
+               "--sentence", str(workdir / "s.conllu"), "--state", str(state)])
+    assert rc == 0
+    assert "0 active bindings" in capsys.readouterr().out
+    assert len(json.loads(state.read_text())["bindings"]) == 3  # still held
+    assert main(["state", "show", "--state", str(state)]) == 0
+    assert "active bindings: 0\n" in capsys.readouterr().out
+
+
 def test_query_unknown_relation_is_domain_error(workdir, capsys):
     state = workdir / "state.json"
     main(["encode", "--lexicon", str(workdir / "lex.tsv"),

@@ -1,5 +1,6 @@
 """Query engine: parsing, flow-based answers, oracle equivalence."""
 
+import json
 import random
 
 import pytest
@@ -190,6 +191,63 @@ def test_queries_are_non_destructive_under_decay_horizon(horizon, ops):
                 if live:
                     bb.release(live[n % len(live)])
         assert _network_state(queried.network) == _network_state(plain.network)
+
+
+def _random_op(bb, op, n, nouns, verbs):
+    """Apply one bind, cell, step or release op, chosen by `n`, when it applies."""
+    if op == "concept":
+        pool = "NV"[n % 2]
+        words = nouns if pool == "N" else verbs
+        word = words[n // 2 % len(words)]
+        if bb.free_hubs(pool) and not any(bb.concept_binding(word, h) for h in bb.pools[pool].hubs):
+            bb.bind_concept(word, bb.allocate_hub(pool))
+    elif op == "cell":
+        cells = sorted(
+            key for key in bb.cells
+            if bb.hub_word(key[0]) and bb.hub_word(key[1])
+            and not bb.network.population(bb.cells[key].wm).sustained
+        )
+        if cells:
+            bb.bind_hubs(*cells[n % len(cells)])
+    elif op == "step":
+        bb.network.step()
+    elif op == "release":
+        live = sorted(bb._bindings)
+        if live:
+            bb.release(live[n % len(live)])
+
+
+@given(
+    horizon=st.sampled_from((None, 1, 2, 3, 6)),
+    wm_decay=st.sampled_from((1.0, 0.9)),
+    ops=st.lists(
+        st.tuples(st.sampled_from(("concept", "cell", "step", "release")), st.integers(0, 10**6)),
+        max_size=40,
+    ),
+    more_steps=st.integers(0, 8),
+)
+@settings(max_examples=200, deadline=None)
+def test_snapshot_round_trip_under_random_interleavings(horizon, wm_decay, ops, more_steps):
+    """A board restored from a snapshot writes the same snapshot, keeps
+    writing it as both boards step, and answers every query alike."""
+    nouns, verbs, _ = make_word_lists(4, 3, 0)
+    config = Config(k_n=3, k_v=2, k_c=1, relations=("agent", "theme", "modifier"),
+                    wm_decay=wm_decay, wm_decay_horizon=horizon)
+    bb = Blackboard(build_lexicon(nouns, verbs, []), config)
+    for op, n in ops:
+        _random_op(bb, op, n, nouns, verbs)
+    bb.network.step()  # no injection is pending when the snapshot is taken
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    assert restored.snapshot_bytes() == bb.snapshot_bytes()
+    for _ in range(more_steps):
+        bb.network.step()
+        restored.network.step()
+        assert restored.snapshot_bytes() == bb.snapshot_bytes()
+    for word in nouns + verbs:
+        for relation in config.relation_names():
+            for text in (f"{word} {relation}?", f"? {relation} {word}"):
+                query = parse_query(text)
+                assert run_query(restored, query) == run_query(bb, query), text
 
 
 def test_readout_determinism():

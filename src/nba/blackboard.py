@@ -36,6 +36,7 @@ from .errors import (
     NoSuchCell,
     PoolExhausted,
     TypeMismatch,
+    UnknownHub,
 )
 from .lexicon import POOL_FOR_TYPE, Lexicon
 
@@ -174,13 +175,15 @@ class Blackboard:
     def _link_words(self, entries) -> None:
         """Reserve, as one block, the working memory of each bindable word
         not yet wired: one population per hub of its pool."""
+        # keyed by the type's id: hashing an Enum member runs Python code
+        pool_of_type = {id(t): self._pool_pids[kind] for t, kind in POOL_FOR_TYPE.items()}
         words, concepts, hubs = [], [], []
         for entry in entries:
-            pool_kind = POOL_FOR_TYPE.get(entry.word_type)
-            if pool_kind is not None and entry.word not in self._word_wms:
+            pool = pool_of_type.get(id(entry.word_type))
+            if pool is not None and entry.word not in self._word_wms:
                 words.append(entry.word)
                 concepts.append(entry.concept)
-                hubs.append(self._pool_pids[pool_kind])
+                hubs.append(pool)
         wms = self.network.reserve_bindings(concepts, hubs, self.config.gain)
         self._word_wms.update(zip(words, wms))
 
@@ -237,7 +240,7 @@ class Blackboard:
         entry = self.lexicon.entry(word)  # raises UnknownWord
         word = entry.word
         if hub not in self._hub_pool:
-            raise ValueError(f"unknown hub {hub!r}")
+            raise UnknownHub(f"unknown hub {hub!r}")
         needed = POOL_FOR_TYPE.get(entry.word_type)
         if needed is None or needed != self._hub_pool[hub]:
             raise TypeMismatch(

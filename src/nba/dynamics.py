@@ -28,6 +28,11 @@ is asserted. Until then nothing can flow into the cell, so laziness changes
 no trajectory. Counts cover reserved structure, so the structure is the
 same either way.
 
+A step updates only what can change. Sustained working memory gates the
+flow of activation rather than taking part in it: once its next update is a
+no-op it is settled, and steps pass it by until inflow, an injection, a
+release or the decay horizon makes it change again (see `Network.step`).
+
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
 """
@@ -139,6 +144,7 @@ class _Grid:
 
 @dataclass
 class _SavedState:
+    # activation of each flowing id at the save
     activations: dict[int, float]
     asserted: set[str]
     floors: dict[int, float]
@@ -146,6 +152,8 @@ class _SavedState:
     last_change: float
     # (population, its sustained_since before the change) per sustain change since the save
     sustain_log: list[tuple[Population, int | None]]
+    # prior activation of each id that was not flowing when it first changed since the save
+    woken: dict[int, float]
 
 
 class Network:
@@ -153,6 +161,9 @@ class Network:
 
     One mutating context at a time; a Network is a self-contained value.
     Closed gates transmit exactly zero. Activations stay in [0, 1].
+    Settled working memory is judged by `wm_decay_horizon` and each
+    population's `decay` and `sustain_threshold`, so set them before any
+    working memory is sustained.
     """
 
     def __init__(
@@ -185,9 +196,17 @@ class Network:
         # step in which the source is active while the label is asserted
         self._unbuilt_control: dict[int, dict[str, list[tuple[_Grid, range]]]] = {}
         self._active: set[int] = set()
+        # every active id except settled working memory
+        self._flowing: set[int] = set()
+        # ids that are, or may become, the source of a connection; they never settle
+        self._sources: set[int] = set()
+        # step -> settled working memory the decay horizon may release then
+        self._due: dict[int, set[int]] = {}
         self._floors: dict[int, float] = {}
         # sustain changes since the last save_state, until it is restored
         self._sustain_log: list[tuple[Population, int | None]] | None = None
+        # prior activation of ids changed while not flowing, likewise
+        self._woken: dict[int, float] | None = None
         # largest activation change made by the last step
         self.last_change = 0.0
         self._frozen = False
@@ -292,6 +311,8 @@ class Network:
         cells = len(from_hubs) * len(to_hubs)
         pids, cid = self._take_ids(3 * cells, 4 * cells)
         grid = _Grid(pids, cid, from_hubs, to_hubs, ControlGate(forward), ControlGate(reverse), float(gain))
+        for hub in {*from_hubs, *to_hubs}:
+            self._add_source(hub)
         n = len(to_hubs)
         if self.default_sustain_threshold > 0.0:
             for i, hub in enumerate(from_hubs):
@@ -445,14 +466,25 @@ class Network:
     # ------------------------------------------------------------------ step
 
     def step(self) -> None:
-        """One synchronous update of every population.
+        """One synchronous update of every population whose update is not a
+        no-op.
+
+        A working memory is settled when it is sustained, has no pending
+        floor, is the source of no connection, and its next update without
+        inflow leaves its activation as it is (`decay * a == a`, or `a` is
+        pinned at its sustain threshold). Sources are the active ids that
+        are not settled; candidates are those plus this step's inflow
+        targets and floors, plus, under a decay horizon, the settled ids due
+        for release at this step. Candidates therefore include every id
+        whose update is not a no-op, and an extra one is active, so it is
+        updated exactly as if every active id were a candidate.
 
         Each target's inflow is summed in source order, then connection id
         order. `last_change` is set to the largest activation change made.
         """
         inflow: dict[int, float] = {}
         asserted = self.asserted
-        for src in sorted(self._active):
+        for src in sorted(self._flowing):
             a = self._pops[src].activation
             if a <= 0.0:
                 continue
@@ -472,10 +504,15 @@ class Network:
                 inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
         floors = self._floors
         self._floors = {}
-        candidates = set(self._active)
+        candidates = set(self._flowing)
         candidates.update(inflow)
         candidates.update(floors)
+        due = self._due.pop(self.time, None)
+        if due:
+            # any active id may be a candidate, so stale entries change nothing
+            candidates.update(self._active.intersection(due))
         horizon = self.wm_decay_horizon
+        flowing, sources = self._flowing, self._sources
         change = 0.0
         for pid in sorted(candidates):
             pop = self._pops[pid]
@@ -501,37 +538,52 @@ class Network:
                 if delta > change:
                     change = delta
                 self._set_activation(pop, nxt)
+            since = pop.sustained_since
+            if (
+                since is not None
+                and pid not in sources
+                and max(clamp01(pop.decay * nxt), pop.sustain_threshold) == nxt
+            ):
+                # settled: without inflow or a floor, its next update is a no-op
+                flowing.discard(pid)
+                if horizon is not None:
+                    self._due.setdefault(since + horizon, set()).add(pid)
         self.last_change = change
         self.time += 1
 
     # ----------------------------------------------------- query-time saving
 
     def save_state(self) -> _SavedState:
-        """Save what a probe changes; one saved state is open at a time."""
+        """Save what a probe changes; one saved state is open at a time.
+
+        Only flowing ids are copied. Any other id is logged with its prior
+        activation when it first changes, so settled working memory costs
+        nothing unless the probe wakes it."""
         self._sustain_log = []
+        self._woken = {}
         return _SavedState(
-            activations={pid: self._pops[pid].activation for pid in self._active},
+            activations={pid: self._pops[pid].activation for pid in self._flowing},
             asserted=set(self.asserted),
             floors=dict(self._floors),
             time=self.time,
             last_change=self.last_change,
             sustain_log=self._sustain_log,
+            woken=self._woken,
         )
 
     def restore_state(self, saved: _SavedState) -> None:
         """Return to a saved state. Sustain changes made since, such as
         releases by the decay horizon, are undone newest first, so
-        `sustained_since` and the open binding edges are as saved."""
-        self._sustain_log = None
+        `sustained_since` and the open binding edges are as saved.
+        Working memory woken since is restored as flowing, not settled."""
+        self._sustain_log = self._woken = None
         for pop, since in reversed(saved.sustain_log):
             if pop.sustained:
                 self._unsustain(pop)
             if since is not None:
                 self._sustain(pop, since)
-        for pid in list(self._active):
-            if pid not in saved.activations:
-                self._set_activation(self._pops[pid], 0.0)
-        for pid, act in saved.activations.items():
+        # a flowing id that settled and woke again is logged mid-probe; its saved level wins
+        for pid, act in (saved.woken | saved.activations).items():
             self._set_activation(self._pops[pid], act)
         self.asserted = set(saved.asserted)
         self._floors = dict(saved.floors)
@@ -549,6 +601,7 @@ class Network:
 
     def _build_connection(self, conn: GatedConnection) -> None:
         self._conns[conn.cid] = conn
+        self._add_source(conn.source)
         if isinstance(conn.gate, ControlGate):
             by_label = self._control_out.setdefault(conn.source, {})
             bisect.insort(by_label.setdefault(conn.gate.label, []), conn, key=_cid)
@@ -608,12 +661,23 @@ class Network:
         if not unbuilt:
             del self._unbuilt_control[src]
 
+    def _add_source(self, pid: int) -> None:
+        self._sources.add(pid)
+        if pid in self._active and pid not in self._flowing:
+            pop = self._pops[pid]
+            self._set_activation(pop, pop.activation)  # wakes settled working memory
+
     def _set_activation(self, pop: Population, value: float) -> None:
+        pid = pop.pid
+        if self._woken is not None and pid not in self._flowing:
+            self._woken.setdefault(pid, pop.activation)
         pop.activation = value
         if value > 0.0:
-            self._active.add(pop.pid)
+            self._active.add(pid)
+            self._flowing.add(pid)
         else:
-            self._active.discard(pop.pid)
+            self._active.discard(pid)
+            self._flowing.discard(pid)
         if (
             pop.kind is PopulationKind.WORKING_MEMORY
             and pop.sustained_since is None

@@ -52,6 +52,10 @@ class TypeMismatch(NbaError):
     pass
 
 
+class UnknownHub(NbaError):
+    pass
+
+
 class HubBusy(NbaError):
     pass
 

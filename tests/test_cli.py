@@ -110,6 +110,18 @@ def test_query_unknown_relation_is_domain_error(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_query_on_state_naming_unknown_hub_is_domain_error(workdir, capsys):
+    state = workdir / "state.json"
+    main(["encode", "--lexicon", str(workdir / "lex.tsv"),
+          "--sentence", str(workdir / "s.conllu"), "--state", str(state)])
+    capsys.readouterr()
+    data = json.loads(state.read_text())
+    next(rec for rec in data["bindings"] if rec["kind"] == "concept")["hub"] = "Z9"
+    state.write_text(json.dumps(data))
+    assert main(["query", "--state", str(state), "cat do?"]) == 2
+    assert capsys.readouterr().err == "error: unknown hub 'Z9'\n"
+
+
 def test_config_file_is_honored(workdir, capsys):
     cfg = workdir / "cfg.json"
     cfg.write_text(json.dumps({"k_n": 1, "k_v": 1, "k_c": 1}))
@@ -264,3 +276,18 @@ def test_demo_help_lists_the_demo_names(capsys):
     out = " ".join(capsys.readouterr().out.split())
     for name in demo_names() + ["all"]:
         assert name in out
+
+
+def test_scaling_script_prints_header_and_one_row_per_size():
+    """`scripts/scaling.py`, which the README documents, runs as a script."""
+    import nba
+
+    src = os.path.dirname(os.path.dirname(nba.__file__))
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "scaling.py")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, script, "--sizes", "10", "100"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == ["lexicon", "gated", "links", "direct", "wiring", "expressible"]
+    assert [row.split() for row in rows] == [["10", "144", "50", "50"], ["100", "864", "5000", "5000"]]

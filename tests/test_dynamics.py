@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nba.blackboard import Blackboard
+from nba.config import Config
+from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence
 from nba.dynamics import (
     BindingGate,
     ControlGate,
@@ -13,7 +16,9 @@ from nba.dynamics import (
     PopulationKind,
     clamp01,
 )
+from nba.encoder import compile, execute
 from nba.errors import UnknownPopulation
+from nba.query import parse_query, run_query
 
 CONCEPT = PopulationKind.CONCEPT
 WM = PopulationKind.WORKING_MEMORY
@@ -457,3 +462,172 @@ def test_restore_state_undoes_horizon_releases_exactly(seed):
         for net in nets:
             net.step()
         assert _full_state(probed) == _full_state(plain)
+
+
+# ------------------------------------------------- settled working memory
+
+
+def _reference_step_with_change(net):
+    """`_reference_step`, which visits every active population, plus the
+    step's largest activation change."""
+    before = {p.pid: p.activation for p in net.populations()}
+    _reference_step(net)
+    net.last_change = max(abs(p.activation - before[p.pid]) for p in net.populations())
+
+
+def _wm_flow_network(seed, wm_decay, horizon, threshold):
+    """Random gated graph whose working memory also takes part in flow:
+    wms[0] is the target of a control-gated connection and wms[1] the
+    source of one."""
+    rng = random.Random(seed)
+    net = Network(decay=rng.choice((0.0, 0.3)), wm_decay=wm_decay, sustain_threshold=threshold,
+                  wm_decay_horizon=horizon)
+    pops = [net.add_population(CONCEPT) for _ in range(6)]
+    wms = [net.add_population(WM) for _ in range(3)]
+    labels = ["L0", "L1", "L2"]
+    for _ in range(16):
+        gate = ControlGate(rng.choice(labels)) if rng.random() < 0.6 else BindingGate(rng.choice(wms))
+        net.add_gated_connection(rng.choice(pops), rng.choice(pops), gate, gain=rng.uniform(0.05, 0.5))
+    net.add_gated_connection(pops[0], wms[0], ControlGate("L0"), gain=rng.uniform(0.05, 0.5))
+    net.add_gated_connection(wms[1], pops[1], ControlGate("L1"), gain=rng.uniform(0.05, 0.5))
+    return net, pops, wms, labels
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("threshold", (0.5, 0.0))
+@pytest.mark.parametrize("horizon", (None, 1, 3, 6))
+@pytest.mark.parametrize("wm_decay", (1.0, 0.9, 0.5))
+def test_step_past_settled_working_memory_matches_reference(wm_decay, horizon, threshold, seed):
+    """Leaving settled working memory out of a step changes no trajectory,
+    sustain record or largest change, under every wm_decay and horizon.
+    One network also runs probes, saved and restored, between its steps."""
+    nets = [_wm_flow_network(seed, wm_decay, horizon, threshold)[0] for _ in range(2)]
+    probed, plain = nets
+    _, pops, wms, labels = _wm_flow_network(seed, wm_decay, horizon, threshold)
+    rng = random.Random(seed)
+    for net in nets:
+        net.inject(wms[2], 0.5)  # settles on the first step, except at wm_decay < 1 and threshold 0
+    settled_steps = 0
+    for _ in range(40):
+        ops = []
+        if rng.random() < 0.5:
+            ops.append(("inject", rng.choice(pops), rng.uniform(0.05, 1.0)))
+        if rng.random() < 0.3:
+            ops.append(("inject", rng.choice(wms), rng.choice((0.3, 0.5, 1.0))))
+        if rng.random() < 0.2:
+            ops.append(("control", rng.choice(labels), rng.random() < 0.6))
+        if rng.random() < 0.08:
+            ops.append(("release", rng.choice(wms)))
+        for net in nets:
+            for op in ops:
+                if op[0] == "inject":
+                    net.inject(op[1], op[2])
+                elif op[0] == "control":
+                    net.set_control(op[1], op[2])
+                else:
+                    net.release_wm(op[1])
+        if rng.random() < 0.25:
+            saved = probed.save_state()
+            probed.set_control(rng.choice(labels), True)
+            for _ in range(rng.randrange(1, 6)):
+                probed.inject(rng.choice(pops), 1.0)
+                probed.step()
+            probed.restore_state(saved)
+        probed.step()
+        _reference_step_with_change(plain)
+        state = [
+            [(p.pid, p.activation, p.sustained, p.sustained_since) for p in net.populations()]
+            for net in nets
+        ]
+        assert state[0] == state[1]
+        assert probed.active_pids() == plain.active_pids()
+        assert probed.last_change == plain.last_change
+        settled_steps += bool(set(probed.active_pids()) - probed._flowing)
+    # with threshold 0, only wm_decay 1 holds working memory still above 0
+    assert settled_steps > 0 or (threshold == 0.0 and wm_decay < 1.0)
+
+
+@pytest.mark.parametrize("wake", ("inflow", "horizon", "inject", "release"))
+@pytest.mark.parametrize("wm_decay", (1.0, 0.5))
+def test_restore_state_returns_woken_working_memory_exactly(wm_decay, wake):
+    """A working memory settled at the save and woken by the probe comes
+    back exactly, and later steps match a network never probed."""
+
+    def build():
+        net = Network(wm_decay=wm_decay, wm_decay_horizon=4 if wake == "horizon" else None)
+        a, b = net.add_population(CONCEPT), net.add_population(CONCEPT)
+        wm = net.add_population(WM)
+        net.add_gated_connection(a, wm, ControlGate("feed"), gain=0.3)
+        net.add_gated_connection(a, b, BindingGate(wm), gain=0.5)
+        net.inject(wm, 0.8)
+        net.inject(b, 0.4)
+        net.step()
+        net.step()
+        return net, a, wm
+
+    (probed, a, wm), (plain, _, _) = build(), build()
+    assert wm in probed.active_pids() and wm not in probed._flowing
+    saved_view = _full_state(probed)
+    saved = probed.save_state()
+    assert wm not in saved.activations
+    if wake == "inflow":
+        probed.set_control("feed", True)
+    for n in range(5):
+        probed.inject(a, 1.0)
+        if n == 1 and wake == "inject":
+            probed.inject(wm, 1.0)
+        if n == 1 and wake == "release":
+            probed.release_wm(wm)
+        probed.step()
+    assert wm in saved.woken
+    probed.restore_state(saved)
+    assert _full_state(probed) == saved_view
+    for n in range(8):
+        for net in (probed, plain):
+            if n == 2:
+                net.inject(a, 1.0)
+            net.step()
+        assert _full_state(probed) == _full_state(plain)
+
+
+@pytest.mark.parametrize("how", ("connection", "cells"))
+def test_settled_working_memory_flows_once_it_becomes_a_source(how):
+    """A settled working memory made the source of a connection, built or
+    reserved, flows again from the next step on."""
+    net = Network()
+    wm, b = net.add_population(WM), net.add_population(CONCEPT)
+    net.inject(wm, 0.8)
+    net.step()
+    assert wm not in net._flowing
+    if how == "connection":
+        net.add_gated_connection(wm, b, ControlGate("go"))
+        target = b
+    else:
+        target = net.reserve_cells((wm,), (b,), "go", "back")[1]  # the forward relay
+    net.set_control("go", True)
+    net.step()
+    assert net.activation(target) == 0.8
+
+
+def test_board_at_rest_steps_no_working_memory():
+    """Four encoded tree sentences at rest leave only sustained working
+    memory active, and all of it is settled: nothing flows, a probe saves
+    nothing, and it leaves nothing flowing."""
+    rng = random.Random(3)
+    nouns, verbs, adjs = make_word_lists(30, 10, 10)
+    config = Config(k_n=40, k_v=12, k_c=8, prep_labels=("of", "in"))
+    bb = Blackboard(build_lexicon(nouns, verbs, adjs), config)
+    for _ in range(4):
+        tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjs)
+        execute(compile(tokens, arcs), bb)
+    net = bb.network
+    sustained = sorted(p.pid for p in net.populations() if p.sustained)
+    assert len(sustained) == len(bb.active_bindings()) > 40
+    assert net.active_pids() == sustained
+    assert net._flowing == set()
+    saved = net.save_state()
+    assert saved.activations == {}
+    net.restore_state(saved)
+    run_query(bb, parse_query(f"{bb.hub_word('N0')} agent?"))
+    assert net._flowing == set()
+    assert net.active_pids() == sustained

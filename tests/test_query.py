@@ -170,26 +170,7 @@ def test_queries_are_non_destructive_under_decay_horizon(horizon, ops):
                 text = f"{word} {relation}?" if n % 2 else f"? {relation} {word}"
                 run_query(queried, parse_query(text))
         for bb in boards:
-            if op == "concept":
-                pool = "NV"[n % 2]
-                words = nouns if pool == "N" else verbs
-                word = words[n // 2 % len(words)]
-                if bb.free_hubs(pool) and not any(bb.concept_binding(word, h) for h in bb.pools[pool].hubs):
-                    bb.bind_concept(word, bb.allocate_hub(pool))
-            elif op == "cell":
-                cells = sorted(
-                    key for key in bb.cells
-                    if bb.hub_word(key[0]) and bb.hub_word(key[1])
-                    and not bb.network.population(bb.cells[key].wm).sustained
-                )
-                if cells:
-                    bb.bind_hubs(*cells[n % len(cells)])
-            elif op == "step":
-                bb.network.step()
-            elif op == "release":
-                live = sorted(bb._bindings)
-                if live:
-                    bb.release(live[n % len(live)])
+            _random_op(bb, op, n, nouns, verbs)
         assert _network_state(queried.network) == _network_state(plain.network)
 
 

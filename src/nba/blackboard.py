@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from . import labels
 from .config import Config
@@ -33,35 +32,41 @@ from .errors import (
     CellBusy,
     HubBusy,
     InvalidConfig,
+    InvalidState,
     NoSuchCell,
     PoolExhausted,
     TypeMismatch,
     UnknownHub,
+    expect,
 )
 from .lexicon import POOL_FOR_TYPE, Lexicon
+from .value import Value
 
 _PENDING = None  # allocation-table value for an allocated hub with no word yet
 
 
-@dataclass
 class HubPool:
-    kind: str
-    capacity: int
-    hubs: list[str]
-    pids: dict[str, int]
+    __slots__ = ("kind", "capacity", "hubs", "pids")
+
+    def __init__(self, kind: str, capacity: int, hubs: list[str], pids: dict[str, int]):
+        self.kind = kind
+        self.capacity = capacity
+        self.hubs = hubs
+        self.pids = pids
 
 
-@dataclass(frozen=True)
-class MatrixCell:
-    from_hub: str
-    to_hub: str
-    relation: str
-    wm: int
-    relay_fwd: int
-    relay_rev: int
+class MatrixCell(Value):
+    __slots__ = ("from_hub", "to_hub", "relation", "wm", "relay_fwd", "relay_rev")
+
+    def __init__(self, from_hub: str, to_hub: str, relation: str, wm: int, relay_fwd: int, relay_rev: int):
+        self.from_hub = from_hub
+        self.to_hub = to_hub
+        self.relation = relation
+        self.wm = wm
+        self.relay_fwd = relay_fwd
+        self.relay_rev = relay_rev
 
 
-@dataclass
 class Binding:
     """A working-memory element of a board's connection path.
 
@@ -70,14 +75,18 @@ class Binding:
     holds it, and active while held and its working memory is sustained.
     """
 
-    _board: Blackboard = field(repr=False, compare=False)
-    kind: str  # "concept" | "cell"
-    wm: int
-    word: str | None = None
-    hub: str | None = None
-    from_hub: str | None = None
-    to_hub: str | None = None
-    relation: str | None = None
+    __slots__ = ("_board", "kind", "wm", "word", "hub", "from_hub", "to_hub", "relation")
+
+    def __init__(self, board: Blackboard, kind: str, wm: int, word: str | None = None, hub: str | None = None,
+                 from_hub: str | None = None, to_hub: str | None = None, relation: str | None = None):
+        self._board = board
+        self.kind = kind  # "concept" | "cell"
+        self.wm = wm
+        self.word = word
+        self.hub = hub
+        self.from_hub = from_hub
+        self.to_hub = to_hub
+        self.relation = relation
 
     @property
     def bid(self) -> int:
@@ -133,7 +142,7 @@ class Blackboard:
 
         for kind, capacity in (("N", self.config.k_n), ("V", self.config.k_v), ("C", self.config.k_c)):
             self._build_pool(kind, capacity)
-        self._link_words(self.lexicon.entries())
+        self._link_words(self.lexicon.rows())
         for spec in self.config.relation_specs():
             self._build_grid(spec)
         for name in self.relation_names:
@@ -172,17 +181,18 @@ class Blackboard:
         self.pools[kind] = pool
         self._pool_pids[kind] = tuple(pool.pids.values())
 
-    def _link_words(self, entries) -> None:
+    def _link_words(self, rows) -> None:
         """Reserve, as one block, the working memory of each bindable word
-        not yet wired: one population per hub of its pool."""
+        not yet wired, given as (word, type, concept) rows: one population
+        per hub of its pool."""
         # keyed by the type's id: hashing an Enum member runs Python code
         pool_of_type = {id(t): self._pool_pids[kind] for t, kind in POOL_FOR_TYPE.items()}
         words, concepts, hubs = [], [], []
-        for entry in entries:
-            pool = pool_of_type.get(id(entry.word_type))
-            if pool is not None and entry.word not in self._word_wms:
-                words.append(entry.word)
-                concepts.append(entry.concept)
+        for word, word_type, concept in rows:
+            pool = pool_of_type.get(id(word_type))
+            if pool is not None and word not in self._word_wms:
+                words.append(word)
+                concepts.append(concept)
                 hubs.append(pool)
         wms = self.network.reserve_bindings(concepts, hubs, self.config.gain)
         self._word_wms.update(zip(words, wms))
@@ -210,7 +220,7 @@ class Blackboard:
         """Wire a word added after construction to its pool (explicit extension)."""
         entry = self.lexicon.entry(word)
         with self.network.structural_extension():
-            self._link_words([entry])
+            self._link_words([(entry.word, entry.word_type, entry.concept)])
 
     def add_word(self, word: str, word_type) -> None:
         """Add to the lexicon and wire in one go; usable immediately."""
@@ -237,15 +247,13 @@ class Blackboard:
     # --------------------------------------------------------------- binding
 
     def bind_concept(self, word: str, hub: str) -> Binding:
-        entry = self.lexicon.entry(word)  # raises UnknownWord
-        word = entry.word
+        word_type = self.lexicon.classify(word)  # raises UnknownWord
+        word = word.casefold()
         if hub not in self._hub_pool:
             raise UnknownHub(f"unknown hub {hub!r}")
-        needed = POOL_FOR_TYPE.get(entry.word_type)
+        needed = POOL_FOR_TYPE.get(word_type)
         if needed is None or needed != self._hub_pool[hub]:
-            raise TypeMismatch(
-                f"{word!r} has type {entry.word_type.value}, cannot bind hub {hub}"
-            )
+            raise TypeMismatch(f"{word!r} has type {word_type.value}, cannot bind hub {hub}")
         if hub in self._allocation and self._allocation[hub] is not None:
             raise HubBusy(f"hub {hub} already bound to {self._allocation[hub]!r}")
         if word not in self._word_wms:
@@ -327,12 +335,10 @@ class Blackboard:
 
     def expressible_bindings(self) -> int:
         """Distinct (word, relation, word) facts the fixed matrix can encode."""
-        total = 0
-        for spec in self.config.relation_specs():
-            total += len(self.lexicon.words_of_pool(spec.from_pool)) * len(
-                self.lexicon.words_of_pool(spec.to_pool)
-            )
-        return total
+        specs = self.config.relation_specs()
+        pools = {pool for spec in specs for pool in (spec.from_pool, spec.to_pool)}
+        words = {pool: len(self.lexicon.words_of_pool(pool)) for pool in pools}
+        return sum(words[spec.from_pool] * words[spec.to_pool] for spec in specs)
 
     # -------------------------------------------------------------- snapshot
 
@@ -363,31 +369,55 @@ class Blackboard:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "Blackboard":
-        if data.get("format") != "nba-state":
+        """The board a `to_snapshot` record describes. A malformed record
+        raises InvalidState, or InvalidConfig for the config, naming it."""
+        if type(data) is not dict or data.get("format") != "nba-state":
             raise InvalidConfig("not a state snapshot (missing format marker)")
         config = Config.from_dict(data.get("config", {}))
-        lexicon = Lexicon.from_dict(data.get("lexicon", {}))
+        lexicon = Lexicon.from_dict(expect(data.get("lexicon", {}), dict, "lexicon"))
         bb = cls(lexicon, config)
-        for hub, word in data.get("allocation", []):
-            if word is None:
-                bb._allocation[hub] = _PENDING
-        net = bb.network
-        for rec in data.get("bindings", []):
-            if rec["kind"] == "concept":
-                binding = bb.bind_concept(rec["word"], rec["hub"])
-            else:
-                binding = bb.bind_hubs(rec["from"], rec["to"], rec["relation"])
-            level = rec.get("activation", 1.0)
-            pop = net.population(binding.wm)
-            if level < pop.sustain_threshold:
-                # saved after its decay horizon released it; its hub stays allocated
-                net.release_wm(binding.wm)
-            else:
-                net._set_activation(pop, level)
-                if "age" in rec:
-                    pop.sustained_since = net.time - rec["age"]
-        net._floors.clear()  # the replayed binds leave no injection pending
+        for i, rec in enumerate(expect(data.get("allocation", []), list, "allocation")):
+            if type(rec) is not list or len(rec) != 2 or type(rec[0]) is not str:
+                raise InvalidState(f"allocation[{i}]: expected [hub, word or null], got {rec!r}")
+            if rec[0] not in bb._hub_pool:
+                raise InvalidState(f"allocation[{i}]: unknown hub {rec[0]!r}")
+            if rec[1] is None:
+                bb._allocation[rec[0]] = _PENDING
+        for i, rec in enumerate(expect(data.get("bindings", []), list, "bindings")):
+            bb._restore_binding(rec, f"bindings[{i}]")
+        bb.network._floors.clear()  # the replayed binds leave no injection pending
         return bb
+
+    def _restore_binding(self, rec, where: str) -> None:
+        expect(rec, dict, where)
+
+        def field(key):
+            if key not in rec:
+                raise InvalidState(f"{where}: missing key {key!r}")
+            return expect(rec[key], str, f"{where}.{key}")
+
+        level = rec.get("activation", 1.0)
+        if type(level) not in (int, float) or not 0.0 <= level <= 1.0:
+            raise InvalidState(f"{where}.activation: expected a number in [0, 1], got {level!r}")
+        age = rec.get("age", 0)
+        if type(age) is not int or age < 0:
+            raise InvalidState(f"{where}.age: expected an integer >= 0, got {age!r}")
+        kind = rec.get("kind")
+        if kind == "concept":
+            binding = self.bind_concept(field("word"), field("hub"))
+        elif kind == "cell":
+            binding = self.bind_hubs(field("from"), field("to"), field("relation"))
+        else:
+            raise InvalidState(f"{where}.kind: expected 'concept' or 'cell', got {kind!r}")
+        net = self.network
+        pop = net.population(binding.wm)
+        if level < pop.sustain_threshold:
+            # saved after its decay horizon released it; its hub stays allocated
+            net.release_wm(binding.wm)
+        else:
+            net._set_activation(pop, level)
+            if "age" in rec:
+                pop.sustained_since = net.time - age
 
 
 class _Cells(Mapping):

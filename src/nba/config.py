@@ -1,15 +1,17 @@
 """Run configuration: pool capacities, relation catalog, dynamics parameters.
 
-Every field has a documented default; a JSON config file may override any
-subset of keys. Unknown keys are rejected so typos fail loudly.
+Every key has a documented default and a kind of value, both in one table
+(`_FIELDS`); a JSON config file may override any subset of keys. Unknown
+keys and values of the wrong type are rejected, naming the key, so typos
+fail loudly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 
 from .errors import InvalidConfig
+from .value import Value
 
 # relation families and the hub-pool grids they instantiate
 _FAMILY_GRIDS = {
@@ -22,40 +24,71 @@ _FAMILY_GRIDS = {
 KNOWN_FAMILIES = tuple(_FAMILY_GRIDS) + ("prep",)
 
 
-@dataclass(frozen=True)
-class RelationSpec:
+class RelationSpec(Value):
     """One grid of matrix cells: relation name plus its from/to hub pools."""
 
-    name: str
-    from_pool: str
-    to_pool: str
+    __slots__ = ("name", "from_pool", "to_pool")
+
+    def __init__(self, name: str, from_pool: str, to_pool: str):
+        self.name = name
+        self.from_pool = from_pool
+        self.to_pool = to_pool
 
 
-@dataclass
-class Config:
+# what each kind of config value must be; bool is not taken for a number
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "true or false": lambda v: type(v) is bool,
+    "a list of strings": lambda v: type(v) in (list, tuple) and all(type(x) is str for x in v),
+    "an integer or null": lambda v: v is None or type(v) is int,
+    "an object of strings": lambda v: type(v) is dict and all(type(x) is str for x in (*v, *v.values())),
+}
+
+# every config key: its default and the kind of value it takes
+_FIELDS = {
     # hub pool capacities (fixed at blackboard construction)
-    k_n: int = 8
-    k_v: int = 8
-    k_c: int = 4
+    "k_n": (8, "an integer"),
+    "k_v": (8, "an integer"),
+    "k_c": (4, "an integer"),
     # enabled relation families
-    relations: tuple[str, ...] = ("agent", "theme", "modifier", "prep", "clause")
-    prep_labels: tuple[str, ...] = ("of", "in", "on")
+    "relations": (("agent", "theme", "modifier", "prep", "clause"), "a list of strings"),
+    "prep_labels": (("of", "in", "on"), "a list of strings"),
     # dynamics
-    gain: float = 1.0
-    decay: float = 0.0
-    wm_decay: float = 1.0
-    sustain_threshold: float = 0.5
-    readout_threshold: float = 0.5
-    settle_budget: int = 32
+    "gain": (1.0, "a number"),
+    "decay": (0.0, "a number"),
+    "wm_decay": (1.0, "a number"),
+    "sustain_threshold": (0.5, "a number"),
+    "readout_threshold": (0.5, "a number"),
+    "settle_budget": (32, "an integer"),
     # encoding policy
-    auto_add_words: bool = True
-    strict_labels: bool = True
+    "auto_add_words": (True, "true or false"),
+    "strict_labels": (True, "true or false"),
     # optional spontaneous working-memory release after this many steps
-    wm_decay_horizon: int | None = None
+    "wm_decay_horizon": (None, "an integer or null"),
     # query-language relation aliases (episodic mode)
-    query_aliases: dict = field(default_factory=lambda: {"do": "agent", "mod": "modifier"})
+    "query_aliases": ({"do": "agent", "mod": "modifier"}, "an object of strings"),
+}
+
+
+class Config:
+    """Every key of `_FIELDS`, given as a keyword or left at its default."""
+
+    __slots__ = tuple(_FIELDS)
+
+    def __init__(self, **values):
+        unknown = values.keys() - _FIELDS.keys()
+        if unknown:
+            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+        for key, (default, _) in _FIELDS.items():
+            value = values.get(key, default)
+            setattr(self, key, dict(value) if type(value) is dict else value)
 
     def validate(self) -> "Config":
+        for key, (_, kind) in _FIELDS.items():
+            value = getattr(self, key)
+            if not _KINDS[kind](value):
+                raise InvalidConfig(f"{key}: expected {kind}, got {value!r}")
         if self.k_n < 1 or self.k_v < 1 or self.k_c < 1:
             raise InvalidConfig(f"pool capacities must be >= 1, got k_n={self.k_n} k_v={self.k_v} k_c={self.k_c}")
         for fam in self.relations:
@@ -64,7 +97,7 @@ class Config:
         for label in self.prep_labels:
             if not label or any(ch.isspace() for ch in label):
                 raise InvalidConfig(f"bad preposition label {label!r}")
-        if self.gain <= 0.0:
+        if not self.gain > 0.0:
             raise InvalidConfig(f"gain must be positive, got {self.gain}")
         if not 0.0 <= self.decay <= 1.0 or not 0.0 <= self.wm_decay <= 1.0:
             raise InvalidConfig("decay values must be in [0, 1]")
@@ -102,35 +135,21 @@ class Config:
     # ------------------------------------------------------------ (de)serialize
 
     def to_dict(self) -> dict:
-        return {
-            "k_n": self.k_n,
-            "k_v": self.k_v,
-            "k_c": self.k_c,
-            "relations": list(self.relations),
-            "prep_labels": list(self.prep_labels),
-            "gain": self.gain,
-            "decay": self.decay,
-            "wm_decay": self.wm_decay,
-            "sustain_threshold": self.sustain_threshold,
-            "readout_threshold": self.readout_threshold,
-            "settle_budget": self.settle_budget,
-            "auto_add_words": self.auto_add_words,
-            "strict_labels": self.strict_labels,
-            "wm_decay_horizon": self.wm_decay_horizon,
-            "query_aliases": dict(self.query_aliases),
-        }
+        data = {key: getattr(self, key) for key in _FIELDS}
+        for key in ("relations", "prep_labels"):
+            data[key] = list(data[key])
+        data["query_aliases"] = dict(self.query_aliases)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
+        if type(data) is not dict:
+            raise InvalidConfig(f"config must be an object, got {data!r}")
+        values = dict(data)
         for key in ("relations", "prep_labels"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs).validate()
+            if type(values.get(key)) is list:
+                values[key] = tuple(values[key])
+        return cls(**values).validate()
 
     @classmethod
     def from_json(cls, text: str) -> "Config":

@@ -18,15 +18,16 @@ propagates it), after which activation is re-driven by inflow alone.
 
 Structure may be reserved rather than built: ids are taken in construction
 order, and the populations and connections behind them are built, at rest,
-when first needed. Word working memory is reserved for many words in one
-block; a word's working memory for one hub, with the two connections it
-gates, is built the first time it is touched. A matrix cell
-(working memory, forward and reverse relay, four connections) is built the
-first time one of its populations is touched, or the first step in which a
-hub that feeds one of its relays is active while that relay's control label
-is asserted. Until then nothing can flow into the cell, so laziness changes
-no trajectory. Counts cover reserved structure, so the structure is the
-same either way.
+when first needed. A lexicon's concepts are reserved as one block; a concept
+is built the first time it is touched: cued, reached by inflow, or looked
+up. Word working memory is reserved for many words in one block; a word's
+working memory for one hub, with the two connections it gates, is built the
+first time it is touched. A matrix cell (working memory, forward and reverse
+relay, four connections) is built the first time one of its populations is
+touched, or the first step in which a hub that feeds one of its relays is
+active while that relay's control label is asserted. Until then nothing can
+flow into the cell, so laziness changes no trajectory. Counts cover reserved
+structure, so the structure is the same either way.
 
 A step updates only what can change. Sustained working memory gates the
 flow of activation rather than taking part in it: once its next update is a
@@ -35,6 +36,9 @@ release or the decay horizon makes it change again (see `Network.step`).
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
+
+The classes here are plain `__slots__` classes, so that loading the engine
+for one query does not load `dataclasses`.
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ from __future__ import annotations
 import bisect
 import contextlib
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UnknownPopulation
+from .value import Value
 
 
 def clamp01(x: float) -> float:
@@ -59,53 +63,72 @@ class PopulationKind(Enum):
     CONTROL = "control"
 
 
-@dataclass
 class Population:
     """One local neural population reduced to a single activation value."""
 
-    pid: int
-    kind: PopulationKind
-    activation: float = 0.0
-    sustain_threshold: float = 0.5
-    decay: float = 0.0
-    # the step at which a working memory became sustained; None while it is not
-    sustained_since: int | None = None
-    # set only for populations that mirror an asserted control label
-    control_label: str | None = None
+    __slots__ = ("pid", "kind", "activation", "sustain_threshold", "decay", "sustained_since", "control_label")
+
+    def __init__(self, pid: int, kind: PopulationKind, activation: float = 0.0,
+                 sustain_threshold: float = 0.5, decay: float = 0.0):
+        self.pid = pid
+        self.kind = kind
+        self.activation = activation
+        self.sustain_threshold = sustain_threshold
+        self.decay = decay
+        # the step at which a working memory became sustained; None while it is not
+        self.sustained_since: int | None = None
+        # set only for populations that mirror an asserted control label
+        self.control_label: str | None = None
 
     @property
     def sustained(self) -> bool:
         return self.sustained_since is not None
 
 
-@dataclass(frozen=True)
-class ControlGate:
+class ControlGate(Value):
     """Open while `label` is asserted by the control environment."""
 
-    label: str
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        self.label = label
 
 
-@dataclass(frozen=True)
-class BindingGate:
+class BindingGate(Value):
     """Open while working-memory population `wm` is sustained."""
 
-    wm: int
+    __slots__ = ("wm",)
+
+    def __init__(self, wm: int):
+        self.wm = wm
 
 
-@dataclass
 class GatedConnection:
-    cid: int
-    source: int
-    target: int
-    gate: ControlGate | BindingGate
-    gain: float = 1.0
+    __slots__ = ("cid", "source", "target", "gate", "gain")
+
+    def __init__(self, cid: int, source: int, target: int, gate: ControlGate | BindingGate, gain: float = 1.0):
+        self.cid = cid
+        self.source = source
+        self.target = target
+        self.gate = gate
+        self.gain = gain
 
 
 def _cid(conn: GatedConnection) -> int:
     return conn.cid
 
 
-@dataclass(frozen=True)
+class _Block:
+    """Populations of one kind other than working memory, such as a
+    lexicon's concepts; each is built, at rest, on first touch."""
+
+    __slots__ = ("pids", "kind")
+
+    def __init__(self, pids: range, kind: PopulationKind):
+        self.pids = pids
+        self.kind = kind
+
+
 class _Bindings:
     """Working memory of many words, one run of consecutive ids per word.
 
@@ -114,15 +137,18 @@ class _Bindings:
     mirror hubs[w][i] -> concepts[w] over the id after it.
     """
 
-    pids: range
-    cid: int
-    starts: list[int]
-    concepts: list[int]
-    hubs: list[tuple[int, ...]]
-    gain: float
+    __slots__ = ("pids", "cid", "starts", "concepts", "hubs", "gain")
+
+    def __init__(self, pids: range, cid: int, starts: list[int], concepts: list[int],
+                 hubs: list[tuple[int, ...]], gain: float):
+        self.pids = pids
+        self.cid = cid
+        self.starts = starts
+        self.concepts = concepts
+        self.hubs = hubs
+        self.gain = gain
 
 
-@dataclass(frozen=True)
 class _Grid:
     """Cell k = i * len(to_hubs) + j joins from_hubs[i] to to_hubs[j].
 
@@ -133,27 +159,34 @@ class _Grid:
     relay -> from-hub (working memory).
     """
 
-    pids: range
-    cid: int
-    from_hubs: tuple[int, ...]
-    to_hubs: tuple[int, ...]
-    forward: ControlGate
-    reverse: ControlGate
-    gain: float
+    __slots__ = ("pids", "cid", "from_hubs", "to_hubs", "forward", "reverse", "gain")
+
+    def __init__(self, pids: range, cid: int, from_hubs: tuple[int, ...], to_hubs: tuple[int, ...],
+                 forward: ControlGate, reverse: ControlGate, gain: float):
+        self.pids = pids
+        self.cid = cid
+        self.from_hubs = from_hubs
+        self.to_hubs = to_hubs
+        self.forward = forward
+        self.reverse = reverse
+        self.gain = gain
 
 
-@dataclass
 class _SavedState:
-    # activation of each flowing id at the save
-    activations: dict[int, float]
-    asserted: set[str]
-    floors: dict[int, float]
-    time: int
-    last_change: float
-    # (population, its sustained_since before the change) per sustain change since the save
-    sustain_log: list[tuple[Population, int | None]]
-    # prior activation of each id that was not flowing when it first changed since the save
-    woken: dict[int, float]
+    __slots__ = ("activations", "asserted", "floors", "time", "last_change", "sustain_log", "woken")
+
+    def __init__(self, activations: dict[int, float], asserted: set[str], floors: dict[int, float],
+                 time: int, last_change: float, sustain_log: list, woken: dict[int, float]):
+        # activation of each flowing id at the save
+        self.activations = activations
+        self.asserted = asserted
+        self.floors = floors
+        self.time = time
+        self.last_change = last_change
+        # (population, its sustained_since before the change) per sustain change since the save
+        self.sustain_log: list[tuple[Population, int | None]] = sustain_log
+        # prior activation of each id that was not flowing when it first changed since the save
+        self.woken = woken
 
 
 class Network:
@@ -190,7 +223,7 @@ class Network:
         self._binding_edges: dict[int, list[GatedConnection]] = {}
         self._control_pops: dict[str, int] = {}
         # reserved structure, in id order; built on first touch
-        self._reservations: list[_Bindings | _Grid] = []
+        self._reservations: list[_Block | _Bindings | _Grid] = []
         self._reserved_starts: list[int] = []
         # cells whose relay a source feeds under a label, built on the first
         # step in which the source is active while the label is asserted
@@ -252,8 +285,9 @@ class Network:
     ) -> int:
         if self._frozen:
             raise RuntimeError("network structure is frozen")
-        self.population(source)
-        self.population(target)
+        for pid in (source, target):
+            if not 0 <= pid < self._next_pid:  # reserved endpoints stay unbuilt
+                raise UnknownPopulation(f"no population with id {pid}")
         if gain <= 0.0:
             raise ValueError(f"gain must be positive, got {gain}")
         if isinstance(gate, BindingGate):
@@ -267,6 +301,23 @@ class Network:
         )
         return cid
 
+    def reserve_populations(self, kind: PopulationKind, count: int) -> range:
+        """Reserve `count` populations of one kind, such as a lexicon's
+        concepts; each is built, at rest and with the network's defaults, the
+        first time it is touched. Returns their ids. Working memory is
+        reserved with the connections it gates (`reserve_bindings`)."""
+        if self._frozen:
+            raise RuntimeError("network structure is frozen")
+        if kind is PopulationKind.WORKING_MEMORY:
+            raise ValueError("working memory is reserved with the connections it gates")
+        pids, _ = self._take_ids(count, 0)
+        last = self._reservations[-1] if self._reservations else None
+        if isinstance(last, _Block) and last.kind is kind and last.pids.stop == pids.start:
+            last.pids = range(last.pids.start, pids.stop)  # words added one at a time share a block
+        elif pids:
+            self._reserve(_Block(pids, kind))
+        return pids
+
     def reserve_bindings(
         self, concepts: list[int], hubs: list[tuple[int, ...]], gain: float = 1.0
     ) -> list[range]:
@@ -279,7 +330,9 @@ class Network:
         connections are built, at rest, the first time it is touched. Returns
         each word's working-memory ids, in hub order.
         """
-        self._check_reservable([*concepts, *(pid for pool in set(hubs) for pid in pool)], gain)
+        # distinct pools by identity: hashing each word's tuple costs more
+        pools = {id(pool): pool for pool in hubs}.values()
+        self._check_reservable([*concepts, *(pid for pool in pools for pid in pool)], gain)
         starts = list(itertools.accumulate(map(len, hubs), initial=self._next_pid))
         pids, cid = self._take_ids(starts[-1] - starts[0], 2 * (starts[-1] - starts[0]))
         if pids:
@@ -343,11 +396,12 @@ class Network:
         self._next_cid += conns
         return pids, cid
 
-    def _reserve(self, res: _Bindings | _Grid) -> None:
+    def _reserve(self, res: _Block | _Bindings | _Grid) -> None:
         self._reservations.append(res)
         self._reserved_starts.append(res.pids.start)
-        if self.default_sustain_threshold <= 0.0:
-            # working memory at rest is already sustained, so its edges conduct
+        if self.default_sustain_threshold <= 0.0 and not isinstance(res, _Block):
+            # working memory at rest is already sustained, so its edges conduct;
+            # a block holds none
             for pid in res.pids:
                 self.population(pid)
 
@@ -423,6 +477,11 @@ class Network:
 
     def active_pids(self):
         return sorted(self._active)
+
+    def flowing_pids(self) -> frozenset[int]:
+        """The active ids except settled working memory; every active
+        population of another kind is among them."""
+        return frozenset(self._flowing)
 
     # -------------------------------------------------------------- controls
 
@@ -512,10 +571,13 @@ class Network:
             # any active id may be a candidate, so stale entries change nothing
             candidates.update(self._active.intersection(due))
         horizon = self.wm_decay_horizon
-        flowing, sources = self._flowing, self._sources
+        pops, flowing, sources = self._pops, self._flowing, self._sources
         change = 0.0
         for pid in sorted(candidates):
-            pop = self._pops[pid]
+            try:
+                pop = pops[pid]
+            except KeyError:  # an inflow target still reserved, such as a concept
+                pop = self._build_reserved(pid)
             if pop.control_label is not None:
                 nxt = 1.0 if pop.control_label in asserted else 0.0
             else:
@@ -617,6 +679,8 @@ class Network:
         res = self._reservations[i] if i >= 0 else None
         if res is None or pid not in res.pids:
             raise UnknownPopulation(f"no population with id {pid}")
+        if isinstance(res, _Block):
+            return self._build_population(pid, res.kind, self.default_sustain_threshold, self.default_decay)
         if isinstance(res, _Grid):
             self._build_cell(res, (pid - res.pids.start) // 3)
         else:

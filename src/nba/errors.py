@@ -94,6 +94,21 @@ class InvalidConfig(NbaError):
     pass
 
 
+class InvalidState(NbaError):
+    """A malformed state snapshot; the message names the record and key,
+    as in `bindings[3].activation: expected a number in [0, 1], got 'x'`."""
+
+
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def expect(value, kind: type, where: str):
+    """`value` if it is exactly of type `kind`, else InvalidState at `where`."""
+    if type(value) is not kind:
+        raise InvalidState(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 class QuerySyntaxError(NbaError):
     pass
 

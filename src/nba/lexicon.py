@@ -2,17 +2,20 @@
 
 The lexicon owns the network's concept populations and the long-term
 control-gated relations between them (semantic memory). Word types come
-from the lexicon file; classification is a lookup.
+from the lexicon file; classification is a lookup. A word is a row of three
+parallel columns, its word, type and concept id; the concepts of words added
+together are reserved as one block, so a concept is built only when
+something first touches it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
 from enum import Enum
 
 from . import labels
 from .dynamics import ControlGate, Network, PopulationKind
-from .errors import DuplicateWord, ParseError, UnknownWord
+from .errors import DuplicateWord, InvalidState, ParseError, UnknownWord, expect
 
 
 class WordType(Enum):
@@ -24,6 +27,8 @@ class WordType(Enum):
     OTHER = "X"
 
 
+_TAGS = {t.value: t for t in WordType}
+
 # word types that bind hubs, and the pool they bind into
 POOL_FOR_TYPE = {
     WordType.NOUN: "N",
@@ -32,11 +37,15 @@ POOL_FOR_TYPE = {
 }
 
 
-@dataclass(frozen=True)
 class LexicalEntry:
-    word: str
-    word_type: WordType
-    concept: int  # population id; stable for the life of the lexicon
+    """One word's row, made on lookup."""
+
+    __slots__ = ("word", "word_type", "concept")
+
+    def __init__(self, word: str, word_type: WordType, concept: int):
+        self.word = word
+        self.word_type = word_type
+        self.concept = concept  # population id; stable for the life of the lexicon
 
 
 class Lexicon:
@@ -44,96 +53,106 @@ class Lexicon:
 
     def __init__(self, network: Network | None = None):
         self.network = network if network is not None else Network()
-        self._entries: dict[str, LexicalEntry] = {}
-        self._word_of_pid: dict[int, str] = {}
-        self.semantic_triples: list[tuple[str, str, str]] = []
-        self._triple_set: set[tuple[str, str, str]] = set()
+        # one row per word, in insertion order; concept ids ascend
+        self._words: list[str] = []
+        self._types: list[WordType] = []
+        self._concepts: list[int] = []
+        self._index: dict[str, int] = {}
+        # (subject, label, object) -> None, in insertion order
+        self._triples: dict[tuple[str, str, str], None] = {}
         self.semantic_labels: set[str] = set()
 
     # -------------------------------------------------------------- entries
 
     def add_word(self, word: str, word_type: WordType) -> LexicalEntry:
-        return self._add_entries([self._new_word(word, ())], [word_type])[0]
-
-    def _new_word(self, word: str, pending) -> str:
-        """`word` casefolded, if neither the lexicon nor `pending` has it."""
         key = word.casefold()
         if not key:
             raise ValueError("word must be nonempty")
-        if key in self._entries or key in pending:
+        if key in self._index:
             raise DuplicateWord(key)
-        return key
+        self._add_entries([key], [word_type])
+        return self.entry(key)
 
-    def _add_entries(self, words: list[str], word_types: list[WordType]) -> list[LexicalEntry]:
-        """Concept populations for new, distinct, casefolded words, added in
-        one structural extension."""
+    def _add_entries(self, words: list[str], word_types: list[WordType]) -> None:
+        """Reserve concepts for new, casefolded words in one structural
+        extension. Every word is indexed; callers check them first, or check
+        the index's size after."""
         with self.network.structural_extension():
-            pids = self.network.add_populations(PopulationKind.CONCEPT, len(words))
-        entries = list(map(LexicalEntry, words, word_types, pids))
-        self._entries.update(zip(words, entries))
-        self._word_of_pid.update(zip(pids, words))
-        return entries
+            pids = self.network.reserve_populations(PopulationKind.CONCEPT, len(words))
+        self._index.update(zip(words, range(len(self._words), len(self._words) + len(words))))
+        self._words += words
+        self._types += word_types
+        self._concepts += pids
 
-    def entry(self, word: str) -> LexicalEntry:
+    def _row(self, word: str) -> int:
         try:
-            return self._entries[word.casefold()]
+            return self._index[word.casefold()]
         except KeyError:
             raise UnknownWord(word) from None
 
+    def entry(self, word: str) -> LexicalEntry:
+        i = self._row(word)
+        return LexicalEntry(self._words[i], self._types[i], self._concepts[i])
+
     def classify(self, word: str) -> WordType:
-        return self.entry(word).word_type
+        try:  # `_row` inlined: every bind looks its word up here
+            return self._types[self._index[word.casefold()]]
+        except KeyError:
+            raise UnknownWord(word) from None
 
     def concept(self, word: str) -> int:
-        return self.entry(word).concept
+        return self._concepts[self._row(word)]
 
     def word_of(self, pid: int) -> str | None:
-        return self._word_of_pid.get(pid)
+        i = bisect.bisect_left(self._concepts, pid)
+        return self._words[i] if i < len(self._concepts) and self._concepts[i] == pid else None
 
     def __contains__(self, word: str) -> bool:
-        return word.casefold() in self._entries
+        return word.casefold() in self._index
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._words)
 
-    def entries(self):
-        return self._entries.values()
+    def rows(self):
+        """(word, type, concept id) per word, in insertion order."""
+        return zip(self._words, self._types, self._concepts)
+
+    def entries(self) -> list[LexicalEntry]:
+        return list(map(LexicalEntry, self._words, self._types, self._concepts))
 
     def words(self):
-        return list(self._entries)
+        return list(self._words)
 
     def words_of_pool(self, pool: str) -> list[str]:
-        return [
-            e.word for e in self._entries.values()
-            if POOL_FOR_TYPE.get(e.word_type) == pool
-        ]
+        return [w for w, t in zip(self._words, self._types) if POOL_FOR_TYPE.get(t) == pool]
 
     # ---------------------------------------------------- semantic relations
 
+    @property
+    def semantic_triples(self) -> list[tuple[str, str, str]]:
+        """Installed (subject, label, object) triples, in insertion order."""
+        return list(self._triples)
+
     def add_semantic_relation(self, subject: str, relation_label: str, obj: str) -> None:
         """Install a directed control-gated edge subject -> object plus its mirror."""
-        self._add_relations([self._relation(subject, relation_label, obj)])
-
-    def _relation(self, subject: str, relation_label: str, obj: str) -> tuple[str, str, str]:
-        s = self.entry(subject)
-        o = self.entry(obj)
+        s, o = self._words[self._row(subject)], self._words[self._row(obj)]
         if not relation_label:
             raise ValueError("relation label must be nonempty")
-        return (s.word, relation_label, o.word)
+        self._add_relations([(s, relation_label, o)])
 
     def _add_relations(self, triples: list[tuple[str, str, str]]) -> None:
-        """Wire checked (subject, label, object) triples not yet installed, in
-        one structural extension."""
-        net = self.network
+        """Wire checked (subject, label, object) triples of casefolded words
+        not yet installed, in one structural extension."""
+        net, index, concepts = self.network, self._index, self._concepts
         with net.structural_extension():
             for triple in triples:
-                if triple in self._triple_set:
+                if triple in self._triples:
                     continue
                 subject, label, obj = triple
-                s, o = self._entries[subject].concept, self._entries[obj].concept
+                s, o = concepts[index[subject]], concepts[index[obj]]
                 net.add_gated_connection(s, o, ControlGate(labels.semantic_forward(label)))
                 net.add_gated_connection(o, s, ControlGate(labels.semantic_reverse(label)))
-                self._triple_set.add(triple)
-                self.semantic_triples.append(triple)
+                self._triples[triple] = None
                 self.semantic_labels.add(label)
 
     # ------------------------------------------------------------- file I/O
@@ -142,7 +161,6 @@ class Lexicon:
     def from_tsv(cls, text: str, network: Network | None = None) -> "Lexicon":
         """Parse word<TAB>type rows; every row is checked before any is added,
         so an error names the first bad line and leaves nothing built."""
-        tags = {t.value: t for t in WordType}
         words, word_types = [], []
         seen = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -155,14 +173,14 @@ class Lexicon:
             word, tag = cols[0].strip(), cols[1].strip()
             if not word:
                 raise ParseError("empty word", line=lineno)
-            if tag not in tags:
+            if tag not in _TAGS:
                 raise ParseError(f"unknown type tag {tag!r}", line=lineno)
             key = word.casefold()
             if key in seen:
                 raise DuplicateWord(word, line=lineno)
             seen.add(key)
             words.append(key)
-            word_types.append(tags[tag])
+            word_types.append(_TAGS[tag])
         lex = cls(network)
         lex._add_entries(words, word_types)
         return lex
@@ -179,9 +197,9 @@ class Lexicon:
             if len(cols) != 3:
                 raise ParseError(f"expected 'subject<TAB>label<TAB>object', got {raw!r}", line=lineno)
             subject, label, obj = (c.strip() for c in cols)
-            if subject.casefold() not in self._entries:
+            if subject.casefold() not in self._index:
                 raise UnknownWord(subject, line=lineno)
-            if obj.casefold() not in self._entries:
+            if obj.casefold() not in self._index:
                 raise UnknownWord(obj, line=lineno)
             if not label:
                 raise ParseError("empty relation label", line=lineno)
@@ -193,27 +211,74 @@ class Lexicon:
 
     def to_dict(self) -> dict:
         return {
-            "entries": [[e.word, e.word_type.value] for e in self._entries.values()],
-            "semantic_relations": [list(t) for t in self.semantic_triples],
+            "entries": [[w, t.value] for w, t in zip(self._words, self._types)],
+            "semantic_relations": [list(t) for t in self._triples],
         }
 
     @classmethod
     def from_dict(cls, data: dict, network: Network | None = None) -> "Lexicon":
+        """The lexicon of a state snapshot's `lexicon` record (see `to_dict`).
+        A malformed record raises InvalidState naming it, such as
+        `lexicon.entries[3]: unknown type tag 'Q'`."""
         lex = cls(network)
-        tags = {t.value: t for t in WordType}
-        words, word_types = [], []
-        seen = set()
-        for word, tag in data.get("entries", []):
-            word_type = tags[tag]
-            key = lex._new_word(word, seen)
-            seen.add(key)
-            words.append(key)
-            word_types.append(word_type)
+        entries = expect(data.get("entries", []), list, "lexicon.entries")
+        words, word_types = _read(entries, "lexicon.entries", _entry_problem, lambda: (
+            [word.casefold() for word, _ in entries], [_TAGS[tag] for _, tag in entries]))
         lex._add_entries(words, word_types)
-        lex._add_relations(
-            [lex._relation(subject, label, obj) for subject, label, obj in data.get("semantic_relations", [])]
-        )
+        if len(lex._index) < len(words) or "" in lex._index:
+            seen = set()
+            for i, word in enumerate(words):
+                if not word or word in seen:
+                    raise InvalidState(f"lexicon.entries[{i}]: {'duplicate' if word else 'empty'} word {word!r}")
+                seen.add(word)
+        where = "lexicon.semantic_relations"
+        relations = expect(data.get("semantic_relations", []), list, where)
+        _read(relations, where, lex._relation_problem, lambda: lex._add_relations(
+            [(s.casefold(), label, o.casefold()) for s, label, o in relations]))
+        if "" in lex.semantic_labels:
+            _raise_first_bad(relations, where, lex._relation_problem)
         return lex
+
+    def _relation_problem(self, rec) -> str | None:
+        if type(rec) is not list or len(rec) != 3 or not all(type(x) is str for x in rec):
+            return f"expected [subject, label, object], got {rec!r}"
+        for word in (rec[0], rec[2]):
+            if word.casefold() not in self._index:
+                return f"unknown word {word!r}"
+        return None if rec[1] else "empty relation label"
+
+
+def _entry_problem(rec) -> str | None:
+    if type(rec) is not list or len(rec) != 2:
+        return f"expected [word, type tag], got {rec!r}"
+    if type(rec[0]) is not str:
+        return f"expected a word, got {rec[0]!r}"
+    if type(rec[1]) is not str or rec[1] not in _TAGS:
+        return f"unknown type tag {rec[1]!r}"
+    return None
+
+
+def _read(records: list, where: str, problem, read):
+    """`read()` if every record is a list and reading them succeeds, else
+    InvalidState for the first record in which `problem` finds one. Records
+    are checked one by one only once reading has failed, so well-formed
+    input pays for one pass over the records' types."""
+    if set(map(type, records)) <= {list}:  # a string would unpack like a short list
+        try:
+            return read()
+        except (AttributeError, KeyError, TypeError, ValueError):
+            _raise_first_bad(records, where, problem)
+            raise
+    _raise_first_bad(records, where, problem)
+
+
+def _raise_first_bad(records: list, where: str, problem) -> None:
+    """Raise InvalidState for the first of `records` in which `problem`
+    finds one, if any does."""
+    for i, rec in enumerate(records):
+        message = problem(rec)
+        if message:
+            raise InvalidState(f"{where}[{i}]: {message}") from None
 
 
 def load_lexicon(text: str) -> Lexicon:

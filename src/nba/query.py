@@ -13,12 +13,11 @@ optionally prefixed with "sem:" for semantic mode (default is episodic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import labels
 from .blackboard import Blackboard
 from .dynamics import PopulationKind
 from .errors import QuerySyntaxError, UnknownRelation
+from .value import Value
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -28,19 +27,23 @@ SEMANTIC = "semantic"
 _SETTLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Query:
-    cue: str
-    relation: str
-    direction: str = FORWARD
-    mode: str = EPISODIC
+class Query(Value):
+    __slots__ = ("cue", "relation", "direction", "mode")
+
+    def __init__(self, cue: str, relation: str, direction: str = FORWARD, mode: str = EPISODIC):
+        self.cue = cue
+        self.relation = relation
+        self.direction = direction
+        self.mode = mode
 
 
-@dataclass(frozen=True)
-class AnswerSet:
+class AnswerSet(Value):
     """Words read out at or above threshold, strongest first, ties lexicographic."""
 
-    entries: tuple  # ((word, activation), ...)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        self.entries = entries  # ((word, activation), ...)
 
     @classmethod
     def from_pairs(cls, pairs) -> "AnswerSet":
@@ -107,7 +110,7 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
     but cannot be read out by cueing that same word.
     """
     lex = blackboard.lexicon
-    entry = lex.entry(query.cue)
+    cue = lex.concept(query.cue)
     if query.mode == SEMANTIC:
         if query.relation not in lex.semantic_labels:
             raise UnknownRelation(f"no semantic relation {query.relation!r}")
@@ -135,7 +138,7 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
     try:
         net.set_control(label, True)
         for n in range(min(depth, blackboard.config.settle_budget)):
-            net.inject(entry.concept, 1.0)
+            net.inject(cue, 1.0)
             net.step()
             # from the second step on, re-injecting the held cue changes nothing,
             # so the step's largest change is that between successive states
@@ -143,12 +146,13 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
                 break
         threshold = blackboard.config.readout_threshold
         pairs = []
-        for pid in net.active_pids():
+        # every active concept flows: only working memory settles
+        for pid in net.flowing_pids():
             pop = net.population(pid)
             if (
                 pop.kind is PopulationKind.CONCEPT
                 and pop.activation >= threshold
-                and pid != entry.concept
+                and pid != cue
             ):
                 word = lex.word_of(pid)
                 if word is not None:

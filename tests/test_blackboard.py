@@ -715,3 +715,126 @@ def test_words_added_one_at_a_time_match_a_bulk_built_board(k_n, k_v):
     assert named[0] == named[1] and any(named[0])
 
     assert _word_wiring(bulk, names[0]) == _word_wiring(single, names[1])
+
+
+# ------------------------------------------------- concepts built on touch
+
+
+def _built_concepts(bb):
+    from nba.dynamics import PopulationKind
+
+    return {pop.pid for pop in bb.network.populations() if pop.kind is PopulationKind.CONCEPT}
+
+
+def _semantic_lexicon(nouns, verbs, adjs):
+    lex = build_lexicon(nouns, verbs, adjs)
+    for subject, obj in zip(nouns[::3], nouns[1::3] + verbs):
+        lex.add_semantic_relation(subject, "has", obj)
+    return lex
+
+
+def test_a_cue_builds_its_concept_and_a_lookup_does_not():
+    lex = load_lexicon("cat\tN\npaw\tN\ntail\tN\n")
+    lex.add_semantic_relation("cat", "has", "paw")
+    net = lex.network
+    assert list(net.populations()) == [] and net.population_count() == 3
+    entry = lex.entry("cat")
+    assert (entry.word, entry.word_type, lex.word_of(entry.concept)) == ("cat", WordType.NOUN, "cat")
+    assert list(net.populations()) == []
+    net.inject(entry.concept, 1.0)
+    assert [pop.pid for pop in net.populations()] == [entry.concept]
+    net.set_control("sem:fwd:has", True)
+    net.step()  # paw is built as an inflow target; tail stays reserved
+    assert {pop.pid for pop in net.populations()} == {entry.concept, lex.concept("paw")}
+    assert net.activation(lex.concept("paw")) == 1.0
+
+
+def test_no_concept_is_built_at_rest_even_at_zero_sustain_threshold():
+    """Only working memory sustains, so a zero threshold builds every word's
+    working memory at rest and none of its concepts."""
+    from nba.dynamics import Network
+
+    lex = Lexicon.from_tsv("cat\tN\ndog\tN\nrun\tV\n", Network(sustain_threshold=0.0))
+    bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1, sustain_threshold=0.0))
+    assert _built_concepts(bb) == set()
+    assert all(bb.network.population(wm).sustained for wms in bb._word_wms.values() for wm in wms)
+
+
+def test_restore_builds_no_concept_and_a_query_only_those_it_reaches():
+    rng = random.Random(5)
+    nouns, verbs, adjs = make_word_lists(60, 60, 60)
+    bb = Blackboard(_semantic_lexicon(nouns, verbs, adjs), Config(k_n=40, k_v=12, k_c=8))
+    subjects = []
+    for _ in range(4):
+        tokens, arcs, triples = random_tree_sentence(rng, nouns, verbs, adjs)
+        execute(compile(tokens, arcs), bb)
+        subjects += [s for s, r, _ in triples if r == "agent"]
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    assert _built_concepts(restored) == set()
+    lex = restored.lexicon
+    concepts = {lex.concept(word) for word in lex.words()}
+    trace = _record_steps(restored.network)
+    cues = []
+    for text in (f"{subjects[0]} agent?", f"sem:{nouns[0]} has?", f"sem:? has {nouns[1]}"):
+        answer = run_query(restored, parse_query(text))
+        assert answer == run_query(bb, parse_query(text)) and answer
+        cues.append(lex.concept(parse_query(text).cue))
+    reached = {pid for active in trace for pid, _ in active} & concepts
+    assert _built_concepts(restored) == set(cues) | reached
+    assert len(reached) < 20
+
+
+_CONCEPT_CASES = {
+    # config overrides, sentences per board, max adjectives per noun
+    "default": ({}, 1, 1),
+    "bench_pools": ({"k_n": 40, "k_v": 12, "k_c": 8}, 4, 2),
+    "horizon": ({"wm_decay_horizon": 24, "wm_decay": 0.9}, 1, 1),
+    "zero_threshold": ({"k_n": 3, "k_v": 2, "k_c": 1, "sustain_threshold": 0.0}, 1, 1),
+    # every word's working memory conducts at rest, so a cue's neighbours
+    # hold activation across steps, and below saturation their decay shows
+    "zero_threshold_decay": ({"k_n": 3, "k_v": 2, "k_c": 1, "sustain_threshold": 0.0, "decay": 0.25,
+                              "gain": 0.3}, 1, 1),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case", sorted(_CONCEPT_CASES))
+def test_inflow_into_unbuilt_concepts_matches_prebuilt_concepts(case, seed):
+    """A board whose concepts were all built with its lexicon, before the
+    board set their decay, steps and answers exactly like one that builds a
+    concept when inflow first reaches it."""
+    overrides, per_board, max_adjs = _CONCEPT_CASES[case]
+
+    def run(prebuild):
+        rng = random.Random(seed)
+        nouns, verbs, adjs = make_word_lists(24, 12, 12)
+        lex = _semantic_lexicon(nouns, verbs, adjs)
+        if prebuild:
+            for word in lex.words():
+                lex.network.population(lex.concept(word))
+        bb = Blackboard(lex, Config(**overrides))
+        net = bb.network
+        trace, answers = _record_steps(net), []
+        for _ in range(2):
+            words = set()
+            for _ in range(per_board):
+                tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjs, preps=("of", "in", "on"),
+                                                       max_adjectives=max_adjs)
+                words.update(t.surface for t in tokens if t.surface in lex)
+                if bb.config.sustain_threshold > 0.0:
+                    execute(compile(tokens, arcs), bb)
+                else:  # every cell is sustained at rest, so none can be bound
+                    for token in tokens:
+                        pool = POOL_FOR_TYPE.get(token.word_type)
+                        if pool is not None and bb.free_hubs(pool):
+                            bb.bind_concept(token.surface, bb.allocate_hub(pool))
+            for word in sorted(words):
+                texts = [f"sem:{word} has?", f"sem:? has {word}"]
+                texts += [t for r in bb.relation_names for t in (f"{word} {r}?", f"? {r} {word}")]
+                answers += [run_query(bb, parse_query(text)).entries for text in texts]
+            bb.release_all()
+        return trace, answers, len(_built_concepts(bb))
+
+    lazy, eager = run(False), run(True)
+    assert lazy[:2] == eager[:2] and any(lazy[1])
+    assert lazy[2] <= eager[2] == 48

@@ -291,3 +291,136 @@ def test_scaling_script_prints_header_and_one_row_per_size():
     header, *rows = result.stdout.splitlines()
     assert header.split() == ["lexicon", "gated", "links", "direct", "wiring", "expressible"]
     assert [row.split() for row in rows] == [["10", "144", "50", "50"], ["100", "864", "5000", "5000"]]
+
+
+def _encoded_state(workdir):
+    state = workdir / "state.json"
+    assert main(["encode", "--lexicon", str(workdir / "lex.tsv"), "--relations", str(workdir / "rel.tsv"),
+                 "--sentence", str(workdir / "s.conllu"), "--state", str(state)]) == 0
+    return state
+
+
+def _first_concept(data):
+    return next(i for i, rec in enumerate(data["bindings"]) if rec["kind"] == "concept")
+
+
+def _edit_binding(key, value, message):
+    def edit(data):
+        i = _first_concept(data)
+        if value is None:
+            del data["bindings"][i][key]
+        else:
+            data["bindings"][i][key] = value
+        return f"bindings[{i}]{message}"
+    return edit
+
+
+def _edit(path, value, message):
+    def edit(data):
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return message
+    return edit
+
+
+# each edit of a valid state returns the message `nba query` must print
+_BAD_STATES = {
+    "activation-not-a-number": _edit_binding("activation", "x",
+                                             ".activation: expected a number in [0, 1], got 'x'"),
+    "activation-out-of-range": _edit_binding("activation", 1.5,
+                                             ".activation: expected a number in [0, 1], got 1.5"),
+    "activation-bool": _edit_binding("activation", True, ".activation: expected a number in [0, 1], got True"),
+    "concept-without-word": _edit_binding("word", None, ": missing key 'word'"),
+    "word-not-a-string": _edit_binding("word", 3, ".word: expected a string, got 3"),
+    "age-not-an-integer": _edit_binding("age", 2.5, ".age: expected an integer >= 0, got 2.5"),
+    "age-negative": _edit_binding("age", -1, ".age: expected an integer >= 0, got -1"),
+    "unknown-binding-kind": _edit_binding("kind", "hub", ".kind: expected 'concept' or 'cell', got 'hub'"),
+    "bindings-not-a-list": _edit(["bindings"], {}, "bindings: expected a list, got {}"),
+    "binding-not-an-object": _edit(["bindings", 0], [], "bindings[0]: expected an object, got []"),
+    "unknown-type-tag": _edit(["lexicon", "entries", 0, 1], "Q", "lexicon.entries[0]: unknown type tag 'Q'"),
+    "entry-not-a-pair": _edit(["lexicon", "entries", 1], "cat",
+                              "lexicon.entries[1]: expected [word, type tag], got 'cat'"),
+    "entry-a-two-letter-string": _edit(["lexicon", "entries", 1], "aN",
+                                       "lexicon.entries[1]: expected [word, type tag], got 'aN'"),
+    "entry-word-not-a-string": _edit(["lexicon", "entries", 2, 0], 7,
+                                     "lexicon.entries[2]: expected a word, got 7"),
+    "duplicate-word": _edit(["lexicon", "entries", 3, 0], "CAT", "lexicon.entries[3]: duplicate word 'cat'"),
+    "lexicon-not-an-object": _edit(["lexicon"], [], "lexicon: expected an object, got []"),
+    "relation-unknown-word": _edit(["lexicon", "semantic_relations", 0, 2], "tail",
+                                   "lexicon.semantic_relations[0]: unknown word 'tail'"),
+    "relation-empty-label": _edit(["lexicon", "semantic_relations", 0, 1], "",
+                                  "lexicon.semantic_relations[0]: empty relation label"),
+    "relation-not-a-triple": _edit(
+        ["lexicon", "semantic_relations", 0], ["cat", "has"],
+        "lexicon.semantic_relations[0]: expected [subject, label, object], got ['cat', 'has']"),
+    "relation-a-string": _edit(["lexicon", "semantic_relations", 0], "cat",
+                               "lexicon.semantic_relations[0]: expected [subject, label, object], got 'cat'"),
+    "allocation-unknown-hub": _edit(["allocation", 0], ["Z9", None], "allocation[0]: unknown hub 'Z9'"),
+    "allocation-not-a-pair": _edit(["allocation", 0], "N0",
+                                   "allocation[0]: expected [hub, word or null], got 'N0'"),
+    "config-k_n-string": _edit(["config", "k_n"], "x", "k_n: expected an integer, got 'x'"),
+    "config-k_n-bool": _edit(["config", "k_n"], True, "k_n: expected an integer, got True"),
+    "config-relations-string": _edit(["config", "relations"], "agent",
+                                     "relations: expected a list of strings, got 'agent'"),
+    "config-settle_budget-float": _edit(["config", "settle_budget"], 2.5,
+                                        "settle_budget: expected an integer, got 2.5"),
+    "config-gain-string": _edit(["config", "gain"], "1", "gain: expected a number, got '1'"),
+    "config-strict_labels-int": _edit(["config", "strict_labels"], 1,
+                                      "strict_labels: expected true or false, got 1"),
+    "config-horizon-float": _edit(["config", "wm_decay_horizon"], 2.0,
+                                  "wm_decay_horizon: expected an integer or null, got 2.0"),
+    "config-aliases-list": _edit(["config", "query_aliases"], ["do"],
+                                 "query_aliases: expected an object of strings, got ['do']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_STATES))
+def test_malformed_state_is_a_one_line_domain_error(workdir, capsys, name):
+    state = _encoded_state(workdir)
+    data = json.loads(state.read_text())
+    message = _BAD_STATES[name](data)
+    state.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in (["query", "--state", str(state), "cat do?"], ["state", "show", "--state", str(state)]):
+        assert main(command) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_query_path_loads_neither_dataclasses_nor_inspect(workdir):
+    """`-S` leaves out what site-packages' path hooks import, so only nba's
+    own imports count."""
+    state = _encoded_state(workdir)
+    code = (
+        "import sys\n"
+        "from nba.cli import main\n"
+        "assert main(['query', '--state', sys.argv[1], 'cat do?']) == 0\n"
+        "assert main(['state', 'show', '--state', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    import nba
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nba.__file__)))
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(state)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "runs"
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("pycache", [False, True])
+def test_cold_query_script_prints_one_median_per_phase(workdir, pycache):
+    """`scripts/cold_query.py`, which the README documents, runs as a script."""
+    state = _encoded_state(workdir)
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "cold_query.py")
+    cache = workdir / "pycache"
+    args = [sys.executable, script, str(state), "cat do?", "-n", "2"]
+    args += ["--pycache", str(cache)] if pycache else []
+    result = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    header, row = result.stdout.splitlines()
+    assert header.split() == ["import", "json.loads", "from_snapshot", "query"]
+    assert all(float(ms) >= 0.0 for ms in row.split()) and len(row.split()) == 4
+    assert any(cache.rglob("*.pyc")) == pycache

@@ -33,6 +33,7 @@ from .errors import (
     HubBusy,
     InvalidConfig,
     InvalidState,
+    NbaError,
     NoSuchCell,
     PoolExhausted,
     TypeMismatch,
@@ -125,7 +126,6 @@ class Blackboard:
         self.lexicon = lexicon
         self.network = lexicon.network
         self._apply_dynamics_config()
-        self.relation_names = self.config.relation_names()
 
         self.pools: dict[str, HubPool] = {}
         self._hub_pool: dict[str, str] = {}
@@ -143,8 +143,12 @@ class Blackboard:
         for kind, capacity in (("N", self.config.k_n), ("V", self.config.k_v), ("C", self.config.k_c)):
             self._build_pool(kind, capacity)
         self._link_words(self.lexicon.rows())
+        # relation -> the grids it spans (clause facts chain two, via a C hub)
+        self.grid_counts: dict[str, int] = {}
         for spec in self.config.relation_specs():
             self._build_grid(spec)
+            self.grid_counts[spec.name] = self.grid_counts.get(spec.name, 0) + 1
+        self.relation_names = tuple(self.grid_counts)
         for name in self.relation_names:
             self.network.register_control(labels.matrix_forward(name))
             self.network.register_control(labels.matrix_reverse(name))
@@ -404,11 +408,15 @@ class Blackboard:
             raise InvalidState(f"{where}.age: expected an integer >= 0, got {age!r}")
         kind = rec.get("kind")
         if kind == "concept":
-            binding = self.bind_concept(field("word"), field("hub"))
+            args, bind = (field("word"), field("hub")), self.bind_concept
         elif kind == "cell":
-            binding = self.bind_hubs(field("from"), field("to"), field("relation"))
+            args, bind = (field("from"), field("to"), field("relation")), self.bind_hubs
         else:
             raise InvalidState(f"{where}.kind: expected 'concept' or 'cell', got {kind!r}")
+        try:
+            binding = bind(*args)
+        except NbaError as exc:  # such as an unknown word, or a word of the wrong type
+            raise InvalidState(f"{where}: {exc}") from exc
         net = self.network
         pop = net.population(binding.wm)
         if level < pop.sustain_threshold:

@@ -33,6 +33,10 @@ A step updates only what can change. Sustained working memory gates the
 flow of activation rather than taking part in it: once its next update is a
 no-op it is settled, and steps pass it by until inflow, an injection, a
 release or the decay horizon makes it change again (see `Network.step`).
+Likewise a step reads out-edges only from emitting ids: those with an open
+binding out-edge, a control out-edge or reserved cells behind one. A relay
+whose working memory is not sustained is lit but emits nothing, so a probe
+pays for the paths its bindings open, not for every relay it lights.
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
@@ -233,6 +237,8 @@ class Network:
         self._flowing: set[int] = set()
         # ids that are, or may become, the source of a connection; they never settle
         self._sources: set[int] = set()
+        # ids that may emit: keys of _open_binding_out (non-empty), _control_out and _unbuilt_control
+        self._emitting: set[int] = set()
         # step -> settled working memory the decay horizon may release then
         self._due: dict[int, set[int]] = {}
         self._floors: dict[int, float] = {}
@@ -367,13 +373,14 @@ class Network:
         for hub in {*from_hubs, *to_hubs}:
             self._add_source(hub)
         n = len(to_hubs)
-        if self.default_sustain_threshold > 0.0:
+        if self.default_sustain_threshold > 0.0 and cells:
             for i, hub in enumerate(from_hubs):
                 self._unbuilt_control.setdefault(hub, {}).setdefault(forward, []).append(
                     (grid, range(i * n, (i + 1) * n)))
             for j, hub in enumerate(to_hubs):
                 self._unbuilt_control.setdefault(hub, {}).setdefault(reverse, []).append(
                     (grid, range(j, cells, n)))
+            self._emitting.update(from_hubs, to_hubs)
         self._reserve(grid)
         return pids
 
@@ -483,6 +490,11 @@ class Network:
         population of another kind is among them."""
         return frozenset(self._flowing)
 
+    def flowing_populations(self):
+        """The populations of `flowing_pids()`, read live, without a copy:
+        step nothing while iterating."""
+        return map(self._pops.__getitem__, self._flowing)
+
     # -------------------------------------------------------------- controls
 
     def set_control(self, label: str, on: bool) -> None:
@@ -531,27 +543,35 @@ class Network:
         A working memory is settled when it is sustained, has no pending
         floor, is the source of no connection, and its next update without
         inflow leaves its activation as it is (`decay * a == a`, or `a` is
-        pinned at its sustain threshold). Sources are the active ids that
-        are not settled; candidates are those plus this step's inflow
-        targets and floors, plus, under a decay horizon, the settled ids due
-        for release at this step. Candidates therefore include every id
-        whose update is not a no-op, and an extra one is active, so it is
-        updated exactly as if every active id were a candidate.
+        pinned at its sustain threshold). Sources are the flowing ids (the
+        active ids that are not settled) that are also emitting: with an
+        open binding out-edge, a control out-edge or unbuilt cells behind
+        one; no other id has an edge that could carry its activation.
+        Candidates are the flowing ids plus this step's inflow targets and
+        floors, plus, under a decay horizon, the settled ids due for release
+        at this step. Candidates therefore include every id whose update is
+        not a no-op, and an extra one is active, so it is updated exactly as
+        if every active id were a candidate.
 
         Each target's inflow is summed in source order, then connection id
         order. `last_change` is set to the largest activation change made.
+        Working memory takes a new level through `_set_activation`, which
+        may sustain it; any other kind gets the same bookkeeping in place.
         """
         inflow: dict[int, float] = {}
         asserted = self.asserted
-        for src in sorted(self._flowing):
-            a = self._pops[src].activation
-            if a <= 0.0:
-                continue
-            for conn in self._open_binding_out.get(src, ()):
-                inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
-            if src in self._unbuilt_control:
+        pops, open_out, control_out, unbuilt = (
+            self._pops, self._open_binding_out, self._control_out, self._unbuilt_control
+        )
+        for src in sorted(self._flowing & self._emitting):
+            a = pops[src].activation  # flowing, so above 0
+            out = open_out.get(src)
+            if out:
+                for conn in out:
+                    inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
+            if src in unbuilt:
                 self._build_controlled(src)
-            by_label = self._control_out.get(src)
+            by_label = control_out.get(src)
             if by_label is None:
                 continue
             edges = None
@@ -571,20 +591,24 @@ class Network:
             # any active id may be a candidate, so stale entries change nothing
             candidates.update(self._active.intersection(due))
         horizon = self.wm_decay_horizon
-        pops, flowing, sources = self._pops, self._flowing, self._sources
+        active, flowing, sources, woken = self._active, self._flowing, self._sources, self._woken
+        wm = PopulationKind.WORKING_MEMORY
         change = 0.0
         for pid in sorted(candidates):
             try:
                 pop = pops[pid]
             except KeyError:  # an inflow target still reserved, such as a concept
                 pop = self._build_reserved(pid)
-            if pop.control_label is not None:
-                nxt = 1.0 if pop.control_label in asserted else 0.0
+            label = pop.control_label
+            if label is not None:
+                nxt = 1.0 if label in asserted else 0.0
             else:
-                nxt = clamp01(pop.decay * pop.activation + inflow.get(pid, 0.0))
-                floor = floors.get(pid, 0.0)
-                if floor > nxt:
-                    nxt = floor
+                nxt = pop.decay * pop.activation + inflow.get(pid, 0.0)
+                nxt = 0.0 if nxt < 0.0 else (1.0 if nxt > 1.0 else nxt)  # clamp01
+                if floors:
+                    floor = floors.get(pid, 0.0)
+                    if floor > nxt:
+                        nxt = floor
                 if pop.sustained_since is not None:  # only working memory sustains
                     if horizon is not None and self.time - pop.sustained_since >= horizon:
                         if pop.activation > change:
@@ -599,7 +623,18 @@ class Network:
                 delta = abs(nxt - pop.activation)
                 if delta > change:
                     change = delta
-                self._set_activation(pop, nxt)
+                if pop.kind is wm:
+                    self._set_activation(pop, nxt)
+                else:
+                    if woken is not None and pid not in flowing:
+                        woken.setdefault(pid, pop.activation)
+                    pop.activation = nxt
+                    if nxt > 0.0:
+                        active.add(pid)
+                        flowing.add(pid)
+                    else:
+                        active.discard(pid)
+                        flowing.discard(pid)
             since = pop.sustained_since
             if (
                 since is not None
@@ -637,16 +672,28 @@ class Network:
         """Return to a saved state. Sustain changes made since, such as
         releases by the decay horizon, are undone newest first, so
         `sustained_since` and the open binding edges are as saved.
-        Working memory woken since is restored as flowing, not settled."""
+
+        Levels are then written straight back, woken ids first, so that a
+        saved flowing level wins, and the active and flowing sets are fixed
+        in bulk. No write can newly sustain a working memory, as each one at
+        or above its threshold is sustained as saved. Working memory woken
+        since is restored as flowing, not settled."""
         self._sustain_log = self._woken = None
         for pop, since in reversed(saved.sustain_log):
             if pop.sustained:
                 self._unsustain(pop)
             if since is not None:
                 self._sustain(pop, since)
-        # a flowing id that settled and woke again is logged mid-probe; its saved level wins
-        for pid, act in (saved.woken | saved.activations).items():
-            self._set_activation(self._pops[pid], act)
+        pops, woken = self._pops, saved.woken
+        for pid, act in itertools.chain(woken.items(), saved.activations.items()):
+            pops[pid].activation = act
+        self._active.difference_update(woken)
+        self._flowing.difference_update(woken)
+        # every saved flowing level is above 0; a woken id flows if its level is
+        live = [pid for pid in woken if pops[pid].activation > 0.0]
+        live += saved.activations
+        self._active.update(live)
+        self._flowing.update(live)
         self.asserted = set(saved.asserted)
         self._floors = dict(saved.floors)
         self.time = saved.time
@@ -667,11 +714,13 @@ class Network:
         if isinstance(conn.gate, ControlGate):
             by_label = self._control_out.setdefault(conn.source, {})
             bisect.insort(by_label.setdefault(conn.gate.label, []), conn, key=_cid)
+            self._emitting.add(conn.source)
         else:
             self._binding_edges.setdefault(conn.gate.wm, []).append(conn)
             # open immediately if the condition already holds
             if self._pops[conn.gate.wm].sustained:
                 bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
+                self._emitting.add(conn.source)
 
     def _build_reserved(self, pid: int) -> Population:
         """Build the reserved structure that owns `pid`, at rest."""
@@ -722,7 +771,7 @@ class Network:
                 for k in cells:
                     if grid.pids[3 * k] not in self._pops:
                         self._build_cell(grid, k)
-        if not unbuilt:
+        if not unbuilt:  # every cell is built, so src keeps control out-edges
             del self._unbuilt_control[src]
 
     def _add_source(self, pid: int) -> None:
@@ -755,6 +804,7 @@ class Network:
         pop.sustained_since = since
         for conn in self._binding_edges.get(pop.pid, ()):
             bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
+            self._emitting.add(conn.source)
 
     def _unsustain(self, pop: Population) -> None:
         if self._sustain_log is not None:
@@ -764,3 +814,5 @@ class Network:
             out = self._open_binding_out.get(conn.source)
             if out is not None and conn in out:
                 out.remove(conn)
+                if not out and conn.source not in self._control_out and conn.source not in self._unbuilt_control:
+                    self._emitting.discard(conn.source)

@@ -458,10 +458,14 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
         if on_step is not None:
             on_step(net)
 
+    # a span opens at the first instruction at or past its start; positions
+    # never decrease, so one cursor over the spans by start finds each once
+    opening = sorted(program.spans, key=lambda sp: sp.start)
+    opened = 0
     for instr in program.instructions:
-        for span in program.spans:
-            if span.open_step is None and span.start <= instr.position:
-                span.open_step = net.time
+        while opened < len(opening) and opening[opened].start <= instr.position:
+            opening[opened].open_step = net.time
+            opened += 1
         if isinstance(instr, Allocate):
             try:
                 slot_hub[instr.slot] = blackboard.allocate_hub(instr.kind)

@@ -122,7 +122,8 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
         depth = 1
     else:
         relation = blackboard.config.query_aliases.get(query.relation, query.relation)
-        if relation not in blackboard.relation_names:
+        grids = blackboard.grid_counts.get(relation)
+        if grids is None:
             raise UnknownRelation(f"no blackboard relation {query.relation!r}")
         label = (
             labels.matrix_forward(relation)
@@ -130,7 +131,6 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
             else labels.matrix_reverse(relation)
         )
         # clause facts ride two chained grids (via a C hub), others one cell
-        grids = sum(1 for spec in blackboard.config.relation_specs() if spec.name == relation)
         depth = 2 + 2 * grids
 
     net = blackboard.network
@@ -145,16 +145,12 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
             if n and net.last_change <= _SETTLE_TOL:
                 break
         threshold = blackboard.config.readout_threshold
+        concept = PopulationKind.CONCEPT
         pairs = []
         # every active concept flows: only working memory settles
-        for pid in net.flowing_pids():
-            pop = net.population(pid)
-            if (
-                pop.kind is PopulationKind.CONCEPT
-                and pop.activation >= threshold
-                and pid != cue
-            ):
-                word = lex.word_of(pid)
+        for pop in net.flowing_populations():
+            if pop.kind is concept and pop.activation >= threshold and pop.pid != cue:
+                word = lex.word_of(pop.pid)
                 if word is not None:
                     pairs.append((word, pop.activation))
         return AnswerSet.from_pairs(pairs)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nba.cli import main, run_repl
 
@@ -119,7 +121,7 @@ def test_query_on_state_naming_unknown_hub_is_domain_error(workdir, capsys):
     next(rec for rec in data["bindings"] if rec["kind"] == "concept")["hub"] = "Z9"
     state.write_text(json.dumps(data))
     assert main(["query", "--state", str(state), "cat do?"]) == 2
-    assert capsys.readouterr().err == "error: unknown hub 'Z9'\n"
+    assert capsys.readouterr().err == "error: bindings[0]: unknown hub 'Z9'\n"
 
 
 def test_config_file_is_honored(workdir, capsys):
@@ -424,3 +426,63 @@ def test_cold_query_script_prints_one_median_per_phase(workdir, pycache):
     assert header.split() == ["import", "json.loads", "from_snapshot", "query"]
     assert all(float(ms) >= 0.0 for ms in row.split()) and len(row.split()) == 4
     assert any(cache.rglob("*.pyc")) == pycache
+
+
+# a replayed bind that fails names its binding record
+_BAD_BINDS = {
+    "unknown-word": _edit_binding("word", "zzz", ": unknown word 'zzz'"),
+    "word-of-another-type": _edit_binding("word", "runs", ": 'runs' has type V, cannot bind hub N0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_BINDS))
+def test_failing_replayed_bind_is_a_located_one_line_error(workdir, capsys, name):
+    state = _encoded_state(workdir)
+    data = json.loads(state.read_text())
+    message = _BAD_BINDS[name](data)
+    state.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in (["query", "--state", str(state), "cat do?"], ["state", "show", "--state", str(state)]):
+        assert main(command) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _nodes(data, path=()):
+    """(path, value) of every node of a JSON value, the root first."""
+    yield path, data
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _nodes(value, (*path, key))
+
+
+# stand-ins for a value: another type, a number out of range, or an unknown name
+_REPLACEMENTS = (None, True, 2.5, -1, 0, 1.5, 7, "x", "", "zzz", "Z9", "prep:zzz", [], ["zzz"], {}, {"k": 1})
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_state_file_exits_0_or_2_with_one_line(tmp_path_factory, capsys, data):
+    """Drop a key or replace any value of a valid state, config included:
+    `query` and `state show` answer or fail with one `error:` line."""
+    workdir = tmp_path_factory.mktemp("state")
+    (workdir / "lex.tsv").write_text(LEXICON)
+    (workdir / "rel.tsv").write_text(RELATIONS)
+    (workdir / "s.conllu").write_text(CAT_RUNS)
+    state = _encoded_state(workdir)
+    snapshot = json.loads(state.read_text())
+    path, _ = data.draw(st.sampled_from(list(_nodes(snapshot))[1:]))
+    *parents, last = path
+    target = snapshot
+    for key in parents:
+        target = target[key]
+    if data.draw(st.booleans()):
+        del target[last]
+    else:
+        target[last] = data.draw(st.sampled_from(_REPLACEMENTS))
+    state.write_text(json.dumps(snapshot))
+    capsys.readouterr()
+    for command in (["query", "--state", str(state), "cat do?"], ["state", "show", "--state", str(state)]):
+        rc = main(command)
+        err = capsys.readouterr().err
+        assert (rc, err) == (0, "") or (rc == 2 and err.startswith("error: ") and err.count("\n") == 1), (
+            path, rc, err)

@@ -631,3 +631,39 @@ def test_board_at_rest_steps_no_working_memory():
     run_query(bb, parse_query(f"{bb.hub_word('N0')} agent?"))
     assert net._flowing == set()
     assert net.active_pids() == sustained
+
+
+def _emitting_by_recount(net):
+    """Ids with an open binding out-edge, a control out-edge or unbuilt cells."""
+    return {src for src, out in net._open_binding_out.items() if out} | set(net._control_out) | set(
+        net._unbuilt_control)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_emitting_ids_match_a_recount_on_random_networks(seed):
+    """Connections, reserved cells (a grid without to-hubs among them),
+    injections, controls, releases, the decay horizon and probes keep the
+    emitting ids equal to a recount from the edge indexes."""
+    net, pops, wms, labels = _wm_flow_network(seed, 0.9, 3, (0.5, 0.0)[seed % 2])
+    rng = random.Random(seed)
+    net.reserve_cells((pops[2], pops[3]), (pops[4],), "L0", "L1")
+    net.reserve_cells((pops[5],), (), "L2", "L1")
+    assert net._emitting == _emitting_by_recount(net)
+    for _ in range(40):
+        r = rng.random()
+        if r < 0.4:
+            net.inject(rng.choice(pops), rng.uniform(0.3, 1.0))
+        elif r < 0.55:
+            net.inject(rng.choice(wms), 1.0)
+        elif r < 0.7:
+            net.set_control(rng.choice(labels), rng.random() < 0.7)
+        elif r < 0.8:
+            net.release_wm(rng.choice(wms))
+        else:
+            saved = net.save_state()
+            net.inject(rng.choice(pops), 1.0)
+            net.step()
+            net.step()
+            net.restore_state(saved)
+        net.step()
+        assert net._emitting == _emitting_by_recount(net)

@@ -1,9 +1,12 @@
 """CoNLL-U ingestion, program compilation, incremental execution."""
 
+import random
+
 import pytest
 
 from nba.blackboard import Blackboard
 from nba.config import Config
+from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence
 from nba.encoder import (
     Allocate,
     BindConcept,
@@ -312,3 +315,20 @@ def test_same_surface_twice_gets_two_hubs():
     assert len(set(hubs)) == 2
     assert run_query(bb, parse_query("dog do?")).words == ("chases",)
     assert run_query(bb, parse_query("chases theme?")).words == ("dog",)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_each_span_opens_at_the_first_instruction_at_or_past_its_start(seed):
+    rng = random.Random(seed)
+    nouns, verbs, adjs = make_word_lists(12, 6, 4)
+    bb = Blackboard(build_lexicon(nouns, verbs, adjs), Config(k_n=20, k_v=8, k_c=4, prep_labels=("of", "in")))
+    for _ in range(2):
+        program = compile(*random_tree_sentence(rng, nouns, verbs, adjs)[:2])
+        start = bb.network.time
+        report = execute(program, bb)
+        # the clock as each instruction began
+        began = [start] + [step for _, step in report.instruction_steps[:-1]]
+        assert program.spans
+        for span in program.spans:
+            first = next(i for i, instr in enumerate(program.instructions) if instr.position >= span.start)
+            assert span.open_step == began[first]

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence
+from nba.dynamics import PopulationKind
 from nba.encoder import compile, execute
 from nba.errors import QuerySyntaxError, UnknownRelation, UnknownWord
 from nba.lexicon import WordType, load_lexicon
 from nba.oracle import OracleStore
 from nba.query import EPISODIC, SEMANTIC, AnswerSet, Query, parse_query, run_query
+from test_dynamics import _emitting_by_recount
 
 
 def test_parse_query_forward():
@@ -318,3 +320,126 @@ def test_non_interference_randomized_interleaving(seed):
         )
         execute(compile(tokens, arcs), bb)
         assert [run_query(bb, q) for q in queries] == before
+
+
+# ------------------------------------------------ the kernel under every config
+
+# configs under which every fact must still read out
+_ORACLE_CONFIGS = {
+    "gain-1.4": {"gain": 1.4},
+    "gain-3-decay-0.5": {"gain": 3.0, "decay": 0.5},
+    "decay-0.25": {"decay": 0.25},
+    "decay-1": {"decay": 1.0},
+    "wm_decay-0.9": {"wm_decay": 0.9},
+    "wm_decay-0.5": {"wm_decay": 0.5},
+    "sustain-0.9": {"sustain_threshold": 0.9},
+    "readout-1": {"readout_threshold": 1.0},
+    "horizon-200": {"wm_decay_horizon": 200},
+}
+
+
+def _bench_pools_board(seed, **overrides):
+    """Four random tree sentences, with preps and relative clauses, on the
+    benchmark's pools (40/12/8); returns the board and its facts."""
+    rng = random.Random(seed)
+    nouns, verbs, adjs = make_word_lists(30, 12, 8)
+    config = Config(k_n=40, k_v=12, k_c=8, prep_labels=("of", "in"), **overrides)
+    bb = Blackboard(build_lexicon(nouns, verbs, adjs), config)
+    facts = []
+    for _ in range(4):
+        tokens, arcs, triples = random_tree_sentence(rng, nouns, verbs, adjs, preps=("of", "in"))
+        execute(compile(tokens, arcs), bb)
+        facts += triples
+    return bb, facts
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
+def test_oracle_equivalence_across_configs(name, seed):
+    """Every fact, asked forward from its subject and in reverse from its
+    object, reads out what the oracle holds. A fact relating a word to
+    itself is left out: a probe never reads out its own cue."""
+    bb, facts = _bench_pools_board(seed, **_ORACLE_CONFIGS[name])
+    oracle = OracleStore()
+    for s, r, o in facts:
+        oracle.record(s, r, o)
+    for s, r, o in facts:
+        if s == o:
+            continue
+        for q, cue in ((Query(s, r), s), (Query(o, r, direction="reverse"), o)):
+            expected = oracle.query(q).word_set() - {cue}
+            assert run_query(bb, q).word_set() == expected, f"{q} under {name} (seed {seed})"
+
+
+def _kernel_state(net):
+    """What a step reads, beside the structure: every built population's
+    level and sustain record, the active ids, the controls, the floors and
+    the clock."""
+    pops = {pop.pid: (pop.activation, pop.sustained_since) for pop in net.populations()}
+    return pops, (net.active_pids(), set(net.asserted), dict(net._floors), net.time)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"wm_decay": 0.9, "wm_decay_horizon": 60}], ids=["default", "horizon"])
+def test_each_query_leaves_the_kernel_as_it_found_it(overrides):
+    """On a bench-pools board, every query restores exactly what it found;
+    structure it built is at rest. Without a horizon the flowing ids are
+    restored exactly too; with one, working memory the horizon released
+    mid-probe comes back sustained and flowing, to settle on the next step.
+
+    A restore writes levels straight back, which is sound because no
+    working memory is ever left at or above its threshold without being
+    sustained: the old per-id write would have sustained it."""
+    bb, facts = _bench_pools_board(5, **overrides)
+    net = bb.network
+    words = sorted({w for s, _, o in facts for w in (s, o)})
+    relations = bb.relation_names
+    assert bb.active_bindings()
+    for i, (word, relation) in enumerate((w, r) for w in words for r in relations):
+        text = f"{word} {relation}?" if i % 2 else f"? {relation} {word}"
+        pops, rest = _kernel_state(net)
+        flowing = net.flowing_pids()
+        run_query(bb, parse_query(text))
+        pops_after, rest_after = _kernel_state(net)
+        assert rest_after == rest, text
+        assert {pid: pops_after[pid] for pid in pops} == pops, text
+        assert all(pops_after[pid] == (0.0, None) for pid in pops_after.keys() - pops.keys()), text
+        woken = net.flowing_pids() - flowing
+        assert net.flowing_pids() >= flowing and all(net.population(pid).sustained for pid in woken), text
+        assert not woken or overrides, text
+        assert all(
+            pop.sustained or pop.activation < pop.sustain_threshold
+            for pop in net.populations() if pop.kind is PopulationKind.WORKING_MEMORY
+        ), text
+
+
+@given(
+    horizon=st.sampled_from((None, 2, 5)),
+    threshold=st.sampled_from((0.5, 0.0)),
+    ops=st.lists(
+        st.tuples(st.sampled_from(("concept", "cell", "step", "release", "query", "add", "release_all")),
+                  st.integers(0, 10**6)),
+        max_size=25,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_emitting_ids_match_a_recount_under_random_operations(horizon, threshold, ops):
+    nouns, verbs, _ = make_word_lists(4, 3, 0)
+    config = Config(k_n=3, k_v=2, k_c=1, relations=("agent", "theme", "modifier"),
+                    sustain_threshold=threshold, wm_decay_horizon=horizon)
+    bb = Blackboard(build_lexicon(nouns, verbs, []), config)
+    net = bb.network
+    assert net._emitting == _emitting_by_recount(net)
+    for op, n in ops:
+        if op == "query":
+            word = (nouns + verbs)[n % (len(nouns) + len(verbs))]
+            relation = bb.relation_names[n // 7 % len(bb.relation_names)]
+            run_query(bb, parse_query(f"{word} {relation}?" if n % 2 else f"? {relation} {word}"))
+        elif op == "add":
+            if f"w{n}" not in bb.lexicon:
+                bb.add_word(f"w{n}", WordType.NOUN if n % 2 else WordType.VERB)
+                (nouns if n % 2 else verbs).append(f"w{n}")
+        elif op == "release_all":
+            bb.release_all()
+        else:
+            _random_op(bb, op, n, nouns, verbs)
+        assert net._emitting == _emitting_by_recount(net), op

@@ -7,7 +7,9 @@ under a relation name; activation crosses a cell only when both its gates
 are open: the cell's working-memory population must be sustained (the
 binding) and the relation's direction-specific control label must be
 asserted. Reverse queries run over explicit mirror edges gated by the same
-working memory but a reverse control label.
+working memory but a reverse control label. A hub's name and id follow from
+its pool's id range (hub `N3` has the N pool's fourth id), and an allocated
+hub holds its concept binding, or None until a word is bound to it.
 
 The structure is fixed at construction. Binding, releasing and querying
 change only working-memory and control state; adding a word later is an
@@ -43,17 +45,24 @@ from .errors import (
 from .lexicon import POOL_FOR_TYPE, Lexicon
 from .value import Value
 
-_PENDING = None  # allocation-table value for an allocated hub with no word yet
-
 
 class HubPool:
-    __slots__ = ("kind", "capacity", "hubs", "pids")
+    """A pool's kind, its hubs' ids and their names: hub i is `{kind}{i}`, with id `ids[i]`."""
 
-    def __init__(self, kind: str, capacity: int, hubs: list[str], pids: dict[str, int]):
+    __slots__ = ("kind", "ids", "hubs")
+
+    def __init__(self, kind: str, ids: range):
         self.kind = kind
-        self.capacity = capacity
-        self.hubs = hubs
-        self.pids = pids
+        self.ids = ids
+        self.hubs = tuple(f"{kind}{i}" for i in range(len(ids)))
+
+    @property
+    def capacity(self) -> int:
+        return len(self.ids)
+
+    @property
+    def pids(self) -> dict[str, int]:
+        return dict(zip(self.hubs, self.ids))
 
 
 class MatrixCell(Value):
@@ -128,20 +137,19 @@ class Blackboard:
         self._apply_dynamics_config()
 
         self.pools: dict[str, HubPool] = {}
-        self._hub_pool: dict[str, str] = {}
-        self._hub_pid: dict[str, int] = {}
-        self._hub_index: dict[str, int] = {}
-        self._pool_pids: dict[str, tuple[int, ...]] = {}
+        # hub name -> (its pool, its index in the pool)
+        self._hubs: dict[str, tuple[HubPool, int]] = {}
         # word -> its working-memory ids, one per hub of its pool in hub order
         self._word_wms: dict[str, range] = {}
         # (relation, from pool, to pool) -> population ids of its reserved grid
         self._grids: dict[tuple[str, str, str], range] = {}
         self.cells = _Cells(self)
-        self._allocation: dict[str, str | None] = {}
+        self._allocation: dict[str, Binding | None] = {}
         self._bindings: dict[int, Binding] = {}
 
         for kind, capacity in (("N", self.config.k_n), ("V", self.config.k_v), ("C", self.config.k_c)):
-            self._build_pool(kind, capacity)
+            pool = self.pools[kind] = HubPool(kind, self.network.add_populations(PopulationKind.HUB, capacity))
+            self._hubs.update((hub, (pool, i)) for i, hub in enumerate(pool.hubs))
         self._link_words(self.lexicon.rows())
         # relation -> the grids it spans (clause facts chain two, via a C hub)
         self.grid_counts: dict[str, int] = {}
@@ -170,27 +178,13 @@ class Blackboard:
             else:
                 pop.decay = cfg.decay
 
-    def _build_pool(self, kind: str, capacity: int) -> None:
-        if capacity < 1:
-            raise InvalidConfig(f"pool {kind} needs capacity >= 1")
-        pool = HubPool(kind=kind, capacity=capacity, hubs=[], pids={})
-        for i in range(capacity):
-            name = f"{kind}{i}"
-            pid = self.network.add_population(PopulationKind.HUB)
-            pool.hubs.append(name)
-            pool.pids[name] = pid
-            self._hub_pool[name] = kind
-            self._hub_pid[name] = pid
-            self._hub_index[name] = i
-        self.pools[kind] = pool
-        self._pool_pids[kind] = tuple(pool.pids.values())
-
     def _link_words(self, rows) -> None:
         """Reserve, as one block, the working memory of each bindable word
         not yet wired, given as (word, type, concept) rows: one population
         per hub of its pool."""
-        # keyed by the type's id: hashing an Enum member runs Python code
-        pool_of_type = {id(t): self._pool_pids[kind] for t, kind in POOL_FOR_TYPE.items()}
+        # keyed by the type's id: hashing an Enum member runs Python code. Hub
+        # ids go as tuples: indexing a range makes a new int per built connection
+        pool_of_type = {id(t): tuple(self.pools[kind].ids) for t, kind in POOL_FOR_TYPE.items()}
         words, concepts, hubs = [], [], []
         for word, word_type, concept in rows:
             pool = pool_of_type.get(id(word_type))
@@ -203,8 +197,8 @@ class Blackboard:
 
     def _build_grid(self, spec) -> None:
         cells = self.network.reserve_cells(
-            self._pool_pids[spec.from_pool],
-            self._pool_pids[spec.to_pool],
+            tuple(self.pools[spec.from_pool].ids),
+            tuple(self.pools[spec.to_pool].ids),
             labels.matrix_forward(spec.name),
             labels.matrix_reverse(spec.name),
             self.config.gain,
@@ -213,12 +207,12 @@ class Blackboard:
 
     def _cell_wm(self, from_hub: str, to_hub: str, relation: str) -> int | None:
         """The working-memory id of a cell; its two relays follow it."""
-        to_pool = self._hub_pool.get(to_hub)
-        grid = self._grids.get((relation, self._hub_pool.get(from_hub), to_pool))
-        if grid is None:
+        src, dst = self._hubs.get(from_hub), self._hubs.get(to_hub)
+        if src is None or dst is None:
             return None
-        k = self._hub_index[from_hub] * self.pools[to_pool].capacity + self._hub_index[to_hub]
-        return grid[3 * k]
+        (from_pool, i), (to_pool, j) = src, dst
+        grid = self._grids.get((relation, from_pool.kind, to_pool.kind))
+        return None if grid is None else grid[3 * (i * len(to_pool.ids) + j)]
 
     def extend_word(self, word: str) -> None:
         """Wire a word added after construction to its pool (explicit extension)."""
@@ -233,38 +227,44 @@ class Blackboard:
 
     # ------------------------------------------------------------- allocation
 
-    def allocate_hub(self, kind: str) -> str:
+    def _pool(self, kind: str) -> HubPool:
         if kind not in self.pools:
-            raise ValueError(f"no pool of kind {kind!r}")
-        for hub in self.pools[kind].hubs:
+            raise UnknownHub(f"no hub pool of kind {kind!r}")
+        return self.pools[kind]
+
+    def allocate_hub(self, kind: str) -> str:
+        pool = self._pool(kind)
+        for hub in pool.hubs:
             if hub not in self._allocation:
-                self._allocation[hub] = _PENDING
+                self._allocation[hub] = None
                 return hub
-        raise PoolExhausted(kind, self.pools[kind].capacity)
+        raise PoolExhausted(kind, pool.capacity)
 
     def hub_word(self, hub: str) -> str | None:
-        return self._allocation.get(hub)
+        binding = self._allocation.get(hub)
+        return None if binding is None else binding.word
 
     def free_hubs(self, kind: str) -> list[str]:
-        return [h for h in self.pools[kind].hubs if h not in self._allocation]
+        return [h for h in self._pool(kind).hubs if h not in self._allocation]
 
     # --------------------------------------------------------------- binding
 
     def bind_concept(self, word: str, hub: str) -> Binding:
         word_type = self.lexicon.classify(word)  # raises UnknownWord
         word = word.casefold()
-        if hub not in self._hub_pool:
+        pool, index = self._hubs.get(hub, (None, None))
+        if pool is None:
             raise UnknownHub(f"unknown hub {hub!r}")
         needed = POOL_FOR_TYPE.get(word_type)
-        if needed is None or needed != self._hub_pool[hub]:
+        if needed is None or needed != pool.kind:
             raise TypeMismatch(f"{word!r} has type {word_type.value}, cannot bind hub {hub}")
-        if hub in self._allocation and self._allocation[hub] is not None:
-            raise HubBusy(f"hub {hub} already bound to {self._allocation[hub]!r}")
+        bound = self._allocation.get(hub)
+        if bound is not None:
+            raise HubBusy(f"hub {hub} already bound to {bound.word!r}")
         if word not in self._word_wms:
             self.extend_word(word)
-        wm = self._word_wms[word][self._hub_index[hub]]
-        self._allocation[hub] = word
-        return self._hold(Binding(self, "concept", wm, word=word, hub=hub))
+        binding = self._allocation[hub] = Binding(self, "concept", self._word_wms[word][index], word=word, hub=hub)
+        return self._hold(binding)
 
     def bind_hubs(self, from_hub: str, to_hub: str, relation: str) -> Binding:
         wm = self._cell_wm(from_hub, to_hub, relation)
@@ -307,11 +307,9 @@ class Blackboard:
                 self.release(cell)
 
     def release_hub(self, hub: str) -> None:
-        word = self._allocation.get(hub)
-        if word is _PENDING:
-            self._allocation.pop(hub, None)
-        else:
-            self.release(self.concept_binding(word, hub))
+        binding = self._allocation.pop(hub, None)
+        if binding is not None:
+            self.release(binding)
 
     def release_all(self) -> None:
         for wm in self._bindings:
@@ -324,8 +322,8 @@ class Blackboard:
         return [b for b in self._bindings.values() if b.active]
 
     def concept_binding(self, word: str, hub: str) -> Binding | None:
-        word = word.casefold()
-        return next((b for b in self._bindings.values() if (b.word, b.hub) == (word, hub)), None)
+        binding = self._allocation.get(hub)
+        return binding if binding is not None and binding.word == word.casefold() else None
 
     def cell_binding(self, from_hub: str, to_hub: str, relation: str) -> Binding | None:
         return self._bindings.get(self._cell_wm(from_hub, to_hub, relation))
@@ -347,10 +345,8 @@ class Blackboard:
     # -------------------------------------------------------------- snapshot
 
     def to_snapshot(self) -> dict:
-        def hub_key(h: str):
-            return (h[0], int(h[1:]))
-
-        allocation = [[hub, self._allocation[hub]] for hub in sorted(self._allocation, key=hub_key)]
+        allocation = [[hub, self.hub_word(hub)] for kind in sorted(self.pools)
+                      for hub in self.pools[kind].hubs if hub in self._allocation]
         bindings = []
         for b in self._bindings.values():
             pop = self.network.population(b.wm)
@@ -383,10 +379,10 @@ class Blackboard:
         for i, rec in enumerate(expect(data.get("allocation", []), list, "allocation")):
             if type(rec) is not list or len(rec) != 2 or type(rec[0]) is not str:
                 raise InvalidState(f"allocation[{i}]: expected [hub, word or null], got {rec!r}")
-            if rec[0] not in bb._hub_pool:
+            if rec[0] not in bb._hubs:
                 raise InvalidState(f"allocation[{i}]: unknown hub {rec[0]!r}")
             if rec[1] is None:
-                bb._allocation[rec[0]] = _PENDING
+                bb._allocation[rec[0]] = None
         for i, rec in enumerate(expect(data.get("bindings", []), list, "bindings")):
             bb._restore_binding(rec, f"bindings[{i}]")
         bb.network._floors.clear()  # the replayed binds leave no injection pending

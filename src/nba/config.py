@@ -13,15 +13,15 @@ import json
 from .errors import InvalidConfig
 from .value import Value
 
-# relation families and the hub-pool grids they instantiate
-_FAMILY_GRIDS = {
-    "agent": (("agent", "N", "V"),),
-    "theme": (("theme", "V", "N"),),
-    "modifier": (("modifier", "N", "N"),),
-    "clause": (("clause", "V", "C"), ("clause", "C", "V")),
-    # "prep" expands to one N->N grid per configured preposition label
+# relation family -> the (from pool, to pool) of each grid it instantiates;
+# "prep" instantiates its grid once per configured preposition label
+FAMILY_GRIDS = {
+    "agent": (("N", "V"),),
+    "theme": (("V", "N"),),
+    "modifier": (("N", "N"),),
+    "clause": (("V", "C"), ("C", "V")),
+    "prep": (("N", "N"),),
 }
-KNOWN_FAMILIES = tuple(_FAMILY_GRIDS) + ("prep",)
 
 
 class RelationSpec(Value):
@@ -92,7 +92,7 @@ class Config:
         if self.k_n < 1 or self.k_v < 1 or self.k_c < 1:
             raise InvalidConfig(f"pool capacities must be >= 1, got k_n={self.k_n} k_v={self.k_v} k_c={self.k_c}")
         for fam in self.relations:
-            if fam not in KNOWN_FAMILIES:
+            if fam not in FAMILY_GRIDS:
                 raise InvalidConfig(f"unknown relation family {fam!r}")
         for label in self.prep_labels:
             if not label or any(ch.isspace() for ch in label):
@@ -115,12 +115,9 @@ class Config:
         """Concrete cell grids implied by the enabled families."""
         specs: list[RelationSpec] = []
         for fam in self.relations:
-            if fam == "prep":
-                for label in self.prep_labels:
-                    specs.append(RelationSpec(f"prep:{label}", "N", "N"))
-            else:
-                for name, src, dst in _FAMILY_GRIDS[fam]:
-                    specs.append(RelationSpec(name, src, dst))
+            names = [f"prep:{label}" for label in self.prep_labels] if fam == "prep" else [fam]
+            for name in names:
+                specs.extend(RelationSpec(name, src, dst) for src, dst in FAMILY_GRIDS[fam])
         return specs
 
     def relation_names(self) -> tuple[str, ...]:

@@ -586,7 +586,8 @@ class Network:
         candidates = set(self._flowing)
         candidates.update(inflow)
         candidates.update(floors)
-        due = self._due.pop(self.time, None)
+        # a probe reads its steps' entries and leaves them for the restored clock
+        due = self._due.get(self.time) if self._woken is not None else self._due.pop(self.time, None)
         if due:
             # any active id may be a candidate, so stale entries change nothing
             candidates.update(self._active.intersection(due))
@@ -677,7 +678,8 @@ class Network:
         saved flowing level wins, and the active and flowing sets are fixed
         in bulk. No write can newly sustain a working memory, as each one at
         or above its threshold is sustained as saved. Working memory woken
-        since is restored as flowing, not settled."""
+        since settles again: the flowing set is the saved one, and `step`
+        keeps the horizon entries a probe reads."""
         self._sustain_log = self._woken = None
         for pop, since in reversed(saved.sustain_log):
             if pop.sustained:
@@ -689,11 +691,12 @@ class Network:
             pops[pid].activation = act
         self._active.difference_update(woken)
         self._flowing.difference_update(woken)
-        # every saved flowing level is above 0; a woken id flows if its level is
+        # every saved flowing level is above 0; a woken id is active if its level is
         live = [pid for pid in woken if pops[pid].activation > 0.0]
         live += saved.activations
         self._active.update(live)
-        self._flowing.update(live)
+        # an id starts flowing only through a change, which logs it as woken
+        self._flowing.update(saved.activations)
         self.asserted = set(saved.asserted)
         self._floors = dict(saved.floors)
         self.time = saved.time

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import labels
 from .blackboard import Blackboard, Binding
+from .config import FAMILY_GRIDS
 from .errors import NotATree, ParseError, PoolExhausted, UnknownUpos, UnknownWord, UnmappedLabel
 from .lexicon import POOL_FOR_TYPE, Lexicon, WordType
 
@@ -252,12 +253,12 @@ def _bindable(tok: Token) -> bool:
     return tok.word_type in POOL_FOR_TYPE
 
 
-_ENDPOINT_POOLS = {
-    # relation family -> (from endpoint, from pool, to endpoint, to pool)
-    "agent": ("dep", "N", "head", "V"),
-    "theme": ("head", "V", "dep", "N"),
-    "modifier": ("head", "N", "dep", "N"),
-    "prep": ("head", "N", "dep", "N"),
+# relation family -> the arc ends (dep or head) bound to its grid's from and to pools
+_ENDPOINTS = {
+    "agent": ("dep", "head"),
+    "theme": ("head", "dep"),
+    "modifier": ("head", "dep"),
+    "prep": ("head", "dep"),
 }
 
 
@@ -332,11 +333,12 @@ def compile(
         else:
             relation = mapped
             family = mapped.split(":")[0]
-        spec = _ENDPOINT_POOLS.get(family)
-        if spec is None:
+        ends = _ENDPOINTS.get(family)
+        if ends is None:
             skip(f"relation {relation!r} has no endpoint scheme")
             continue
-        from_end, from_pool, to_end, to_pool = spec
+        from_end, to_end = ends
+        ((from_pool, to_pool),) = FAMILY_GRIDS[family]
         src = dep_tok if from_end == "dep" else head_tok
         dst = dep_tok if to_end == "dep" else head_tok
         if POOL_FOR_TYPE.get(src.word_type) != from_pool or POOL_FOR_TYPE.get(dst.word_type) != to_pool:

@@ -18,6 +18,7 @@ from nba.errors import (
     NoSuchCell,
     PoolExhausted,
     TypeMismatch,
+    UnknownHub,
     UnknownPopulation,
     UnknownWord,
 )
@@ -109,7 +110,7 @@ def test_bind_concept_activates_hub():
     net = bb.network
     net.inject(bb.lexicon.concept("cat"), 1.0)
     net.step()
-    assert net.activation(bb._hub_pid["N0"]) == 1.0
+    assert net.activation(bb.pools["N"].pids["N0"]) == 1.0
 
 
 def test_bind_errors():
@@ -136,6 +137,28 @@ def test_bind_hubs_errors():
         bb.bind_hubs(n0, "C5", "agent")
     with pytest.raises(NoSuchCell):
         bb.bind_hubs(n0, v0, "theme")  # relation not configured
+
+
+@pytest.mark.parametrize("name", ["N01", "n0", "N-1", " N0", "N", "", "Q0", "N2"])
+def test_a_name_that_is_not_a_hub_is_refused(name):
+    """A small board has hubs N0 and N1; no other string names a noun hub."""
+    bb = small_board()
+    assert bb.hub_word(name) is None
+    with pytest.raises(UnknownHub):
+        bb.bind_concept("cat", name)
+    bb.bind_concept("run", bb.allocate_hub("V"))
+    with pytest.raises(NoSuchCell):
+        bb.bind_hubs(name, "V0", "agent")
+    with pytest.raises(NoSuchCell):
+        bb.bind_hubs("N0", name, "agent")
+
+
+@pytest.mark.parametrize("kind", ["Q", "n", "", "NV"])
+def test_a_pool_that_does_not_exist_is_an_unknown_hub(kind):
+    bb = small_board()
+    for call in (bb.allocate_hub, bb.free_hubs):
+        with pytest.raises(UnknownHub, match=f"no hub pool of kind {kind!r}"):
+            call(kind)
 
 
 def test_zero_threshold_cell_busy_names_the_threshold():
@@ -418,7 +441,7 @@ def test_reserved_working_memory_is_built_on_first_touch():
     assert len(net.populations()) == built + 1
     wm = net.population(binding.wm)
     assert wm.sustained and wm.decay == bb.config.wm_decay
-    cat, hub = bb.lexicon.concept("cat"), bb._hub_pid[n0]
+    cat, hub = bb.lexicon.concept("cat"), bb.pools["N"].pids[n0]
     gated = [(c.source, c.target) for c in net.connections() if getattr(c.gate, "wm", None) == binding.wm]
     assert gated == [(cat, hub), (hub, cat)]
     bb.release_all()
@@ -643,7 +666,7 @@ def _pid_names(bb):
     which the structure was built."""
     net = bb.network
     names = {e.concept: ("concept", e.word) for e in bb.lexicon.entries()}
-    names.update({pid: ("hub", hub) for hub, pid in bb._hub_pid.items()})
+    names.update({pid: ("hub", hub) for pool in bb.pools.values() for hub, pid in pool.pids.items()})
     for word, wms in bb._word_wms.items():
         hubs = bb.pools[POOL_FOR_TYPE[bb.lexicon.classify(word)]].hubs
         names.update({wm: ("wm", word, hub) for wm, hub in zip(wms, hubs, strict=True)})

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nba.cli import main, run_repl
+from nba.config import Config
 
 LEXICON = "cat\tN\ndog\tN\nruns\tV\neats\tV\npaw\tN\n"
 RELATIONS = "cat\thas\tpaw\n"
@@ -122,6 +123,19 @@ def test_query_on_state_naming_unknown_hub_is_domain_error(workdir, capsys):
     state.write_text(json.dumps(data))
     assert main(["query", "--state", str(state), "cat do?"]) == 2
     assert capsys.readouterr().err == "error: bindings[0]: unknown hub 'Z9'\n"
+
+
+@pytest.mark.parametrize("hub", ["N01", "n0", "N-1", " N0", "N", "", "Q0", "N8"])
+def test_allocation_naming_no_hub_is_a_located_one_line_error(workdir, capsys, hub):
+    """A default board has noun hubs N0..N7; no other string names one."""
+    state = _encoded_state(workdir)
+    capsys.readouterr()
+    data = json.loads(state.read_text())
+    assert data["config"]["k_n"] == 8
+    data["allocation"][0] = [hub, None]
+    state.write_text(json.dumps(data))
+    assert main(["query", "--state", str(state), "cat do?"]) == 2
+    assert capsys.readouterr().err == f"error: allocation[0]: unknown hub {hub!r}\n"
 
 
 def test_config_file_is_honored(workdir, capsys):
@@ -486,3 +500,40 @@ def test_mutated_state_file_exits_0_or_2_with_one_line(tmp_path_factory, capsys,
         err = capsys.readouterr().err
         assert (rc, err) == (0, "") or (rc == 2 and err.startswith("error: ") and err.count("\n") == 1), (
             path, rc, err)
+
+
+# stand-ins for an unknown config key
+_UNKNOWN_KEYS = ("k_nn", "K_N", "relation", "", "format")
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_encode_config_exits_0_or_2_with_one_line(tmp_path_factory, capsys, data):
+    """Drop a key or an item of a valid `nba encode --config` file, give one
+    another type or an out-of-range value, or add an unknown key: `encode`
+    succeeds or fails with one `error:` line."""
+    workdir = tmp_path_factory.mktemp("config")
+    (workdir / "lex.tsv").write_text(LEXICON)
+    (workdir / "two.conllu").write_text(TWO_SENTENCES)
+    config = Config().to_dict()
+    mutation = data.draw(st.sampled_from(("drop", "replace", "add")))
+    if mutation == "add":
+        config[data.draw(st.sampled_from(_UNKNOWN_KEYS))] = data.draw(st.sampled_from(_REPLACEMENTS))
+    else:
+        path, _ = data.draw(st.sampled_from(list(_nodes(config))[1:]))
+        *parents, last = path
+        target = config
+        for key in parents:
+            target = target[key]
+        if mutation == "drop":
+            del target[last]
+        else:
+            target[last] = data.draw(st.sampled_from(_REPLACEMENTS))
+    (workdir / "cfg.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    rc = main(["encode", "--lexicon", str(workdir / "lex.tsv"), "--config", str(workdir / "cfg.json"),
+               "--sentence", str(workdir / "two.conllu"), "--state", str(workdir / "state.json")])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "") or (rc == 2 and err.startswith("error: ") and err.count("\n") == 1), (
+        config, rc, err)
+    assert "Traceback" not in out + err

@@ -667,3 +667,101 @@ def test_emitting_ids_match_a_recount_on_random_networks(seed):
             net.restore_state(saved)
         net.step()
         assert net._emitting == _emitting_by_recount(net)
+
+
+# ------------------------------------------------- reserved rows against wiring
+
+
+HUB = PopulationKind.HUB
+
+
+def _twin_grids(a, b):
+    """Two grids chained under one label pair, as a clause runs V -> C -> V,
+    and one grid from a pool to itself, whose diagonal cells join a hub to
+    itself."""
+    return ((a, b, "x", "x~"), (b, a, "x", "x~"), (a, a, "y", "y~"))
+
+
+def _wired_twin(explicit, gain, decay, threshold, horizon):
+    """Hubs and grids reserved with `reserve_cells`, or the same grids built
+    cell by cell from populations and connections; both take the same ids
+    and connection ids. Returns the network, its hubs and its cells'
+    working memory."""
+    net = Network(decay=decay, sustain_threshold=threshold, wm_decay_horizon=horizon)
+    a, b = tuple(net.add_populations(HUB, 3)), tuple(net.add_populations(HUB, 2))
+    wms = []
+    for from_hubs, to_hubs, forward, reverse in _twin_grids(a, b):
+        if not explicit:
+            wms += net.reserve_cells(from_hubs, to_hubs, forward, reverse, gain)[::3]
+            continue
+        for src in from_hubs:
+            for dst in to_hubs:
+                wm, fwd, rev = net.add_population(WM), net.add_population(HUB), net.add_population(HUB)
+                net.add_gated_connection(src, fwd, ControlGate(forward), gain)
+                net.add_gated_connection(fwd, dst, BindingGate(wm), gain)
+                net.add_gated_connection(dst, rev, ControlGate(reverse), gain)
+                net.add_gated_connection(rev, src, BindingGate(wm), gain)
+                wms.append(wm)
+    return net, a + b, wms
+
+
+def _twin_view(net):
+    """Everything the two twins must agree on after a step: active ids,
+    every id's level, the step's largest change and the open binding edges."""
+    open_edges = sorted(
+        (c.cid, c.source, c.target) for c in net.connections()
+        if isinstance(c.gate, BindingGate) and net.is_open(c.gate)
+    )
+    levels = [net.activation(pid) for pid in range(net.population_count())]
+    return net.active_pids(), levels, net.last_change, open_edges
+
+
+@given(
+    gain=st.sampled_from((0.7, 1.0, 1.4)),
+    decay=st.sampled_from((0.0, 0.25)),
+    threshold=st.sampled_from((0.0, 0.5)),
+    horizon=st.sampled_from((None, 3)),
+    ops=st.lists(
+        st.tuples(st.sampled_from(("hub", "wm", "label", "release", "probe", "step")), st.integers(0, 10**6)),
+        max_size=30,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_reserved_rows_step_like_explicit_wiring(gain, decay, threshold, horizon, ops):
+    """Grids reserved as rows step exactly like the same grids wired cell by
+    cell, through hub and working-memory injections, label toggles,
+    releases, and probes that are saved and restored."""
+    twins = [_wired_twin(explicit, gain, decay, threshold, horizon) for explicit in (False, True)]
+    _, hubs, wms = twins[0]
+    assert wms == twins[1][2]
+    labels = ("x", "x~", "y", "y~")
+    nets = [net for net, _, _ in twins]
+
+    def step_and_compare(where):
+        for net in nets:
+            net.step()
+        assert _twin_view(nets[0]) == _twin_view(nets[1]), where
+
+    for i, (op, n) in enumerate(ops):
+        for net in nets:
+            if op == "hub":
+                net.inject(hubs[n % len(hubs)], (n % 20 + 1) / 20)
+            elif op == "wm":
+                net.inject(wms[n % len(wms)], (0.3, 0.5, 1.0)[n % 3])
+            elif op == "label":
+                net.set_control(labels[n % len(labels)], n % 3 != 0)
+            elif op == "release":
+                net.release_wm(wms[n % len(wms)])
+        if op == "probe":
+            saved = [net.save_state() for net in nets]
+            before = _twin_view(nets[0])
+            for net in nets:
+                net.set_control(labels[n % len(labels)], True)
+            for k in range(n % 5 + 1):
+                for net in nets:
+                    net.inject(hubs[n // 7 % len(hubs)], 1.0)
+                step_and_compare((i, op, k))
+            for net, state in zip(nets, saved):
+                net.restore_state(state)
+            assert _twin_view(nets[0]) == _twin_view(nets[1]) == before, (i, op)
+        step_and_compare((i, op))

@@ -17,7 +17,8 @@ explicit structural extension that wires the new concept to its pool.
 A word's working memory for each hub of its pool is reserved, not built:
 the network builds it on the word's first binding to that hub. Matrix cells
 and their relays are reserved too: the network builds a cell when it is
-bound, or when a query or an encode first drives activation towards it.
+bound or looked up, and keeps the level of the relays a query lights per
+row, without building their cells.
 Every count reports the whole fixed structure, and `cells` is derived from
 each grid's reserved ids rather than stored.
 """

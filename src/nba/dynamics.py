@@ -23,20 +23,25 @@ is built the first time it is touched: cued, reached by inflow, or looked
 up. Word working memory is reserved for many words in one block; a word's
 working memory for one hub, with the two connections it gates, is built the
 first time it is touched. A matrix cell (working memory, forward and reverse
-relay, four connections) is built the first time one of its populations is
-touched, or the first step in which a hub that feeds one of its relays is
-active while that relay's control label is asserted. Until then nothing can
-flow into the cell, so laziness changes no trajectory. Counts cover reserved
-structure, so the structure is the same either way.
+relay, and the two connections its working memory gates) is built the first
+time one of its populations is touched: bound or looked up. Counts cover
+reserved structure, so the structure is the same either way.
+
+Relays are not stepped one by one. A relay's one in-edge runs from its row's
+hub under its row's label, and a row's relays share one gain and one decay,
+so they always hold one level: the network keeps it per lit row and moves
+the row's relay ids into and out of the active set in bulk. Hub -> relay
+connections are never built. Reading a level builds nothing.
 
 A step updates only what can change. Sustained working memory gates the
 flow of activation rather than taking part in it: once its next update is a
 no-op it is settled, and steps pass it by until inflow, an injection, a
 release or the decay horizon makes it change again (see `Network.step`).
 Likewise a step reads out-edges only from emitting ids: those with an open
-binding out-edge, a control out-edge or reserved cells behind one. A relay
-whose working memory is not sustained is lit but emits nothing, so a probe
-pays for the paths its bindings open, not for every relay it lights.
+binding out-edge, a control out-edge or rows behind one. A lit relay whose
+cell working memory is sustained emits its row's level; the rest of its row
+is lit but emits nothing, so a probe pays for the paths its bindings open,
+not for every relay its label lights.
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
@@ -87,6 +92,21 @@ class Population:
     @property
     def sustained(self) -> bool:
         return self.sustained_since is not None
+
+
+class _Relay(Population):
+    """A built relay: its level is its row's, which only the row's hub drives."""
+
+    __slots__ = ("_net", "row")
+
+    def __init__(self, net: Network, pid: int, row: range, sustain_threshold: float, decay: float):
+        self.pid, self.kind, self.row, self._net = pid, PopulationKind.HUB, row, net
+        self.sustain_threshold, self.decay = sustain_threshold, decay
+        self.sustained_since = self.control_label = None
+
+    @property
+    def activation(self) -> float:
+        return self._net._lit.get(self.row, 0.0)
 
 
 class ControlGate(Value):
@@ -160,29 +180,38 @@ class _Grid:
     reverse relay `pids[3k + 2]`. Connection ids `cid + 4k` ... `cid + 4k + 3`
     are from-hub -> forward relay (forward label), forward relay -> to-hub
     (working memory), to-hub -> reverse relay (reverse label) and reverse
-    relay -> from-hub (working memory).
+    relay -> from-hub (working memory); the label-gated two are never built.
+    Row i's forward relays are one row, fed by from_hubs[i]; column j's
+    reverse relays are another, fed by to_hubs[j].
     """
 
-    __slots__ = ("pids", "cid", "from_hubs", "to_hubs", "forward", "reverse", "gain")
+    __slots__ = ("pids", "cid", "from_hubs", "to_hubs", "gain")
 
-    def __init__(self, pids: range, cid: int, from_hubs: tuple[int, ...], to_hubs: tuple[int, ...],
-                 forward: ControlGate, reverse: ControlGate, gain: float):
+    def __init__(self, pids: range, cid: int, from_hubs: tuple[int, ...], to_hubs: tuple[int, ...], gain: float):
         self.pids = pids
         self.cid = cid
         self.from_hubs = from_hubs
         self.to_hubs = to_hubs
-        self.forward = forward
-        self.reverse = reverse
         self.gain = gain
+
+    def forward_row(self, i: int) -> range:
+        n = len(self.to_hubs)
+        return self.pids[3 * i * n + 1:3 * (i + 1) * n:3]
+
+    def reverse_row(self, j: int) -> range:
+        return self.pids[3 * j + 2::3 * len(self.to_hubs)]
 
 
 class _SavedState:
-    __slots__ = ("activations", "asserted", "floors", "time", "last_change", "sustain_log", "woken")
+    __slots__ = ("activations", "lit", "asserted", "floors", "time", "last_change", "sustain_log", "woken")
 
-    def __init__(self, activations: dict[int, float], asserted: set[str], floors: dict[int, float],
-                 time: int, last_change: float, sustain_log: list, woken: dict[int, float]):
+    def __init__(self, activations: dict[int, float], lit: dict[range, float], asserted: set[str],
+                 floors: dict[int, float], time: int, last_change: float, sustain_log: list,
+                 woken: dict[int, float]):
         # activation of each flowing id at the save
         self.activations = activations
+        # level of each lit row at the save
+        self.lit = lit
         self.asserted = asserted
         self.floors = floors
         self.time = time
@@ -229,15 +258,21 @@ class Network:
         # reserved structure, in id order; built on first touch
         self._reservations: list[_Block | _Bindings | _Grid] = []
         self._reserved_starts: list[int] = []
-        # cells whose relay a source feeds under a label, built on the first
-        # step in which the source is active while the label is asserted
-        self._unbuilt_control: dict[int, dict[str, list[tuple[_Grid, range]]]] = {}
+        # static: the relay rows each hub feeds, per label, with their gain
+        self._rows: dict[int, dict[str, list[tuple[range, float]]]] = {}
+        # no id below this is a relay: the first id of the first grid with cells
+        self._relay_floor: int | None = None
+        # dynamic: level of each lit row, by its relay ids; a row at 0 is absent
+        self._lit: dict[range, float] = {}
+        # dynamic: relays, per row, whose working memory is sustained (a set may be empty)
+        self._open_relays: dict[range, set[int]] = {}
+        # every active id; relays of lit rows are among them
         self._active: set[int] = set()
-        # every active id except settled working memory
+        # every active id except settled working memory and relays
         self._flowing: set[int] = set()
         # ids that are, or may become, the source of a connection; they never settle
         self._sources: set[int] = set()
-        # ids that may emit: keys of _open_binding_out (non-empty), _control_out and _unbuilt_control
+        # ids that may emit: keys of _open_binding_out (non-empty), _control_out and _rows
         self._emitting: set[int] = set()
         # step -> settled working memory the decay horizon may release then
         self._due: dict[int, set[int]] = {}
@@ -254,21 +289,12 @@ class Network:
 
     # ------------------------------------------------------------------ build
 
-    def add_population(
-        self,
-        kind: PopulationKind,
-        sustain_threshold: float | None = None,
-        decay: float | None = None,
-    ) -> int:
+    def add_population(self, kind: PopulationKind, sustain_threshold: float | None = None,
+                       decay: float | None = None) -> int:
         return self.add_populations(kind, 1, sustain_threshold, decay)[0]
 
-    def add_populations(
-        self,
-        kind: PopulationKind,
-        count: int,
-        sustain_threshold: float | None = None,
-        decay: float | None = None,
-    ) -> range:
+    def add_populations(self, kind: PopulationKind, count: int, sustain_threshold: float | None = None,
+                        decay: float | None = None) -> range:
         """Add `count` populations of one kind, at rest; returns their ids."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
@@ -282,18 +308,15 @@ class Network:
             self._build_population(pid, kind, thr, float(decay))
         return pids
 
-    def add_gated_connection(
-        self,
-        source: int,
-        target: int,
-        gate: ControlGate | BindingGate,
-        gain: float = 1.0,
-    ) -> int:
+    def add_gated_connection(self, source: int, target: int, gate: ControlGate | BindingGate,
+                             gain: float = 1.0) -> int:
         if self._frozen:
             raise RuntimeError("network structure is frozen")
         for pid in (source, target):
             if not 0 <= pid < self._next_pid:  # reserved endpoints stay unbuilt
                 raise UnknownPopulation(f"no population with id {pid}")
+            if self._rows and self._relay_row(pid) is not None:
+                raise ValueError(f"population {pid} is a relay: only its row's hub drives it")
         if gain <= 0.0:
             raise ValueError(f"gain must be positive, got {gain}")
         if isinstance(gate, BindingGate):
@@ -302,9 +325,7 @@ class Network:
                 raise ValueError(f"gate population {gate.wm} is not working memory")
         cid = self._next_cid
         self._next_cid += 1
-        self._build_connection(
-            GatedConnection(cid=cid, source=source, target=target, gate=gate, gain=float(gain))
-        )
+        self._build_connection(GatedConnection(cid, source, target, gate, float(gain)))
         return cid
 
     def reserve_populations(self, kind: PopulationKind, count: int) -> range:
@@ -324,9 +345,7 @@ class Network:
             self._reserve(_Block(pids, kind))
         return pids
 
-    def reserve_bindings(
-        self, concepts: list[int], hubs: list[tuple[int, ...]], gain: float = 1.0
-    ) -> list[range]:
+    def reserve_bindings(self, concepts: list[int], hubs: list[tuple[int, ...]], gain: float = 1.0) -> list[range]:
         """Reserve the working memory of many words as one block: for word w,
         one population per hub, the i-th gating a concepts[w] -> hubs[w][i]
         connection and its mirror.
@@ -345,14 +364,8 @@ class Network:
             self._reserve(_Bindings(pids, cid, starts[:-1], list(concepts), list(hubs), float(gain)))
         return list(map(range, starts, starts[1:]))
 
-    def reserve_cells(
-        self,
-        from_hubs: tuple[int, ...],
-        to_hubs: tuple[int, ...],
-        forward: str,
-        reverse: str,
-        gain: float = 1.0,
-    ) -> range:
+    def reserve_cells(self, from_hubs: tuple[int, ...], to_hubs: tuple[int, ...], forward: str, reverse: str,
+                      gain: float = 1.0) -> range:
         """Reserve one matrix cell per (from-hub, to-hub) pair, row-major.
 
         A cell is a working-memory population and two relays: from-hub ->
@@ -361,38 +374,54 @@ class Network:
         likewise under `reverse`. Ids are taken now, exactly as adding each
         cell's three populations and four connections in turn would take
         them (see `_Grid`). A cell is built, at rest, when one of its
-        populations is first touched or when a step first needs one of its
-        relays. Returns the cells' population ids: cell k = i * len(to_hubs)
-        + j has working memory `pids[3k]` and relays `pids[3k + 1]`
-        (forward) and `pids[3k + 2]` (reverse).
+        populations is first touched; its relays' levels are kept per row
+        (see the module docstring). Returns the cells' population ids: cell
+        k = i * len(to_hubs) + j has working memory `pids[3k]` and relays
+        `pids[3k + 1]` (forward) and `pids[3k + 2]` (reverse).
         """
-        self._check_reservable([*from_hubs, *to_hubs], gain)
+        top = self._check_reservable([*from_hubs, *to_hubs], gain)
+        hubs = {*from_hubs, *to_hubs}
+        if self._relay_floor is not None and top >= self._relay_floor:
+            for hub in hubs:
+                if self._relay_row(hub) is not None:
+                    raise ValueError(f"population {hub} is a relay: only its row's hub drives it")
         cells = len(from_hubs) * len(to_hubs)
         pids, cid = self._take_ids(3 * cells, 4 * cells)
-        grid = _Grid(pids, cid, from_hubs, to_hubs, ControlGate(forward), ControlGate(reverse), float(gain))
-        for hub in {*from_hubs, *to_hubs}:
-            self._add_source(hub)
-        n = len(to_hubs)
-        if self.default_sustain_threshold > 0.0 and cells:
-            for i, hub in enumerate(from_hubs):
-                self._unbuilt_control.setdefault(hub, {}).setdefault(forward, []).append(
-                    (grid, range(i * n, (i + 1) * n)))
-            for j, hub in enumerate(to_hubs):
-                self._unbuilt_control.setdefault(hub, {}).setdefault(reverse, []).append(
-                    (grid, range(j, cells, n)))
-            self._emitting.update(from_hubs, to_hubs)
+        grid = _Grid(pids, cid, from_hubs, to_hubs, float(gain))
+        self._sources.update(hubs)
+        for hub in hubs & self._active:
+            if hub not in self._flowing:  # settled working memory flows again as a source
+                self._set_activation(self._pops[hub], self._pops[hub].activation)
+        if cells:
+            # each hub's row, as `_Grid` derives it, made in C
+            start, stop, stride, repeat = pids.start, pids.stop, 3 * len(to_hubs), itertools.repeat
+            fwd = map(range, range(start + 1, stop, stride), range(start + stride, stop + 1, stride), repeat(3))
+            rev = map(range, range(start + 2, start + stride, 3), repeat(stop), repeat(stride))
+            for feeders, label, made in ((from_hubs, forward, fwd), (to_hubs, reverse, rev)):
+                for hub, row in zip(feeders, made):
+                    by_label = self._rows.get(hub)
+                    if by_label is None:
+                        self._rows[hub] = {label: [(row, grid.gain)]}
+                    else:
+                        by_label.setdefault(label, []).append((row, grid.gain))
+            self._emitting.update(hubs)
+            if self._relay_floor is None:
+                self._relay_floor = pids.start
         self._reserve(grid)
         return pids
 
-    def _check_reservable(self, pids: list[int], gain: float) -> None:
-        """Reserved structure may join any population id already taken."""
+    def _check_reservable(self, pids: list[int], gain: float) -> int:
+        """Reserved structure may join any population id already taken;
+        returns the largest, or -1."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
-        if pids and not (0 <= min(pids) and max(pids) < self._next_pid):
+        top = max(pids, default=-1)
+        if pids and not (0 <= min(pids) and top < self._next_pid):
             bad = next(pid for pid in pids if not 0 <= pid < self._next_pid)
             raise UnknownPopulation(f"no population with id {bad}")
         if gain <= 0.0:
             raise ValueError(f"gain must be positive, got {gain}")
+        return top
 
     def _take_ids(self, pops: int, conns: int) -> tuple[range, int]:
         """Take the next `pops` population ids and `conns` connection ids;
@@ -459,7 +488,13 @@ class Network:
         return self._conns.values()
 
     def activation(self, pid: int) -> float:
-        return self.population(pid).activation
+        """The level of `pid`, read without building it: a reserved relay
+        holds its row's level, any other reserved id is at rest."""
+        pop = self._pops.get(pid)
+        if pop is not None:
+            return pop.activation
+        row = self._relay_row(pid)
+        return 0.0 if row is None else self._lit.get(row, 0.0)
 
     def population_count(self) -> int:
         """Populations in the structure, reserved ones included (ids are never freed)."""
@@ -476,18 +511,21 @@ class Network:
         return wm.sustained and wm.activation >= wm.sustain_threshold
 
     def total_activation(self, kinds) -> float:
-        kinds = set(kinds)
+        """Sum of the active levels of some kinds, in id order; builds nothing."""
+        kinds, pops = set(kinds), self._pops
+        hub = PopulationKind.HUB in kinds  # an active id not built is a relay
         return sum(
-            self._pops[pid].activation for pid in sorted(self._active)
-            if self._pops[pid].kind in kinds
+            self.activation(pid) for pid in sorted(self._active)
+            if (pops[pid].kind in kinds if pid in pops else hub)
         )
 
     def active_pids(self):
         return sorted(self._active)
 
     def flowing_pids(self) -> frozenset[int]:
-        """The active ids except settled working memory; every active
-        population of another kind is among them."""
+        """The active ids except settled working memory and the relays of
+        lit rows, whose level their row holds; every other active population
+        is among them."""
         return frozenset(self._flowing)
 
     def flowing_populations(self):
@@ -511,16 +549,15 @@ class Network:
         """Raise activation to `level` now and floor the next update at it."""
         if not 0.0 <= level <= 1.0:
             raise ValueError(f"inject level must be in [0, 1], got {level}")
-        pop = self.population(pid)
-        if level > pop.activation:
-            self._set_activation(pop, level)
-        else:
-            # still refresh sustain bookkeeping for equal levels
-            self._set_activation(pop, pop.activation)
-        if level > 0.0:
-            prev = self._floors.get(pid, 0.0)
-            if level > prev:
-                self._floors[pid] = level
+        pop = self._pops.get(pid)
+        if pop is None and self._relay_row(pid) is None:
+            pop = self._build_reserved(pid)
+        if pop is None or type(pop) is _Relay:
+            raise ValueError(f"population {pid} is a relay: only its row's hub drives it")
+        # a lower level still refreshes the sustain bookkeeping
+        self._set_activation(pop, level if level > pop.activation else pop.activation)
+        if level > self._floors.get(pid, 0.0):
+            self._floors[pid] = level
 
     def release_wm(self, pid: int) -> None:
         """Explicitly release a working-memory population (idempotent)."""
@@ -544,14 +581,14 @@ class Network:
         floor, is the source of no connection, and its next update without
         inflow leaves its activation as it is (`decay * a == a`, or `a` is
         pinned at its sustain threshold). Sources are the flowing ids (the
-        active ids that are not settled) that are also emitting: with an
-        open binding out-edge, a control out-edge or unbuilt cells behind
-        one; no other id has an edge that could carry its activation.
-        Candidates are the flowing ids plus this step's inflow targets and
-        floors, plus, under a decay horizon, the settled ids due for release
-        at this step. Candidates therefore include every id whose update is
-        not a no-op, and an extra one is active, so it is updated exactly as
-        if every active id were a candidate.
+        active ids that are not settled) that are also emitting, plus the
+        open relays of lit rows; no other id has an edge that could carry
+        its activation. Rows are updated in `_step_rows`. Candidates are the
+        flowing ids plus this step's inflow targets and floors, plus, under a
+        decay horizon, the settled ids due for release at this step.
+        Candidates therefore include every id whose update is not a no-op,
+        and an extra one is active, so it is updated exactly as if every
+        active id were a candidate.
 
         Each target's inflow is summed in source order, then connection id
         order. `last_change` is set to the largest activation change made.
@@ -559,18 +596,24 @@ class Network:
         may sustain it; any other kind gets the same bookkeeping in place.
         """
         inflow: dict[int, float] = {}
-        asserted = self.asserted
-        pops, open_out, control_out, unbuilt = (
-            self._pops, self._open_binding_out, self._control_out, self._unbuilt_control
-        )
-        for src in sorted(self._flowing & self._emitting):
-            a = pops[src].activation  # flowing, so above 0
+        fed: dict[range, float] = {}
+        asserted, lit = self.asserted, self._lit
+        pops, open_out, control_out, rows = self._pops, self._open_binding_out, self._control_out, self._rows
+        sources = self._flowing & self._emitting
+        if lit:
+            for row in lit.keys() & self._open_relays.keys():
+                sources |= self._open_relays[row]
+        for src in sorted(sources):
+            a = pops[src].activation  # flowing or a lit relay, so above 0
             out = open_out.get(src)
             if out:
                 for conn in out:
                     inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
-            if src in unbuilt:
-                self._build_controlled(src)
+            by_label = rows.get(src)
+            if by_label is not None:
+                for label in asserted:
+                    for row, gain in by_label.get(label, ()):
+                        fed[row] = gain * a  # a relay's one in-edge
             by_label = control_out.get(src)
             if by_label is None:
                 continue
@@ -581,11 +624,9 @@ class Network:
                     edges = out if edges is None else sorted(edges + out, key=_cid)
             for conn in edges or ():
                 inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
-        floors = self._floors
-        self._floors = {}
-        candidates = set(self._flowing)
-        candidates.update(inflow)
-        candidates.update(floors)
+        change = self._step_rows(fed) if fed or lit else 0.0
+        floors, self._floors = self._floors, {}
+        candidates = self._flowing.union(inflow, floors)
         # a probe reads its steps' entries and leaves them for the restored clock
         due = self._due.get(self.time) if self._woken is not None else self._due.pop(self.time, None)
         if due:
@@ -594,7 +635,6 @@ class Network:
         horizon = self.wm_decay_horizon
         active, flowing, sources, woken = self._active, self._flowing, self._sources, self._woken
         wm = PopulationKind.WORKING_MEMORY
-        change = 0.0
         for pid in sorted(candidates):
             try:
                 pop = pops[pid]
@@ -637,11 +677,7 @@ class Network:
                         active.discard(pid)
                         flowing.discard(pid)
             since = pop.sustained_since
-            if (
-                since is not None
-                and pid not in sources
-                and max(clamp01(pop.decay * nxt), pop.sustain_threshold) == nxt
-            ):
+            if since is not None and pid not in sources and max(clamp01(pop.decay * nxt), pop.sustain_threshold) == nxt:
                 # settled: without inflow or a floor, its next update is a no-op
                 flowing.discard(pid)
                 if horizon is not None:
@@ -649,18 +685,39 @@ class Network:
         self.last_change = change
         self.time += 1
 
+    def _step_rows(self, fed: dict[range, float]) -> float:
+        """Take each lit row, and each row its hub feeds (`fed`: gain times
+        the hub's level), to its next level as a relay would take it, and
+        return the largest change. A row that lights or goes dark moves its
+        relays into or out of the active set."""
+        decay, active, change, prev, lit = self.default_decay, self._active, 0.0, self._lit, {}
+        for row in prev.keys() | fed.keys():
+            level = prev.get(row, 0.0)
+            nxt = clamp01(decay * level + fed.get(row, 0.0))
+            if abs(nxt - level) > change:
+                change = abs(nxt - level)
+            if nxt > 0.0:
+                lit[row] = nxt
+                if not level:
+                    active.update(row)
+            elif level:
+                active.difference_update(row)
+        self._lit = lit
+        return change
+
     # ----------------------------------------------------- query-time saving
 
     def save_state(self) -> _SavedState:
         """Save what a probe changes; one saved state is open at a time.
 
-        Only flowing ids are copied. Any other id is logged with its prior
-        activation when it first changes, so settled working memory costs
-        nothing unless the probe wakes it."""
+        Only flowing ids and lit rows are copied. Any other id is logged
+        with its prior activation when it first changes, so settled working
+        memory costs nothing unless the probe wakes it."""
         self._sustain_log = []
         self._woken = {}
         return _SavedState(
             activations={pid: self._pops[pid].activation for pid in self._flowing},
+            lit=dict(self._lit),
             asserted=set(self.asserted),
             floors=dict(self._floors),
             time=self.time,
@@ -676,10 +733,10 @@ class Network:
 
         Levels are then written straight back, woken ids first, so that a
         saved flowing level wins, and the active and flowing sets are fixed
-        in bulk. No write can newly sustain a working memory, as each one at
-        or above its threshold is sustained as saved. Working memory woken
-        since settles again: the flowing set is the saved one, and `step`
-        keeps the horizon entries a probe reads."""
+        in bulk, as are the lit rows. No write can newly sustain a working
+        memory, as each one at or above its threshold is sustained as saved.
+        Working memory woken since settles again: the flowing set is the
+        saved one, and `step` keeps the horizon entries a probe reads."""
         self._sustain_log = self._woken = None
         for pop, since in reversed(saved.sustain_log):
             if pop.sustained:
@@ -697,6 +754,11 @@ class Network:
         self._active.update(live)
         # an id starts flowing only through a change, which logs it as woken
         self._flowing.update(saved.activations)
+        for row in self._lit.keys() - saved.lit.keys():
+            self._active.difference_update(row)
+        for row in saved.lit.keys() - self._lit.keys():
+            self._active.update(row)
+        self._lit = dict(saved.lit)
         self.asserted = set(saved.asserted)
         self._floors = dict(saved.floors)
         self.time = saved.time
@@ -725,12 +787,30 @@ class Network:
                 bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
                 self._emitting.add(conn.source)
 
-    def _build_reserved(self, pid: int) -> Population:
-        """Build the reserved structure that owns `pid`, at rest."""
+    def _reservation(self, pid: int) -> _Block | _Bindings | _Grid:
+        """The reserved structure that owns `pid`."""
         i = bisect.bisect_right(self._reserved_starts, pid) - 1
         res = self._reservations[i] if i >= 0 else None
         if res is None or pid not in res.pids:
             raise UnknownPopulation(f"no population with id {pid}")
+        return res
+
+    def _relay_row(self, pid: int) -> range | None:
+        """The row of relay `pid`, built or not; None for any other id."""
+        pop = self._pops.get(pid)
+        if pop is not None:
+            return pop.row if type(pop) is _Relay else None
+        grid = self._reservation(pid)
+        if not isinstance(grid, _Grid):
+            return None
+        k, part = divmod(pid - grid.pids.start, 3)
+        if part == 1:
+            return grid.forward_row(k // len(grid.to_hubs))
+        return grid.reverse_row(k % len(grid.to_hubs)) if part else None
+
+    def _build_reserved(self, pid: int) -> Population:
+        """Build the reserved structure that owns `pid`, at rest."""
+        res = self._reservation(pid)
         if isinstance(res, _Block):
             return self._build_population(pid, res.kind, self.default_sustain_threshold, self.default_decay)
         if isinstance(res, _Grid):
@@ -743,39 +823,31 @@ class Network:
         """Working memory `pid` of `res` with the two connections it gates."""
         w = bisect.bisect_right(res.starts, pid) - 1
         concept, hub = res.concepts[w], res.hubs[w][pid - res.starts[w]]
-        self._build_population(
-            pid, PopulationKind.WORKING_MEMORY, self.default_sustain_threshold, self.default_wm_decay
-        )
+        self._build_population(pid, PopulationKind.WORKING_MEMORY, self.default_sustain_threshold,
+                               self.default_wm_decay)
         cid, gate = res.cid + 2 * (pid - res.pids.start), BindingGate(pid)
         self._build_connection(GatedConnection(cid, concept, hub, gate, res.gain))
         self._build_connection(GatedConnection(cid + 1, hub, concept, gate, res.gain))
 
     def _build_cell(self, grid: _Grid, k: int) -> None:
-        """Cell k of `grid`: its three populations and four connections."""
+        """Cell k of `grid`: its working memory, its two relays, and the
+        relay -> hub connections the working memory gates."""
         i, j = divmod(k, len(grid.to_hubs))
-        src, dst = grid.from_hubs[i], grid.to_hubs[j]
         wm = grid.pids[3 * k]
         fwd, rev = wm + 1, wm + 2
-        thr, decay = self.default_sustain_threshold, self.default_decay
-        self._build_population(wm, PopulationKind.WORKING_MEMORY, thr, self.default_wm_decay)
-        self._build_population(fwd, PopulationKind.HUB, thr, decay)
-        self._build_population(rev, PopulationKind.HUB, thr, decay)
+        thr, decay, pops = self.default_sustain_threshold, self.default_decay, self._pops
+        pop = pops[wm] = Population(wm, PopulationKind.WORKING_MEMORY, 0.0, thr, self.default_wm_decay)
+        pops[fwd] = _Relay(self, fwd, grid.forward_row(i), thr, decay)
+        pops[rev] = _Relay(self, rev, grid.reverse_row(j), thr, decay)
         cid, gate, gain = grid.cid + 4 * k, BindingGate(wm), grid.gain
-        self._build_connection(GatedConnection(cid, src, fwd, grid.forward, gain))
-        self._build_connection(GatedConnection(cid + 1, fwd, dst, gate, gain))
-        self._build_connection(GatedConnection(cid + 2, dst, rev, grid.reverse, gain))
-        self._build_connection(GatedConnection(cid + 3, rev, src, gate, gain))
-
-    def _build_controlled(self, src: int) -> None:
-        """Build the unbuilt cells `src` feeds under an asserted label."""
-        unbuilt = self._unbuilt_control[src]
-        for label in [label for label in unbuilt if label in self.asserted]:
-            for grid, cells in unbuilt.pop(label):
-                for k in cells:
-                    if grid.pids[3 * k] not in self._pops:
-                        self._build_cell(grid, k)
-        if not unbuilt:  # every cell is built, so src keeps control out-edges
-            del self._unbuilt_control[src]
+        edges = self._binding_edges[wm] = [
+            GatedConnection(cid + 1, fwd, grid.to_hubs[j], gate, gain),
+            GatedConnection(cid + 3, rev, grid.from_hubs[i], gate, gain),
+        ]
+        for conn in edges:  # a relay never settles, so it is not kept among sources
+            self._conns[conn.cid] = conn
+        if pop.activation >= thr:
+            self._sustain(pop, self.time)
 
     def _add_source(self, pid: int) -> None:
         self._sources.add(pid)
@@ -794,11 +866,7 @@ class Network:
         else:
             self._active.discard(pid)
             self._flowing.discard(pid)
-        if (
-            pop.kind is PopulationKind.WORKING_MEMORY
-            and pop.sustained_since is None
-            and value >= pop.sustain_threshold
-        ):
+        if pop.kind is PopulationKind.WORKING_MEMORY and pop.sustained_since is None and value >= pop.sustain_threshold:
             self._sustain(pop, self.time)
 
     def _sustain(self, pop: Population, since: int) -> None:
@@ -808,6 +876,9 @@ class Network:
         for conn in self._binding_edges.get(pop.pid, ()):
             bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
             self._emitting.add(conn.source)
+            relay = self._pops.get(conn.source)
+            if type(relay) is _Relay:
+                self._open_relays.setdefault(relay.row, set()).add(relay.pid)
 
     def _unsustain(self, pop: Population) -> None:
         if self._sustain_log is not None:
@@ -817,5 +888,8 @@ class Network:
             out = self._open_binding_out.get(conn.source)
             if out is not None and conn in out:
                 out.remove(conn)
-                if not out and conn.source not in self._control_out and conn.source not in self._unbuilt_control:
+                if not out and conn.source not in self._control_out and conn.source not in self._rows:
                     self._emitting.discard(conn.source)
+            relay = self._pops.get(conn.source)
+            if type(relay) is _Relay:
+                self._open_relays[relay.row].discard(relay.pid)

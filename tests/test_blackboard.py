@@ -653,8 +653,7 @@ def test_restore_and_forward_query_build_only_reached_cells():
     seen = {pid for active in trace for pid, _ in active}
     reached = {hub for hub, pid in restored.pools["N"].pids.items() if pid in seen}
     assert reached
-    rows = {(hub, to_hub, "agent") for hub in reached for to_hub in restored.pools["V"].hubs}
-    assert _built_cells(restored) == bound | rows
+    assert _built_cells(restored) == bound
 
 
 

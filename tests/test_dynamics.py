@@ -634,9 +634,9 @@ def test_board_at_rest_steps_no_working_memory():
 
 
 def _emitting_by_recount(net):
-    """Ids with an open binding out-edge, a control out-edge or unbuilt cells."""
+    """Ids with an open binding out-edge, a control out-edge or rows."""
     return {src for src, out in net._open_binding_out.items() if out} | set(net._control_out) | set(
-        net._unbuilt_control)
+        net._rows)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -765,3 +765,56 @@ def test_reserved_rows_step_like_explicit_wiring(gain, decay, threshold, horizon
                 net.restore_state(state)
             assert _twin_view(nets[0]) == _twin_view(nets[1]) == before, (i, op)
         step_and_compare((i, op))
+
+
+def _one_grid(threshold=0.5):
+    net = Network(sustain_threshold=threshold)
+    hubs = tuple(net.add_populations(HUB, 3))
+    cells = net.reserve_cells(hubs[:1], hubs[1:], "go", "back")
+    return net, hubs, cells
+
+
+@pytest.mark.parametrize("built", (False, True))
+def test_inject_refuses_a_relay(built):
+    net, _, cells = _one_grid()
+    relay = cells[1]
+    if built:
+        net.population(relay)
+    with pytest.raises(ValueError, match=f"population {relay} is a relay"):
+        net.inject(relay, 1.0)
+    assert net.active_pids() == [] and len(net.populations()) == (6 if built else 3)
+
+
+def test_add_gated_connection_refuses_a_relay():
+    net, hubs, cells = _one_grid()
+    for relay in (cells[1], cells[5]):  # the first forward relay and the last reverse relay
+        with pytest.raises(ValueError, match=f"population {relay} is a relay"):
+            net.add_gated_connection(hubs[0], relay, ControlGate("go"))
+        with pytest.raises(ValueError, match=f"population {relay} is a relay"):
+            net.add_gated_connection(relay, hubs[0], BindingGate(cells[0]))
+    net.add_gated_connection(hubs[0], hubs[2], BindingGate(cells[0]))  # working memory is no relay
+
+
+def test_reserve_cells_refuses_a_relay_among_its_hubs():
+    net, hubs, cells = _one_grid()
+    count = net.population_count()
+    with pytest.raises(ValueError, match=f"population {cells[2]} is a relay"):
+        net.reserve_cells((hubs[0],), (cells[2],), "on", "off")
+    assert net.population_count() == count
+    net.reserve_cells((hubs[0],), (cells[0],), "on", "off")  # working memory may be a hub
+
+
+def test_reads_build_nothing():
+    """Levels of reserved ids are read without building them: a lit relay
+    reads its row's level, anything else 0, and the traced sum agrees."""
+    net, hubs, cells = _one_grid()
+    concept = net.reserve_populations(CONCEPT, 1)[0]
+    net.set_control("go", True)
+    net.inject(hubs[0], 0.8)
+    net.step()
+    row = [cells[1], cells[4]]  # the forward relays fed by hubs[0]
+    assert net.active_pids() == [hubs[0], *row]
+    assert [net.activation(pid) for pid in (*row, cells[2], cells[0], concept)] == [0.8, 0.8, 0.0, 0.0, 0.0]
+    assert net.total_activation([HUB]) == 0.8 + 0.8 + 0.8
+    assert net.total_activation([CONCEPT, WM]) == 0
+    assert sorted(pop.pid for pop in net.populations()) == list(hubs)

@@ -600,9 +600,9 @@ class Network:
         asserted, lit = self.asserted, self._lit
         pops, open_out, control_out, rows = self._pops, self._open_binding_out, self._control_out, self._rows
         sources = self._flowing & self._emitting
-        if lit:
-            for row in lit.keys() & self._open_relays.keys():
-                sources |= self._open_relays[row]
+        for opened in map(self._open_relays.get, lit):
+            if opened:
+                sources |= opened
         for src in sorted(sources):
             a = pops[src].activation  # flowing or a lit relay, so above 0
             out = open_out.get(src)
@@ -686,23 +686,28 @@ class Network:
         self.time += 1
 
     def _step_rows(self, fed: dict[range, float]) -> float:
-        """Take each lit row, and each row its hub feeds (`fed`: gain times
-        the hub's level), to its next level as a relay would take it, and
-        return the largest change. A row that lights or goes dark moves its
-        relays into or out of the active set."""
-        decay, active, change, prev, lit = self.default_decay, self._active, 0.0, self._lit, {}
-        for row in prev.keys() | fed.keys():
-            level = prev.get(row, 0.0)
-            nxt = clamp01(decay * level + fed.get(row, 0.0))
-            if abs(nxt - level) > change:
-                change = abs(nxt - level)
+        """Take each lit row, and each row `fed` (gain times its hub's level),
+        to its next level as a relay would; return the largest change. A row
+        that lights or goes dark moves its relays in or out of the active set."""
+        decay, lit, change, dark = self.default_decay, self._lit, 0.0, []
+        for row, level in lit.items():
+            nxt = decay * level + (fed.pop(row, 0.0) if fed else 0.0)
+            nxt = 0.0 if nxt < 0.0 else (1.0 if nxt > 1.0 else nxt)  # clamp01
+            if nxt != level:
+                change = max(change, abs(nxt - level))
+                if nxt > 0.0:
+                    lit[row] = nxt  # a new value, not a new key: the loop goes on
+                else:
+                    dark.append(row)
+        for row in dark:
+            del lit[row]
+            self._active.difference_update(row)
+        for row, nxt in fed.items():  # dark until now
+            nxt = 1.0 if nxt > 1.0 else nxt
             if nxt > 0.0:
+                change = max(change, nxt)
                 lit[row] = nxt
-                if not level:
-                    active.update(row)
-            elif level:
-                active.difference_update(row)
-        self._lit = lit
+                self._active.update(row)
         return change
 
     # ----------------------------------------------------- query-time saving

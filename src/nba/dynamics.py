@@ -549,10 +549,8 @@ class Network:
         """Raise activation to `level` now and floor the next update at it."""
         if not 0.0 <= level <= 1.0:
             raise ValueError(f"inject level must be in [0, 1], got {level}")
-        pop = self._pops.get(pid)
-        if pop is None and self._relay_row(pid) is None:
-            pop = self._build_reserved(pid)
-        if pop is None or type(pop) is _Relay:
+        pop = self._pops.get(pid) or self._build_reserved(pid)
+        if type(pop) is _Relay:
             raise ValueError(f"population {pid} is a relay: only its row's hub drives it")
         # a lower level still refreshes the sustain bookkeeping
         self._set_activation(pop, level if level > pop.activation else pop.activation)
@@ -600,9 +598,10 @@ class Network:
         asserted, lit = self.asserted, self._lit
         pops, open_out, control_out, rows = self._pops, self._open_binding_out, self._control_out, self._rows
         sources = self._flowing & self._emitting
-        for opened in map(self._open_relays.get, lit):
-            if opened:
-                sources |= opened
+        if lit:
+            for opened in map(self._open_relays.get, lit):
+                if opened:
+                    sources |= opened
         for src in sorted(sources):
             a = pops[src].activation  # flowing or a lit relay, so above 0
             out = open_out.get(src)

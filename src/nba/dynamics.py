@@ -264,8 +264,6 @@ class Network:
         self._relay_floor: int | None = None
         # dynamic: level of each lit row, by its relay ids; a row at 0 is absent
         self._lit: dict[range, float] = {}
-        # dynamic: relays, per row, whose working memory is sustained (a set may be empty)
-        self._open_relays: dict[range, set[int]] = {}
         # every active id; relays of lit rows are among them
         self._active: set[int] = set()
         # every active id except settled working memory and relays
@@ -598,10 +596,8 @@ class Network:
         asserted, lit = self.asserted, self._lit
         pops, open_out, control_out, rows = self._pops, self._open_binding_out, self._control_out, self._rows
         sources = self._flowing & self._emitting
-        if lit:
-            for opened in map(self._open_relays.get, lit):
-                if opened:
-                    sources |= opened
+        for row in lit:  # a lit row's emitting relays are those whose working memory is sustained
+            sources.update(self._emitting.intersection(row))
         for src in sorted(sources):
             a = pops[src].activation  # flowing or a lit relay, so above 0
             out = open_out.get(src)
@@ -880,9 +876,6 @@ class Network:
         for conn in self._binding_edges.get(pop.pid, ()):
             bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
             self._emitting.add(conn.source)
-            relay = self._pops.get(conn.source)
-            if type(relay) is _Relay:
-                self._open_relays.setdefault(relay.row, set()).add(relay.pid)
 
     def _unsustain(self, pop: Population) -> None:
         if self._sustain_log is not None:
@@ -894,6 +887,3 @@ class Network:
                 out.remove(conn)
                 if not out and conn.source not in self._control_out and conn.source not in self._rows:
                     self._emitting.discard(conn.source)
-            relay = self._pops.get(conn.source)
-            if type(relay) is _Relay:
-                self._open_relays[relay.row].discard(relay.pid)

@@ -52,7 +52,6 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--seed0", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", help="also write every run's result line to this JSON file")
     args = parser.parse_args()
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as f:
@@ -67,9 +66,6 @@ def main() -> int:
             results[side].append(result)
             print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: attempted {result['attempted']} "
                   f"failed {result['failed']}", file=sys.stderr, flush=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump({"args": vars(args), "results": results}, f, indent=1)
 
     print("| workload | metric | parent q1 / median / q3 | change q1 / median / q3 | change/parent | change wins |")
     print("|---|---|---|---|---|---|")

@@ -194,12 +194,20 @@ class _Grid:
         self.to_hubs = to_hubs
         self.gain = gain
 
-    def forward_row(self, i: int) -> range:
-        n = len(self.to_hubs)
-        return self.pids[3 * i * n + 1:3 * (i + 1) * n:3]
+    def relay_row(self, pid: int) -> range | None:
+        """The row of relay `pid`; None for working memory."""
+        (k, part), n = divmod(pid - self.pids.start, 3), len(self.to_hubs)
+        first = k - k % n  # the first cell of k's forward row
+        if part == 1:
+            return self.pids[3 * first + 1:3 * (first + n):3]
+        return self.pids[3 * (k % n) + 2::3 * n] if part else None
 
-    def reverse_row(self, j: int) -> range:
-        return self.pids[3 * j + 2::3 * len(self.to_hubs)]
+    def rows(self):
+        """Every forward row, then every reverse row, as `relay_row` gives
+        them but made in C: a board's construction makes hundreds."""
+        start, stop, stride, repeat = self.pids.start, self.pids.stop, 3 * len(self.to_hubs), itertools.repeat
+        forward = map(range, range(start + 1, stop, stride), range(start + stride, stop + 1, stride), repeat(3))
+        return forward, map(range, range(start + 2, start + stride, 3), repeat(stop), repeat(stride))
 
 
 class _SavedState:
@@ -260,8 +268,6 @@ class Network:
         self._reserved_starts: list[int] = []
         # static: the relay rows each hub feeds, per label, with their gain
         self._rows: dict[int, dict[str, list[tuple[range, float]]]] = {}
-        # no id below this is a relay: the first id of the first grid with cells
-        self._relay_floor: int | None = None
         # dynamic: level of each lit row, by its relay ids; a row at 0 is absent
         self._lit: dict[range, float] = {}
         # every active id; relays of lit rows are among them
@@ -287,12 +293,21 @@ class Network:
 
     # ------------------------------------------------------------------ build
 
-    def add_population(self, kind: PopulationKind, sustain_threshold: float | None = None,
-                       decay: float | None = None) -> int:
+    def add_population(
+        self,
+        kind: PopulationKind,
+        sustain_threshold: float | None = None,
+        decay: float | None = None,
+    ) -> int:
         return self.add_populations(kind, 1, sustain_threshold, decay)[0]
 
-    def add_populations(self, kind: PopulationKind, count: int, sustain_threshold: float | None = None,
-                        decay: float | None = None) -> range:
+    def add_populations(
+        self,
+        kind: PopulationKind,
+        count: int,
+        sustain_threshold: float | None = None,
+        decay: float | None = None,
+    ) -> range:
         """Add `count` populations of one kind, at rest; returns their ids."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
@@ -306,15 +321,19 @@ class Network:
             self._build_population(pid, kind, thr, float(decay))
         return pids
 
-    def add_gated_connection(self, source: int, target: int, gate: ControlGate | BindingGate,
-                             gain: float = 1.0) -> int:
+    def add_gated_connection(
+        self,
+        source: int,
+        target: int,
+        gate: ControlGate | BindingGate,
+        gain: float = 1.0,
+    ) -> int:
         if self._frozen:
             raise RuntimeError("network structure is frozen")
         for pid in (source, target):
             if not 0 <= pid < self._next_pid:  # reserved endpoints stay unbuilt
                 raise UnknownPopulation(f"no population with id {pid}")
-            if self._rows and self._relay_row(pid) is not None:
-                raise ValueError(f"population {pid} is a relay: only its row's hub drives it")
+            self._refuse_relay(pid)
         if gain <= 0.0:
             raise ValueError(f"gain must be positive, got {gain}")
         if isinstance(gate, BindingGate):
@@ -323,7 +342,9 @@ class Network:
                 raise ValueError(f"gate population {gate.wm} is not working memory")
         cid = self._next_cid
         self._next_cid += 1
-        self._build_connection(GatedConnection(cid, source, target, gate, float(gain)))
+        self._build_connection(
+            GatedConnection(cid=cid, source=source, target=target, gate=gate, gain=float(gain))
+        )
         return cid
 
     def reserve_populations(self, kind: PopulationKind, count: int) -> range:
@@ -343,7 +364,9 @@ class Network:
             self._reserve(_Block(pids, kind))
         return pids
 
-    def reserve_bindings(self, concepts: list[int], hubs: list[tuple[int, ...]], gain: float = 1.0) -> list[range]:
+    def reserve_bindings(
+        self, concepts: list[int], hubs: list[tuple[int, ...]], gain: float = 1.0
+    ) -> list[range]:
         """Reserve the working memory of many words as one block: for word w,
         one population per hub, the i-th gating a concepts[w] -> hubs[w][i]
         connection and its mirror.
@@ -355,15 +378,21 @@ class Network:
         """
         # distinct pools by identity: hashing each word's tuple costs more
         pools = {id(pool): pool for pool in hubs}.values()
-        self._check_reservable([*concepts, *(pid for pool in pools for pid in pool)], gain)
+        self._check_reservable((concepts, *pools), gain)
         starts = list(itertools.accumulate(map(len, hubs), initial=self._next_pid))
         pids, cid = self._take_ids(starts[-1] - starts[0], 2 * (starts[-1] - starts[0]))
         if pids:
             self._reserve(_Bindings(pids, cid, starts[:-1], list(concepts), list(hubs), float(gain)))
         return list(map(range, starts, starts[1:]))
 
-    def reserve_cells(self, from_hubs: tuple[int, ...], to_hubs: tuple[int, ...], forward: str, reverse: str,
-                      gain: float = 1.0) -> range:
+    def reserve_cells(
+        self,
+        from_hubs: tuple[int, ...],
+        to_hubs: tuple[int, ...],
+        forward: str,
+        reverse: str,
+        gain: float = 1.0,
+    ) -> range:
         """Reserve one matrix cell per (from-hub, to-hub) pair, row-major.
 
         A cell is a working-memory population and two relays: from-hub ->
@@ -377,12 +406,8 @@ class Network:
         k = i * len(to_hubs) + j has working memory `pids[3k]` and relays
         `pids[3k + 1]` (forward) and `pids[3k + 2]` (reverse).
         """
-        top = self._check_reservable([*from_hubs, *to_hubs], gain)
+        self._check_reservable((from_hubs, to_hubs), gain)
         hubs = {*from_hubs, *to_hubs}
-        if self._relay_floor is not None and top >= self._relay_floor:
-            for hub in hubs:
-                if self._relay_row(hub) is not None:
-                    raise ValueError(f"population {hub} is a relay: only its row's hub drives it")
         cells = len(from_hubs) * len(to_hubs)
         pids, cid = self._take_ids(3 * cells, 4 * cells)
         grid = _Grid(pids, cid, from_hubs, to_hubs, float(gain))
@@ -391,35 +416,40 @@ class Network:
             if hub not in self._flowing:  # settled working memory flows again as a source
                 self._set_activation(self._pops[hub], self._pops[hub].activation)
         if cells:
-            # each hub's row, as `_Grid` derives it, made in C
-            start, stop, stride, repeat = pids.start, pids.stop, 3 * len(to_hubs), itertools.repeat
-            fwd = map(range, range(start + 1, stop, stride), range(start + stride, stop + 1, stride), repeat(3))
-            rev = map(range, range(start + 2, start + stride, 3), repeat(stop), repeat(stride))
-            for feeders, label, made in ((from_hubs, forward, fwd), (to_hubs, reverse, rev)):
-                for hub, row in zip(feeders, made):
+            for feeders, label, rows in zip((from_hubs, to_hubs), (forward, reverse), grid.rows()):
+                for hub, row in zip(feeders, rows):
                     by_label = self._rows.get(hub)
                     if by_label is None:
                         self._rows[hub] = {label: [(row, grid.gain)]}
                     else:
                         by_label.setdefault(label, []).append((row, grid.gain))
             self._emitting.update(hubs)
-            if self._relay_floor is None:
-                self._relay_floor = pids.start
         self._reserve(grid)
         return pids
 
-    def _check_reservable(self, pids: list[int], gain: float) -> int:
-        """Reserved structure may join any population id already taken;
-        returns the largest, or -1."""
+    def _check_reservable(self, groups, gain: float) -> None:
+        """Reserved structure may join any population id already taken,
+        except a relay. A group of ids clear of every grid, such as a block
+        of concepts, is passed over in bulk."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
-        top = max(pids, default=-1)
-        if pids and not (0 <= min(pids) and top < self._next_pid):
-            bad = next(pid for pid in pids if not 0 <= pid < self._next_pid)
-            raise UnknownPopulation(f"no population with id {bad}")
+        starts = self._reserved_starts
+        for pids in groups:
+            if not pids:
+                continue
+            lo, hi = min(pids), max(pids)
+            if not (0 <= lo and hi < self._next_pid):
+                bad = next(pid for pid in pids if not 0 <= pid < self._next_pid)
+                raise UnknownPopulation(f"no population with id {bad}")
+            if not self._rows:  # no grid, so no relay
+                continue
+            # the reservations that may hold an id of the group
+            first, stop = bisect.bisect_right(starts, lo) - 1, bisect.bisect_right(starts, hi)
+            if any(isinstance(res, _Grid) for res in self._reservations[max(first, 0):stop]):
+                for pid in pids:
+                    self._refuse_relay(pid)
         if gain <= 0.0:
             raise ValueError(f"gain must be positive, got {gain}")
-        return top
 
     def _take_ids(self, pops: int, conns: int) -> tuple[range, int]:
         """Take the next `pops` population ids and `conns` connection ids;
@@ -547,13 +577,19 @@ class Network:
         """Raise activation to `level` now and floor the next update at it."""
         if not 0.0 <= level <= 1.0:
             raise ValueError(f"inject level must be in [0, 1], got {level}")
-        pop = self._pops.get(pid) or self._build_reserved(pid)
-        if type(pop) is _Relay:
-            raise ValueError(f"population {pid} is a relay: only its row's hub drives it")
-        # a lower level still refreshes the sustain bookkeeping
-        self._set_activation(pop, level if level > pop.activation else pop.activation)
-        if level > self._floors.get(pid, 0.0):
-            self._floors[pid] = level
+        pop = self._pops.get(pid)
+        if pop is None or type(pop) is _Relay:
+            self._refuse_relay(pid)
+            pop = self._build_reserved(pid)
+        if level > pop.activation:
+            self._set_activation(pop, level)
+        else:
+            # still refresh sustain bookkeeping for equal levels
+            self._set_activation(pop, pop.activation)
+        if level > 0.0:
+            prev = self._floors.get(pid, 0.0)
+            if level > prev:
+                self._floors[pid] = level
 
     def release_wm(self, pid: int) -> None:
         """Explicitly release a working-memory population (idempotent)."""
@@ -594,7 +630,9 @@ class Network:
         inflow: dict[int, float] = {}
         fed: dict[range, float] = {}
         asserted, lit = self.asserted, self._lit
-        pops, open_out, control_out, rows = self._pops, self._open_binding_out, self._control_out, self._rows
+        pops, open_out, control_out, rows = (
+            self._pops, self._open_binding_out, self._control_out, self._rows
+        )
         sources = self._flowing & self._emitting
         for row in lit:  # a lit row's emitting relays are those whose working memory is sustained
             sources.update(self._emitting.intersection(row))
@@ -620,8 +658,11 @@ class Network:
             for conn in edges or ():
                 inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
         change = self._step_rows(fed) if fed or lit else 0.0
-        floors, self._floors = self._floors, {}
-        candidates = self._flowing.union(inflow, floors)
+        floors = self._floors
+        self._floors = {}
+        candidates = set(self._flowing)
+        candidates.update(inflow)
+        candidates.update(floors)
         # a probe reads its steps' entries and leaves them for the restored clock
         due = self._due.get(self.time) if self._woken is not None else self._due.pop(self.time, None)
         if due:
@@ -672,7 +713,11 @@ class Network:
                         active.discard(pid)
                         flowing.discard(pid)
             since = pop.sustained_since
-            if since is not None and pid not in sources and max(clamp01(pop.decay * nxt), pop.sustain_threshold) == nxt:
+            if (
+                since is not None
+                and pid not in sources
+                and max(clamp01(pop.decay * nxt), pop.sustain_threshold) == nxt
+            ):
                 # settled: without inflow or a floor, its next update is a no-op
                 flowing.discard(pid)
                 if horizon is not None:
@@ -801,12 +846,11 @@ class Network:
         if pop is not None:
             return pop.row if type(pop) is _Relay else None
         grid = self._reservation(pid)
-        if not isinstance(grid, _Grid):
-            return None
-        k, part = divmod(pid - grid.pids.start, 3)
-        if part == 1:
-            return grid.forward_row(k // len(grid.to_hubs))
-        return grid.reverse_row(k % len(grid.to_hubs)) if part else None
+        return grid.relay_row(pid) if isinstance(grid, _Grid) else None
+
+    def _refuse_relay(self, pid: int) -> None:
+        if self._rows and self._relay_row(pid) is not None:
+            raise ValueError(f"population {pid} is a relay: only its row's hub drives it")
 
     def _build_reserved(self, pid: int) -> Population:
         """Build the reserved structure that owns `pid`, at rest."""
@@ -823,8 +867,9 @@ class Network:
         """Working memory `pid` of `res` with the two connections it gates."""
         w = bisect.bisect_right(res.starts, pid) - 1
         concept, hub = res.concepts[w], res.hubs[w][pid - res.starts[w]]
-        self._build_population(pid, PopulationKind.WORKING_MEMORY, self.default_sustain_threshold,
-                               self.default_wm_decay)
+        self._build_population(
+            pid, PopulationKind.WORKING_MEMORY, self.default_sustain_threshold, self.default_wm_decay
+        )
         cid, gate = res.cid + 2 * (pid - res.pids.start), BindingGate(pid)
         self._build_connection(GatedConnection(cid, concept, hub, gate, res.gain))
         self._build_connection(GatedConnection(cid + 1, hub, concept, gate, res.gain))
@@ -835,10 +880,7 @@ class Network:
         i, j = divmod(k, len(grid.to_hubs))
         wm = grid.pids[3 * k]
         fwd, rev = wm + 1, wm + 2
-        thr, decay, pops = self.default_sustain_threshold, self.default_decay, self._pops
-        pop = pops[wm] = Population(wm, PopulationKind.WORKING_MEMORY, 0.0, thr, self.default_wm_decay)
-        pops[fwd] = _Relay(self, fwd, grid.forward_row(i), thr, decay)
-        pops[rev] = _Relay(self, rev, grid.reverse_row(j), thr, decay)
+        thr, decay = self.default_sustain_threshold, self.default_decay
         cid, gate, gain = grid.cid + 4 * k, BindingGate(wm), grid.gain
         edges = self._binding_edges[wm] = [
             GatedConnection(cid + 1, fwd, grid.to_hubs[j], gate, gain),
@@ -846,8 +888,10 @@ class Network:
         ]
         for conn in edges:  # a relay never settles, so it is not kept among sources
             self._conns[conn.cid] = conn
-        if pop.activation >= thr:
-            self._sustain(pop, self.time)
+        # built after its edges, so that working memory sustained at rest opens them
+        self._build_population(wm, PopulationKind.WORKING_MEMORY, thr, self.default_wm_decay)
+        self._pops[fwd] = _Relay(self, fwd, grid.relay_row(fwd), thr, decay)
+        self._pops[rev] = _Relay(self, rev, grid.relay_row(rev), thr, decay)
 
     def _add_source(self, pid: int) -> None:
         self._sources.add(pid)
@@ -866,7 +910,11 @@ class Network:
         else:
             self._active.discard(pid)
             self._flowing.discard(pid)
-        if pop.kind is PopulationKind.WORKING_MEMORY and pop.sustained_since is None and value >= pop.sustain_threshold:
+        if (
+            pop.kind is PopulationKind.WORKING_MEMORY
+            and pop.sustained_since is None
+            and value >= pop.sustain_threshold
+        ):
             self._sustain(pop, self.time)
 
     def _sustain(self, pop: Population, since: int) -> None:

@@ -776,13 +776,14 @@ def _one_grid(threshold=0.5):
 
 @pytest.mark.parametrize("built", (False, True))
 def test_inject_refuses_a_relay(built):
-    net, _, cells = _one_grid()
+    net, hubs, cells = _one_grid()
     relay = cells[1]
     if built:
         net.population(relay)
     with pytest.raises(ValueError, match=f"population {relay} is a relay"):
         net.inject(relay, 1.0)
     assert net.active_pids() == [] and net.activation(relay) == 0.0
+    assert sorted(pop.pid for pop in net.populations()) == sorted([*hubs, *(cells[:3] if built else ())])
 
 
 def test_add_gated_connection_refuses_a_relay():
@@ -802,6 +803,17 @@ def test_reserve_cells_refuses_a_relay_among_its_hubs():
         net.reserve_cells((hubs[0],), (cells[2],), "on", "off")
     assert net.population_count() == count
     net.reserve_cells((hubs[0],), (cells[0],), "on", "off")  # working memory may be a hub
+
+
+def test_reserve_bindings_refuses_a_relay():
+    net, hubs, cells = _one_grid()
+    concept = net.reserve_populations(CONCEPT, 1)[0]
+    count = net.population_count()
+    for concepts, pools, relay in (([cells[1]], [hubs[1:]], cells[1]), ([concept], [(hubs[1], cells[5])], cells[5])):
+        with pytest.raises(ValueError, match=f"population {relay} is a relay"):
+            net.reserve_bindings(concepts, pools)
+    assert net.population_count() == count
+    net.reserve_bindings([concept], [(hubs[1], cells[3])])  # working memory may be a hub
 
 
 def test_reads_build_nothing():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nba.blackboard import Blackboard
@@ -683,12 +683,16 @@ def _twin_grids(a, b):
 
 
 def _wired_twin(explicit, gain, decay, threshold, horizon):
-    """Hubs and grids reserved with `reserve_cells`, or the same grids built
-    cell by cell from populations and connections; both take the same ids
-    and connection ids. Returns the network, its hubs and its cells'
-    working memory."""
+    """Hubs, concepts, grids and words' working memory reserved with
+    `reserve_populations`, `reserve_cells` and `reserve_bindings`, or the
+    same structure built population by population and connection by
+    connection; both take the same ids and connection ids. The last word's
+    hubs include a cell's working memory, a source that can settle. Returns
+    the network, its hubs, its concepts and its working memory: the cells',
+    then the words'."""
     net = Network(decay=decay, sustain_threshold=threshold, wm_decay_horizon=horizon)
     a, b = tuple(net.add_populations(HUB, 3)), tuple(net.add_populations(HUB, 2))
+    concepts = list((net.add_populations if explicit else net.reserve_populations)(CONCEPT, 3))
     wms = []
     for from_hubs, to_hubs, forward, reverse in _twin_grids(a, b):
         if not explicit:
@@ -702,7 +706,18 @@ def _wired_twin(explicit, gain, decay, threshold, horizon):
                 net.add_gated_connection(dst, rev, ControlGate(reverse), gain)
                 net.add_gated_connection(rev, src, BindingGate(wm), gain)
                 wms.append(wm)
-    return net, a + b, wms
+    word_hubs = [a, b, (b[1], wms[0])]
+    if not explicit:
+        for run in net.reserve_bindings(concepts, word_hubs, gain):
+            wms += run
+        return net, a + b, concepts, wms
+    for concept, hubs in zip(concepts, word_hubs):
+        for hub in hubs:
+            wm = net.add_population(WM)
+            net.add_gated_connection(concept, hub, BindingGate(wm), gain)
+            net.add_gated_connection(hub, concept, BindingGate(wm), gain)
+            wms.append(wm)
+    return net, a + b, concepts, wms
 
 
 def _twin_view(net):
@@ -722,20 +737,28 @@ def _twin_view(net):
     threshold=st.sampled_from((0.0, 0.5)),
     horizon=st.sampled_from((None, 3)),
     ops=st.lists(
-        st.tuples(st.sampled_from(("hub", "wm", "label", "release", "probe", "step")), st.integers(0, 10**6)),
+        st.tuples(
+            st.sampled_from(("hub", "concept", "wm", "label", "release", "probe", "step")), st.integers(0, 10**6)
+        ),
         max_size=30,
     ),
 )
+# a cell's working memory settles, then a word's binding to it is first built
+@example(gain=1.0, decay=0.0, threshold=0.5, horizon=None,
+         ops=[("wm", 56), ("step", 0), ("step", 0), ("wm", 83), ("step", 0), ("step", 0)])
 @settings(max_examples=60, deadline=None)
 def test_reserved_rows_step_like_explicit_wiring(gain, decay, threshold, horizon, ops):
-    """Grids reserved as rows step exactly like the same grids wired cell by
-    cell, through hub and working-memory injections, label toggles,
-    releases, and probes that are saved and restored."""
+    """Grids reserved as rows, and words' working memory reserved as one
+    block, step exactly like the same structure wired population by
+    population, through hub, concept and working-memory injections, label
+    toggles, releases, and probes that are saved and restored."""
     twins = [_wired_twin(explicit, gain, decay, threshold, horizon) for explicit in (False, True)]
-    _, hubs, wms = twins[0]
-    assert wms == twins[1][2]
+    _, hubs, concepts, wms = twins[0]
+    assert (concepts, wms) == tuple(twins[1][2:])
+    counts = [(net.population_count(), net.connection_count()) for net, *_ in twins]
+    assert counts[0] == counts[1]
     labels = ("x", "x~", "y", "y~")
-    nets = [net for net, _, _ in twins]
+    nets = [net for net, *_ in twins]
 
     def step_and_compare(where):
         for net in nets:
@@ -746,6 +769,8 @@ def test_reserved_rows_step_like_explicit_wiring(gain, decay, threshold, horizon
         for net in nets:
             if op == "hub":
                 net.inject(hubs[n % len(hubs)], (n % 20 + 1) / 20)
+            elif op == "concept":
+                net.inject(concepts[n % len(concepts)], (n % 20 + 1) / 20)
             elif op == "wm":
                 net.inject(wms[n % len(wms)], (0.3, 0.5, 1.0)[n % 3])
             elif op == "label":

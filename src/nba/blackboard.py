@@ -132,6 +132,8 @@ class Blackboard:
     """
 
     def __init__(self, lexicon: Lexicon, config: Config | None = None):
+        if lexicon.network.frozen:  # a board freezes its lexicon's network, which this one would rewire
+            raise NbaError("lexicon is already wired to a board; load a new Lexicon for each board")
         self.config = (config or Config()).validate()
         self.lexicon = lexicon
         self.network = lexicon.network

@@ -91,12 +91,16 @@ class Config:
                 raise InvalidConfig(f"{key}: expected {kind}, got {value!r}")
         if self.k_n < 1 or self.k_v < 1 or self.k_c < 1:
             raise InvalidConfig(f"pool capacities must be >= 1, got k_n={self.k_n} k_v={self.k_v} k_c={self.k_c}")
-        for fam in self.relations:
+        for i, fam in enumerate(self.relations):
             if fam not in FAMILY_GRIDS:
                 raise InvalidConfig(f"unknown relation family {fam!r}")
-        for label in self.prep_labels:
+            if fam in self.relations[:i]:  # its grids would be reserved twice
+                raise InvalidConfig(f"relations: repeated relation family {fam!r}")
+        for i, label in enumerate(self.prep_labels):
             if not label or any(ch.isspace() for ch in label):
                 raise InvalidConfig(f"bad preposition label {label!r}")
+            if label in self.prep_labels[:i]:
+                raise InvalidConfig(f"prep_labels: repeated preposition label {label!r}")
         if not self.gain > 0.0:
             raise InvalidConfig(f"gain must be positive, got {self.gain}")
         if not 0.0 <= self.decay <= 1.0 or not 0.0 <= self.wm_decay <= 1.0:

@@ -20,12 +20,15 @@ Structure may be reserved rather than built: ids are taken in construction
 order, and the populations and connections behind them are built, at rest,
 when first needed. A lexicon's concepts are reserved as one block; a concept
 is built the first time it is touched: cued, reached by inflow, or looked
-up. Word working memory is reserved for many words in one block; a word's
-working memory for one hub, with the two connections it gates, is built the
-first time it is touched. A matrix cell (working memory, forward and reverse
-relay, and the two connections its working memory gates) is built the first
-time one of its populations is touched: bound or looked up. Counts cover
-reserved structure, so the structure is the same either way.
+up. Working memory is reserved with the two connections it gates, either
+for many words' hubs as one block or as a grid of matrix cells, each of
+which adds a forward and a reverse relay. A reservation only describes its
+layout: the working memory that owns an id, and the two connections it
+gates. One builder builds a working memory the first time one of its ids is
+touched (bound or looked up): it registers the two connections, then the
+working memory, so that working memory sustained at rest opens them, then a
+cell's relays. Counts cover reserved structure, so the structure is the
+same either way.
 
 Relays are not stepped one by one. A relay's one in-edge runs from its row's
 hub under its row's label, and a row's relays share one gain and one decay,
@@ -172,6 +175,17 @@ class _Bindings:
         self.hubs = hubs
         self.gain = gain
 
+    def owner(self, pid: int) -> int:
+        """The working memory that owns `pid`: every id is one."""
+        return pid
+
+    def gated(self, wm: int):
+        """The (cid, source, target) of the two connections `wm` gates."""
+        w = bisect.bisect_right(self.starts, wm) - 1
+        concept, hub = self.concepts[w], self.hubs[w][wm - self.starts[w]]
+        cid = self.cid + 2 * (wm - self.pids.start)
+        return (cid, concept, hub), (cid + 1, hub, concept)
+
 
 class _Grid:
     """Cell k = i * len(to_hubs) + j joins from_hubs[i] to to_hubs[j].
@@ -182,10 +196,12 @@ class _Grid:
     (working memory), to-hub -> reverse relay (reverse label) and reverse
     relay -> from-hub (working memory); the label-gated two are never built.
     Row i's forward relays are one row, fed by from_hubs[i]; column j's
-    reverse relays are another, fed by to_hubs[j].
+    reverse relays are another, fed by to_hubs[j]. `rows` holds every
+    forward row, then every reverse row, made once and in C: a board's
+    construction makes hundreds.
     """
 
-    __slots__ = ("pids", "cid", "from_hubs", "to_hubs", "gain")
+    __slots__ = ("pids", "cid", "from_hubs", "to_hubs", "gain", "rows")
 
     def __init__(self, pids: range, cid: int, from_hubs: tuple[int, ...], to_hubs: tuple[int, ...], gain: float):
         self.pids = pids
@@ -193,21 +209,30 @@ class _Grid:
         self.from_hubs = from_hubs
         self.to_hubs = to_hubs
         self.gain = gain
+        start, stop, stride, repeat = pids.start, pids.stop, 3 * len(to_hubs), itertools.repeat
+        self.rows = (
+            list(map(range, range(start + 1, stop, stride), range(start + stride, stop + 1, stride), repeat(3))),
+            list(map(range, range(start + 2, start + stride, 3), repeat(stop), repeat(stride))),
+        ) if pids else ([], [])
+
+    def owner(self, pid: int) -> int:
+        """The working memory of the cell that owns `pid`."""
+        return pid - (pid - self.pids.start) % 3
+
+    def gated(self, wm: int):
+        """The (cid, source, target) of the two relay -> hub connections `wm`
+        gates."""
+        k = (wm - self.pids.start) // 3
+        i, j = divmod(k, len(self.to_hubs))
+        cid = self.cid + 4 * k
+        return (cid + 1, wm + 1, self.to_hubs[j]), (cid + 3, wm + 2, self.from_hubs[i])
 
     def relay_row(self, pid: int) -> range | None:
         """The row of relay `pid`; None for working memory."""
         (k, part), n = divmod(pid - self.pids.start, 3), len(self.to_hubs)
-        first = k - k % n  # the first cell of k's forward row
         if part == 1:
-            return self.pids[3 * first + 1:3 * (first + n):3]
-        return self.pids[3 * (k % n) + 2::3 * n] if part else None
-
-    def rows(self):
-        """Every forward row, then every reverse row, as `relay_row` gives
-        them but made in C: a board's construction makes hundreds."""
-        start, stop, stride, repeat = self.pids.start, self.pids.stop, 3 * len(self.to_hubs), itertools.repeat
-        forward = map(range, range(start + 1, stop, stride), range(start + stride, stop + 1, stride), repeat(3))
-        return forward, map(range, range(start + 2, start + stride, 3), repeat(stop), repeat(stride))
+            return self.rows[0][k // n]
+        return self.rows[1][k % n] if part else None
 
 
 class _SavedState:
@@ -309,8 +334,7 @@ class Network:
         decay: float | None = None,
     ) -> range:
         """Add `count` populations of one kind, at rest; returns their ids."""
-        if self._frozen:
-            raise RuntimeError("network structure is frozen")
+        self._check_structure()
         thr = self.default_sustain_threshold if sustain_threshold is None else float(sustain_threshold)
         if not 0.0 <= thr <= 1.0:
             raise ValueError(f"sustain_threshold must be in [0, 1], got {thr}")
@@ -328,14 +352,7 @@ class Network:
         gate: ControlGate | BindingGate,
         gain: float = 1.0,
     ) -> int:
-        if self._frozen:
-            raise RuntimeError("network structure is frozen")
-        for pid in (source, target):
-            if not 0 <= pid < self._next_pid:  # reserved endpoints stay unbuilt
-                raise UnknownPopulation(f"no population with id {pid}")
-            self._refuse_relay(pid)
-        if gain <= 0.0:
-            raise ValueError(f"gain must be positive, got {gain}")
+        self._check_structure(((source, target),), gain)  # builds neither endpoint
         if isinstance(gate, BindingGate):
             wm = self.population(gate.wm)
             if wm.kind is not PopulationKind.WORKING_MEMORY:
@@ -352,8 +369,7 @@ class Network:
         concepts; each is built, at rest and with the network's defaults, the
         first time it is touched. Returns their ids. Working memory is
         reserved with the connections it gates (`reserve_bindings`)."""
-        if self._frozen:
-            raise RuntimeError("network structure is frozen")
+        self._check_structure()
         if kind is PopulationKind.WORKING_MEMORY:
             raise ValueError("working memory is reserved with the connections it gates")
         pids, _ = self._take_ids(count, 0)
@@ -378,9 +394,12 @@ class Network:
         """
         # distinct pools by identity: hashing each word's tuple costs more
         pools = {id(pool): pool for pool in hubs}.values()
-        self._check_reservable((concepts, *pools), gain)
+        self._check_structure((concepts, *pools), gain)
         starts = list(itertools.accumulate(map(len, hubs), initial=self._next_pid))
         pids, cid = self._take_ids(starts[-1] - starts[0], 2 * (starts[-1] - starts[0]))
+        # the hubs are sources from now on, as wired ones would be; the
+        # concepts, one per word, become sources as their connections are built
+        self._add_sources(set().union(*pools))
         if pids:
             self._reserve(_Bindings(pids, cid, starts[:-1], list(concepts), list(hubs), float(gain)))
         return list(map(range, starts, starts[1:]))
@@ -406,17 +425,14 @@ class Network:
         k = i * len(to_hubs) + j has working memory `pids[3k]` and relays
         `pids[3k + 1]` (forward) and `pids[3k + 2]` (reverse).
         """
-        self._check_reservable((from_hubs, to_hubs), gain)
+        self._check_structure((from_hubs, to_hubs), gain)
         hubs = {*from_hubs, *to_hubs}
         cells = len(from_hubs) * len(to_hubs)
         pids, cid = self._take_ids(3 * cells, 4 * cells)
         grid = _Grid(pids, cid, from_hubs, to_hubs, float(gain))
-        self._sources.update(hubs)
-        for hub in hubs & self._active:
-            if hub not in self._flowing:  # settled working memory flows again as a source
-                self._set_activation(self._pops[hub], self._pops[hub].activation)
+        self._add_sources(hubs)
         if cells:
-            for feeders, label, rows in zip((from_hubs, to_hubs), (forward, reverse), grid.rows()):
+            for feeders, label, rows in zip((from_hubs, to_hubs), (forward, reverse), grid.rows):
                 for hub, row in zip(feeders, rows):
                     by_label = self._rows.get(hub)
                     if by_label is None:
@@ -427,10 +443,11 @@ class Network:
         self._reserve(grid)
         return pids
 
-    def _check_reservable(self, groups, gain: float) -> None:
-        """Reserved structure may join any population id already taken,
-        except a relay. A group of ids clear of every grid, such as a block
-        of concepts, is passed over in bulk."""
+    def _check_structure(self, groups=(), gain: float = 1.0) -> None:
+        """Refuse any change to a frozen network, before an id is taken or
+        anything is built. New structure may join any population id already
+        taken, except a relay, with a positive gain. A group of ids clear of
+        every grid, such as a block of concepts, is passed over in bulk."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
         starts = self._reserved_starts
@@ -820,15 +837,17 @@ class Network:
 
     def _build_connection(self, conn: GatedConnection) -> None:
         self._conns[conn.cid] = conn
-        self._add_source(conn.source)
+        self._add_sources((conn.source,))
         if isinstance(conn.gate, ControlGate):
             by_label = self._control_out.setdefault(conn.source, {})
             bisect.insort(by_label.setdefault(conn.gate.label, []), conn, key=_cid)
             self._emitting.add(conn.source)
         else:
             self._binding_edges.setdefault(conn.gate.wm, []).append(conn)
-            # open immediately if the condition already holds
-            if self._pops[conn.gate.wm].sustained:
+            # open now if the condition already holds; working memory not yet
+            # built opens it as it is built
+            wm = self._pops.get(conn.gate.wm)
+            if wm is not None and wm.sustained:
                 bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
                 self._emitting.add(conn.source)
 
@@ -853,51 +872,32 @@ class Network:
             raise ValueError(f"population {pid} is a relay: only its row's hub drives it")
 
     def _build_reserved(self, pid: int) -> Population:
-        """Build the reserved structure that owns `pid`, at rest."""
+        """Build the reserved structure that owns `pid`, at rest: a
+        population of a block, or the working memory that owns `pid` with
+        the two connections it gates and, in a grid, its cell's relays."""
         res = self._reservation(pid)
-        if isinstance(res, _Block):
-            return self._build_population(pid, res.kind, self.default_sustain_threshold, self.default_decay)
-        if isinstance(res, _Grid):
-            self._build_cell(res, (pid - res.pids.start) // 3)
-        else:
-            self._build_binding(res, pid)
-        return self._pops[pid]
-
-    def _build_binding(self, res: _Bindings, pid: int) -> None:
-        """Working memory `pid` of `res` with the two connections it gates."""
-        w = bisect.bisect_right(res.starts, pid) - 1
-        concept, hub = res.concepts[w], res.hubs[w][pid - res.starts[w]]
-        self._build_population(
-            pid, PopulationKind.WORKING_MEMORY, self.default_sustain_threshold, self.default_wm_decay
-        )
-        cid, gate = res.cid + 2 * (pid - res.pids.start), BindingGate(pid)
-        self._build_connection(GatedConnection(cid, concept, hub, gate, res.gain))
-        self._build_connection(GatedConnection(cid + 1, hub, concept, gate, res.gain))
-
-    def _build_cell(self, grid: _Grid, k: int) -> None:
-        """Cell k of `grid`: its working memory, its two relays, and the
-        relay -> hub connections the working memory gates."""
-        i, j = divmod(k, len(grid.to_hubs))
-        wm = grid.pids[3 * k]
-        fwd, rev = wm + 1, wm + 2
         thr, decay = self.default_sustain_threshold, self.default_decay
-        cid, gate, gain = grid.cid + 4 * k, BindingGate(wm), grid.gain
-        edges = self._binding_edges[wm] = [
-            GatedConnection(cid + 1, fwd, grid.to_hubs[j], gate, gain),
-            GatedConnection(cid + 3, rev, grid.from_hubs[i], gate, gain),
-        ]
-        for conn in edges:  # a relay never settles, so it is not kept among sources
-            self._conns[conn.cid] = conn
+        if isinstance(res, _Block):
+            return self._build_population(pid, res.kind, thr, decay)
+        wm = res.owner(pid)
+        gate = BindingGate(wm)
+        for cid, source, target in res.gated(wm):
+            self._build_connection(GatedConnection(cid, source, target, gate, res.gain))
         # built after its edges, so that working memory sustained at rest opens them
         self._build_population(wm, PopulationKind.WORKING_MEMORY, thr, self.default_wm_decay)
-        self._pops[fwd] = _Relay(self, fwd, grid.relay_row(fwd), thr, decay)
-        self._pops[rev] = _Relay(self, rev, grid.relay_row(rev), thr, decay)
+        if isinstance(res, _Grid):
+            for relay in (wm + 1, wm + 2):
+                self._pops[relay] = _Relay(self, relay, res.relay_row(relay), thr, decay)
+        return self._pops[pid]
 
-    def _add_source(self, pid: int) -> None:
-        self._sources.add(pid)
-        if pid in self._active and pid not in self._flowing:
-            pop = self._pops[pid]
-            self._set_activation(pop, pop.activation)  # wakes settled working memory
+    def _add_sources(self, pids) -> None:
+        """Keep `pids` among the sources, which never settle: settled
+        working memory among them flows again."""
+        self._sources.update(pids)
+        for pid in pids:
+            # active but not flowing: settled working memory, or a lit relay, which is no Population
+            if pid in self._active and pid not in self._flowing and type(self._pops.get(pid)) is Population:
+                self._set_activation(self._pops[pid], self._pops[pid].activation)
 
     def _set_activation(self, pop: Population, value: float) -> None:
         pid = pop.pid

@@ -49,7 +49,9 @@ class LexicalEntry:
 
 
 class Lexicon:
-    """Single-writer during construction; freely shareable for reads after."""
+    """Single-writer during construction. A board wires the lexicon's
+    network and freezes it, so a lexicon serves one board: a second
+    `Blackboard` on it is refused."""
 
     def __init__(self, network: Network | None = None):
         self.network = network if network is not None else Network()

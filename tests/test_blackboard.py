@@ -15,6 +15,7 @@ from nba.errors import (
     CellBusy,
     HubBusy,
     InvalidConfig,
+    NbaError,
     NoSuchCell,
     PoolExhausted,
     TypeMismatch,
@@ -290,6 +291,23 @@ def test_structural_fixity_under_operations():
     assert bb.network.connection_count() == conns
     with pytest.raises(RuntimeError):
         bb.network.add_population(bb.network.population(0).kind)
+
+
+def test_a_second_board_on_a_wired_lexicon_is_refused_and_changes_nothing():
+    bb = small_board(decay=0.2)
+    n0, v0 = bb.allocate_hub("N"), bb.allocate_hub("V")
+    bb.bind_concept("cat", n0)
+    bb.bind_concept("run", v0)
+    bb.bind_hubs(n0, v0, "agent")
+    before = bb.snapshot_bytes(), run_query(bb, parse_query("cat do?")).words
+    net = bb.network
+    defaults = (net.default_decay, net.default_wm_decay, net.default_sustain_threshold, net.wm_decay_horizon)
+    levels = [(pop.decay, pop.sustain_threshold) for pop in net.populations()]
+    with pytest.raises(NbaError, match="lexicon is already wired to a board"):
+        Blackboard(bb.lexicon, Config(decay=0.5, wm_decay=0.5, sustain_threshold=0.9, wm_decay_horizon=3))
+    assert (net.default_decay, net.default_wm_decay, net.default_sustain_threshold, net.wm_decay_horizon) == defaults
+    assert [(pop.decay, pop.sustain_threshold) for pop in net.populations()] == levels
+    assert (bb.snapshot_bytes(), run_query(bb, parse_query("cat do?")).words) == before == (before[0], ("run",))
 
 
 def test_double_role_one_hub_two_verbs():

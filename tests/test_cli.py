@@ -381,6 +381,10 @@ _BAD_STATES = {
     "config-k_n-bool": _edit(["config", "k_n"], True, "k_n: expected an integer, got True"),
     "config-relations-string": _edit(["config", "relations"], "agent",
                                      "relations: expected a list of strings, got 'agent'"),
+    "config-relations-repeated": _edit(["config", "relations"], ["agent", "theme", "agent"],
+                                       "relations: repeated relation family 'agent'"),
+    "config-prep_labels-repeated": _edit(["config", "prep_labels"], ["of", "of"],
+                                         "prep_labels: repeated preposition label 'of'"),
     "config-settle_budget-float": _edit(["config", "settle_budget"], 2.5,
                                         "settle_budget: expected an integer, got 2.5"),
     "config-gain-string": _edit(["config", "gain"], "1", "gain: expected a number, got '1'"),
@@ -440,6 +444,23 @@ def test_cold_query_script_prints_one_median_per_phase(workdir, pycache):
     assert header.split() == ["import", "json.loads", "from_snapshot", "query"]
     assert all(float(ms) >= 0.0 for ms in row.split()) and len(row.split()) == 4
     assert any(cache.rglob("*.pyc")) == pycache
+
+
+def test_size_script_prints_one_row_per_module_and_a_total():
+    """`scripts/size.py`, which the README documents, runs as a script."""
+    import nba
+
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "size.py")
+    result = subprocess.run([sys.executable, script, "-n", "1"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    header, *rows = [line.split() for line in result.stdout.splitlines()]
+    assert header == ["module", "lines", "code", "compile_ms"]
+    modules = sorted(name[:-3] for name in os.listdir(os.path.dirname(nba.__file__)) if name.endswith(".py"))
+    assert [row[0] for row in rows] == modules + ["total"]
+    for column in (1, 2):
+        assert sum(int(row[column]) for row in rows[:-1]) == int(rows[-1][column])
+    assert all(0 < int(code) < int(lines) for _, lines, code, _ in rows)
+    assert all(float(ms) > 0.0 for *_, ms in rows)
 
 
 # a replayed bind that fails names its binding record

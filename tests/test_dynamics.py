@@ -22,6 +22,7 @@ from nba.query import parse_query, run_query
 
 CONCEPT = PopulationKind.CONCEPT
 WM = PopulationKind.WORKING_MEMORY
+HUB = PopulationKind.HUB
 
 
 def test_add_population_fresh_and_unique():
@@ -200,11 +201,26 @@ def test_release_wm_requires_wm_kind():
 
 
 def test_frozen_network_rejects_structure_changes():
+    """Every structural change is refused before an id is taken or a
+    reserved population, such as the gate's working memory, is built."""
     net = Network()
     net.add_population(CONCEPT)
+    hubs = tuple(net.add_populations(HUB, 2))
+    concepts = net.reserve_populations(CONCEPT, 2)
+    wm = net.reserve_bindings([concepts[0]], [hubs])[0][0]
     net.freeze()
-    with pytest.raises(RuntimeError):
-        net.add_population(CONCEPT)
+    changes = [
+        lambda: net.add_population(CONCEPT),
+        lambda: net.add_populations(HUB, 2),
+        lambda: net.add_gated_connection(hubs[0], hubs[1], BindingGate(wm)),
+        lambda: net.reserve_populations(CONCEPT, 2),
+        lambda: net.reserve_bindings([concepts[1]], [hubs]),
+        lambda: net.reserve_cells(hubs, hubs, "go", "back"),
+    ]
+    for change in changes:
+        with pytest.raises(RuntimeError, match="network structure is frozen"):
+            change()
+        assert (net.population_count(), net.connection_count(), len(net.populations())) == (7, 4, 3)
     with net.structural_extension():
         extra = net.add_population(CONCEPT)
     assert net.population(extra) is not None
@@ -671,8 +687,6 @@ def test_emitting_ids_match_a_recount_on_random_networks(seed):
 
 # ------------------------------------------------- reserved rows against wiring
 
-
-HUB = PopulationKind.HUB
 
 
 def _twin_grids(a, b):

@@ -352,7 +352,12 @@ class Network:
         gate: ControlGate | BindingGate,
         gain: float = 1.0,
     ) -> int:
-        self._check_structure(((source, target),), gain)  # builds neither endpoint
+        self._check_structure((), gain)
+        # checked one by one: min() and max() would cost more for two ids
+        for pid in (source, target):
+            if not 0 <= pid < self._next_pid:  # reserved endpoints stay unbuilt
+                raise UnknownPopulation(f"no population with id {pid}")
+            self._refuse_relay(pid)
         if isinstance(gate, BindingGate):
             wm = self.population(gate.wm)
             if wm.kind is not PopulationKind.WORKING_MEMORY:
@@ -446,23 +451,16 @@ class Network:
     def _check_structure(self, groups=(), gain: float = 1.0) -> None:
         """Refuse any change to a frozen network, before an id is taken or
         anything is built. New structure may join any population id already
-        taken, except a relay, with a positive gain. A group of ids clear of
-        every grid, such as a block of concepts, is passed over in bulk."""
+        taken, given in groups, except a relay, with a positive gain. A
+        board reserves its words' working memory before any grid, so its
+        concepts are checked in bulk."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
-        starts = self._reserved_starts
         for pids in groups:
-            if not pids:
-                continue
-            lo, hi = min(pids), max(pids)
-            if not (0 <= lo and hi < self._next_pid):
+            if pids and not (0 <= min(pids) and max(pids) < self._next_pid):
                 bad = next(pid for pid in pids if not 0 <= pid < self._next_pid)
                 raise UnknownPopulation(f"no population with id {bad}")
-            if not self._rows:  # no grid, so no relay
-                continue
-            # the reservations that may hold an id of the group
-            first, stop = bisect.bisect_right(starts, lo) - 1, bisect.bisect_right(starts, hi)
-            if any(isinstance(res, _Grid) for res in self._reservations[max(first, 0):stop]):
+            if self._rows:  # a grid, so there may be a relay
                 for pid in pids:
                     self._refuse_relay(pid)
         if gain <= 0.0:

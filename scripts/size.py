@@ -2,7 +2,7 @@
 """How large nba's sources are: per module of `src/nba`, and in total, the
 lines, the code lines and the median milliseconds `compile()` takes.
 
-    python3 scripts/size.py [-n 7]
+    python3 scripts/size.py
 
 Code lines are the lines that hold a token of code: blank lines, comments and
 docstrings (the first string of a module, class or function) are left out. A
@@ -11,7 +11,6 @@ counts each line it spans. Compiling is what importing a module costs when no
 bytecode is cached, as under `PYTHONDONTWRITEBYTECODE=1`.
 """
 
-import argparse
 import ast
 import io
 import os
@@ -20,6 +19,7 @@ import time
 import tokenize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "nba")
+REPEAT = 7  # compiles per module, of which the median
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
         tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -44,9 +44,9 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
-def compile_ms(source: str, path: str, repeat: int) -> float:
+def compile_ms(source: str, path: str) -> float:
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         compile(source, path, "exec", dont_inherit=True)
         times.append((time.perf_counter() - t0) * 1e3)
@@ -54,10 +54,6 @@ def compile_ms(source: str, path: str, repeat: int) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-n", type=int, default=7, help="compiles per module, of which the median (default 7)")
-    args = parser.parse_args()
-
     print(f"{'module':<16} {'lines':>6} {'code':>6} {'compile_ms':>11}")
     totals = [0, 0, 0.0]
     for name in sorted(os.listdir(SRC)):
@@ -66,7 +62,7 @@ def main() -> int:
         path = os.path.join(SRC, name)
         with open(path, encoding="utf-8") as f:
             source = f.read()
-        row = (source.count("\n"), code_lines(source), compile_ms(source, path, args.n))
+        row = (source.count("\n"), code_lines(source), compile_ms(source, path))
         totals = [total + value for total, value in zip(totals, row)]
         print(f"{name[:-3]:<16} {row[0]:>6} {row[1]:>6} {row[2]:>11.2f}")
     print(f"{'total':<16} {totals[0]:>6} {totals[1]:>6} {totals[2]:>11.2f}")

@@ -334,7 +334,7 @@ class Network:
         decay: float | None = None,
     ) -> range:
         """Add `count` populations of one kind, at rest; returns their ids."""
-        self._check_structure()
+        self._refuse_frozen()
         thr = self.default_sustain_threshold if sustain_threshold is None else float(sustain_threshold)
         if not 0.0 <= thr <= 1.0:
             raise ValueError(f"sustain_threshold must be in [0, 1], got {thr}")
@@ -352,12 +352,7 @@ class Network:
         gate: ControlGate | BindingGate,
         gain: float = 1.0,
     ) -> int:
-        self._check_structure((), gain)
-        # checked one by one: min() and max() would cost more for two ids
-        for pid in (source, target):
-            if not 0 <= pid < self._next_pid:  # reserved endpoints stay unbuilt
-                raise UnknownPopulation(f"no population with id {pid}")
-            self._refuse_relay(pid)
+        self._check_structure(((source, target),), gain)
         if isinstance(gate, BindingGate):
             wm = self.population(gate.wm)
             if wm.kind is not PopulationKind.WORKING_MEMORY:
@@ -374,7 +369,7 @@ class Network:
         concepts; each is built, at rest and with the network's defaults, the
         first time it is touched. Returns their ids. Working memory is
         reserved with the connections it gates (`reserve_bindings`)."""
-        self._check_structure()
+        self._refuse_frozen()
         if kind is PopulationKind.WORKING_MEMORY:
             raise ValueError("working memory is reserved with the connections it gates")
         pids, _ = self._take_ids(count, 0)
@@ -448,18 +443,23 @@ class Network:
         self._reserve(grid)
         return pids
 
-    def _check_structure(self, groups=(), gain: float = 1.0) -> None:
+    def _refuse_frozen(self) -> None:
         """Refuse any change to a frozen network, before an id is taken or
-        anything is built. New structure may join any population id already
-        taken, given in groups, except a relay, with a positive gain. A
-        board reserves its words' working memory before any grid, so its
-        concepts are checked in bulk."""
+        anything is built."""
         if self._frozen:
             raise RuntimeError("network structure is frozen")
+
+    def _check_structure(self, groups, gain: float) -> None:
+        """Refuse new connections on a frozen network; otherwise each
+        endpoint, given in groups, must be a population id already taken
+        (built or reserved) but not a relay, and the gain positive. A board
+        reserves its words' working memory before any grid, so relays are
+        looked for only once a grid exists."""
+        self._refuse_frozen()
         for pids in groups:
-            if pids and not (0 <= min(pids) and max(pids) < self._next_pid):
-                bad = next(pid for pid in pids if not 0 <= pid < self._next_pid)
-                raise UnknownPopulation(f"no population with id {bad}")
+            for pid in pids:  # one by one: as fast as min() and max() here
+                if not 0 <= pid < self._next_pid:
+                    raise UnknownPopulation(f"no population with id {pid}")
             if self._rows:  # a grid, so there may be a relay
                 for pid in pids:
                     self._refuse_relay(pid)

@@ -451,7 +451,7 @@ def test_size_script_prints_one_row_per_module_and_a_total():
     import nba
 
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "size.py")
-    result = subprocess.run([sys.executable, script, "-n", "1"], capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     header, *rows = [line.split() for line in result.stdout.splitlines()]
     assert header == ["module", "lines", "code", "compile_ms"]

@@ -181,16 +181,48 @@ def test_wm_persistence_under_random_input():
         assert net.activation(wm) >= 0.5
 
 
+def _idle_view(net):
+    return [(p.pid, p.activation) for p in net.populations()], net.active_pids(), net.flowing_pids()
+
+
 def test_wm_decay_horizon_releases():
+    """Once the working memory settles, the steps before its release move
+    the clock and nothing else; the release lands at since + horizon."""
     net = Network(wm_decay_horizon=5)
     wm = net.add_population(WM, sustain_threshold=0.5)
     net.inject(wm, 1.0)
-    for _ in range(5):
+    since = net.population(wm).sustained_since
+    net.step()
+    assert net.population(wm).sustained and net.flowing_pids() == frozenset()
+    settled = _idle_view(net)
+    for _ in range(4):
+        time = net.time
         net.step()
         assert net.population(wm).sustained
+        assert net.time == time + 1 and net.last_change == 0.0
+        assert _idle_view(net) == settled
+    assert net.time == since + 5
     net.step()
     assert not net.population(wm).sustained
     assert net.activation(wm) == 0.0
+    assert net.last_change == 1.0 and net.active_pids() == []
+
+
+def test_step_with_labels_asserted_and_nothing_flowing_only_moves_the_clock():
+    """An asserted label with nothing active to carry moves no level."""
+    net = Network()
+    a, b = net.add_population(CONCEPT), net.add_population(CONCEPT)
+    net.add_gated_connection(a, b, ControlGate("go"))
+    net.set_control("go", True)
+    for _ in range(3):
+        time = net.time
+        net.step()
+        assert net.time == time + 1 and net.last_change == 0.0
+        assert _idle_view(net) == ([(a, 0.0), (b, 0.0)], [], frozenset())
+        assert net.asserted == {"go"}
+    net.inject(a, 1.0)
+    net.step()
+    assert net.activation(b) == 1.0
 
 
 def test_release_wm_requires_wm_kind():

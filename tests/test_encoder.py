@@ -332,3 +332,45 @@ def test_each_span_opens_at_the_first_instruction_at_or_past_its_start(seed):
         for span in program.spans:
             first = next(i for i, instr in enumerate(program.instructions) if instr.position >= span.start)
             assert span.open_step == began[first]
+
+
+def _conllu(*rows):
+    """CoNLL-U text from (form, upos, head, deprel) rows, numbered from 1."""
+    return "".join(
+        f"{i}\t{form}\t_\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_\n"
+        for i, (form, upos, head, deprel) in enumerate(rows, start=1)
+    )
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a clause verb whose nsubj is not its first dependent has its own subject,
+    # so the head noun fills its object gap
+    (_conllu(("reporter", "NOUN", 0, "root"), ("that", "DET", 4, "det"),
+             ("senator", "NOUN", 4, "nsubj"), ("attacked", "VERB", 1, "acl:relcl")),
+     [(1, 2, "agent"), (2, 0, "theme")]),
+    # an nmod whose case is not its first dependent; the first case names the prep
+    (_conllu(("students", "NOUN", 0, "root"), ("the", "DET", 5, "det"), ("of", "ADP", 5, "case"),
+             ("in", "ADP", 5, "case"), ("gates", "PROPN", 1, "nmod")),
+     [(0, 1, "prep:of")]),
+])
+def test_compile_finds_a_dependent_in_any_place(text, expected):
+    program = compile(*parse_conllu(text))
+    binds = [(i.from_slot, i.to_slot, i.relation) for i in program.instructions if isinstance(i, BindHubs)]
+    assert binds == expected
+
+
+@pytest.mark.parametrize("heads, message", [
+    ((2, 1), "cyclic heads"),
+    ((2, 3, 2, 0), "cyclic heads"),  # 1 -> 2 -> 3 -> 2: the cycle is entered from a tail
+    ((0, 5), "head 5 out of range"),
+])
+def test_bad_trees_are_refused_as_today(heads, message):
+    tokens = [Token(i, f"w{i}", WordType.NOUN) for i in range(1, len(heads) + 1)]
+    arcs = [DependencyArc(head, i, "dep") for i, head in enumerate(heads, start=1)]
+    for refuse in (
+        lambda: parse_conllu(_conllu(*((t.surface, "NOUN", a.head, "dep") for t, a in zip(tokens, arcs)))),
+        lambda: compile(tokens, arcs),
+    ):
+        with pytest.raises(NotATree) as info:
+            refuse()
+        assert str(info.value) == message

@@ -44,7 +44,10 @@ Likewise a step reads out-edges only from emitting ids: those with an open
 binding out-edge, a control out-edge or rows behind one. A lit relay whose
 cell working memory is sustained emits its row's level; the rest of its row
 is lit but emits nothing, so a probe pays for the paths its bindings open,
-not for every relay its label lights.
+not for every relay its label lights. A step with nothing flowing, no
+pending floor, no lit row and no horizon entry due is idle: it only moves
+the clock. An encode spends most of its steps so, between the bindings it
+makes.
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
@@ -60,7 +63,7 @@ import contextlib
 import itertools
 from enum import Enum
 
-from .errors import UnknownPopulation
+from .errors import FrozenNetwork, InvalidNetworkChange, UnknownPopulation
 from .value import Value
 
 
@@ -337,7 +340,7 @@ class Network:
         self._refuse_frozen()
         thr = self.default_sustain_threshold if sustain_threshold is None else float(sustain_threshold)
         if not 0.0 <= thr <= 1.0:
-            raise ValueError(f"sustain_threshold must be in [0, 1], got {thr}")
+            raise InvalidNetworkChange(f"sustain_threshold must be in [0, 1], got {thr}")
         if decay is None:
             decay = self.default_wm_decay if kind is PopulationKind.WORKING_MEMORY else self.default_decay
         pids, _ = self._take_ids(count, 0)
@@ -356,7 +359,7 @@ class Network:
         if isinstance(gate, BindingGate):
             wm = self.population(gate.wm)
             if wm.kind is not PopulationKind.WORKING_MEMORY:
-                raise ValueError(f"gate population {gate.wm} is not working memory")
+                raise InvalidNetworkChange(f"gate population {gate.wm} is not working memory")
         cid = self._next_cid
         self._next_cid += 1
         self._build_connection(
@@ -371,7 +374,7 @@ class Network:
         reserved with the connections it gates (`reserve_bindings`)."""
         self._refuse_frozen()
         if kind is PopulationKind.WORKING_MEMORY:
-            raise ValueError("working memory is reserved with the connections it gates")
+            raise InvalidNetworkChange("working memory is reserved with the connections it gates")
         pids, _ = self._take_ids(count, 0)
         last = self._reservations[-1] if self._reservations else None
         if isinstance(last, _Block) and last.kind is kind and last.pids.stop == pids.start:
@@ -447,7 +450,7 @@ class Network:
         """Refuse any change to a frozen network, before an id is taken or
         anything is built."""
         if self._frozen:
-            raise RuntimeError("network structure is frozen")
+            raise FrozenNetwork("network structure is frozen")
 
     def _check_structure(self, groups, gain: float) -> None:
         """Refuse new connections on a frozen network; otherwise each
@@ -464,7 +467,7 @@ class Network:
                 for pid in pids:
                     self._refuse_relay(pid)
         if gain <= 0.0:
-            raise ValueError(f"gain must be positive, got {gain}")
+            raise InvalidNetworkChange(f"gain must be positive, got {gain}")
 
     def _take_ids(self, pops: int, conns: int) -> tuple[range, int]:
         """Take the next `pops` population ids and `conns` connection ids;
@@ -591,7 +594,7 @@ class Network:
     def inject(self, pid: int, level: float) -> None:
         """Raise activation to `level` now and floor the next update at it."""
         if not 0.0 <= level <= 1.0:
-            raise ValueError(f"inject level must be in [0, 1], got {level}")
+            raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
         pop = self._pops.get(pid)
         if pop is None or type(pop) is _Relay:
             self._refuse_relay(pid)
@@ -610,7 +613,7 @@ class Network:
         """Explicitly release a working-memory population (idempotent)."""
         pop = self.population(pid)
         if pop.kind is not PopulationKind.WORKING_MEMORY:
-            raise ValueError(f"population {pid} is not working memory")
+            raise InvalidNetworkChange(f"population {pid} is not working memory")
         if not pop.sustained and pop.activation == 0.0:
             return
         if pop.sustained:
@@ -641,7 +644,15 @@ class Network:
         order. `last_change` is set to the largest activation change made.
         Working memory takes a new level through `_set_activation`, which
         may sustain it; any other kind gets the same bookkeeping in place.
+
+        A step is idle when nothing is flowing, no floor is pending, no row
+        is lit and no horizon entry is due now: it has no source and no
+        candidate, so it only sets `last_change` to 0 and advances the clock.
         """
+        if not (self._flowing or self._floors or self._lit) and self.time not in self._due:
+            self.last_change = 0.0
+            self.time += 1
+            return
         inflow: dict[int, float] = {}
         fed: dict[range, float] = {}
         asserted, lit = self.asserted, self._lit
@@ -867,7 +878,7 @@ class Network:
 
     def _refuse_relay(self, pid: int) -> None:
         if self._rows and self._relay_row(pid) is not None:
-            raise ValueError(f"population {pid} is a relay: only its row's hub drives it")
+            raise InvalidNetworkChange(f"population {pid} is a relay: only its row's hub drives it")
 
     def _build_reserved(self, pid: int) -> Population:
         """Build the reserved structure that owns `pid`, at rest: a

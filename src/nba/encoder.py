@@ -16,13 +16,12 @@ Bill Gates".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import labels
 from .blackboard import Blackboard, Binding
 from .config import FAMILY_GRIDS
 from .errors import NotATree, ParseError, PoolExhausted, UnknownUpos, UnknownWord, UnmappedLabel
 from .lexicon import POOL_FOR_TYPE, Lexicon, WordType
+from .value import Value
 
 _UPOS_MAP = {
     "NOUN": WordType.NOUN,
@@ -37,18 +36,22 @@ _UPOS_MAP = {
 IGNORE = "ignore"
 
 
-@dataclass(frozen=True)
-class Token:
-    index: int  # 1-based position
-    surface: str
-    word_type: WordType
+class Token(Value):
+    __slots__ = ("index", "surface", "word_type")
+
+    def __init__(self, index: int, surface: str, word_type: WordType):
+        self.index = index  # 1-based position
+        self.surface = surface
+        self.word_type = word_type
 
 
-@dataclass(frozen=True)
-class DependencyArc:
-    head: int  # 0 = root
-    dependent: int
-    label: str
+class DependencyArc(Value):
+    __slots__ = ("head", "dependent", "label")
+
+    def __init__(self, head: int, dependent: int, label: str):
+        self.head = head  # 0 = root
+        self.dependent = dependent
+        self.label = label
 
 
 # ------------------------------------------------------------------ CoNLL-U
@@ -128,24 +131,28 @@ def validate_tree(tokens: list[Token], arcs: list[DependencyArc]) -> None:
     for tok in tokens:
         if tok.index not in heads:
             raise NotATree(f"token {tok.index} has no head")
+    rooted = {0}  # tokens known to reach the root
     for tok in tokens:
-        seen = set()
+        path = set()
         cur = tok.index
-        while cur != 0:
-            if cur in seen:
+        while cur not in rooted:
+            if cur in path:
                 raise NotATree("cyclic heads")
-            seen.add(cur)
+            path.add(cur)
             cur = heads[cur]
+        rooted |= path
 
 
 # ------------------------------------------------------------- relation map
 
-@dataclass(frozen=True)
-class RelationMap:
+class RelationMap(Value):
     """Dependency label -> blackboard relation (or "ignore"); absent = unmapped."""
 
-    table: dict
-    case_labels: frozenset = frozenset({"case"})
+    __slots__ = ("table", "case_labels")
+
+    def __init__(self, table: dict, case_labels: frozenset = frozenset({"case"})):
+        self.table = table
+        self.case_labels = case_labels
 
     def lookup(self, label: str) -> str | None:
         return self.table.get(label)
@@ -169,46 +176,57 @@ def default_relation_map() -> RelationMap:
     )
 
 
+_DEFAULT_RELATION_MAP = default_relation_map()  # what `compile` uses when given none
+
+
 # ------------------------------------------------------------- instructions
 
-@dataclass(frozen=True)
-class Allocate:
-    kind: str
-    slot: int
-    position: int
+class Allocate(Value):
+    __slots__ = ("kind", "slot", "position")
+
+    def __init__(self, kind: str, slot: int, position: int):
+        self.kind = kind
+        self.slot = slot
+        self.position = position
 
     def __str__(self):
         return f"allocate {self.kind} -> slot{self.slot}"
 
 
-@dataclass(frozen=True)
-class BindConcept:
-    word: str
-    slot: int
-    word_type: WordType
-    position: int
+class BindConcept(Value):
+    __slots__ = ("word", "slot", "word_type", "position")
+
+    def __init__(self, word: str, slot: int, word_type: WordType, position: int):
+        self.word = word
+        self.slot = slot
+        self.word_type = word_type
+        self.position = position
 
     def __str__(self):
         return f"bind {self.word} -> slot{self.slot}"
 
 
-@dataclass(frozen=True)
-class BindHubs:
-    from_slot: int
-    to_slot: int
-    relation: str
-    position: int
+class BindHubs(Value):
+    __slots__ = ("from_slot", "to_slot", "relation", "position")
+
+    def __init__(self, from_slot: int, to_slot: int, relation: str, position: int):
+        self.from_slot = from_slot
+        self.to_slot = to_slot
+        self.relation = relation
+        self.position = position
 
     def __str__(self):
         return f"bind slot{self.from_slot} -[{self.relation}]-> slot{self.to_slot}"
 
 
-@dataclass(frozen=True)
-class CloseConstituent:
-    span_index: int
-    start: int
-    end: int
-    position: int
+class CloseConstituent(Value):
+    __slots__ = ("span_index", "start", "end", "position")
+
+    def __init__(self, span_index: int, start: int, end: int, position: int):
+        self.span_index = span_index
+        self.start = start
+        self.end = end
+        self.position = position
 
     def __str__(self):
         return f"close constituent {self.start}..{self.end}"
@@ -217,21 +235,28 @@ class CloseConstituent:
 Instruction = Allocate | BindConcept | BindHubs | CloseConstituent
 
 
-@dataclass
-class ConstituentSpan:
-    start: int
-    end: int
-    head: int
-    open_step: int | None = None
-    close_step: int | None = None
+class ConstituentSpan(Value):
+    __slots__ = ("start", "end", "head", "open_step", "close_step")
+    __hash__ = None  # `execute` sets the steps
+
+    def __init__(self, start: int, end: int, head: int, open_step: int | None = None,
+                 close_step: int | None = None):
+        self.start = start
+        self.end = end
+        self.head = head
+        self.open_step = open_step
+        self.close_step = close_step
 
 
-@dataclass
-class ControlProgram:
-    instructions: list
-    spans: list
-    tokens: list
-    text: str
+class ControlProgram(Value):
+    __slots__ = ("instructions", "spans", "tokens", "text")
+    __hash__ = None
+
+    def __init__(self, instructions: list, spans: list, tokens: list, text: str):
+        self.instructions = instructions
+        self.spans = spans
+        self.tokens = tokens
+        self.text = text
 
     def span(self, start: int, end: int) -> ConstituentSpan | None:
         for sp in self.spans:
@@ -240,11 +265,14 @@ class ControlProgram:
         return None
 
 
-@dataclass
-class ConnectionPathReport:
-    bindings: list
-    hubs_used: list
-    instruction_steps: list  # (instruction, step index after it ran)
+class ConnectionPathReport(Value):
+    __slots__ = ("bindings", "hubs_used", "instruction_steps")
+    __hash__ = None
+
+    def __init__(self, bindings: list, hubs_used: list, instruction_steps: list):
+        self.bindings = bindings
+        self.hubs_used = hubs_used
+        self.instruction_steps = instruction_steps  # (instruction, step index after it ran)
 
 
 # ------------------------------------------------------------------ compile
@@ -272,7 +300,7 @@ def compile(
     strict_words: bool = False,
 ) -> ControlProgram:
     """Build the left-to-right control program for one sentence."""
-    rm = relation_map or default_relation_map()
+    rm = relation_map or _DEFAULT_RELATION_MAP
     validate_tree(tokens, arcs)
     tok = {t.index: t for t in tokens}
     head_arc = {a.dependent: a for a in arcs}
@@ -310,7 +338,7 @@ def compile(
             # gap binding: a clause verb with its own subject leaves an object
             # gap filled by the head noun; otherwise the head noun is its agent
             has_subject = any(
-                a.head == arc.dependent and rm.lookup(a.label) == "agent" for a in arcs
+                rm.lookup(head_arc[d].label) == "agent" for d in children.get(arc.dependent, ())
             )
             if has_subject:
                 _emit(emissions, max(arc.head, arc.dependent), ("bind", arc.dependent, arc.head, "theme"))
@@ -322,8 +350,7 @@ def compile(
             continue
         if mapped == "prep":
             case_deps = [
-                a.dependent for a in arcs
-                if a.head == arc.dependent and a.label in rm.case_labels
+                d for d in children.get(arc.dependent, ()) if head_arc[d].label in rm.case_labels
             ]
             if not case_deps:
                 skip("nmod arc without a case marker")

@@ -9,6 +9,15 @@ class UnknownPopulation(NbaError):
     pass
 
 
+class FrozenNetwork(NbaError, RuntimeError):
+    """A structural change to a frozen network."""
+
+
+class InvalidNetworkChange(NbaError, ValueError):
+    """A bad level, threshold or gain, a gate or release of something that
+    is not working memory, or a change that would drive a relay directly."""
+
+
 class UnknownWord(NbaError):
     def __init__(self, word, line=None):
         self.word = word

@@ -26,6 +26,9 @@ class WordType(Enum):
     DETERMINER = "DET"
     OTHER = "X"
 
+    # by identity, in C: Enum's own __hash__ runs Python code on each lookup
+    __hash__ = object.__hash__
+
 
 _TAGS = {t.value: t for t in WordType}
 

@@ -1,12 +1,13 @@
-"""A base for small immutable value classes, kept free of `dataclasses`,
-whose import (it loads `inspect`) and class creation cost more than a
-query's whole probe."""
+"""A base for small value classes, kept free of `dataclasses`, whose
+import (it loads `inspect`) and class creation cost more than a query's
+whole probe, and whose frozen instances take twice as long to build."""
 
 
 class Value:
     """Equal to another value of the same class with equal slots, in order,
     and hashed by them. Subclasses list their fields in `__slots__` and do
-    not change them after `__init__`."""
+    not change them after `__init__`; one whose fields change sets
+    `__hash__ = None`, as a mutable dataclass would."""
 
     __slots__ = ()
 

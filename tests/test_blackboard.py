@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.corpus import build_lexicon, make_word_lists, random_template_sentence, random_tree_sentence
+from nba.dynamics import PopulationKind
 from nba.encoder import compile, execute, parse_conllu
 from nba.errors import (
     CellBusy,
@@ -291,6 +292,16 @@ def test_structural_fixity_under_operations():
     assert bb.network.connection_count() == conns
     with pytest.raises(RuntimeError):
         bb.network.add_population(bb.network.population(0).kind)
+
+
+def test_network_refusals_on_a_board_are_domain_errors():
+    bb = small_board()
+    with pytest.raises(NbaError, match="network structure is frozen"):
+        bb.network.add_population(PopulationKind.HUB)
+    relay = bb.cells[next(iter(bb.cells))].relay_fwd
+    with pytest.raises(NbaError, match=f"population {relay} is a relay"):
+        bb.network.inject(relay, 1.0)
+    assert bb.network.active_pids() == []
 
 
 def test_a_second_board_on_a_wired_lexicon_is_refused_and_changes_nothing():

@@ -430,6 +430,26 @@ def test_query_path_loads_neither_dataclasses_nor_inspect(workdir):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_encode_path_loads_neither_dataclasses_nor_inspect(workdir):
+    """A process that only encodes loads neither; `-S` as above."""
+    code = (
+        "import sys\n"
+        "from nba.cli import main\n"
+        "assert main(['encode', '--lexicon', sys.argv[1], '--relations', sys.argv[2],\n"
+        "             '--sentence', sys.argv[3], '--state', sys.argv[4]]) == 0\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    import nba
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nba.__file__)))
+    paths = [str(workdir / name) for name in ("lex.tsv", "rel.tsv", "s.conllu", "state.json")]
+    result = subprocess.run([sys.executable, "-S", "-c", code, *paths],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (workdir / "state.json").exists()
+
+
 @pytest.mark.parametrize("pycache", [False, True])
 def test_cold_query_script_prints_one_median_per_phase(workdir, pycache):
     """`scripts/cold_query.py`, which the README documents, runs as a script."""

@@ -364,13 +364,12 @@ def test_compile_finds_a_dependent_in_any_place(text, expected):
     ((2, 3, 2, 0), "cyclic heads"),  # 1 -> 2 -> 3 -> 2: the cycle is entered from a tail
     ((0, 5), "head 5 out of range"),
 ])
-def test_bad_trees_are_refused_as_today(heads, message):
+def test_bad_trees_are_refused_with_their_message(heads, message):
+    """Parsed, or handed to `compile` directly."""
     tokens = [Token(i, f"w{i}", WordType.NOUN) for i in range(1, len(heads) + 1)]
     arcs = [DependencyArc(head, i, "dep") for i, head in enumerate(heads, start=1)]
-    for refuse in (
-        lambda: parse_conllu(_conllu(*((t.surface, "NOUN", a.head, "dep") for t, a in zip(tokens, arcs)))),
-        lambda: compile(tokens, arcs),
-    ):
+    text = _conllu(*((t.surface, "NOUN", head, "dep") for t, head in zip(tokens, heads)))
+    for refuse in (lambda: parse_conllu(text), lambda: compile(tokens, arcs)):
         with pytest.raises(NotATree) as info:
             refuse()
         assert str(info.value) == message

@@ -409,44 +409,43 @@ def test_malformed_state_is_a_one_line_domain_error(workdir, capsys, name):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_query_path_loads_neither_dataclasses_nor_inspect(workdir):
-    """`-S` leaves out what site-packages' path hooks import, so only nba's
-    own imports count."""
-    state = _encoded_state(workdir)
+def _bare_cli(calls: str, *args) -> list[str]:
+    """Standard output of a fresh `python -S` that runs `calls` to the CLI's
+    `main`, then prints which of `dataclasses` and `inspect` it loaded.
+    `-S` leaves out what site-packages' path hooks import, so only nba's own
+    imports count."""
     code = (
         "import sys\n"
         "from nba.cli import main\n"
-        "assert main(['query', '--state', sys.argv[1], 'cat do?']) == 0\n"
-        "assert main(['state', 'show', '--state', sys.argv[1]]) == 0\n"
+        f"{calls}"
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     )
     import nba
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nba.__file__)))
-    result = subprocess.run([sys.executable, "-S", "-c", code, str(state)],
+    result = subprocess.run([sys.executable, "-S", "-c", code, *map(str, args)],
                             capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[0] == "runs"
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()
+
+
+def test_query_path_loads_neither_dataclasses_nor_inspect(workdir):
+    out = _bare_cli(
+        "assert main(['query', '--state', sys.argv[1], 'cat do?']) == 0\n"
+        "assert main(['state', 'show', '--state', sys.argv[1]]) == 0\n",
+        _encoded_state(workdir),
+    )
+    assert out[0] == "runs"
+    assert out[-1] == "[]"
 
 
 def test_encode_path_loads_neither_dataclasses_nor_inspect(workdir):
-    """A process that only encodes loads neither; `-S` as above."""
-    code = (
-        "import sys\n"
-        "from nba.cli import main\n"
+    out = _bare_cli(
         "assert main(['encode', '--lexicon', sys.argv[1], '--relations', sys.argv[2],\n"
-        "             '--sentence', sys.argv[3], '--state', sys.argv[4]]) == 0\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        "             '--sentence', sys.argv[3], '--state', sys.argv[4]]) == 0\n",
+        *(workdir / name for name in ("lex.tsv", "rel.tsv", "s.conllu", "state.json")),
     )
-    import nba
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nba.__file__)))
-    paths = [str(workdir / name) for name in ("lex.tsv", "rel.tsv", "s.conllu", "state.json")]
-    result = subprocess.run([sys.executable, "-S", "-c", code, *paths],
-                            capture_output=True, text=True, env=env, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert out[-1] == "[]"
     assert (workdir / "state.json").exists()
 
 

@@ -4,9 +4,14 @@ N fresh processes on one state file, in milliseconds.
 
     python3 scripts/cold_query.py STATE "cat do?" -n 20 [--pycache DIR]
 
-Each process does what `nba query` does: it imports `nba.cli`, reads the
-state with `json.loads`, restores it with `Blackboard.from_snapshot` and runs
-the query. With `--pycache DIR` the processes keep compiled bytecode under DIR
+Each process imports `nba.cli` and runs its `main` on `query --state STATE
+TEXT`, as `nba query` does, with the answer sent to /dev/null. The phases
+are the import; `argv`, what `main` does before it reads the state, such as
+parsing the command line; `json.loads`, reading and decoding the state;
+`from_snapshot`, restoring the board; and `query`, running the query. They
+are timed by wrapping `Path.read_text`, `json.loads`,
+`Blackboard.from_snapshot` and `run_query` once the import is done. With
+`--pycache DIR` the processes keep compiled bytecode under DIR
 (`PYTHONPYCACHEPREFIX`), which one unmeasured run fills first, so import time
 leaves out compiling the sources.
 """
@@ -18,20 +23,35 @@ import subprocess
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-PHASES = ("import", "json.loads", "from_snapshot", "query")
+PHASES = ("import", "argv", "json.loads", "from_snapshot", "query")
 CHILD = """\
-import sys, time
+import os, sys, time
 t0 = time.perf_counter()
 import nba.cli
 t1 = time.perf_counter()
-with open(sys.argv[1], encoding="utf-8") as f:
-    data = nba.cli.json.loads(f.read())
+marks = {}
+
+
+def timed(name, f):
+    def run(*args, **kwargs):
+        marks.setdefault(name, time.perf_counter())
+        value = f(*args, **kwargs)
+        marks.setdefault(name + " end", time.perf_counter())
+        return value
+    return run
+
+
+cli, Path = nba.cli, sys.modules["pathlib"].Path
+Path.read_text = timed("read", Path.read_text)
+cli.json.loads = timed("json", cli.json.loads)
+cli.Blackboard.from_snapshot = timed("restore", cli.Blackboard.from_snapshot)
+cli.run_query = timed("query", cli.run_query)
+stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
 t2 = time.perf_counter()
-bb = nba.cli.Blackboard.from_snapshot(data)
-t3 = time.perf_counter()
-nba.cli.run_query(bb, nba.cli.parse_query(sys.argv[2]))
-t4 = time.perf_counter()
-print(*((b - a) * 1e3 for a, b in ((t0, t1), (t1, t2), (t2, t3), (t3, t4))))
+assert cli.main(["query", "--state", sys.argv[1], sys.argv[2]]) == 0
+spans = ((t0, t1), (t2, marks["read"]), (marks["read"], marks["json end"]),
+         (marks["restore"], marks["restore end"]), (marks["query"], marks["query end"]))
+print(*((b - a) * 1e3 for a, b in spans), file=stdout)
 """
 
 

@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
-"""How large nba's sources are: per module of `src/nba`, and in total, the
-lines, the code lines and the median milliseconds `compile()` takes.
+"""How large nba's sources are: per module of `src/nba`, in total, and over
+the query path, the lines, the code lines and the median milliseconds
+`compile()` takes.
 
     python3 scripts/size.py
+
+The query path is the modules of `src/nba` that a `python -m nba.cli query`
+child loads, read from that child's `sys.modules`; it queries a one-word
+state written to a temporary directory.
 
 Code lines are the lines that hold a token of code: blank lines, comments and
 docstrings (the first string of a module, class or function) are left out. A
@@ -13,12 +18,26 @@ bytecode is cached, as under `PYTHONDONTWRITEBYTECODE=1`.
 
 import ast
 import io
+import json
 import os
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
 import tokenize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "nba")
+# runs `nba.cli` as `python -m` does, then prints the nba modules loaded, the run one included
+QUERY_CHILD = """\
+import runpy, sys
+sys.argv[1:] = ["query", "--state", sys.argv[1], "cat do?"]
+try:
+    runpy.run_module("nba.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(*sorted({m for m in sys.modules if m.split(".")[0] == "nba"} | {"nba.cli"}), file=sys.stderr)
+"""
 REPEAT = 7  # compiles per module, of which the median
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
         tokenize.ENCODING, tokenize.ENDMARKER}
@@ -53,19 +72,40 @@ def compile_ms(source: str, path: str) -> float:
     return statistics.median(times)
 
 
+def query_path() -> set[str]:
+    """The names, such as `blackboard`, of the modules a `python -m nba.cli
+    query` child loads."""
+    sys.path.insert(0, os.path.dirname(SRC))
+    from nba import Blackboard, Lexicon  # only to write the state the child queries
+
+    board = Blackboard(Lexicon.from_tsv("cat\tN\n"))
+    board.bind_concept("cat", board.allocate_hub("N"))
+    with tempfile.TemporaryDirectory() as tmp:
+        state = os.path.join(tmp, "state.json")
+        with open(state, "w", encoding="utf-8") as f:
+            json.dump(board.to_snapshot(), f)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+        result = subprocess.run([sys.executable, "-c", QUERY_CHILD, state], capture_output=True, text=True,
+                                env=env, timeout=120, check=True)
+    return {"__init__" if name == "nba" else name[len("nba."):] for name in result.stderr.split()}
+
+
 def main() -> int:
     print(f"{'module':<16} {'lines':>6} {'code':>6} {'compile_ms':>11}")
-    totals = [0, 0, 0.0]
+    totals, path_totals, path = [0, 0, 0.0], [0, 0, 0.0], query_path()
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
-        path = os.path.join(SRC, name)
-        with open(path, encoding="utf-8") as f:
+        path_name = os.path.join(SRC, name)
+        with open(path_name, encoding="utf-8") as f:
             source = f.read()
-        row = (source.count("\n"), code_lines(source), compile_ms(source, path))
+        row = (source.count("\n"), code_lines(source), compile_ms(source, path_name))
         totals = [total + value for total, value in zip(totals, row)]
+        if name[:-3] in path:
+            path_totals = [total + value for total, value in zip(path_totals, row)]
         print(f"{name[:-3]:<16} {row[0]:>6} {row[1]:>6} {row[2]:>11.2f}")
-    print(f"{'total':<16} {totals[0]:>6} {totals[1]:>6} {totals[2]:>11.2f}")
+    for label, row in (("total", totals), ("query path", path_totals)):
+        print(f"{label:<16} {row[0]:>6} {row[1]:>6} {row[2]:>11.2f}")
     return 0
 
 

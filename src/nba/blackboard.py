@@ -15,10 +15,11 @@ The structure is fixed at construction. Binding, releasing and querying
 change only working-memory and control state; adding a word later is an
 explicit structural extension that wires the new concept to its pool.
 A word's working memory for each hub of its pool is reserved, not built:
-the network builds it on the word's first binding to that hub. Matrix cells
-and their relays are reserved too: the network builds a cell when it is
-bound or looked up, and keeps the level of the relays a query lights per
-row, without building their cells.
+the network builds it on the word's first binding to that hub. Its ids
+follow from the word's lexicon row: the board keeps each row's first id,
+made in one pass in C. Matrix cells and their relays are reserved too: the
+network builds a cell when it is bound or looked up, and keeps the level of
+the relays a query lights per row, without building their cells.
 Every count reports the whole fixed structure, and `cells` is derived from
 each grid's reserved ids rather than stored.
 """
@@ -43,7 +44,7 @@ from .errors import (
     UnknownHub,
     expect,
 )
-from .lexicon import POOL_FOR_TYPE, Lexicon
+from .lexicon import POOL_FOR_TYPE, Lexicon, WordType
 from .value import Value
 
 
@@ -142,8 +143,12 @@ class Blackboard:
         self.pools: dict[str, HubPool] = {}
         # hub name -> (its pool, its index in the pool)
         self._hubs: dict[str, tuple[HubPool, int]] = {}
-        # word -> its working-memory ids, one per hub of its pool in hub order
-        self._word_wms: dict[str, range] = {}
+        # per lexicon row, the first id of the word's working memory; None
+        # for a row not wired yet. A word of no pool has none: its entry is
+        # the next word's first id
+        self._wm_starts: list[int | None] = []
+        # working-memory ids reserved for words, one per (word, hub of its pool)
+        self._word_wm_count = 0
         # (relation, from pool, to pool) -> population ids of its reserved grid
         self._grids: dict[tuple[str, str, str], range] = {}
         self.cells = _Cells(self)
@@ -153,7 +158,11 @@ class Blackboard:
         for kind, capacity in (("N", self.config.k_n), ("V", self.config.k_v), ("C", self.config.k_c)):
             pool = self.pools[kind] = HubPool(kind, self.network.add_populations(PopulationKind.HUB, capacity))
             self._hubs.update((hub, (pool, i)) for i, hub in enumerate(pool.hubs))
-        self._link_words(self.lexicon.rows())
+        # the hub ids a word of each type binds, as tuples: indexing a range
+        # makes a new int per built connection
+        self._type_hubs = {t: tuple(self.pools[POOL_FOR_TYPE[t]].ids) if t in POOL_FOR_TYPE else ()
+                           for t in WordType}
+        self._link_rows(0, len(self.lexicon))
         # relation -> the grids it spans (clause facts chain two, via a C hub)
         self.grid_counts: dict[str, int] = {}
         for spec in self.config.relation_specs():
@@ -181,22 +190,36 @@ class Blackboard:
             else:
                 pop.decay = cfg.decay
 
-    def _link_words(self, rows) -> None:
-        """Reserve, as one block, the working memory of each bindable word
-        not yet wired, given as (word, type, concept) rows: one population
-        per hub of its pool."""
-        # keyed by the type's id: hashing an Enum member runs Python code. Hub
-        # ids go as tuples: indexing a range makes a new int per built connection
-        pool_of_type = {id(t): tuple(self.pools[kind].ids) for t, kind in POOL_FOR_TYPE.items()}
-        words, concepts, hubs = [], [], []
-        for word, word_type, concept in rows:
-            pool = pool_of_type.get(id(word_type))
-            if pool is not None and word not in self._word_wms:
-                words.append(word)
-                concepts.append(concept)
-                hubs.append(pool)
-        wms = self.network.reserve_bindings(concepts, hubs, self.config.gain)
-        self._word_wms.update(zip(words, wms))
+    def _link_rows(self, start: int, stop: int) -> None:
+        """Reserve, as one block, the working memory of the words in lexicon
+        rows `start` to `stop`, none of them wired yet: one population per
+        hub of its pool. Each row's first id is noted in C."""
+        types, concepts = self.lexicon.columns(start, stop)
+        starts = self.network.reserve_bindings(concepts, self._type_hubs, types, self.config.gain)
+        self._word_wm_count += starts[-1] - starts[0]
+        if len(self._wm_starts) < stop:
+            self._wm_starts += [None] * (stop - len(self._wm_starts))
+        self._wm_starts[start:stop] = starts[:-1]
+
+    def word_wms(self, word: str) -> range | None:
+        """A word's working-memory ids, one per hub of its pool in hub order;
+        None for a word of no pool, or one added to the lexicon and not
+        wired yet."""
+        row, word_type = self.lexicon.lookup(word)
+        first = self._wm_starts[row] if row < len(self._wm_starts) else None
+        hubs = self._type_hubs[word_type]
+        return range(first, first + len(hubs)) if first is not None and hubs else None
+
+    def _first_wm(self, row: int) -> int:
+        """The first working-memory id of the word of a pool in lexicon
+        `row`, which is wired to its pool first if it is not yet."""
+        starts = self._wm_starts
+        first = starts[row] if row < len(starts) else None
+        if first is None:
+            with self.network.structural_extension():
+                self._link_rows(row, row + 1)
+            first = starts[row]
+        return first
 
     def _build_grid(self, spec) -> None:
         cells = self.network.reserve_cells(
@@ -219,9 +242,7 @@ class Blackboard:
 
     def extend_word(self, word: str) -> None:
         """Wire a word added after construction to its pool (explicit extension)."""
-        entry = self.lexicon.entry(word)
-        with self.network.structural_extension():
-            self._link_words([(entry.word, entry.word_type, entry.concept)])
+        self._first_wm(self.lexicon.lookup(word)[0])
 
     def add_word(self, word: str, word_type) -> None:
         """Add to the lexicon and wire in one go; usable immediately."""
@@ -253,7 +274,7 @@ class Blackboard:
     # --------------------------------------------------------------- binding
 
     def bind_concept(self, word: str, hub: str) -> Binding:
-        word_type = self.lexicon.classify(word)  # raises UnknownWord
+        row, word_type = self.lexicon.lookup(word)  # raises UnknownWord
         word = word.casefold()
         pool, index = self._hubs.get(hub, (None, None))
         if pool is None:
@@ -264,9 +285,7 @@ class Blackboard:
         bound = self._allocation.get(hub)
         if bound is not None:
             raise HubBusy(f"hub {hub} already bound to {bound.word!r}")
-        if word not in self._word_wms:
-            self.extend_word(word)
-        binding = self._allocation[hub] = Binding(self, "concept", self._word_wms[word][index], word=word, hub=hub)
+        binding = self._allocation[hub] = Binding(self, "concept", self._first_wm(row) + index, word=word, hub=hub)
         return self._hold(binding)
 
     def bind_hubs(self, from_hub: str, to_hub: str, relation: str) -> Binding:
@@ -336,7 +355,7 @@ class Blackboard:
     def connection_count(self) -> int:
         """Gated links in the fixed structure: each word-hub pair contributes
         its two directions, each matrix cell its forward and mirror route."""
-        return 2 * sum(map(len, self._word_wms.values())) + 2 * len(self.cells)
+        return 2 * self._word_wm_count + 2 * len(self.cells)
 
     def expressible_bindings(self) -> int:
         """Distinct (word, relation, word) facts the fixed matrix can encode."""

@@ -20,7 +20,9 @@ Structure may be reserved rather than built: ids are taken in construction
 order, and the populations and connections behind them are built, at rest,
 when first needed. A lexicon's concepts are reserved as one block; a concept
 is built the first time it is touched: cued, reached by inflow, or looked
-up. Working memory is reserved with the two connections it gates, either
+up, and the control-gated connections reserved from it, such as a lexicon's
+semantic relations, are built with it. Working memory is reserved with the
+two connections it gates, either
 for many words' hubs as one block or as a grid of matrix cells, each of
 which adds a forward and a reverse relay. A reservation only describes its
 layout: the working memory that owns an id, and the two connections it
@@ -162,20 +164,21 @@ class _Block:
 class _Bindings:
     """Working memory of many words, one run of consecutive ids per word.
 
-    Word w's run starts at `starts[w]`; its i-th id gates concepts[w] ->
-    hubs[w][i] over connection id `cid + 2 * (pid - pids.start)` and the
-    mirror hubs[w][i] -> concepts[w] over the id after it.
+    Word w binds the hubs `pools[keys[w]]`. Its run starts at `starts[w]`;
+    its i-th id gates concepts[w] -> that pool's i-th hub over connection id
+    `cid + 2 * (pid - pids.start)` and the mirror over the id after it.
     """
 
-    __slots__ = ("pids", "cid", "starts", "concepts", "hubs", "gain")
+    __slots__ = ("pids", "cid", "starts", "concepts", "pools", "keys", "gain")
 
     def __init__(self, pids: range, cid: int, starts: list[int], concepts: list[int],
-                 hubs: list[tuple[int, ...]], gain: float):
+                 pools: dict, keys: list, gain: float):
         self.pids = pids
         self.cid = cid
         self.starts = starts
         self.concepts = concepts
-        self.hubs = hubs
+        self.pools = pools
+        self.keys = keys
         self.gain = gain
 
     def owner(self, pid: int) -> int:
@@ -185,7 +188,7 @@ class _Bindings:
     def gated(self, wm: int):
         """The (cid, source, target) of the two connections `wm` gates."""
         w = bisect.bisect_right(self.starts, wm) - 1
-        concept, hub = self.concepts[w], self.hubs[w][wm - self.starts[w]]
+        concept, hub = self.concepts[w], self.pools[self.keys[w]][wm - self.starts[w]]
         cid = self.cid + 2 * (wm - self.pids.start)
         return (cid, concept, hub), (cid + 1, hub, concept)
 
@@ -284,8 +287,10 @@ class Network:
         self.wm_decay_horizon = wm_decay_horizon
         self._pops: dict[int, Population] = {}
         self._conns: dict[int, GatedConnection] = {}
-        # static: control-gated out-edges per source, then per label, in id order
+        # static: control-gated out-edges per built source, then per label, in id order
         self._control_out: dict[int, dict[str, list[GatedConnection]]] = {}
+        # reserved: control-gated out-edges per source not yet built, as (cid, target, label, gain)
+        self._unbuilt_control: dict[int, list[tuple[int, int, str, float]]] = {}
         # dynamic: binding-gated out-edges per source whose WM is sustained, in id order
         self._open_binding_out: dict[int, list[GatedConnection]] = {}
         # all binding-gated edges per gating WM
@@ -383,29 +388,50 @@ class Network:
             self._reserve(_Block(pids, kind))
         return pids
 
+    def reserve_control_connections(self, edges: list[tuple[int, int, str]], gain: float = 1.0) -> None:
+        """Reserve control-gated connections, given as (source, target,
+        label), such as a lexicon's semantic relations.
+
+        Connection ids are taken now, in order, exactly as adding each
+        connection in turn would take them. A source's connections are built
+        when the source is built (cued, reached by inflow or looked up), or
+        now if it is built already: a source at rest sends nothing, so
+        nothing else can tell them from connections built at once.
+        """
+        sources, targets, _ = zip(*edges) if edges else ((), (), ())
+        self._check_structure((sources, targets), gain)
+        _, cid = self._take_ids(0, len(edges))
+        gain, unbuilt = float(gain), self._unbuilt_control
+        for cid, (source, target, label) in enumerate(edges, cid):
+            unbuilt.setdefault(source, []).append((cid, target, label, gain))
+        for source in sorted(self._pops.keys() & unbuilt.keys()):
+            self._build_control(source)
+
     def reserve_bindings(
-        self, concepts: list[int], hubs: list[tuple[int, ...]], gain: float = 1.0
-    ) -> list[range]:
-        """Reserve the working memory of many words as one block: for word w,
-        one population per hub, the i-th gating a concepts[w] -> hubs[w][i]
-        connection and its mirror.
+        self, concepts: list[int], pools: dict, keys: list, gain: float = 1.0
+    ) -> list[int]:
+        """Reserve the working memory of many words as one block: word w
+        binds the hubs of `pools[keys[w]]`, a tuple of hub ids, with one
+        population per hub, the i-th gating a concepts[w] -> hub i connection
+        and its mirror. A word whose pool is empty takes no id.
 
         Ids are taken now, word after word, exactly as adding each population
         and its two connections in turn would take them; a population and its
         connections are built, at rest, the first time it is touched. Returns
-        each word's working-memory ids, in hub order.
+        each word's first working-memory id, then the id after the last word's:
+        word w's ids, in hub order, run from the w-th to the next. The pass
+        over the words runs in C.
         """
-        # distinct pools by identity: hashing each word's tuple costs more
-        pools = {id(pool): pool for pool in hubs}.values()
-        self._check_structure((concepts, *pools), gain)
-        starts = list(itertools.accumulate(map(len, hubs), initial=self._next_pid))
+        self._check_structure((concepts, *pools.values()), gain)
+        sizes = {key: len(hubs) for key, hubs in pools.items()}
+        starts = list(itertools.accumulate(map(sizes.__getitem__, keys), initial=self._next_pid))
         pids, cid = self._take_ids(starts[-1] - starts[0], 2 * (starts[-1] - starts[0]))
         # the hubs are sources from now on, as wired ones would be; the
         # concepts, one per word, become sources as their connections are built
-        self._add_sources(set().union(*pools))
+        self._add_sources(set().union(*pools.values()))
         if pids:
-            self._reserve(_Bindings(pids, cid, starts[:-1], list(concepts), list(hubs), float(gain)))
-        return list(map(range, starts, starts[1:]))
+            self._reserve(_Bindings(pids, cid, starts[:-1], list(concepts), dict(pools), list(keys), float(gain)))
+        return starts
 
     def reserve_cells(
         self,
@@ -460,9 +486,10 @@ class Network:
         looked for only once a grid exists."""
         self._refuse_frozen()
         for pids in groups:
-            for pid in pids:  # one by one: as fast as min() and max() here
-                if not 0 <= pid < self._next_pid:
-                    raise UnknownPopulation(f"no population with id {pid}")
+            # in C: a group may be a whole lexicon's concepts
+            if pids and not (0 <= min(pids) and max(pids) < self._next_pid):
+                bad = next(pid for pid in pids if not 0 <= pid < self._next_pid)
+                raise UnknownPopulation(f"no population with id {bad}")
             if self._rows:  # a grid, so there may be a relay
                 for pid in pids:
                     self._refuse_relay(pid)
@@ -840,9 +867,16 @@ class Network:
     def _build_population(self, pid: int, kind: PopulationKind, thr: float, decay: float) -> Population:
         pop = Population(pid, kind, 0.0, thr, decay)  # positional: half the cost of keywords
         self._pops[pid] = pop
+        if pid in self._unbuilt_control:
+            self._build_control(pid)
         if kind is PopulationKind.WORKING_MEMORY and pop.activation >= thr:
             self._sustain(pop, self.time)
         return pop
+
+    def _build_control(self, source: int) -> None:
+        """Build the reserved control-gated out-edges of `source`, built now."""
+        for cid, target, label, gain in self._unbuilt_control.pop(source):
+            self._build_connection(GatedConnection(cid, source, target, ControlGate(label), gain))
 
     def _build_connection(self, conn: GatedConnection) -> None:
         self._conns[conn.cid] = conn

@@ -5,7 +5,8 @@ control-gated relations between them (semantic memory). Word types come
 from the lexicon file; classification is a lookup. A word is a row of three
 parallel columns, its word, type and concept id; the concepts of words added
 together are reserved as one block, so a concept is built only when
-something first touches it.
+something first touches it. Its relations are reserved too, indexed by the
+concept they leave, and built with it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import bisect
 from enum import Enum
 
 from . import labels
-from .dynamics import ControlGate, Network, PopulationKind
+from .dynamics import Network, PopulationKind
 from .errors import DuplicateWord, InvalidState, ParseError, UnknownWord, expect
 
 
@@ -100,10 +101,15 @@ class Lexicon:
         return LexicalEntry(self._words[i], self._types[i], self._concepts[i])
 
     def classify(self, word: str) -> WordType:
+        return self.lookup(word)[1]
+
+    def lookup(self, word: str) -> tuple[int, WordType]:
+        """A word's row, its place in the columns, and its type."""
         try:  # `_row` inlined: every bind looks its word up here
-            return self._types[self._index[word.casefold()]]
+            row = self._index[word.casefold()]
         except KeyError:
             raise UnknownWord(word) from None
+        return row, self._types[row]
 
     def concept(self, word: str) -> int:
         return self._concepts[self._row(word)]
@@ -118,9 +124,10 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self._words)
 
-    def rows(self):
-        """(word, type, concept id) per word, in insertion order."""
-        return zip(self._words, self._types, self._concepts)
+    def columns(self, start: int = 0, stop: int | None = None) -> tuple[list[WordType], list[int]]:
+        """The types and the concept ids of rows `start` to `stop`, as two
+        lists made in C."""
+        return self._types[start:stop], self._concepts[start:stop]
 
     def entries(self) -> list[LexicalEntry]:
         return list(map(LexicalEntry, self._words, self._types, self._concepts))
@@ -146,19 +153,19 @@ class Lexicon:
         self._add_relations([(s, relation_label, o)])
 
     def _add_relations(self, triples: list[tuple[str, str, str]]) -> None:
-        """Wire checked (subject, label, object) triples of casefolded words
-        not yet installed, in one structural extension."""
-        net, index, concepts = self.network, self._index, self._concepts
-        with net.structural_extension():
-            for triple in triples:
-                if triple in self._triples:
-                    continue
-                subject, label, obj = triple
-                s, o = concepts[index[subject]], concepts[index[obj]]
-                net.add_gated_connection(s, o, ControlGate(labels.semantic_forward(label)))
-                net.add_gated_connection(o, s, ControlGate(labels.semantic_reverse(label)))
-                self._triples[triple] = None
-                self.semantic_labels.add(label)
+        """Reserve the two edges of each checked (subject, label, object)
+        triple of casefolded words not yet installed, in one structural
+        extension; a concept's edges are built with the concept."""
+        index, concepts = self._index, self._concepts
+        new = dict.fromkeys(t for t in triples if t not in self._triples)
+        edges = []
+        for subject, label, obj in new:
+            s, o = concepts[index[subject]], concepts[index[obj]]
+            edges += (s, o, labels.semantic_forward(label)), (o, s, labels.semantic_reverse(label))
+        with self.network.structural_extension():
+            self.network.reserve_control_connections(edges)
+        self._triples.update(new)
+        self.semantic_labels.update(label for _, label, _ in new)
 
     # ------------------------------------------------------------- file I/O
 

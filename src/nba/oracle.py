@@ -1,41 +1,40 @@
-"""Brute-force symbolic triple store.
+"""Exact symbolic triple store.
 
-The reference oracle for every blackboard query: exact set semantics,
-answers by linear scan. Kept free of any dynamics so the two answer routes
-stay independent.
+The reference oracle for every blackboard query: exact set semantics, each
+query answered by one lookup in an index of every recorded triple by mode,
+direction, cue and relation. Kept free of any dynamics so the two answer
+routes stay independent.
 """
 
 from __future__ import annotations
 
-from .query import EPISODIC, FORWARD, AnswerSet, Query
+from .query import EPISODIC, FORWARD, REVERSE, AnswerSet, Query
 
 
 class OracleStore:
     def __init__(self):
-        self._triples: set[tuple[str, str, str, str]] = set()
+        # (mode, direction, cue, relation) -> the words such a query answers
+        self._index: dict[tuple[str, str, str, str], set[str]] = {}
 
     def record(self, subject: str, relation: str, obj: str, mode: str = EPISODIC) -> None:
-        self._triples.add((mode, subject.casefold(), relation, obj.casefold()))
+        s, o = subject.casefold(), obj.casefold()
+        self._index.setdefault((mode, FORWARD, s, relation), set()).add(o)
+        self._index.setdefault((mode, REVERSE, o, relation), set()).add(s)
 
     def query(self, query: Query) -> AnswerSet:
-        cue = query.cue.casefold()
-        if query.direction == FORWARD:
-            matches = {
-                o for (m, s, r, o) in self._triples
-                if m == query.mode and s == cue and r == query.relation
-            }
-        else:
-            matches = {
-                s for (m, s, r, o) in self._triples
-                if m == query.mode and o == cue and r == query.relation
-            }
+        direction = FORWARD if query.direction == FORWARD else REVERSE
+        matches = self._index.get((query.mode, direction, query.cue.casefold(), query.relation), ())
         return AnswerSet.from_words(sorted(matches))
 
     def triples(self):
-        return sorted(self._triples)
+        """Every recorded (mode, subject, relation, object), sorted."""
+        return sorted(
+            (mode, s, r, o) for (mode, direction, s, r), objs in self._index.items()
+            if direction == FORWARD for o in objs
+        )
 
     def clear(self) -> None:
-        self._triples.clear()
+        self._index.clear()
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return sum(len(objs) for (_, direction, _, _), objs in self._index.items() if direction == FORWARD)

@@ -689,13 +689,20 @@ def test_restore_and_forward_query_build_only_reached_cells():
 # ----------------------------------------------- bulk and one-word wiring
 
 
+def _word_wms(bb):
+    """Each wired word's working-memory ids, read through `word_wms`, in
+    wiring order: the order of their ids."""
+    wired = ((word, bb.word_wms(word)) for word in bb.lexicon.words())
+    return dict(sorted(((word, wms) for word, wms in wired if wms is not None), key=lambda item: item[1].start))
+
+
 def _pid_names(bb):
     """A name for every population id that does not depend on the order in
     which the structure was built."""
     net = bb.network
     names = {e.concept: ("concept", e.word) for e in bb.lexicon.entries()}
     names.update({pid: ("hub", hub) for pool in bb.pools.values() for hub, pid in pool.pids.items()})
-    for word, wms in bb._word_wms.items():
+    for word, wms in _word_wms(bb).items():
         hubs = bb.pools[POOL_FOR_TYPE[bb.lexicon.classify(word)]].hubs
         names.update({wm: ("wm", word, hub) for wm, hub in zip(wms, hubs, strict=True)})
     for key, cell in bb.cells.items():
@@ -710,7 +717,7 @@ def _word_wiring(bb, names):
     as (source, target, cid less the word's first cid), in cid order. Touches,
     and so builds, every word's working memory."""
     net = bb.network
-    for wms in bb._word_wms.values():
+    for wms in _word_wms(bb).values():
         for wm in wms:
             net.population(wm)
     gated = {}
@@ -719,7 +726,7 @@ def _word_wiring(bb, names):
         if name and name[0] == "wm":
             gated.setdefault(name[1], []).append(conn)
     wiring = {}
-    for word, wms in bb._word_wms.items():
+    for word, wms in _word_wms(bb).items():
         conns = gated[word]
         first = conns[0].cid
         assert [c.cid for c in conns] == list(range(first, first + 2 * len(wms)))
@@ -745,8 +752,8 @@ def test_words_added_one_at_a_time_match_a_bulk_built_board(k_n, k_v):
     boards = (bulk, single)
     names = [_pid_names(bb) for bb in boards]
 
-    assert [list(bb._word_wms) for bb in boards] == [list(bulk._word_wms)] * 2
-    assert set(bulk._word_wms) == set(nouns + verbs + adjs)
+    assert [list(_word_wms(bb)) for bb in boards] == [list(_word_wms(bulk))] * 2
+    assert set(_word_wms(bulk)) == set(nouns + verbs + adjs)
     assert _counts(single) == _counts(bulk) == _closed_form(bulk, 0)
 
     sentences = [random_template_sentence(rng, nouns, verbs, adjs)[:2] for _ in range(min(k_n // 3, k_v))]
@@ -766,6 +773,73 @@ def test_words_added_one_at_a_time_match_a_bulk_built_board(k_n, k_v):
     assert named[0] == named[1] and any(named[0])
 
     assert _word_wiring(bulk, names[0]) == _word_wiring(single, names[1])
+
+
+def _eager_ids(bb, words, first):
+    """The working-memory ids the eager engine gave `words`, wired one after
+    another from id `first`: one per hub of the word's pool, none for a
+    word of no pool."""
+    ids, next_id = {}, first
+    for word in words:
+        pool = POOL_FOR_TYPE.get(bb.lexicon.classify(word))
+        if pool is not None:
+            ids[word] = range(next_id, next_id + bb.pools[pool].capacity)
+            next_id = ids[word].stop
+    return ids, next_id
+
+
+def _assert_eager(bb, eager, populations):
+    """Every word's ids, `connection_count()` and `population_count()`
+    are those of the eager reference."""
+    for word in bb.lexicon.words():
+        assert bb.word_wms(word) == eager.get(word), word
+    assert bb.connection_count() == 2 * sum(map(len, eager.values())) + 2 * len(bb.cells)
+    assert bb.network.population_count() == populations
+
+
+@pytest.mark.parametrize("k_n,k_v,k_c", [(1, 1, 1), (3, 2, 1), (5, 3, 2)])
+def test_word_memory_ids_and_counts_match_the_eager_engine(k_n, k_v, k_c):
+    """Ids follow from lexicon rows: at construction, on a restore, and for
+    words wired later, by `add_word` or by a bind of a word added to the
+    lexicon behind the board's back (as `auto_add_words` does), in the
+    order they are wired."""
+    rng = random.Random(k_n)
+    nouns, verbs, adjs = make_word_lists(6, 4, 3)
+    rows = [f"{w}\tN" for w in nouns] + [f"{w}\tV" for w in verbs] + [f"{w}\tADJ" for w in adjs]
+    rows += ["the\tDET", "of\tP", "hm\tX"]
+    rng.shuffle(rows)  # words of no pool between and around the others
+    config = Config(k_n=k_n, k_v=k_v, k_c=k_c, relations=("agent", "theme", "modifier"))
+    bb = Blackboard(Lexicon.from_tsv("\n".join(rows)), config)
+    n = len(bb.lexicon)
+    eager, stop = _eager_ids(bb, bb.lexicon.words(), n + k_n + k_v + k_c)
+    grids = bb.network.population_count() - stop  # cells and controls, after the words
+    _assert_eager(bb, eager, stop + grids)
+    assert bb.word_wms("the") is None and bb.word_wms("of") is None
+
+    bb.add_word("zebra", WordType.NOUN)  # a concept, then its working memory
+    populations = stop + grids
+    eager["zebra"] = range(populations + 1, populations + 1 + k_n)
+    populations = eager["zebra"].stop
+    _assert_eager(bb, eager, populations)
+
+    for word, word_type in (("yak", WordType.NOUN), ("gnu", WordType.VERB), ("an", WordType.DETERMINER)):
+        bb.lexicon.add_word(word, word_type)
+    concepts = range(populations, populations + 3)
+    populations = concepts.stop
+    assert [bb.lexicon.concept(w) for w in ("yak", "gnu", "an")] == list(concepts)
+    assert bb.word_wms("yak") is None and bb.word_wms("gnu") is None
+    _assert_eager(bb, eager, populations)
+    bb.bind_concept("gnu", bb.allocate_hub("V"))  # wired on its first bind, before yak
+    later, populations = _eager_ids(bb, ["gnu", "yak"], populations)
+    bb.bind_concept("yak", bb.allocate_hub("N"))
+    eager.update(later)
+    _assert_eager(bb, eager, populations)
+    assert bb.word_wms("an") is None
+
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    restored_eager, stop = _eager_ids(restored, restored.lexicon.words(), len(restored.lexicon) + k_n + k_v + k_c)
+    _assert_eager(restored, restored_eager, stop + grids)
+    assert [b.wm for b in restored.active_bindings()] == [restored_eager["gnu"][0], restored_eager["yak"][0]]
 
 
 # ------------------------------------------------- concepts built on touch
@@ -808,7 +882,7 @@ def test_no_concept_is_built_at_rest_even_at_zero_sustain_threshold():
     lex = Lexicon.from_tsv("cat\tN\ndog\tN\nrun\tV\n", Network(sustain_threshold=0.0))
     bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1, sustain_threshold=0.0))
     assert _built_concepts(bb) == set()
-    assert all(bb.network.population(wm).sustained for wms in bb._word_wms.values() for wm in wms)
+    assert all(bb.network.population(wm).sustained for wms in _word_wms(bb).values() for wm in wms)
 
 
 def test_restore_builds_no_concept_and_a_query_only_those_it_reaches():

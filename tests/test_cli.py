@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nba.cli import main, run_repl
+from nba.cli import main
+from nba.commands import run_repl
 from nba.config import Config
 
 LEXICON = "cat\tN\ndog\tN\nruns\tV\neats\tV\npaw\tN\n"
@@ -228,7 +229,10 @@ def test_pool_exhaustion_names_sentence_token_and_occupancy(workdir, capsys):
 
 # Modules a query never runs: the encoder, the tracer (and csv), the demos,
 # the oracle and the corpus generator.
-_NOT_ON_QUERY_PATH = ("nba.encoder", "nba.trace", "nba.demos", "nba.oracle", "nba.corpus", "csv")
+_NOT_ON_BOARD_PATH = ("nba.encoder", "nba.trace", "nba.demos", "nba.oracle", "nba.corpus", "csv")
+# Nor does `nba query` load the argument parser (and the gettext and locale
+# it imports) or the other commands.
+_NOT_ON_QUERY_PATH = _NOT_ON_BOARD_PATH + ("argparse", "gettext", "locale", "nba.commands")
 
 
 def _run_python(code, *args):
@@ -240,20 +244,15 @@ def _run_python(code, *args):
 
 
 def test_query_and_state_show_import_only_the_query_path(workdir):
-    state = workdir / "state.json"
-    assert main(["encode", "--lexicon", str(workdir / "lex.tsv"),
-                 "--sentence", str(workdir / "s.conllu"), "--state", str(state)]) == 0
-    code = (
-        "import sys\n"
-        "from nba.cli import main\n"
-        "assert main(['query', '--state', sys.argv[1], 'cat do?']) == 0\n"
-        "assert main(['state', 'show', '--state', sys.argv[1]]) == 0\n"
-        f"print(sorted(m for m in {_NOT_ON_QUERY_PATH!r} if m in sys.modules))\n"
-    )
-    result = _run_python(code, str(state))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[0] == "runs"
-    assert result.stdout.splitlines()[-1] == "[]"
+    """`query`, in either order of its operands, loads no parser and no
+    other command; `state show` parses its argv but loads no encoder."""
+    state = _encoded_state(workdir)
+    for argv in ("['query', '--state', sys.argv[1], 'cat do?']", "['query', 'cat do?', '--state', sys.argv[1]]"):
+        out = _bare_cli(f"assert main({argv}) == 0\n", state, modules=_NOT_ON_QUERY_PATH)
+        assert out == ["runs", "[]"]
+    out = _bare_cli("assert main(['state', 'show', '--state', sys.argv[1]]) == 0\n", state,
+                    modules=_NOT_ON_BOARD_PATH)
+    assert out[0].startswith("pools: ") and out[-1] == "[]"
 
 
 def test_star_import_binds_every_exported_name():
@@ -409,16 +408,15 @@ def test_malformed_state_is_a_one_line_domain_error(workdir, capsys, name):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _bare_cli(calls: str, *args) -> list[str]:
+def _bare_cli(calls: str, *args, modules=("dataclasses", "inspect")) -> list[str]:
     """Standard output of a fresh `python -S` that runs `calls` to the CLI's
-    `main`, then prints which of `dataclasses` and `inspect` it loaded.
-    `-S` leaves out what site-packages' path hooks import, so only nba's own
-    imports count."""
+    `main`, then prints which of `modules` it loaded. `-S` leaves out what
+    site-packages' path hooks import, so only nba's own imports count."""
     code = (
         "import sys\n"
         "from nba.cli import main\n"
         f"{calls}"
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     )
     import nba
 
@@ -449,6 +447,57 @@ def test_encode_path_loads_neither_dataclasses_nor_inspect(workdir):
     assert (workdir / "state.json").exists()
 
 
+# operands and options a `query` argv may hold, the plain shapes among them
+_ARGV_TOKENS = st.sampled_from(["--state", "--sta", "--state=s.json", "-s", "s.json", "cat do?", "? do runs",
+                                "-h", "--help", "--", "-", "", " ", "-x", "-1", " -x", "query", "a b"])
+_ARGV_VALUES = _ARGV_TOKENS | st.text(max_size=6)
+
+
+@given(rest=st.one_of(
+    st.lists(_ARGV_VALUES, max_size=5),
+    st.tuples(_ARGV_VALUES, _ARGV_VALUES).map(lambda v: ["--state", v[0], v[1]]),
+    st.tuples(_ARGV_VALUES, _ARGV_VALUES).map(lambda v: [v[0], "--state", v[1]]),
+))
+@settings(max_examples=300, deadline=None)
+def test_main_reads_a_query_argv_as_the_parser_does(rest):
+    """`main` either hands a `query` argv to the parser, or reads from it
+    the state and the text that the parser reads, with no help or error."""
+    from nba.cli import plain_query
+    from nba.commands import _build_parser
+
+    argv = ["query", *rest]
+    plain = plain_query(argv)
+    if plain is not None:
+        args = _build_parser(None).parse_args(argv)
+        assert (args.command, args.state, args.query) == ("query", *plain)
+
+
+def test_plain_query_reads_both_orders_and_nothing_else():
+    from nba.cli import plain_query
+
+    assert plain_query(["query", "--state", "s.json", "cat do?"]) == plain_query(["query", "cat do?", "--state", "s.json"])
+    for argv in (["query", "--state=s.json", "cat do?"], ["query", "--sta", "s.json", "cat do?"],
+                 ["query", "--state", "s.json", "-x"], ["query", "--state", "", "cat do?"],
+                 ["query", "--", "--state", "s.json"], ["query", "--state", "s.json"], ["state", "--state", "s", "x"]):
+        assert plain_query(argv) is None, argv
+
+
+def test_query_argvs_the_parser_reads_keep_their_exits(workdir, capsys):
+    """Help, a missing or extra operand, and option spellings only the
+    parser reads, such as an abbreviation, answer or fail as they did."""
+    state = str(_encoded_state(workdir))
+    capsys.readouterr()
+    assert main(["query", "--help"]) == 0
+    assert "--state" in capsys.readouterr().out
+    for argv in (["query", "cat do?"], ["query", "--state", state], ["query", "--state", state, "cat do?", "x"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("usage error: "), argv
+    for argv in (["query", f"--state={state}", "cat do?"], ["query", "--sta", state, "cat do?"],
+                 ["query", "cat do?", "--state", state]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == "runs\n", argv
+
+
 @pytest.mark.parametrize("pycache", [False, True])
 def test_cold_query_script_prints_one_median_per_phase(workdir, pycache):
     """`scripts/cold_query.py`, which the README documents, runs as a script."""
@@ -460,8 +509,8 @@ def test_cold_query_script_prints_one_median_per_phase(workdir, pycache):
     result = subprocess.run(args, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     header, row = result.stdout.splitlines()
-    assert header.split() == ["import", "json.loads", "from_snapshot", "query"]
-    assert all(float(ms) >= 0.0 for ms in row.split()) and len(row.split()) == 4
+    assert header.split() == ["import", "argv", "json.loads", "from_snapshot", "query"]
+    assert all(float(ms) >= 0.0 for ms in row.split()) and len(row.split()) == 5
     assert any(cache.rglob("*.pyc")) == pycache
 
 
@@ -472,14 +521,20 @@ def test_size_script_prints_one_row_per_module_and_a_total():
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "size.py")
     result = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    header, *rows = [line.split() for line in result.stdout.splitlines()]
+    header, *rows = [line.rsplit(None, 3) for line in result.stdout.splitlines()]
     assert header == ["module", "lines", "code", "compile_ms"]
     modules = sorted(name[:-3] for name in os.listdir(os.path.dirname(nba.__file__)) if name.endswith(".py"))
-    assert [row[0] for row in rows] == modules + ["total"]
+    assert [row[0] for row in rows] == modules + ["total", "query path"]
+    *rows, total, query_path = rows
     for column in (1, 2):
-        assert sum(int(row[column]) for row in rows[:-1]) == int(rows[-1][column])
-    assert all(0 < int(code) < int(lines) for _, lines, code, _ in rows)
-    assert all(float(ms) > 0.0 for *_, ms in rows)
+        assert sum(int(row[column]) for row in rows) == int(total[column])
+    assert all(0 < int(code) < int(lines) for _, lines, code, _ in rows + [total, query_path])
+    assert all(float(ms) > 0.0 for *_, ms in rows + [total, query_path])
+    # the query path holds the engine, the board and the CLI's entry point, but no other command
+    lines = {row[0]: int(row[1]) for row in rows}
+    off_path = ("commands", "encoder", "trace", "demos", "oracle", "corpus")
+    assert sum(lines[m] for m in ("cli", "dynamics", "blackboard", "query")) <= int(query_path[1])
+    assert int(query_path[1]) <= int(total[1]) - sum(lines[m] for m in off_path)
 
 
 # a replayed bind that fails names its binding record

@@ -239,14 +239,14 @@ def test_frozen_network_rejects_structure_changes():
     net.add_population(CONCEPT)
     hubs = tuple(net.add_populations(HUB, 2))
     concepts = net.reserve_populations(CONCEPT, 2)
-    wm = net.reserve_bindings([concepts[0]], [hubs])[0][0]
+    wm = net.reserve_bindings([concepts[0]], {"N": hubs}, ["N"])[0]
     net.freeze()
     changes = [
         lambda: net.add_population(CONCEPT),
         lambda: net.add_populations(HUB, 2),
         lambda: net.add_gated_connection(hubs[0], hubs[1], BindingGate(wm)),
         lambda: net.reserve_populations(CONCEPT, 2),
-        lambda: net.reserve_bindings([concepts[1]], [hubs]),
+        lambda: net.reserve_bindings([concepts[1]], {"N": hubs}, ["N"]),
         lambda: net.reserve_cells(hubs, hubs, "go", "back"),
     ]
     for change in changes:
@@ -754,7 +754,8 @@ def _wired_twin(explicit, gain, decay, threshold, horizon):
                 wms.append(wm)
     word_hubs = [a, b, (b[1], wms[0])]
     if not explicit:
-        for run in net.reserve_bindings(concepts, word_hubs, gain):
+        starts = net.reserve_bindings(concepts, dict(enumerate(word_hubs)), range(len(word_hubs)), gain)
+        for run in map(range, starts, starts[1:]):
             wms += run
         return net, a + b, concepts, wms
     for concept, hubs in zip(concepts, word_hubs):
@@ -838,6 +839,69 @@ def test_reserved_rows_step_like_explicit_wiring(gain, decay, threshold, horizon
         step_and_compare((i, op))
 
 
+def _control_view(net):
+    """A twin view, plus each built control connection as (cid, source,
+    target, label, gain)."""
+    built = sorted((c.cid, c.source, c.target, c.gate.label, c.gain)
+                   for c in net.connections() if isinstance(c.gate, ControlGate))
+    return _twin_view(net), built
+
+
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from(("a", "b"))), max_size=12),
+    built_first=st.sets(st.integers(0, 5)),
+    ops=st.lists(st.tuples(st.sampled_from(("concept", "label", "probe", "step")), st.integers(0, 10**6)),
+                 max_size=25),
+)
+@settings(max_examples=60, deadline=None)
+def test_reserved_control_connections_step_like_explicit_ones(edges, built_first, ops):
+    """Control-gated connections reserved in one call take the connection
+    ids adding them one by one takes; those of a source are built with the
+    source (at once for one built already), and every step, probe and
+    restore is as if all were built from the start."""
+    nets = [Network(decay=0.25) for _ in range(2)]
+    for net in nets:
+        concepts = net.reserve_populations(CONCEPT, 6)
+        net.add_population(HUB)
+        for pid in sorted(built_first):
+            net.population(concepts[pid])
+    triples = [(concepts[s], concepts[t], label) for s, t, label in edges]
+    nets[0].reserve_control_connections(triples, 0.5)
+    cids = [nets[1].add_gated_connection(s, t, ControlGate(label), 0.5) for s, t, label in triples]
+    assert cids == list(range(len(triples)))
+    assert nets[0].connection_count() == nets[1].connection_count() == len(triples)
+    reference = set(_control_view(nets[1])[1])
+
+    def compare(where):
+        (view, built), (eager_view, _) = map(_control_view, nets)
+        assert view == eager_view, where
+        built_sources = {pop.pid for pop in nets[0].populations()}
+        assert set(built) == {edge for edge in reference if edge[1] in built_sources}, where
+
+    compare("reserved")
+    for i, (op, n) in enumerate(ops):
+        for net in nets:
+            if op == "concept":
+                net.inject(concepts[n % 6], (n % 20 + 1) / 20)
+            elif op == "label":
+                net.set_control(("a", "b")[n % 2], n % 3 != 0)
+        if op == "probe":
+            saved = [net.save_state() for net in nets]
+            for k in range(n % 4 + 1):
+                for net in nets:
+                    net.inject(concepts[n // 7 % 6], 1.0)
+                    net.step()
+                compare((i, op, k))
+            for net, state in zip(nets, saved):
+                net.restore_state(state)
+        for net in nets:
+            net.step()
+        compare((i, op))
+    for pid in concepts:
+        nets[0].population(pid)
+    assert set(_control_view(nets[0])[1]) == reference
+
+
 def _one_grid(threshold=0.5):
     net = Network(sustain_threshold=threshold)
     hubs = tuple(net.add_populations(HUB, 3))
@@ -880,11 +944,11 @@ def test_reserve_bindings_refuses_a_relay():
     net, hubs, cells = _one_grid()
     concept = net.reserve_populations(CONCEPT, 1)[0]
     count = net.population_count()
-    for concepts, pools, relay in (([cells[1]], [hubs[1:]], cells[1]), ([concept], [(hubs[1], cells[5])], cells[5])):
+    for concepts, pool, relay in (([cells[1]], hubs[1:], cells[1]), ([concept], (hubs[1], cells[5]), cells[5])):
         with pytest.raises(ValueError, match=f"population {relay} is a relay"):
-            net.reserve_bindings(concepts, pools)
+            net.reserve_bindings(concepts, {"N": pool}, ["N"])
     assert net.population_count() == count
-    net.reserve_bindings([concept], [(hubs[1], cells[3])])  # working memory may be a hub
+    net.reserve_bindings([concept], {"N": (hubs[1], cells[3])}, ["N"])  # working memory may be a hub
 
 
 def test_reads_build_nothing():

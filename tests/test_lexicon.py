@@ -1,9 +1,13 @@
 """Lexicon: entries, classification, TSV loading, semantic relations."""
 
+import json
+
 import pytest
 
 from nba.blackboard import Blackboard
 from nba.config import Config
+from nba.corpus import make_word_lists
+from nba.dynamics import ControlGate, Network, PopulationKind
 from nba.errors import DuplicateWord, ParseError, UnknownWord
 from nba.lexicon import Lexicon, WordType, load_lexicon
 from nba.query import parse_query, run_query
@@ -157,3 +161,41 @@ def test_new_word_usable_immediately():
     bb.bind_concept("run", v0)
     bb.bind_hubs(n0, v0, "agent")
     assert run_query(bb, parse_query("spongebob do?")).words == ("run",)
+
+
+def _semantic_edges(net):
+    """Built control-gated connections as (source, target, label) -> cid."""
+    return {(c.source, c.target, c.gate.label): c.cid for c in net.connections() if isinstance(c.gate, ControlGate)}
+
+
+def test_restored_semantic_relations_are_built_with_their_source_concept():
+    """After a restore no semantic connection is built. A probe builds the
+    concepts it reaches, and with each its out-edges, with the connection
+    ids eager wiring gave them: two per triple, in triple order."""
+    nouns, verbs, _ = make_word_lists(12, 6, 0)
+    lex = load_lexicon("\n".join([f"{w}\tN" for w in nouns] + [f"{w}\tV" for w in verbs]))
+    triples = [(nouns[i], label, obj) for i, (label, obj) in enumerate(
+        [("has", nouns[1]), ("has", nouns[2]), ("isa", nouns[0]), ("do", verbs[0]), ("do", verbs[1]),
+         ("has", nouns[0]), ("isa", nouns[0]), ("do", verbs[0])])]
+    triples += [(nouns[0], "do", verbs[2]), (nouns[0], "has", nouns[1])]  # a repeat is installed once
+    for triple in triples:
+        lex.add_semantic_relation(*triple)
+    eager = Network()
+    eager.add_populations(PopulationKind.CONCEPT, len(lex))
+    for s, label, o in dict.fromkeys(triples):
+        eager.add_gated_connection(lex.concept(s), lex.concept(o), ControlGate(f"sem:fwd:{label}"))
+        eager.add_gated_connection(lex.concept(o), lex.concept(s), ControlGate(f"sem:rev:{label}"))
+    bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1))
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    net = restored.network
+    assert restored.lexicon.semantic_triples == list(dict.fromkeys(triples))
+    assert net.connection_count() == bb.network.connection_count()
+    assert _semantic_edges(net) == {}
+
+    reference = _semantic_edges(eager)
+    for text, answer in ((f"sem:{nouns[0]} has?", {nouns[1]}), (f"sem:? do {verbs[0]}", {nouns[3], nouns[7]}),
+                         (f"sem:{nouns[2]} isa?", {nouns[0]})):
+        assert set(run_query(restored, parse_query(text))) == answer
+        built = {pop.pid for pop in net.populations() if pop.kind is PopulationKind.CONCEPT}
+        assert _semantic_edges(net) == {edge: cid for edge, cid in reference.items() if edge[0] in built}
+    assert set(_semantic_edges(net)) < set(reference)

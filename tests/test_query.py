@@ -71,6 +71,56 @@ def test_oracle_store_is_exact_set_scan():
             assert list(oracle.query(Query(s, r)).words) == expected
 
 
+def _scan(triples, query):
+    """A query answered by a linear scan over recorded (mode, subject,
+    relation, object) triples, as the oracle answered before its index."""
+    cue = query.cue.casefold()
+    if query.direction == "forward":
+        matches = {o for (m, s, r, o) in triples if m == query.mode and s == cue and r == query.relation}
+    else:
+        matches = {s for (m, s, r, o) in triples if m == query.mode and o == cue and r == query.relation}
+    return AnswerSet.from_words(sorted(matches))
+
+
+# words that casefold together ("ß", "SS" and "ss"; "Cat" and "cat") and relations that do not
+_ORACLE_WORDS = st.sampled_from(["cat", "Cat", "CAT", "dog", "ß", "SS", "ss"])
+_ORACLE_RELATIONS = st.sampled_from(["agent", "Agent", "has"])
+_ORACLE_MODES = st.sampled_from([EPISODIC, SEMANTIC])
+
+
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("record"), _ORACLE_WORDS, _ORACLE_RELATIONS, _ORACLE_WORDS, _ORACLE_MODES),
+    st.tuples(st.just("query"), _ORACLE_WORDS, _ORACLE_RELATIONS, st.sampled_from(["forward", "reverse"]),
+              _ORACLE_MODES),
+    st.just(("clear",)),
+), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_oracle_index_answers_as_a_linear_scan(ops):
+    """Duplicate records, casefolded words, both modes and directions, and
+    `clear()`: the indexed oracle answers every query, lists the same
+    triples and counts them as a linear scan over a set of triples does."""
+    oracle, triples = OracleStore(), set()
+    for op, *args in ops:
+        if op == "record":
+            s, r, o, mode = args
+            oracle.record(s, r, o, mode)
+            triples.add((mode, s.casefold(), r, o.casefold()))
+        elif op == "clear":
+            oracle.clear()
+            triples.clear()
+        else:
+            query = Query(*args)
+            assert oracle.query(query) == _scan(triples, query)
+        assert oracle.triples() == sorted(triples)
+        assert len(oracle) == len(triples)
+    for cue in ("cat", "dog", "ss"):
+        for relation in ("agent", "Agent", "has"):
+            for direction in ("forward", "reverse"):
+                for mode in (EPISODIC, SEMANTIC):
+                    query = Query(cue, relation, direction, mode)
+                    assert oracle.query(query) == _scan(triples, query)
+
+
 def _encoded_board():
     lex = load_lexicon("cat\tN\ndog\tN\nrun\tV\neat\tV\nruns\tV\n")
     lex.add_semantic_relation("cat", "do", "run")

@@ -137,8 +137,9 @@ class Blackboard:
             raise NbaError("lexicon is already wired to a board; load a new Lexicon for each board")
         self.config = (config or Config()).validate()
         self.lexicon = lexicon
-        self.network = lexicon.network
-        self._apply_dynamics_config()
+        self.network = net = lexicon.network
+        net.decay, net.wm_decay = self.config.decay, self.config.wm_decay
+        net.sustain_threshold, net.wm_decay_horizon = self.config.sustain_threshold, self.config.wm_decay_horizon
 
         self.pools: dict[str, HubPool] = {}
         # hub name -> (its pool, its index in the pool)
@@ -175,20 +176,6 @@ class Blackboard:
         self.network.freeze()
 
     # ----------------------------------------------------------- construction
-
-    def _apply_dynamics_config(self) -> None:
-        cfg = self.config
-        net = self.network
-        net.default_decay = cfg.decay
-        net.default_wm_decay = cfg.wm_decay
-        net.default_sustain_threshold = cfg.sustain_threshold
-        net.wm_decay_horizon = cfg.wm_decay_horizon
-        for pop in net.populations():
-            if pop.kind is PopulationKind.WORKING_MEMORY:
-                pop.decay = cfg.wm_decay
-                pop.sustain_threshold = cfg.sustain_threshold
-            else:
-                pop.decay = cfg.decay
 
     def _link_rows(self, start: int, stop: int) -> None:
         """Reserve, as one block, the working memory of the words in lexicon
@@ -437,7 +424,7 @@ class Blackboard:
             raise InvalidState(f"{where}: {exc}") from exc
         net = self.network
         pop = net.population(binding.wm)
-        if level < pop.sustain_threshold:
+        if level < net.sustain_threshold:
             # saved after its decay horizon released it; its hub stays allocated
             net.release_wm(binding.wm)
         else:

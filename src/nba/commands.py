@@ -119,35 +119,37 @@ def _load_state(path: Path) -> Blackboard:
 
 
 def cmd_lexicon_check(args) -> int:
-    lex = Lexicon.from_tsv(_read(args.lexicon))
-    n_rel = 0
-    if args.relations:
-        n_rel = lex.load_relations(_read(args.relations))
-    print(f"{len(lex)} entries, {n_rel} semantic relations: ok")
+    lex = _load_lexicon(args)
+    print(f"{len(lex)} entries, {len(lex.semantic_triples)} semantic relations: ok")
     return 0
 
 
-def cmd_encode(args) -> int:
-    from .encoder import compile, execute, iter_conllu
+def _encode_each(args, encode) -> tuple[Blackboard, int]:
+    """Load the config, lexicon and board `args` name, compile each sentence
+    of `args.sentence` under the config and run `encode(program, board)` on
+    it; an exhausted pool names the sentence (1-based). Returns the board
+    and the number of sentences."""
+    from .encoder import compile, iter_conllu
 
     config = _load_config(args.config)
     lex = _load_lexicon(args)
     bb = Blackboard(lex, config)
     count = 0
-    for tokens, arcs in iter_conllu(_read(args.sentence)):
-        program = compile(
-            tokens,
-            arcs,
-            lexicon=lex,
-            strict_labels=config.strict_labels,
-            strict_words=not config.auto_add_words,
-        )
-        count += 1
+    for count, (tokens, arcs) in enumerate(iter_conllu(_read(args.sentence)), 1):
+        program = compile(tokens, arcs, lexicon=lex, strict_labels=config.strict_labels,
+                          strict_words=not config.auto_add_words)
         try:
-            execute(program, bb)
+            encode(program, bb)
         except PoolExhausted as exc:
             exc.sentence = count
             raise
+    return bb, count
+
+
+def cmd_encode(args) -> int:
+    from .encoder import execute
+
+    bb, count = _encode_each(args, execute)
     args.state.write_text(
         json.dumps(bb.to_snapshot(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -204,43 +206,28 @@ def run_repl(bb: Blackboard | None, in_stream, out_stream) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .encoder import compile, iter_conllu
     from .trace import detect_rise_decline, export, trace_encode
 
-    config = _load_config(args.config)
-    lex = _load_lexicon(args)
-    bb = Blackboard(lex, config)
     fmt = args.format or ("json" if args.out.suffix.lower() == ".json" else "csv")
-    combined = None
-    spans_seen = []
-    for tokens, arcs in iter_conllu(_read(args.sentence)):
-        program = compile(
-            tokens,
-            arcs,
-            lexicon=lex,
-            strict_labels=config.strict_labels,
-            strict_words=not config.auto_add_words,
-        )
-        _, tr = trace_encode(program, bb)
-        if combined is None:
-            combined = tr
-        else:
-            for s, a in tr.samples:
-                if not combined.samples or s > combined.samples[-1][0]:
-                    combined.add_sample(s, a)
-            combined.markers.extend(tr.markers)
-        for span in program.spans:
-            spans_seen.append((program.text, span, tr))
-    if combined is None:
+    traced = []  # (program, its trace) per sentence
+    _encode_each(args, lambda program, bb: traced.append((program, trace_encode(program, bb)[1])))
+    if not traced:
         print("no sentences found", file=sys.stderr)
         return 2
+    combined = traced[0][1]  # every trace starts with a sample
+    for _, tr in traced[1:]:
+        for s, a in tr.samples:
+            if s > combined.samples[-1][0]:
+                combined.add_sample(s, a)
+        combined.markers.extend(tr.markers)
     args.out.write_bytes(export(combined, fmt))
-    for text, span, tr in spans_seen:
-        report = detect_rise_decline(tr, span)
-        print(
-            f"{text!r} span {span.start}..{span.end}: "
-            f"rose={report.rose} declined={report.declined} peak={report.peak:g}"
-        )
+    for program, tr in traced:
+        for span in program.spans:
+            report = detect_rise_decline(tr, span)
+            print(
+                f"{program.text!r} span {span.start}..{span.end}: "
+                f"rose={report.rose} declined={report.declined} peak={report.peak:g}"
+            )
     print(f"trace ({fmt}, {len(combined.samples)} samples) -> {args.out}")
     return 0
 

@@ -6,15 +6,23 @@ transmission is conditional on a gate. Updates are synchronous; per step,
     next(p) = clamp01( decay(p) * act(p) + sum of gain * act(src)
                        over open incoming connections )
 
+where decay(p) is the network's `wm_decay` for working memory and its
+`decay` for every other kind. A population holds only its level and, for
+working memory, when it became sustained; the decays and the one sustain
+threshold are the network's.
+
 Gate openness:
   * a ControlGate is open while its label is asserted;
   * a BindingGate is open while its working-memory population is sustained,
-    i.e. it has reached its sustain threshold and has not been released.
+    i.e. it has reached the sustain threshold and has not been released.
 
-A sustained working-memory population is pinned at or above its threshold on
-every update until an explicit release. An injected level drives a population
-through the following update as well (the cue survives the step that
-propagates it), after which activation is re-driven by inflow alone.
+A control population mirrors its label: its level is 1 while the label is
+asserted and 0 otherwise, read from the asserted set, so it is active then
+but is never stepped. A sustained working-memory population is pinned at or
+above the threshold on every update until an explicit release. An injected
+level drives a population through the following update as well (the cue
+survives the step that propagates it), after which activation is re-driven
+by inflow alone.
 
 Structure may be reserved rather than built: ids are taken in construction
 order, and the populations and connections behind them are built, at rest,
@@ -81,21 +89,17 @@ class PopulationKind(Enum):
 
 
 class Population:
-    """One local neural population reduced to a single activation value."""
+    """One local neural population reduced to a single activation value.
+    Its decay and sustain threshold are its network's, by kind."""
 
-    __slots__ = ("pid", "kind", "activation", "sustain_threshold", "decay", "sustained_since", "control_label")
+    __slots__ = ("pid", "kind", "activation", "sustained_since")
 
-    def __init__(self, pid: int, kind: PopulationKind, activation: float = 0.0,
-                 sustain_threshold: float = 0.5, decay: float = 0.0):
+    def __init__(self, pid: int, kind: PopulationKind):
         self.pid = pid
         self.kind = kind
-        self.activation = activation
-        self.sustain_threshold = sustain_threshold
-        self.decay = decay
+        self.activation = 0.0
         # the step at which a working memory became sustained; None while it is not
         self.sustained_since: int | None = None
-        # set only for populations that mirror an asserted control label
-        self.control_label: str | None = None
 
     @property
     def sustained(self) -> bool:
@@ -107,14 +111,28 @@ class _Relay(Population):
 
     __slots__ = ("_net", "row")
 
-    def __init__(self, net: Network, pid: int, row: range, sustain_threshold: float, decay: float):
+    def __init__(self, net: Network, pid: int, row: range):
         self.pid, self.kind, self.row, self._net = pid, PopulationKind.HUB, row, net
-        self.sustain_threshold, self.decay = sustain_threshold, decay
-        self.sustained_since = self.control_label = None
+        self.sustained_since = None
 
     @property
     def activation(self) -> float:
         return self._net._lit.get(self.row, 0.0)
+
+
+class _Control(Population):
+    """A control population: its level is 1 while its label is asserted, 0
+    otherwise. It is active exactly then, and never flows."""
+
+    __slots__ = ("_net", "label")
+
+    def __init__(self, net: Network, pid: int, label: str):
+        self.pid, self.kind, self.label, self._net = pid, PopulationKind.CONTROL, label, net
+        self.sustained_since = None
+
+    @property
+    def activation(self) -> float:
+        return 1.0 if self.label in self._net.asserted else 0.0
 
 
 class ControlGate(Value):
@@ -266,9 +284,10 @@ class Network:
 
     One mutating context at a time; a Network is a self-contained value.
     Closed gates transmit exactly zero. Activations stay in [0, 1].
-    Settled working memory is judged by `wm_decay_horizon` and each
-    population's `decay` and `sustain_threshold`, so set them before any
-    working memory is sustained.
+    Decay and the sustain threshold are the network's: working memory decays
+    by `wm_decay`, every other kind by `decay`, and only working memory
+    sustains. Settled working memory is judged by them and by
+    `wm_decay_horizon`, so set them before any working memory is sustained.
     """
 
     def __init__(
@@ -279,14 +298,18 @@ class Network:
         sustain_threshold: float = 0.5,
         wm_decay_horizon: int | None = None,
     ):
+        for key, level in (("decay", decay), ("wm_decay", wm_decay), ("sustain_threshold", sustain_threshold)):
+            if not 0.0 <= level <= 1.0:
+                raise InvalidNetworkChange(f"{key} must be in [0, 1], got {level}")
+        if wm_decay_horizon is not None and wm_decay_horizon < 1:
+            raise InvalidNetworkChange(f"wm_decay_horizon must be >= 1 when set, got {wm_decay_horizon}")
         self.time = 0
         self.asserted: set[str] = set()
-        self.default_decay = float(decay)
-        self.default_wm_decay = float(wm_decay)
-        self.default_sustain_threshold = float(sustain_threshold)
+        self.decay = float(decay)
+        self.wm_decay = float(wm_decay)
+        self.sustain_threshold = float(sustain_threshold)
         self.wm_decay_horizon = wm_decay_horizon
         self._pops: dict[int, Population] = {}
-        self._conns: dict[int, GatedConnection] = {}
         # static: control-gated out-edges per built source, then per label, in id order
         self._control_out: dict[int, dict[str, list[GatedConnection]]] = {}
         # reserved: control-gated out-edges per source not yet built, as (cid, target, label, gain)
@@ -326,31 +349,15 @@ class Network:
 
     # ------------------------------------------------------------------ build
 
-    def add_population(
-        self,
-        kind: PopulationKind,
-        sustain_threshold: float | None = None,
-        decay: float | None = None,
-    ) -> int:
-        return self.add_populations(kind, 1, sustain_threshold, decay)[0]
+    def add_population(self, kind: PopulationKind) -> int:
+        return self.add_populations(kind, 1)[0]
 
-    def add_populations(
-        self,
-        kind: PopulationKind,
-        count: int,
-        sustain_threshold: float | None = None,
-        decay: float | None = None,
-    ) -> range:
+    def add_populations(self, kind: PopulationKind, count: int) -> range:
         """Add `count` populations of one kind, at rest; returns their ids."""
         self._refuse_frozen()
-        thr = self.default_sustain_threshold if sustain_threshold is None else float(sustain_threshold)
-        if not 0.0 <= thr <= 1.0:
-            raise InvalidNetworkChange(f"sustain_threshold must be in [0, 1], got {thr}")
-        if decay is None:
-            decay = self.default_wm_decay if kind is PopulationKind.WORKING_MEMORY else self.default_decay
         pids, _ = self._take_ids(count, 0)
         for pid in pids:
-            self._build_population(pid, kind, thr, float(decay))
+            self._build_population(pid, kind)
         return pids
 
     def add_gated_connection(
@@ -374,9 +381,9 @@ class Network:
 
     def reserve_populations(self, kind: PopulationKind, count: int) -> range:
         """Reserve `count` populations of one kind, such as a lexicon's
-        concepts; each is built, at rest and with the network's defaults, the
-        first time it is touched. Returns their ids. Working memory is
-        reserved with the connections it gates (`reserve_bindings`)."""
+        concepts; each is built, at rest, the first time it is touched.
+        Returns their ids. Working memory is reserved with the connections
+        it gates (`reserve_bindings`)."""
         self._refuse_frozen()
         if kind is PopulationKind.WORKING_MEMORY:
             raise InvalidNetworkChange("working memory is reserved with the connections it gates")
@@ -481,18 +488,19 @@ class Network:
     def _check_structure(self, groups, gain: float) -> None:
         """Refuse new connections on a frozen network; otherwise each
         endpoint, given in groups, must be a population id already taken
-        (built or reserved) but not a relay, and the gain positive. A board
-        reserves its words' working memory before any grid, so relays are
-        looked for only once a grid exists."""
+        (built or reserved) but neither a relay nor a control population,
+        and the gain positive. A board reserves its words' working memory
+        before any grid or control population, so those are looked for only
+        once one exists."""
         self._refuse_frozen()
         for pids in groups:
             # in C: a group may be a whole lexicon's concepts
             if pids and not (0 <= min(pids) and max(pids) < self._next_pid):
                 bad = next(pid for pid in pids if not 0 <= pid < self._next_pid)
                 raise UnknownPopulation(f"no population with id {bad}")
-            if self._rows:  # a grid, so there may be a relay
+            if self._rows or self._control_pops:  # there may be a relay or a control population
                 for pid in pids:
-                    self._refuse_relay(pid)
+                    self._refuse_driven(pid)
         if gain <= 0.0:
             raise InvalidNetworkChange(f"gain must be positive, got {gain}")
 
@@ -508,7 +516,7 @@ class Network:
     def _reserve(self, res: _Block | _Bindings | _Grid) -> None:
         self._reservations.append(res)
         self._reserved_starts.append(res.pids.start)
-        if self.default_sustain_threshold <= 0.0 and not isinstance(res, _Block):
+        if self.sustain_threshold <= 0.0 and not isinstance(res, _Block):
             # working memory at rest is already sustained, so its edges conduct;
             # a block holds none
             for pid in res.pids:
@@ -516,14 +524,14 @@ class Network:
 
     def register_control(self, label: str) -> int:
         """Create (once) a control population that mirrors an asserted label."""
-        if label in self._control_pops:
-            return self._control_pops[label]
-        pid = self.add_population(PopulationKind.CONTROL)
-        pop = self._pops[pid]
-        pop.control_label = label
-        self._control_pops[label] = pid
-        if label in self.asserted:
-            self._set_activation(pop, 1.0)
+        pid = self._control_pops.get(label)
+        if pid is None:
+            self._refuse_frozen()
+            pid = self._take_ids(1, 0)[0][0]
+            self._pops[pid] = _Control(self, pid, label)
+            self._control_pops[label] = pid
+            if label in self.asserted:
+                self._active.add(pid)
         return pid
 
     def freeze(self) -> None:
@@ -556,9 +564,13 @@ class Network:
         """Built populations; reserved ones not yet built are not listed."""
         return self._pops.values()
 
-    def connections(self):
-        """Built connections; reserved ones not yet built are not listed."""
-        return self._conns.values()
+    def connections(self) -> list[GatedConnection]:
+        """Built connections, in id order; reserved ones not yet built are
+        not listed. Each is in one index: binding-gated ones by their working
+        memory, control-gated ones by their source and label."""
+        conns = [conn for edges in self._binding_edges.values() for conn in edges]
+        conns += [conn for by_label in self._control_out.values() for edges in by_label.values() for conn in edges]
+        return sorted(conns, key=_cid)
 
     def activation(self, pid: int) -> float:
         """The level of `pid`, read without building it: a reserved relay
@@ -580,8 +592,7 @@ class Network:
     def is_open(self, gate: ControlGate | BindingGate) -> bool:
         if isinstance(gate, ControlGate):
             return gate.label in self.asserted
-        wm = self.population(gate.wm)
-        return wm.sustained and wm.activation >= wm.sustain_threshold
+        return self.population(gate.wm).sustained
 
     def total_activation(self, kinds) -> float:
         """Sum of the active levels of some kinds, in id order; builds nothing."""
@@ -596,9 +607,10 @@ class Network:
         return sorted(self._active)
 
     def flowing_pids(self) -> frozenset[int]:
-        """The active ids except settled working memory and the relays of
-        lit rows, whose level their row holds; every other active population
-        is among them."""
+        """The active ids except settled working memory, the relays of lit
+        rows, whose level their row holds, and control populations, whose
+        level their label holds and which never flow; every other active
+        population is among them."""
         return frozenset(self._flowing)
 
     def flowing_populations(self):
@@ -609,22 +621,24 @@ class Network:
     # -------------------------------------------------------------- controls
 
     def set_control(self, label: str, on: bool) -> None:
-        """(De)assert a label; gate openness follows from the next step on."""
+        """(De)assert a label; gate openness follows from the next step on.
+        The label's control population, if any, is active exactly while it
+        is asserted."""
         if on:
             self.asserted.add(label)
         else:
             self.asserted.discard(label)
         pid = self._control_pops.get(label)
         if pid is not None:
-            self._set_activation(self._pops[pid], 1.0 if on else 0.0)
+            (self._active.add if on else self._active.discard)(pid)
 
     def inject(self, pid: int, level: float) -> None:
         """Raise activation to `level` now and floor the next update at it."""
         if not 0.0 <= level <= 1.0:
             raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
         pop = self._pops.get(pid)
-        if pop is None or type(pop) is _Relay:
-            self._refuse_relay(pid)
+        if type(pop) is not Population:  # reserved, a relay or a control population
+            self._refuse_driven(pid)
             pop = self._build_reserved(pid)
         if level > pop.activation:
             self._set_activation(pop, level)
@@ -721,7 +735,7 @@ class Network:
         if due:
             # any active id may be a candidate, so stale entries change nothing
             candidates.update(self._active.intersection(due))
-        horizon = self.wm_decay_horizon
+        horizon, decay, wm_decay, threshold = self.wm_decay_horizon, self.decay, self.wm_decay, self.sustain_threshold
         active, flowing, sources, woken = self._active, self._flowing, self._sources, self._woken
         wm = PopulationKind.WORKING_MEMORY
         for pid in sorted(candidates):
@@ -729,31 +743,28 @@ class Network:
                 pop = pops[pid]
             except KeyError:  # an inflow target still reserved, such as a concept
                 pop = self._build_reserved(pid)
-            label = pop.control_label
-            if label is not None:
-                nxt = 1.0 if label in asserted else 0.0
-            else:
-                nxt = pop.decay * pop.activation + inflow.get(pid, 0.0)
-                nxt = 0.0 if nxt < 0.0 else (1.0 if nxt > 1.0 else nxt)  # clamp01
-                if floors:
-                    floor = floors.get(pid, 0.0)
-                    if floor > nxt:
-                        nxt = floor
-                if pop.sustained_since is not None:  # only working memory sustains
-                    if horizon is not None and self.time - pop.sustained_since >= horizon:
-                        if pop.activation > change:
-                            change = pop.activation
-                        self.release_wm(pid)
-                        continue
-                    if nxt < pop.sustain_threshold:
-                        nxt = pop.sustain_threshold
+            is_wm = pop.kind is wm
+            nxt = (wm_decay if is_wm else decay) * pop.activation + inflow.get(pid, 0.0)
+            nxt = 0.0 if nxt < 0.0 else (1.0 if nxt > 1.0 else nxt)  # clamp01
+            if floors:
+                floor = floors.get(pid, 0.0)
+                if floor > nxt:
+                    nxt = floor
+            if pop.sustained_since is not None:  # only working memory sustains
+                if horizon is not None and self.time - pop.sustained_since >= horizon:
+                    if pop.activation > change:
+                        change = pop.activation
+                    self.release_wm(pid)
+                    continue
+                if nxt < threshold:
+                    nxt = threshold
             if nxt != pop.activation:
                 # an unchanged level needs no update: a working memory that
                 # is not sustained always sits below its threshold
                 delta = abs(nxt - pop.activation)
                 if delta > change:
                     change = delta
-                if pop.kind is wm:
+                if is_wm:
                     self._set_activation(pop, nxt)
                 else:
                     if woken is not None and pid not in flowing:
@@ -769,7 +780,7 @@ class Network:
             if (
                 since is not None
                 and pid not in sources
-                and max(clamp01(pop.decay * nxt), pop.sustain_threshold) == nxt
+                and max(clamp01(wm_decay * nxt), threshold) == nxt
             ):
                 # settled: without inflow or a floor, its next update is a no-op
                 flowing.discard(pid)
@@ -782,7 +793,7 @@ class Network:
         """Take each lit row, and each row `fed` (gain times its hub's level),
         to its next level as a relay would; return the largest change. A row
         that lights or goes dark moves its relays in or out of the active set."""
-        decay, lit, change, dark = self.default_decay, self._lit, 0.0, []
+        decay, lit, change, dark = self.decay, self._lit, 0.0, []
         for row, level in lit.items():
             nxt = decay * level + (fed.pop(row, 0.0) if fed else 0.0)
             nxt = 0.0 if nxt < 0.0 else (1.0 if nxt > 1.0 else nxt)  # clamp01
@@ -831,8 +842,9 @@ class Network:
 
         Levels are then written straight back, woken ids first, so that a
         saved flowing level wins, and the active and flowing sets are fixed
-        in bulk, as are the lit rows. No write can newly sustain a working
-        memory, as each one at or above its threshold is sustained as saved.
+        in bulk, as are the lit rows, and the saved labels are asserted again
+        through `set_control`. No write can newly sustain a working memory,
+        as each one at or above the threshold is sustained as saved.
         Working memory woken since settles again: the flowing set is the
         saved one, and `step` keeps the horizon entries a probe reads."""
         self._sustain_log = self._woken = None
@@ -857,19 +869,19 @@ class Network:
         for row in saved.lit.keys() - self._lit.keys():
             self._active.update(row)
         self._lit = dict(saved.lit)
-        self.asserted = set(saved.asserted)
+        for label in self.asserted ^ saved.asserted:
+            self.set_control(label, label in saved.asserted)
         self._floors = dict(saved.floors)
         self.time = saved.time
         self.last_change = saved.last_change
 
     # -------------------------------------------------------------- internal
 
-    def _build_population(self, pid: int, kind: PopulationKind, thr: float, decay: float) -> Population:
-        pop = Population(pid, kind, 0.0, thr, decay)  # positional: half the cost of keywords
-        self._pops[pid] = pop
+    def _build_population(self, pid: int, kind: PopulationKind) -> Population:
+        pop = self._pops[pid] = Population(pid, kind)
         if pid in self._unbuilt_control:
             self._build_control(pid)
-        if kind is PopulationKind.WORKING_MEMORY and pop.activation >= thr:
+        if kind is PopulationKind.WORKING_MEMORY and self.sustain_threshold <= 0.0:  # sustained at rest
             self._sustain(pop, self.time)
         return pop
 
@@ -879,7 +891,6 @@ class Network:
             self._build_connection(GatedConnection(cid, source, target, ControlGate(label), gain))
 
     def _build_connection(self, conn: GatedConnection) -> None:
-        self._conns[conn.cid] = conn
         self._add_sources((conn.source,))
         if isinstance(conn.gate, ControlGate):
             by_label = self._control_out.setdefault(conn.source, {})
@@ -910,7 +921,11 @@ class Network:
         grid = self._reservation(pid)
         return grid.relay_row(pid) if isinstance(grid, _Grid) else None
 
-    def _refuse_relay(self, pid: int) -> None:
+    def _refuse_driven(self, pid: int) -> None:
+        """Refuse to drive or wire a relay or a control population, whose
+        level is its row's or its label's."""
+        if type(self._pops.get(pid)) is _Control:
+            raise InvalidNetworkChange(f"population {pid} is a control population: only its label drives it")
         if self._rows and self._relay_row(pid) is not None:
             raise InvalidNetworkChange(f"population {pid} is a relay: only its row's hub drives it")
 
@@ -919,18 +934,17 @@ class Network:
         population of a block, or the working memory that owns `pid` with
         the two connections it gates and, in a grid, its cell's relays."""
         res = self._reservation(pid)
-        thr, decay = self.default_sustain_threshold, self.default_decay
         if isinstance(res, _Block):
-            return self._build_population(pid, res.kind, thr, decay)
+            return self._build_population(pid, res.kind)
         wm = res.owner(pid)
         gate = BindingGate(wm)
         for cid, source, target in res.gated(wm):
             self._build_connection(GatedConnection(cid, source, target, gate, res.gain))
         # built after its edges, so that working memory sustained at rest opens them
-        self._build_population(wm, PopulationKind.WORKING_MEMORY, thr, self.default_wm_decay)
+        self._build_population(wm, PopulationKind.WORKING_MEMORY)
         if isinstance(res, _Grid):
             for relay in (wm + 1, wm + 2):
-                self._pops[relay] = _Relay(self, relay, res.relay_row(relay), thr, decay)
+                self._pops[relay] = _Relay(self, relay, res.relay_row(relay))
         return self._pops[pid]
 
     def _add_sources(self, pids) -> None:
@@ -956,7 +970,7 @@ class Network:
         if (
             pop.kind is PopulationKind.WORKING_MEMORY
             and pop.sustained_since is None
-            and value >= pop.sustain_threshold
+            and value >= self.sustain_threshold
         ):
             self._sustain(pop, self.time)
 

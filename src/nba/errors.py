@@ -15,7 +15,8 @@ class FrozenNetwork(NbaError, RuntimeError):
 
 class InvalidNetworkChange(NbaError, ValueError):
     """A bad level, threshold or gain, a gate or release of something that
-    is not working memory, or a change that would drive a relay directly."""
+    is not working memory, or a change that would drive a relay or a control
+    population directly."""
 
 
 class UnknownWord(NbaError):
@@ -128,3 +129,9 @@ class UnknownRelation(NbaError):
 
 class SpanNotClosed(NbaError):
     pass
+
+
+class InvalidTrace(NbaError, ValueError):
+    """A malformed activity trace, a sample out of step order or an unknown
+    trace format; a file's message names the CSV line or JSON record, as in
+    `samples[2]: expected [step, float], got [1]`."""

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 from .dynamics import Network, PopulationKind
 from .encoder import ConstituentSpan, ControlProgram, execute
-from .errors import SpanNotClosed
+from .errors import InvalidTrace, SpanNotClosed
+from .value import Value
 
 _TRACED_KINDS = (PopulationKind.HUB, PopulationKind.WORKING_MEMORY, PopulationKind.CONTROL)
 
@@ -25,15 +25,60 @@ def aggregate_activity(network: Network) -> float:
     return network.total_activation(_TRACED_KINDS)
 
 
-@dataclass
-class ActivityTrace:
-    samples: list = field(default_factory=list)  # [(step, activity), ...]
-    markers: list = field(default_factory=list)  # [(step, text), ...]
+def _pair(record, kind) -> tuple[int, object]:
+    """(step, value) from a [step, value] record, the value made a `kind`."""
+    try:
+        step, value = record
+        return int(step), kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidTrace(f"expected [step, {kind.__name__}], got {record!r}") from None
+
+
+def _samples(trace: ActivityTrace, records) -> ActivityTrace:
+    """`trace` with each sample of `records`, given as (where, [step,
+    activity]) and in step order, added; an InvalidTrace names where."""
+    for where, record in records:
+        try:
+            trace.add_sample(*_pair(record, float))
+        except InvalidTrace as exc:
+            raise InvalidTrace(f"{where}: {exc}") from None
+    return trace
+
+
+def _listed(records, key: str) -> list:
+    """`records`, a list, as (where, record) pairs named after `key`."""
+    if not isinstance(records, (list, tuple)):
+        raise InvalidTrace(f"{key}: expected a list, got {type(records).__name__}")
+    return [(f"{key}[{i}]", record) for i, record in enumerate(records)]
+
+
+def _markers(records) -> list[tuple[int, str]]:
+    """The [step, text] records of a list of markers as (step, text) pairs."""
+    markers = []
+    for where, record in _listed(records, "markers"):
+        try:
+            markers.append(_pair(record, str))
+        except InvalidTrace as exc:
+            raise InvalidTrace(f"{where}: {exc}") from None
+    return markers
+
+
+class ActivityTrace(Value):
+    """Samples [(step, activity), ...] in rising step order, and markers
+    [(step, text), ...]."""
+
+    __slots__ = ("samples", "markers")
+    __hash__ = None  # samples and markers grow
+
+    def __init__(self, samples: list | None = None, markers: list | None = None):
+        self.samples = [] if samples is None else samples
+        self.markers = [] if markers is None else markers
 
     def add_sample(self, step: int, activity: float) -> None:
+        step, activity = _pair((step, activity), float)
         if self.samples and step <= self.samples[-1][0]:
-            raise ValueError("sample step indices must be strictly increasing")
-        self.samples.append((step, float(activity)))
+            raise InvalidTrace(f"sample steps must rise strictly: step {step} after step {self.samples[-1][0]}")
+        self.samples.append((step, activity))
 
     def activity_at(self, step: int) -> float:
         """Activity at a step; past the last sample the trace holds its level."""
@@ -55,13 +100,15 @@ class ActivityTrace:
         return max((a for _, a in self.samples), default=0.0)
 
 
-@dataclass(frozen=True)
-class PatternReport:
-    rose: bool
-    declined: bool
-    baseline: float
-    peak: float
-    after_close: float
+class PatternReport(Value):
+    __slots__ = ("rose", "declined", "baseline", "peak", "after_close")
+
+    def __init__(self, rose: bool, declined: bool, baseline: float, peak: float, after_close: float):
+        self.rose = rose
+        self.declined = declined
+        self.baseline = baseline
+        self.peak = peak
+        self.after_close = after_close
 
 
 def trace_encode(program: ControlProgram, blackboard) -> tuple:
@@ -104,38 +151,52 @@ def detect_rise_decline(
 
 # ------------------------------------------------------------------- export
 
+_FORMATS = ("csv", "json")
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in _FORMATS:
+        raise InvalidTrace(f"unknown trace format {fmt!r} (expected csv or json)")
+
+
 def export(trace: ActivityTrace, fmt: str) -> bytes:
+    """The trace as CSV (its samples) or JSON (samples and markers). A
+    sample or marker that is not a [step, value] pair, or a sample out of
+    step order, raises InvalidTrace naming it."""
+    _check_format(fmt)
+    samples = _samples(ActivityTrace(), _listed(trace.samples, "samples")).samples
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["step", "activity"])
-        for step, activity in trace.samples:
+        for step, activity in samples:
             writer.writerow([step, repr(activity)])
         return buf.getvalue().encode("utf-8")
-    if fmt == "json":
-        doc = {
-            "samples": [[s, a] for s, a in trace.samples],
-            "markers": [[s, m] for s, m in trace.markers],
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    raise ValueError(f"unknown trace format {fmt!r} (expected csv or json)")
+    doc = {"samples": [[s, a] for s, a in samples], "markers": [[s, m] for s, m in _markers(trace.markers)]}
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def load(data: bytes, fmt: str) -> ActivityTrace:
-    text = data.decode("utf-8")
-    trace = ActivityTrace()
+    """The trace `export` wrote. Anything else raises InvalidTrace naming
+    the CSV line or the JSON record at fault."""
+    _check_format(fmt)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidTrace(f"not UTF-8 text: {exc}") from None
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["step", "activity"]:
-            raise ValueError("not a trace CSV (bad header)")
-        for row in reader:
-            trace.add_sample(int(row[0]), float(row[1]))
-        return trace
-    if fmt == "json":
+        try:
+            rows = [(f"line {reader.line_num}", row) for row in reader]
+        except csv.Error as exc:
+            raise InvalidTrace(f"line {reader.line_num}: {exc}") from None
+        if not rows or rows[0][1] != ["step", "activity"]:
+            raise InvalidTrace("line 1: not a trace CSV (bad header)")
+        return _samples(ActivityTrace(), rows[1:])
+    try:
         doc = json.loads(text)
-        for step, activity in doc.get("samples", []):
-            trace.add_sample(int(step), float(activity))
-        trace.markers = [(int(s), str(m)) for s, m in doc.get("markers", [])]
-        return trace
-    raise ValueError(f"unknown trace format {fmt!r} (expected csv or json)")
+    except (ValueError, RecursionError) as exc:
+        raise InvalidTrace(f"not a JSON trace: {exc}") from None
+    if type(doc) is not dict:
+        raise InvalidTrace(f"not a JSON trace: expected an object, got {type(doc).__name__}")
+    return _samples(ActivityTrace(markers=_markers(doc.get("markers", []))), _listed(doc.get("samples", []), "samples"))

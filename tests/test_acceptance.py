@@ -245,7 +245,7 @@ def _check_wm_persistence(seed):
     rng = random.Random(seed)
     net = Network()
     driver = net.add_population(PopulationKind.CONCEPT)
-    wm = net.add_population(PopulationKind.WORKING_MEMORY, sustain_threshold=0.5)
+    wm = net.add_population(PopulationKind.WORKING_MEMORY)
     net.add_gated_connection(driver, wm, ControlGate("drive"), gain=rng.uniform(0.1, 1.0))
     if rng.random() < 0.5:
         net.set_control("drive", True)

@@ -205,7 +205,7 @@ def test_binding_active_tracks_wm_sustain():
     for binding in (concept, cell):
         assert binding.active
         wm = bb.network.population(binding.wm)
-        assert wm.activation >= wm.sustain_threshold
+        assert wm.activation >= bb.network.sustain_threshold
     bb.release(cell)
     assert not cell.active
     assert concept.active
@@ -312,12 +312,10 @@ def test_a_second_board_on_a_wired_lexicon_is_refused_and_changes_nothing():
     bb.bind_hubs(n0, v0, "agent")
     before = bb.snapshot_bytes(), run_query(bb, parse_query("cat do?")).words
     net = bb.network
-    defaults = (net.default_decay, net.default_wm_decay, net.default_sustain_threshold, net.wm_decay_horizon)
-    levels = [(pop.decay, pop.sustain_threshold) for pop in net.populations()]
+    levels = (net.decay, net.wm_decay, net.sustain_threshold, net.wm_decay_horizon)
     with pytest.raises(NbaError, match="lexicon is already wired to a board"):
         Blackboard(bb.lexicon, Config(decay=0.5, wm_decay=0.5, sustain_threshold=0.9, wm_decay_horizon=3))
-    assert (net.default_decay, net.default_wm_decay, net.default_sustain_threshold, net.wm_decay_horizon) == defaults
-    assert [(pop.decay, pop.sustain_threshold) for pop in net.populations()] == levels
+    assert (net.decay, net.wm_decay, net.sustain_threshold, net.wm_decay_horizon) == levels
     assert (bb.snapshot_bytes(), run_query(bb, parse_query("cat do?")).words) == before == (before[0], ("run",))
 
 
@@ -469,7 +467,7 @@ def test_reserved_working_memory_is_built_on_first_touch():
     binding = bb.bind_concept("cat", n0)
     assert len(net.populations()) == built + 1
     wm = net.population(binding.wm)
-    assert wm.sustained and wm.decay == bb.config.wm_decay
+    assert wm.sustained and net.wm_decay == bb.config.wm_decay
     cat, hub = bb.lexicon.concept("cat"), bb.pools["N"].pids[n0]
     gated = [(c.source, c.target) for c in net.connections() if getattr(c.gate, "wm", None) == binding.wm]
     assert gated == [(cat, hub), (hub, cat)]

@@ -227,6 +227,21 @@ def test_pool_exhaustion_names_sentence_token_and_occupancy(workdir, capsys):
     assert not (workdir / "state.json").exists()
 
 
+def test_trace_names_the_sentence_of_an_exhausted_pool_as_encode_does(tmp_path, capsys):
+    (tmp_path / "lex.tsv").write_text("a\tN\nb\tADJ\nc\tN\nr\tV\n")
+    (tmp_path / "cfg.json").write_text(json.dumps({"k_n": 1, "k_v": 1, "k_c": 1}))
+    (tmp_path / "s.conllu").write_text(
+        "1\tb\t_\tADJ\t_\t_\t2\tamod\t_\t_\n"
+        "2\tc\t_\tNOUN\t_\t_\t3\tnsubj\t_\t_\n"
+        "3\tr\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+    )
+    common = ["--lexicon", str(tmp_path / "lex.tsv"), "--config", str(tmp_path / "cfg.json"),
+              "--sentence", str(tmp_path / "s.conllu")]
+    for command in (["encode", "--state", str(tmp_path / "state.json")], ["trace", "--out", str(tmp_path / "t.csv")]):
+        assert main([*command, *common]) == 2
+        assert capsys.readouterr().err == "error: sentence 1, token 'c': no free hub in pool N (1/1 in use)\n"
+
+
 # Modules a query never runs: the encoder, the tracer (and csv), the demos,
 # the oracle and the corpus generator.
 _NOT_ON_BOARD_PATH = ("nba.encoder", "nba.trace", "nba.demos", "nba.oracle", "nba.corpus", "csv")
@@ -445,6 +460,19 @@ def test_encode_path_loads_neither_dataclasses_nor_inspect(workdir):
     )
     assert out[-1] == "[]"
     assert (workdir / "state.json").exists()
+
+
+def test_trace_demo_and_lexicon_check_load_neither_dataclasses_nor_inspect(workdir):
+    """With `query`, `state show` and `encode` above, every command is checked."""
+    out = _bare_cli(
+        "assert main(['trace', '--lexicon', sys.argv[1], '--sentence', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        "assert main(['demo', 'fig1d']) == 0\n"
+        "assert main(['lexicon', 'check', '--lexicon', sys.argv[1]]) == 0\n",
+        *(workdir / name for name in ("lex.tsv", "s.conllu", "trace.csv")),
+    )
+    assert "demo fig1d: PASS" in out
+    assert out[-1] == "[]"
+    assert (workdir / "trace.csv").read_text().startswith("step,activity\n")
 
 
 # operands and options a `query` argv may hold, the plain shapes among them

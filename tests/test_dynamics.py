@@ -17,27 +17,30 @@ from nba.dynamics import (
     clamp01,
 )
 from nba.encoder import compile, execute
-from nba.errors import UnknownPopulation
+from nba.errors import InvalidNetworkChange, UnknownPopulation
+from nba.labels import matrix_forward, matrix_reverse
+from nba.lexicon import Lexicon
 from nba.query import parse_query, run_query
 
 CONCEPT = PopulationKind.CONCEPT
 WM = PopulationKind.WORKING_MEMORY
 HUB = PopulationKind.HUB
+CONTROL = PopulationKind.CONTROL
 
 
 def test_add_population_fresh_and_unique():
     net = Network()
     p0 = net.add_population(CONCEPT)
-    p1 = net.add_population(WM, sustain_threshold=0.5)
+    p1 = net.add_population(WM)
     assert p0 != p1
     assert net.activation(p0) == 0.0
-    assert net.population(p1).sustain_threshold == 0.5
+    assert net.population(p1).kind is WM and net.sustain_threshold == 0.5
 
 
 def test_add_population_rejects_bad_threshold():
-    net = Network()
+    """The sustain threshold is the network's, so its network refuses it."""
     with pytest.raises(ValueError):
-        net.add_population(WM, sustain_threshold=1.5)
+        Network(sustain_threshold=1.5)
 
 
 def test_connection_validation():
@@ -118,7 +121,7 @@ def test_binding_gate_follows_wm_sustain():
     net = Network()
     cat = net.add_population(CONCEPT)
     run = net.add_population(CONCEPT)
-    wm = net.add_population(WM, sustain_threshold=0.5)
+    wm = net.add_population(WM)
     net.add_gated_connection(cat, run, BindingGate(wm))
     net.inject(cat, 1.0)
     net.step()
@@ -157,7 +160,7 @@ def _iterate_wm_rule(start, decay, threshold, steps):
 
 def test_wm_decay_stays_pinned_at_threshold():
     net = Network(wm_decay=0.9)
-    wm = net.add_population(WM, sustain_threshold=0.5)
+    wm = net.add_population(WM)
     net.inject(wm, 0.6)
     expected = _iterate_wm_rule(0.6, 0.9, 0.5, 100)
     for value in expected:
@@ -170,7 +173,7 @@ def test_wm_persistence_under_random_input():
     rng = random.Random(20)
     net = Network()
     driver = net.add_population(CONCEPT)
-    wm = net.add_population(WM, sustain_threshold=0.5)
+    wm = net.add_population(WM)
     net.add_gated_connection(driver, wm, ControlGate("drive"), gain=0.3)
     net.set_control("drive", True)
     net.inject(wm, 0.9)
@@ -189,7 +192,7 @@ def test_wm_decay_horizon_releases():
     """Once the working memory settles, the steps before its release move
     the clock and nothing else; the release lands at since + horizon."""
     net = Network(wm_decay_horizon=5)
-    wm = net.add_population(WM, sustain_threshold=0.5)
+    wm = net.add_population(WM)
     net.inject(wm, 1.0)
     since = net.population(wm).sustained_since
     net.step()
@@ -267,7 +270,7 @@ def build_random_network(rng, n_pops=6, n_wm=2, n_labels=2, n_edges=10):
     constant during a run once the initial sustain pattern is set."""
     net = Network()
     pops = [net.add_population(CONCEPT) for _ in range(n_pops)]
-    wms = [net.add_population(WM, sustain_threshold=0.5) for _ in range(n_wm)]
+    wms = [net.add_population(WM) for _ in range(n_wm)]
     all_labels = [f"L{i}" for i in range(n_labels)]
     edges = []
     for _ in range(n_edges):
@@ -388,15 +391,15 @@ def _reference_step(net):
     horizon = net.wm_decay_horizon
     for pid in sorted(set(net._active) | set(inflow) | set(floors)):
         pop = net.population(pid)
-        if pop.control_label is not None:
-            net._set_activation(pop, 1.0 if pop.control_label in net.asserted else 0.0)
+        if pop.kind is CONTROL:  # its level is its label's
             continue
-        nxt = max(clamp01(pop.decay * pop.activation + inflow.get(pid, 0.0)), floors.get(pid, 0.0))
+        decay = net.wm_decay if pop.kind is WM else net.decay
+        nxt = max(clamp01(decay * pop.activation + inflow.get(pid, 0.0)), floors.get(pid, 0.0))
         if pop.kind is WM and pop.sustained:
             if horizon is not None and net.time - pop.sustained_since >= horizon:
                 net.release_wm(pid)
                 continue
-            nxt = max(nxt, pop.sustain_threshold)
+            nxt = max(nxt, net.sustain_threshold)
         net._set_activation(pop, nxt)
     net.time += 1
 
@@ -460,7 +463,7 @@ def test_label_indexed_step_matches_reference(seed):
 def test_step_reports_largest_change_including_horizon_releases():
     net = Network(wm_decay_horizon=2)
     a, b = net.add_population(CONCEPT), net.add_population(CONCEPT)
-    wm = net.add_population(WM, sustain_threshold=0.5)
+    wm = net.add_population(WM)
     net.add_gated_connection(a, b, ControlGate("go"), gain=0.25)
     net.set_control("go", True)
     net.inject(a, 0.8)
@@ -965,3 +968,78 @@ def test_reads_build_nothing():
     assert net.total_activation([HUB]) == 0.8 + 0.8 + 0.8
     assert net.total_activation([CONCEPT, WM]) == 0
     assert sorted(pop.pid for pop in net.populations()) == list(hubs)
+
+
+# ------------------------------------------ levels and controls of the network
+
+
+@pytest.mark.parametrize("key, value", [
+    ("decay", 2.0), ("wm_decay", -1.0), ("sustain_threshold", 1.5), ("wm_decay_horizon", 0),
+])
+def test_network_refuses_a_level_out_of_range(key, value):
+    with pytest.raises(InvalidNetworkChange, match=f"^{key} "):
+        Network(**{key: value})
+
+
+def test_inject_refuses_a_control_population_and_changes_nothing():
+    net = Network()
+    a, b = net.add_population(CONCEPT), net.add_population(CONCEPT)
+    go = net.register_control("go")
+    net.set_control("go", True)
+    net.inject(a, 0.5)
+    before = (net.active_pids(), net.flowing_pids(), dict(net._floors), net.activation(go), net.time)
+    with pytest.raises(InvalidNetworkChange, match=f"population {go} is a control population"):
+        net.inject(go, 1.0)
+    for source, target in ((a, go), (go, b)):
+        with pytest.raises(InvalidNetworkChange, match=f"population {go} is a control population"):
+            net.add_gated_connection(source, target, ControlGate("go"))
+    assert (net.active_pids(), net.flowing_pids(), dict(net._floors), net.activation(go), net.time) == before
+    assert net.connections() == []
+
+
+def _controls_mirror_labels(net, labels):
+    """Each control population is active, at 1.0, exactly while its label
+    is asserted, and never flows."""
+    active, flowing = set(net.active_pids()), net.flowing_pids()
+    for label in labels:
+        pid, on = net.register_control(label), label in net.asserted
+        assert net.activation(pid) == net.population(pid).activation == (1.0 if on else 0.0), label
+        assert (pid in active) == on and pid not in flowing, label
+
+
+_CONTROL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("control"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("query"), st.sampled_from(("cat do?", "? do run", "dog do?", "? do eat"))),
+    st.tuples(st.just("probe"), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("step"),),
+), max_size=12)
+
+
+@given(ops=_CONTROL_OPS)
+@settings(max_examples=60, deadline=None)
+def test_control_populations_mirror_their_labels(ops):
+    """Through set_control, run_query and a saved state restored after a
+    probe, every registered control id holds its label's level."""
+    bb = Blackboard(Lexicon.from_tsv("cat\tN\ndog\tN\nrun\tV\neat\tV\n"),
+                    Config(k_n=2, k_v=2, k_c=1, relations=("agent", "theme")))
+    net = bb.network
+    labels = [label(name) for name in bb.relation_names for label in (matrix_forward, matrix_reverse)]
+    n0, v0 = bb.allocate_hub("N"), bb.allocate_hub("V")
+    bb.bind_concept("cat", n0)
+    bb.bind_concept("run", v0)
+    bb.bind_hubs(n0, v0, "agent")
+    _controls_mirror_labels(net, labels)
+    for op in ops:
+        if op[0] == "control":
+            net.set_control(labels[op[1]], op[2])
+        elif op[0] == "query":
+            run_query(bb, parse_query(op[1]))
+        elif op[0] == "probe":
+            saved = net.save_state()
+            net.set_control(labels[op[1]], labels[op[1]] not in net.asserted)
+            for _ in range(op[2]):
+                net.step()
+            net.restore_state(saved)
+        else:
+            net.step()
+        _controls_mirror_labels(net, labels)

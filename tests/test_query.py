@@ -455,7 +455,7 @@ def test_each_query_leaves_the_kernel_as_it_found_it(overrides):
         assert all(pops_after[pid] == (0.0, None) for pid in pops_after.keys() - pops.keys()), text
         assert net.flowing_pids() == flowing, text
         assert all(
-            pop.sustained or pop.activation < pop.sustain_threshold
+            pop.sustained or pop.activation < net.sustain_threshold
             for pop in net.populations() if pop.kind is PopulationKind.WORKING_MEMORY
         ), text
 

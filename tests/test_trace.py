@@ -1,13 +1,17 @@
 """Activity tracing: rise/decline detection, fidelity, export round-trips."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.encoder import BindConcept, CloseConstituent, ConstituentSpan, compile, execute, parse_conllu
-from nba.errors import SpanNotClosed
+from nba.errors import InvalidTrace, NbaError, SpanNotClosed
 from nba.lexicon import Lexicon
-from nba.trace import ActivityTrace, detect_rise_decline, export, load, trace_encode
+from nba.trace import ActivityTrace, PatternReport, detect_rise_decline, export, load, trace_encode
 
 TEN_SAD_STUDENTS = (
     "1\tten\t_\tADJ\t_\t_\t3\tamod\t_\t_\n"
@@ -162,3 +166,99 @@ def test_export_json_round_trip_identical():
 def test_export_unknown_format_rejected():
     with pytest.raises(ValueError):
         export(ActivityTrace(), "xml")
+
+
+@pytest.mark.parametrize("data, fmt, where", [
+    (b"step,activity\n1\n", "csv", "line 2: "),
+    (b"[1]", "json", "not a JSON trace: "),
+    (b'{"samples": [[1]]}', "json", "samples[0]: "),
+    (b'{"samples": [[1, 0.5], [1, 0.5]]}', "json", "samples[1]: "),
+    (b'{"markers": 3}', "json", "markers: "),
+    (b"step,activity\n0,x\n", "csv", "line 2: "),
+    (b"step,activity\n\xff\n", "csv", "not UTF-8 text: "),
+    (b"step;activity\n", "csv", "line 1: "),
+])
+def test_malformed_trace_is_a_located_nba_error(data, fmt, where):
+    with pytest.raises(InvalidTrace) as info:
+        load(data, fmt)
+    assert isinstance(info.value, NbaError) and isinstance(info.value, ValueError)
+    assert str(info.value).startswith(where)
+
+
+def test_add_sample_and_export_failures_are_nba_errors():
+    trace = ActivityTrace()
+    trace.add_sample(1, 0.5)
+    for step, activity in ((1, 0.5), (0, 0.5), ("x", 0.5), (2, None)):
+        with pytest.raises(InvalidTrace):
+            trace.add_sample(step, activity)
+    assert trace.samples == [(1, 0.5)]
+    for bad in (ActivityTrace(samples=[(0, 0.5), 1]), ActivityTrace(markers=[(0, "a", "b")]), ActivityTrace(samples=3)):
+        with pytest.raises(InvalidTrace, match=r"^(samples|markers)"):
+            export(bad, "json")
+    with pytest.raises(InvalidTrace, match="unknown trace format"):
+        load(b"", "xml")
+
+
+def test_trace_records_are_value_classes():
+    trace, twin = ActivityTrace(), ActivityTrace(samples=[], markers=[])
+    assert trace == twin and trace.__hash__ is None
+    trace.add_sample(0, 1.0)
+    assert trace != twin and trace.samples == [(0, 1.0)]
+    report = PatternReport(rose=True, declined=False, baseline=0.0, peak=1.0, after_close=1.0)
+    assert report == PatternReport(True, False, 0.0, 1.0, 1.0)
+    assert hash(report) == hash(PatternReport(True, False, 0.0, 1.0, 1.0))
+
+
+def _json_nodes(data, path=()):
+    """(path, value) of every node of a JSON value, the root first."""
+    yield path, data
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _json_nodes(value, (*path, key))
+
+
+# bytes a mutation may write over part of an exported trace, and values it may put in a JSON record
+_JUNK = (b"", b",", b"\n", b'"', b"x", b"-1", b"1e400", b"nan", b"[", b"]", b"{", b"}", b"null", b"\xff",
+         b"\x00", b"0,0", b"9,1\n0,0", b"\r", b"'", b" ")
+_VALUES = (None, True, 2.5, -1, 0, 1e308, "x", "", [], [1], [1, 2, 3], ["a", "b"], {}, {"k": 1})
+_EXPORTED = {}
+
+
+def _exported(fmt):
+    if fmt not in _EXPORTED:
+        _EXPORTED[fmt] = export(_traced(TEN_SAD_STUDENTS)[3], fmt)
+    return _EXPORTED[fmt]
+
+
+@given(fmt=st.sampled_from(("csv", "json")), structural=st.booleans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_trace_loads_or_raises_only_nba_errors(fmt, structural, data):
+    """Overwrite bytes of an exported trace, or drop or replace a record of
+    its JSON: `load` returns a trace that exports again, or raises an
+    NbaError that is a ValueError, on one line."""
+    raw = _exported(fmt)
+    if structural and fmt == "json":
+        doc = json.loads(raw)
+        path, _ = data.draw(st.sampled_from(list(_json_nodes(doc))[1:]))
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if data.draw(st.booleans()):
+            del target[last]
+        else:
+            target[last] = data.draw(st.sampled_from(_VALUES))
+        raw = json.dumps(doc).encode()
+    else:
+        raw = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 3))):
+            start = data.draw(st.integers(0, len(raw)))
+            stop = data.draw(st.integers(start, min(len(raw), start + 8)))
+            raw[start:stop] = data.draw(st.sampled_from(_JUNK))
+        raw = bytes(raw)
+    try:
+        trace = load(raw, fmt)
+    except NbaError as exc:
+        assert isinstance(exc, ValueError) and "\n" not in str(exc), exc
+    else:
+        assert len(load(export(trace, fmt), fmt).samples) == len(trace.samples)

@@ -35,15 +35,17 @@ for many words' hubs as one block or as a grid of matrix cells, each of
 which adds a forward and a reverse relay. A reservation only describes its
 layout: the working memory that owns an id, and the two connections it
 gates. One builder builds a working memory the first time one of its ids is
-touched (bound or looked up): it registers the two connections, then the
-working memory, so that working memory sustained at rest opens them, then a
-cell's relays. Counts cover reserved structure, so the structure is the
+touched (bound or looked up): it registers the two connections, then a
+cell's relays, then the working memory, so that working memory sustained at
+rest opens them. Counts cover reserved structure, so the structure is the
 same either way.
 
 Relays are not stepped one by one. A relay's one in-edge runs from its row's
 hub under its row's label, and a row's relays share one gain and one decay,
-so they always hold one level: the network keeps it per lit row and moves
-the row's relay ids into and out of the active set in bulk. Hub -> relay
+so they always hold one level: the network keeps it per lit row, and that
+level is the only record that the row's relays are active. They enter no
+id set, so lighting a row, stepping it and restoring it do no work per
+relay; `active_pids` lists them by reading the lit rows. Hub -> relay
 connections are never built. Reading a level builds nothing.
 
 A step updates only what can change. Sustained working memory gates the
@@ -53,11 +55,12 @@ release or the decay horizon makes it change again (see `Network.step`).
 Likewise a step reads out-edges only from emitting ids: those with an open
 binding out-edge, a control out-edge or rows behind one. A lit relay whose
 cell working memory is sustained emits its row's level; the rest of its row
-is lit but emits nothing, so a probe pays for the paths its bindings open,
-not for every relay its label lights. A step with nothing flowing, no
-pending floor, no lit row and no horizon entry due is idle: it only moves
-the clock. An encode spends most of its steps so, between the bindings it
-makes.
+is lit but emits nothing. Each row indexes its emitting relays, kept as
+working memory sustains and releases, so a probe pays for the paths its
+bindings open, not for every relay its label lights. A step with nothing
+flowing, no pending floor, no lit row and no horizon entry due is idle: it
+only moves the clock. An encode spends most of its steps so, between the
+bindings it makes.
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
@@ -88,6 +91,14 @@ class PopulationKind(Enum):
     CONTROL = "control"
 
 
+# the kinds as globals for the update path: reading a member off the class
+# runs Python code each time
+CONCEPT = PopulationKind.CONCEPT
+HUB = PopulationKind.HUB
+WORKING_MEMORY = PopulationKind.WORKING_MEMORY
+CONTROL = PopulationKind.CONTROL
+
+
 class Population:
     """One local neural population reduced to a single activation value.
     Its decay and sustain threshold are its network's, by kind."""
@@ -112,7 +123,7 @@ class _Relay(Population):
     __slots__ = ("_net", "row")
 
     def __init__(self, net: Network, pid: int, row: range):
-        self.pid, self.kind, self.row, self._net = pid, PopulationKind.HUB, row, net
+        self.pid, self.kind, self.row, self._net = pid, HUB, row, net
         self.sustained_since = None
 
     @property
@@ -127,7 +138,7 @@ class _Control(Population):
     __slots__ = ("_net", "label")
 
     def __init__(self, net: Network, pid: int, label: str):
-        self.pid, self.kind, self.label, self._net = pid, PopulationKind.CONTROL, label, net
+        self.pid, self.kind, self.label, self._net = pid, CONTROL, label, net
         self.sustained_since = None
 
     @property
@@ -299,10 +310,10 @@ class Network:
         wm_decay_horizon: int | None = None,
     ):
         for key, level in (("decay", decay), ("wm_decay", wm_decay), ("sustain_threshold", sustain_threshold)):
-            if not 0.0 <= level <= 1.0:
-                raise InvalidNetworkChange(f"{key} must be in [0, 1], got {level}")
-        if wm_decay_horizon is not None and wm_decay_horizon < 1:
-            raise InvalidNetworkChange(f"wm_decay_horizon must be >= 1 when set, got {wm_decay_horizon}")
+            if type(level) not in (int, float) or not 0.0 <= level <= 1.0:
+                raise InvalidNetworkChange(f"{key} must be a number in [0, 1], got {level!r}")
+        if wm_decay_horizon is not None and (type(wm_decay_horizon) is not int or wm_decay_horizon < 1):
+            raise InvalidNetworkChange(f"wm_decay_horizon must be an int >= 1 when set, got {wm_decay_horizon!r}")
         self.time = 0
         self.asserted: set[str] = set()
         self.decay = float(decay)
@@ -324,16 +335,20 @@ class Network:
         self._reserved_starts: list[int] = []
         # static: the relay rows each hub feeds, per label, with their gain
         self._rows: dict[int, dict[str, list[tuple[range, float]]]] = {}
-        # dynamic: level of each lit row, by its relay ids; a row at 0 is absent
+        # dynamic: level of each lit row, by its relay ids; a row at 0 is absent.
+        # It is the one record of a lit relay: no relay is active, flowing or emitting below
         self._lit: dict[range, float] = {}
-        # every active id; relays of lit rows are among them
+        # every active id except the relays of lit rows
         self._active: set[int] = set()
-        # every active id except settled working memory and relays
+        # every active id except settled working memory and control populations
         self._flowing: set[int] = set()
         # ids that are, or may become, the source of a connection; they never settle
         self._sources: set[int] = set()
-        # ids that may emit: keys of _open_binding_out (non-empty), _control_out and _rows
+        # ids other than relays that may emit: keys of _open_binding_out (non-empty), _control_out and _rows
         self._emitting: set[int] = set()
+        # dynamic: per row, its relays with an open out-edge (their cell's working
+        # memory is sustained); a row with none is absent
+        self._row_emitting: dict[range, set[int]] = {}
         # step -> settled working memory the decay horizon may release then
         self._due: dict[int, set[int]] = {}
         self._floors: dict[int, float] = {}
@@ -370,7 +385,7 @@ class Network:
         self._check_structure(((source, target),), gain)
         if isinstance(gate, BindingGate):
             wm = self.population(gate.wm)
-            if wm.kind is not PopulationKind.WORKING_MEMORY:
+            if wm.kind is not WORKING_MEMORY:
                 raise InvalidNetworkChange(f"gate population {gate.wm} is not working memory")
         cid = self._next_cid
         self._next_cid += 1
@@ -385,7 +400,7 @@ class Network:
         Returns their ids. Working memory is reserved with the connections
         it gates (`reserve_bindings`)."""
         self._refuse_frozen()
-        if kind is PopulationKind.WORKING_MEMORY:
+        if kind is WORKING_MEMORY:
             raise InvalidNetworkChange("working memory is reserved with the connections it gates")
         pids, _ = self._take_ids(count, 0)
         last = self._reservations[-1] if self._reservations else None
@@ -595,16 +610,19 @@ class Network:
         return self.population(gate.wm).sustained
 
     def total_activation(self, kinds) -> float:
-        """Sum of the active levels of some kinds, in id order; builds nothing."""
+        """Sum of the active levels of some kinds, in id order, the relays of
+        lit rows among them; builds nothing."""
         kinds, pops = set(kinds), self._pops
-        hub = PopulationKind.HUB in kinds  # an active id not built is a relay
+        hub = HUB in kinds  # an active id not built is a relay
         return sum(
-            self.activation(pid) for pid in sorted(self._active)
+            self.activation(pid) for pid in self.active_pids()
             if (pops[pid].kind in kinds if pid in pops else hub)
         )
 
-    def active_pids(self):
-        return sorted(self._active)
+    def active_pids(self) -> list[int]:
+        """Every active id, in id order: the active set, and the relays of
+        the lit rows, read out of their rows here."""
+        return sorted(itertools.chain(self._active, *self._lit))
 
     def flowing_pids(self) -> frozenset[int]:
         """The active ids except settled working memory, the relays of lit
@@ -653,7 +671,7 @@ class Network:
     def release_wm(self, pid: int) -> None:
         """Explicitly release a working-memory population (idempotent)."""
         pop = self.population(pid)
-        if pop.kind is not PopulationKind.WORKING_MEMORY:
+        if pop.kind is not WORKING_MEMORY:
             raise InvalidNetworkChange(f"population {pid} is not working memory")
         if not pop.sustained and pop.activation == 0.0:
             return
@@ -673,10 +691,12 @@ class Network:
         inflow leaves its activation as it is (`decay * a == a`, or `a` is
         pinned at its sustain threshold). Sources are the flowing ids (the
         active ids that are not settled) that are also emitting, plus the
-        open relays of lit rows; no other id has an edge that could carry
-        its activation. Rows are updated in `_step_rows`. Candidates are the
-        flowing ids plus this step's inflow targets and floors, plus, under a
-        decay horizon, the settled ids due for release at this step.
+        open relays of each lit row, read from the row's index, so a lit
+        row costs its open relays, not its length; no other id has an edge
+        that could carry its activation. Rows are updated in `_step_rows`.
+        Candidates are the flowing ids plus this step's inflow targets and
+        floors, plus, under a decay horizon, the settled ids due for release
+        at this step.
         Candidates therefore include every id whose update is not a no-op,
         and an extra one is active, so it is updated exactly as if every
         active id were a candidate.
@@ -697,12 +717,14 @@ class Network:
         inflow: dict[int, float] = {}
         fed: dict[range, float] = {}
         asserted, lit = self.asserted, self._lit
-        pops, open_out, control_out, rows = (
-            self._pops, self._open_binding_out, self._control_out, self._rows
+        pops, open_out, control_out, rows, row_emitting = (
+            self._pops, self._open_binding_out, self._control_out, self._rows, self._row_emitting
         )
         sources = self._flowing & self._emitting
         for row in lit:  # a lit row's emitting relays are those whose working memory is sustained
-            sources.update(self._emitting.intersection(row))
+            relays = row_emitting.get(row)
+            if relays:
+                sources.update(relays)
         for src in sorted(sources):
             a = pops[src].activation  # flowing or a lit relay, so above 0
             out = open_out.get(src)
@@ -737,13 +759,12 @@ class Network:
             candidates.update(self._active.intersection(due))
         horizon, decay, wm_decay, threshold = self.wm_decay_horizon, self.decay, self.wm_decay, self.sustain_threshold
         active, flowing, sources, woken = self._active, self._flowing, self._sources, self._woken
-        wm = PopulationKind.WORKING_MEMORY
         for pid in sorted(candidates):
             try:
                 pop = pops[pid]
             except KeyError:  # an inflow target still reserved, such as a concept
                 pop = self._build_reserved(pid)
-            is_wm = pop.kind is wm
+            is_wm = pop.kind is WORKING_MEMORY
             nxt = (wm_decay if is_wm else decay) * pop.activation + inflow.get(pid, 0.0)
             nxt = 0.0 if nxt < 0.0 else (1.0 if nxt > 1.0 else nxt)  # clamp01
             if floors:
@@ -792,7 +813,8 @@ class Network:
     def _step_rows(self, fed: dict[range, float]) -> float:
         """Take each lit row, and each row `fed` (gain times its hub's level),
         to its next level as a relay would; return the largest change. A row
-        that lights or goes dark moves its relays in or out of the active set."""
+        that lights or goes dark only enters or leaves `_lit`: its relays
+        are active through it."""
         decay, lit, change, dark = self.decay, self._lit, 0.0, []
         for row, level in lit.items():
             nxt = decay * level + (fed.pop(row, 0.0) if fed else 0.0)
@@ -805,13 +827,11 @@ class Network:
                     dark.append(row)
         for row in dark:
             del lit[row]
-            self._active.difference_update(row)
         for row, nxt in fed.items():  # dark until now
             nxt = 1.0 if nxt > 1.0 else nxt
             if nxt > 0.0:
                 change = max(change, nxt)
                 lit[row] = nxt
-                self._active.update(row)
         return change
 
     # ----------------------------------------------------- query-time saving
@@ -842,8 +862,9 @@ class Network:
 
         Levels are then written straight back, woken ids first, so that a
         saved flowing level wins, and the active and flowing sets are fixed
-        in bulk, as are the lit rows, and the saved labels are asserted again
-        through `set_control`. No write can newly sustain a working memory,
+        in bulk. The lit rows are the saved ones, which is all a restore
+        does for relays, and the saved labels are asserted again through
+        `set_control`. No write can newly sustain a working memory,
         as each one at or above the threshold is sustained as saved.
         Working memory woken since settles again: the flowing set is the
         saved one, and `step` keeps the horizon entries a probe reads."""
@@ -864,10 +885,6 @@ class Network:
         self._active.update(live)
         # an id starts flowing only through a change, which logs it as woken
         self._flowing.update(saved.activations)
-        for row in self._lit.keys() - saved.lit.keys():
-            self._active.difference_update(row)
-        for row in saved.lit.keys() - self._lit.keys():
-            self._active.update(row)
         self._lit = dict(saved.lit)
         for label in self.asserted ^ saved.asserted:
             self.set_control(label, label in saved.asserted)
@@ -881,7 +898,7 @@ class Network:
         pop = self._pops[pid] = Population(pid, kind)
         if pid in self._unbuilt_control:
             self._build_control(pid)
-        if kind is PopulationKind.WORKING_MEMORY and self.sustain_threshold <= 0.0:  # sustained at rest
+        if kind is WORKING_MEMORY and self.sustain_threshold <= 0.0:  # sustained at rest
             self._sustain(pop, self.time)
         return pop
 
@@ -940,11 +957,12 @@ class Network:
         gate = BindingGate(wm)
         for cid, source, target in res.gated(wm):
             self._build_connection(GatedConnection(cid, source, target, gate, res.gain))
-        # built after its edges, so that working memory sustained at rest opens them
-        self._build_population(wm, PopulationKind.WORKING_MEMORY)
         if isinstance(res, _Grid):
             for relay in (wm + 1, wm + 2):
                 self._pops[relay] = _Relay(self, relay, res.relay_row(relay))
+        # built after its edges and relays, so that working memory sustained
+        # at rest opens the edges and indexes the relays by row
+        self._build_population(wm, WORKING_MEMORY)
         return self._pops[pid]
 
     def _add_sources(self, pids) -> None:
@@ -952,8 +970,9 @@ class Network:
         working memory among them flows again."""
         self._sources.update(pids)
         for pid in pids:
-            # active but not flowing: settled working memory, or a lit relay, which is no Population
-            if pid in self._active and pid not in self._flowing and type(self._pops.get(pid)) is Population:
+            # active but not flowing: settled working memory, or a control
+            # population, which is never a source
+            if pid in self._active and pid not in self._flowing:
                 self._set_activation(self._pops[pid], self._pops[pid].activation)
 
     def _set_activation(self, pop: Population, value: float) -> None:
@@ -968,21 +987,29 @@ class Network:
             self._active.discard(pid)
             self._flowing.discard(pid)
         if (
-            pop.kind is PopulationKind.WORKING_MEMORY
+            pop.kind is WORKING_MEMORY
             and pop.sustained_since is None
             and value >= self.sustain_threshold
         ):
             self._sustain(pop, self.time)
 
     def _sustain(self, pop: Population, since: int) -> None:
+        """Sustain `pop` and open the edges it gates: their sources emit,
+        a cell's relays by their row."""
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained_since = since
         for conn in self._binding_edges.get(pop.pid, ()):
             bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
-            self._emitting.add(conn.source)
+            relay = self._pops.get(conn.source)
+            if type(relay) is _Relay:
+                self._row_emitting.setdefault(relay.row, set()).add(conn.source)
+            else:
+                self._emitting.add(conn.source)
 
     def _unsustain(self, pop: Population) -> None:
+        """Release `pop` and close the edges it gates; a source left with no
+        open edge stops emitting."""
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained_since = None
@@ -990,5 +1017,14 @@ class Network:
             out = self._open_binding_out.get(conn.source)
             if out is not None and conn in out:
                 out.remove(conn)
-                if not out and conn.source not in self._control_out and conn.source not in self._rows:
-                    self._emitting.discard(conn.source)
+                if out:
+                    continue
+                if conn.source in self._emitting:  # a relay never is
+                    if conn.source not in self._control_out and conn.source not in self._rows:
+                        self._emitting.discard(conn.source)
+                else:  # a relay's one out-edge
+                    row = self._pops[conn.source].row
+                    relays = self._row_emitting[row]
+                    relays.discard(conn.source)
+                    if not relays:
+                        del self._row_emitting[row]

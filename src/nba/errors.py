@@ -134,4 +134,4 @@ class SpanNotClosed(NbaError):
 class InvalidTrace(NbaError, ValueError):
     """A malformed activity trace, a sample out of step order or an unknown
     trace format; a file's message names the CSV line or JSON record, as in
-    `samples[2]: expected [step, float], got [1]`."""
+    `samples[2]: expected [int step, float], got [1]`."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import labels
 from .blackboard import Blackboard
-from .dynamics import PopulationKind
+from .dynamics import CONCEPT
 from .errors import QuerySyntaxError, UnknownRelation
 from .value import Value
 
@@ -145,11 +145,10 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
             if n and net.last_change <= _SETTLE_TOL:
                 break
         threshold = blackboard.config.readout_threshold
-        concept = PopulationKind.CONCEPT
         pairs = []
         # every active concept flows: only working memory settles
         for pop in net.flowing_populations():
-            if pop.kind is concept and pop.activation >= threshold and pop.pid != cue:
+            if pop.kind is CONCEPT and pop.activation >= threshold and pop.pid != cue:
                 word = lex.word_of(pop.pid)
                 if word is not None:
                     pairs.append((word, pop.activation))

@@ -25,21 +25,28 @@ def aggregate_activity(network: Network) -> float:
     return network.total_activation(_TRACED_KINDS)
 
 
-def _pair(record, kind) -> tuple[int, object]:
-    """(step, value) from a [step, value] record, the value made a `kind`."""
+def _pair(record, kind, text: bool = False) -> tuple[int, object]:
+    """(step, value) from a [step, value] record, the value made a `kind`.
+    The step is an int, not a float or a bool, or with `text` the text of
+    one, as in a CSV field."""
     try:
         step, value = record
-        return int(step), kind(value)
+        if text:
+            step = int(step)
+        elif type(step) is not int:
+            raise TypeError
+        return step, kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidTrace(f"expected [step, {kind.__name__}], got {record!r}") from None
+        raise InvalidTrace(f"expected [int step, {kind.__name__}], got {record!r}") from None
 
 
-def _samples(trace: ActivityTrace, records) -> ActivityTrace:
+def _samples(trace: ActivityTrace, records, text: bool = False) -> ActivityTrace:
     """`trace` with each sample of `records`, given as (where, [step,
-    activity]) and in step order, added; an InvalidTrace names where."""
+    activity]) and in step order, added; an InvalidTrace names where. With
+    `text` the records are CSV rows, whose steps are text."""
     for where, record in records:
         try:
-            trace.add_sample(*_pair(record, float))
+            trace.add_sample(*_pair(record, float, text))
         except InvalidTrace as exc:
             raise InvalidTrace(f"{where}: {exc}") from None
     return trace
@@ -192,7 +199,7 @@ def load(data: bytes, fmt: str) -> ActivityTrace:
             raise InvalidTrace(f"line {reader.line_num}: {exc}") from None
         if not rows or rows[0][1] != ["step", "activity"]:
             raise InvalidTrace("line 1: not a trace CSV (bad header)")
-        return _samples(ActivityTrace(), rows[1:])
+        return _samples(ActivityTrace(), rows[1:], text=True)
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

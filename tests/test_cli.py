@@ -315,12 +315,19 @@ def test_scaling_script_prints_header_and_one_row_per_size():
     src = os.path.dirname(os.path.dirname(nba.__file__))
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "scaling.py")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    result = subprocess.run([sys.executable, script, "--sizes", "10", "100"],
+    result = subprocess.run([sys.executable, script, "--sizes", "10", "100", "--pools", "1", "2", "--rounds", "2"],
                             capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    header, *rows = result.stdout.splitlines()
+    wiring, probes = result.stdout.split("\n\n")
+    header, *rows = wiring.splitlines()
     assert header.split() == ["lexicon", "gated", "links", "direct", "wiring", "expressible"]
     assert [row.split() for row in rows] == [["10", "144", "50", "50"], ["100", "864", "5000", "5000"]]
+    # the probe table's shape, not its times: one row per pool multiple
+    header, *rows = probes.splitlines()
+    assert header.split() == ["pools", "probes", "forward", "us", "reverse", "us"]
+    assert [row.split()[0] for row in rows] == ["40/12/8", "80/24/16"]
+    assert len({row.split()[1] for row in rows}) == 1 and all(len(row.split()) == 4 for row in rows)
+    assert all(float(cell) > 0.0 for row in rows for cell in row.split()[2:])
 
 
 def _encoded_state(workdir):

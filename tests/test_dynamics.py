@@ -685,9 +685,17 @@ def test_board_at_rest_steps_no_working_memory():
 
 
 def _emitting_by_recount(net):
-    """Ids with an open binding out-edge, a control out-edge or rows."""
-    return {src for src, out in net._open_binding_out.items() if out} | set(net._control_out) | set(
-        net._rows)
+    """Ids other than relays with an open binding out-edge, a control
+    out-edge or rows; and per row, its relays with an open binding out-edge."""
+    emitting, rows = set(net._control_out) | set(net._rows), {}
+    for src, out in net._open_binding_out.items():
+        if out:
+            row = net._relay_row(src)
+            if row is None:
+                emitting.add(src)
+            else:
+                rows.setdefault(row, set()).add(src)
+    return emitting, rows
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -699,7 +707,7 @@ def test_emitting_ids_match_a_recount_on_random_networks(seed):
     rng = random.Random(seed)
     net.reserve_cells((pops[2], pops[3]), (pops[4],), "L0", "L1")
     net.reserve_cells((pops[5],), (), "L2", "L1")
-    assert net._emitting == _emitting_by_recount(net)
+    assert (net._emitting, net._row_emitting) == _emitting_by_recount(net)
     for _ in range(40):
         r = rng.random()
         if r < 0.4:
@@ -717,7 +725,7 @@ def test_emitting_ids_match_a_recount_on_random_networks(seed):
             net.step()
             net.restore_state(saved)
         net.step()
-        assert net._emitting == _emitting_by_recount(net)
+        assert (net._emitting, net._row_emitting) == _emitting_by_recount(net)
 
 
 # ------------------------------------------------- reserved rows against wiring
@@ -979,6 +987,21 @@ def test_reads_build_nothing():
 def test_network_refuses_a_level_out_of_range(key, value):
     with pytest.raises(InvalidNetworkChange, match=f"^{key} "):
         Network(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("decay", "x"), ("wm_decay", True), ("sustain_threshold", None), ("decay", [0.5]),
+    ("wm_decay_horizon", "3"), ("wm_decay_horizon", 2.5), ("wm_decay_horizon", True),
+])
+def test_network_refuses_a_level_of_the_wrong_type(key, value):
+    """A level is an int or a float and a horizon an int, neither a bool."""
+    with pytest.raises(InvalidNetworkChange, match=f"^{key} "):
+        Network(**{key: value})
+
+
+def test_network_takes_int_levels():
+    net = Network(decay=0, wm_decay=1, sustain_threshold=1, wm_decay_horizon=2)
+    assert (net.decay, net.wm_decay, net.sustain_threshold, net.wm_decay_horizon) == (0.0, 1.0, 1.0, 2)
 
 
 def test_inject_refuses_a_control_population_and_changes_nothing():

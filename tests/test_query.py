@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nba import labels
 from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence
@@ -460,6 +461,80 @@ def test_each_query_leaves_the_kernel_as_it_found_it(overrides):
         ), text
 
 
+def test_a_horizon_release_in_a_probe_leaves_the_row_index_as_saved():
+    """The decay horizon releases a bound cell in mid-probe, which takes its
+    relays out of their rows' index; the restore puts them back."""
+    lex = load_lexicon("cat\tN\nchase\tV\n")
+    bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1, wm_decay_horizon=3))
+    bb.bind_concept("cat", "N0")
+    bb.bind_concept("chase", "V0")
+    bb.bind_hubs("N0", "V0", "agent")
+    cell = bb.cells["N0", "V0", "agent"]
+    net = bb.network
+    net.step()
+    net.step()
+    before = {row: set(relays) for row, relays in net._row_emitting.items()}
+    assert sorted(set().union(*before.values())) == [cell.relay_fwd, cell.relay_rev]
+    saved = net.save_state()
+    net.set_control(labels.matrix_forward("agent"), True)
+    for _ in range(3):
+        net.inject(lex.concept("cat"), 1.0)
+        net.step()
+    assert not net.population(cell.wm).sustained and net._row_emitting == {}
+    net.restore_state(saved)
+    assert net._row_emitting == before
+    assert net.population(cell.wm).sustained_since == 0
+    assert (net._emitting, net._row_emitting) == _emitting_by_recount(net)
+
+
+def _check_active_set(net):
+    """No relay id is in the active set; `active_pids()` is the active set
+    and the relays of the lit rows, and holds every population above 0 and
+    nothing at 0."""
+    assert all(net._relay_row(pid) is None for pid in net._active)
+    assert net.active_pids() == sorted(net._active.union(*net._lit))
+    assert {pop.pid for pop in net.populations() if pop.activation > 0.0} <= set(net.active_pids())
+    assert all(net.activation(pid) > 0.0 for pid in net.active_pids())
+
+
+@given(
+    horizon=st.sampled_from((None, 2, 5)),
+    threshold=st.sampled_from((0.5, 0.0)),
+    ops=st.lists(
+        st.tuples(st.sampled_from(("concept", "cell", "step", "release", "query", "probe")), st.integers(0, 10**6)),
+        max_size=25,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_lit_relays_stay_out_of_the_active_set(horizon, threshold, ops):
+    """Binds, releases, steps and probes, under a sustain threshold of 0 and
+    a decay horizon too, keep relays out of the active set; a probe is also
+    checked after each of its steps."""
+    nouns, verbs, _ = make_word_lists(4, 3, 0)
+    config = Config(k_n=3, k_v=2, k_c=1, relations=("agent", "theme", "modifier"),
+                    sustain_threshold=threshold, wm_decay_horizon=horizon)
+    bb = Blackboard(build_lexicon(nouns, verbs, []), config)
+    net = bb.network
+    relations = sorted(bb.grid_counts)
+    for op, n in ops:
+        if op in ("query", "probe"):
+            word = (nouns + verbs)[n % (len(nouns) + len(verbs))]
+            relation = relations[n // 7 % len(relations)]
+            if op == "query":
+                run_query(bb, parse_query(f"{word} {relation}?" if n % 2 else f"? {relation} {word}"))
+            else:
+                saved = net.save_state()
+                net.set_control((labels.matrix_reverse if n % 2 else labels.matrix_forward)(relation), True)
+                for _ in range(1 + n % 5):
+                    net.inject(bb.lexicon.concept(word), 1.0)
+                    net.step()
+                    _check_active_set(net)
+                net.restore_state(saved)
+        else:
+            _random_op(bb, op, n, nouns, verbs)
+        _check_active_set(net)
+
+
 @given(
     horizon=st.sampled_from((None, 2, 5)),
     threshold=st.sampled_from((0.5, 0.0)),
@@ -476,7 +551,7 @@ def test_emitting_ids_match_a_recount_under_random_operations(horizon, threshold
                     sustain_threshold=threshold, wm_decay_horizon=horizon)
     bb = Blackboard(build_lexicon(nouns, verbs, []), config)
     net = bb.network
-    assert net._emitting == _emitting_by_recount(net)
+    assert (net._emitting, net._row_emitting) == _emitting_by_recount(net)
     for op, n in ops:
         if op == "query":
             word = (nouns + verbs)[n % (len(nouns) + len(verbs))]
@@ -490,4 +565,4 @@ def test_emitting_ids_match_a_recount_under_random_operations(horizon, threshold
             bb.release_all()
         else:
             _random_op(bb, op, n, nouns, verbs)
-        assert net._emitting == _emitting_by_recount(net), op
+        assert (net._emitting, net._row_emitting) == _emitting_by_recount(net), op

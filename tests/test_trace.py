@@ -177,6 +177,11 @@ def test_export_unknown_format_rejected():
     (b"step,activity\n0,x\n", "csv", "line 2: "),
     (b"step,activity\n\xff\n", "csv", "not UTF-8 text: "),
     (b"step;activity\n", "csv", "line 1: "),
+    (b"step,activity\n2.5,0.1\n", "csv", "line 2: "),
+    (b'{"samples": [[2.5, 0.1]]}', "json", "samples[0]: "),
+    (b'{"samples": [[true, 0.1]]}', "json", "samples[0]: "),
+    (b'{"samples": [["2", 0.1]]}', "json", "samples[0]: "),
+    (b'{"markers": [[1.0, "x"]]}', "json", "markers[0]: "),
 ])
 def test_malformed_trace_is_a_located_nba_error(data, fmt, where):
     with pytest.raises(InvalidTrace) as info:
@@ -188,7 +193,7 @@ def test_malformed_trace_is_a_located_nba_error(data, fmt, where):
 def test_add_sample_and_export_failures_are_nba_errors():
     trace = ActivityTrace()
     trace.add_sample(1, 0.5)
-    for step, activity in ((1, 0.5), (0, 0.5), ("x", 0.5), (2, None)):
+    for step, activity in ((1, 0.5), (0, 0.5), ("x", 0.5), (2, None), (2.0, 0.5), (True, 0.5), ("2", 0.5)):
         with pytest.raises(InvalidTrace):
             trace.add_sample(step, activity)
     assert trace.samples == [(1, 0.5)]

@@ -52,10 +52,13 @@ A step updates only what can change. Sustained working memory gates the
 flow of activation rather than taking part in it: once its next update is a
 no-op it is settled, and steps pass it by until inflow, an injection, a
 release or the decay horizon makes it change again (see `Network.step`).
-Likewise a step reads out-edges only from emitting ids: those with an open
-binding out-edge, a control out-edge or rows behind one. A lit relay whose
-cell working memory is sustained emits its row's level; the rest of its row
-is lit but emits nothing. Each row indexes its emitting relays, kept as
+Each fact is kept once: the network holds the flowing ids and the settled
+ones, and reads the rest of the active set from where it lives, control
+populations from the asserted labels and lit relays from the lit rows. A
+step looks up the out-edges of every flowing id: open binding edges by
+source, control edges by source and label, and rows by hub. A lit relay
+whose cell working memory is sustained emits its row's level; the rest of
+its row is lit but emits nothing. Each row indexes its open relays, kept as
 working memory sustains and releases, so a probe pays for the paths its
 bindings open, not for every relay its label lights. A step with nothing
 flowing, no pending floor, no lit row and no horizon entry due is idle: it
@@ -325,7 +328,8 @@ class Network:
         self._control_out: dict[int, dict[str, list[GatedConnection]]] = {}
         # reserved: control-gated out-edges per source not yet built, as (cid, target, label, gain)
         self._unbuilt_control: dict[int, list[tuple[int, int, str, float]]] = {}
-        # dynamic: binding-gated out-edges per source whose WM is sustained, in id order
+        # dynamic: binding-gated out-edges per source whose WM is sustained, in id order;
+        # a source with none is absent
         self._open_binding_out: dict[int, list[GatedConnection]] = {}
         # all binding-gated edges per gating WM
         self._binding_edges: dict[int, list[GatedConnection]] = {}
@@ -336,16 +340,14 @@ class Network:
         # static: the relay rows each hub feeds, per label, with their gain
         self._rows: dict[int, dict[str, list[tuple[range, float]]]] = {}
         # dynamic: level of each lit row, by its relay ids; a row at 0 is absent.
-        # It is the one record of a lit relay: no relay is active, flowing or emitting below
+        # It is the one record of a lit relay: no relay is flowing or settled below
         self._lit: dict[range, float] = {}
-        # every active id except the relays of lit rows
-        self._active: set[int] = set()
-        # every active id except settled working memory and control populations
+        # every active id except settled working memory, lit relays and control populations
         self._flowing: set[int] = set()
+        # sustained working memory above 0 that steps pass by; never a source
+        self._settled: set[int] = set()
         # ids that are, or may become, the source of a connection; they never settle
         self._sources: set[int] = set()
-        # ids other than relays that may emit: keys of _open_binding_out (non-empty), _control_out and _rows
-        self._emitting: set[int] = set()
         # dynamic: per row, its relays with an open out-edge (their cell's working
         # memory is sustained); a row with none is absent
         self._row_emitting: dict[range, set[int]] = {}
@@ -490,7 +492,6 @@ class Network:
                         self._rows[hub] = {label: [(row, grid.gain)]}
                     else:
                         by_label.setdefault(label, []).append((row, grid.gain))
-            self._emitting.update(hubs)
         self._reserve(grid)
         return pids
 
@@ -545,8 +546,6 @@ class Network:
             pid = self._take_ids(1, 0)[0][0]
             self._pops[pid] = _Control(self, pid, label)
             self._control_pops[label] = pid
-            if label in self.asserted:
-                self._active.add(pid)
         return pid
 
     def freeze(self) -> None:
@@ -605,9 +604,15 @@ class Network:
         return self._next_cid
 
     def is_open(self, gate: ControlGate | BindingGate) -> bool:
+        """Whether `gate` is open, read without building anything: reserved
+        working memory is at rest, so its gate is closed."""
         if isinstance(gate, ControlGate):
             return gate.label in self.asserted
-        return self.population(gate.wm).sustained
+        pop = self._pops.get(gate.wm)
+        if pop is None:
+            self._reservation(gate.wm)  # an unknown id raises
+            return False
+        return pop.sustained
 
     def total_activation(self, kinds) -> float:
         """Sum of the active levels of some kinds, in id order, the relays of
@@ -620,9 +625,11 @@ class Network:
         )
 
     def active_pids(self) -> list[int]:
-        """Every active id, in id order: the active set, and the relays of
-        the lit rows, read out of their rows here."""
-        return sorted(itertools.chain(self._active, *self._lit))
+        """Every active id, in id order, derived here from what holds it:
+        the flowing and the settled ids, the control populations of the
+        asserted labels, and the relays of the lit rows."""
+        controls = map(self._control_pops.get, self._control_pops.keys() & self.asserted)
+        return sorted(itertools.chain(self._flowing, self._settled, controls, *self._lit))
 
     def flowing_pids(self) -> frozenset[int]:
         """The active ids except settled working memory, the relays of lit
@@ -641,14 +648,11 @@ class Network:
     def set_control(self, label: str, on: bool) -> None:
         """(De)assert a label; gate openness follows from the next step on.
         The label's control population, if any, is active exactly while it
-        is asserted."""
+        is asserted: `active_pids` reads it from the asserted labels."""
         if on:
             self.asserted.add(label)
         else:
             self.asserted.discard(label)
-        pid = self._control_pops.get(label)
-        if pid is not None:
-            (self._active.add if on else self._active.discard)(pid)
 
     def inject(self, pid: int, level: float) -> None:
         """Raise activation to `level` now and floor the next update at it."""
@@ -689,14 +693,15 @@ class Network:
         A working memory is settled when it is sustained, has no pending
         floor, is the source of no connection, and its next update without
         inflow leaves its activation as it is (`decay * a == a`, or `a` is
-        pinned at its sustain threshold). Sources are the flowing ids (the
-        active ids that are not settled) that are also emitting, plus the
-        open relays of each lit row, read from the row's index, so a lit
-        row costs its open relays, not its length; no other id has an edge
-        that could carry its activation. Rows are updated in `_step_rows`.
-        Candidates are the flowing ids plus this step's inflow targets and
-        floors, plus, under a decay horizon, the settled ids due for release
-        at this step.
+        pinned at its sustain threshold); it joins the settled set if its
+        level is above 0, since working memory sustained at rest stays
+        inactive. Sources are the flowing ids, whose out-edges are looked up
+        by id (an id with none adds nothing), plus the open relays of each
+        lit row, read from the row's index, so a lit row costs its open
+        relays, not its length; no other id has an edge that could carry
+        its activation. Rows are updated in `_step_rows`. Candidates are the
+        flowing ids plus this step's inflow targets and floors, plus, under
+        a decay horizon, the settled ids due for release at this step.
         Candidates therefore include every id whose update is not a no-op,
         and an extra one is active, so it is updated exactly as if every
         active id were a candidate.
@@ -720,7 +725,7 @@ class Network:
         pops, open_out, control_out, rows, row_emitting = (
             self._pops, self._open_binding_out, self._control_out, self._rows, self._row_emitting
         )
-        sources = self._flowing & self._emitting
+        sources = set(self._flowing)
         for row in lit:  # a lit row's emitting relays are those whose working memory is sustained
             relays = row_emitting.get(row)
             if relays:
@@ -756,9 +761,9 @@ class Network:
         due = self._due.get(self.time) if self._woken is not None else self._due.pop(self.time, None)
         if due:
             # any active id may be a candidate, so stale entries change nothing
-            candidates.update(self._active.intersection(due))
+            candidates.update(self._settled.intersection(due))
         horizon, decay, wm_decay, threshold = self.wm_decay_horizon, self.decay, self.wm_decay, self.sustain_threshold
-        active, flowing, sources, woken = self._active, self._flowing, self._sources, self._woken
+        flowing, settled, sources, woken = self._flowing, self._settled, self._sources, self._woken
         for pid in sorted(candidates):
             try:
                 pop = pops[pid]
@@ -792,10 +797,8 @@ class Network:
                         woken.setdefault(pid, pop.activation)
                     pop.activation = nxt
                     if nxt > 0.0:
-                        active.add(pid)
                         flowing.add(pid)
                     else:
-                        active.discard(pid)
                         flowing.discard(pid)
             since = pop.sustained_since
             if (
@@ -805,6 +808,8 @@ class Network:
             ):
                 # settled: without inflow or a floor, its next update is a no-op
                 flowing.discard(pid)
+                if nxt > 0.0:
+                    settled.add(pid)
                 if horizon is not None:
                     self._due.setdefault(since + horizon, set()).add(pid)
         self.last_change = change
@@ -861,13 +866,16 @@ class Network:
         `sustained_since` and the open binding edges are as saved.
 
         Levels are then written straight back, woken ids first, so that a
-        saved flowing level wins, and the active and flowing sets are fixed
-        in bulk. The lit rows are the saved ones, which is all a restore
-        does for relays, and the saved labels are asserted again through
-        `set_control`. No write can newly sustain a working memory,
-        as each one at or above the threshold is sustained as saved.
-        Working memory woken since settles again: the flowing set is the
-        saved one, and `step` keeps the horizon entries a probe reads."""
+        saved flowing level wins, and the flowing and settled sets are
+        fixed in bulk: a woken id is settled again if its level is above 0
+        and it was not flowing at the save, since an id flowing then may
+        have settled and been woken in one probe. The lit rows and the
+        asserted labels are the saved ones, which is all a restore does for
+        relays and control populations. No write can newly sustain a
+        working memory, as each one at or above the threshold is sustained
+        as saved. Working memory woken since settles again: the flowing set
+        is the saved one, and `step` keeps the horizon entries a probe
+        reads."""
         self._sustain_log = self._woken = None
         for pop, since in reversed(saved.sustain_log):
             if pop.sustained:
@@ -877,17 +885,16 @@ class Network:
         pops, woken = self._pops, saved.woken
         for pid, act in itertools.chain(woken.items(), saved.activations.items()):
             pops[pid].activation = act
-        self._active.difference_update(woken)
-        self._flowing.difference_update(woken)
-        # every saved flowing level is above 0; a woken id is active if its level is
-        live = [pid for pid in woken if pops[pid].activation > 0.0]
-        live += saved.activations
-        self._active.update(live)
+        settled, flowing = self._settled, self._flowing
+        settled.difference_update(woken)
+        flowing.difference_update(woken)
+        # a woken id not flowing at the save was settled if its level is above 0
+        settled.update(pid for pid in woken if pops[pid].activation > 0.0)
+        settled.difference_update(saved.activations)
         # an id starts flowing only through a change, which logs it as woken
-        self._flowing.update(saved.activations)
+        flowing.update(saved.activations)
         self._lit = dict(saved.lit)
-        for label in self.asserted ^ saved.asserted:
-            self.set_control(label, label in saved.asserted)
+        self.asserted = set(saved.asserted)
         self._floors = dict(saved.floors)
         self.time = saved.time
         self.last_change = saved.last_change
@@ -912,7 +919,6 @@ class Network:
         if isinstance(conn.gate, ControlGate):
             by_label = self._control_out.setdefault(conn.source, {})
             bisect.insort(by_label.setdefault(conn.gate.label, []), conn, key=_cid)
-            self._emitting.add(conn.source)
         else:
             self._binding_edges.setdefault(conn.gate.wm, []).append(conn)
             # open now if the condition already holds; working memory not yet
@@ -920,7 +926,6 @@ class Network:
             wm = self._pops.get(conn.gate.wm)
             if wm is not None and wm.sustained:
                 bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
-                self._emitting.add(conn.source)
 
     def _reservation(self, pid: int) -> _Block | _Bindings | _Grid:
         """The reserved structure that owns `pid`."""
@@ -970,9 +975,7 @@ class Network:
         working memory among them flows again."""
         self._sources.update(pids)
         for pid in pids:
-            # active but not flowing: settled working memory, or a control
-            # population, which is never a source
-            if pid in self._active and pid not in self._flowing:
+            if pid in self._settled:
                 self._set_activation(self._pops[pid], self._pops[pid].activation)
 
     def _set_activation(self, pop: Population, value: float) -> None:
@@ -980,11 +983,10 @@ class Network:
         if self._woken is not None and pid not in self._flowing:
             self._woken.setdefault(pid, pop.activation)
         pop.activation = value
+        self._settled.discard(pid)
         if value > 0.0:
-            self._active.add(pid)
             self._flowing.add(pid)
         else:
-            self._active.discard(pid)
             self._flowing.discard(pid)
         if (
             pop.kind is WORKING_MEMORY
@@ -994,8 +996,8 @@ class Network:
             self._sustain(pop, self.time)
 
     def _sustain(self, pop: Population, since: int) -> None:
-        """Sustain `pop` and open the edges it gates: their sources emit,
-        a cell's relays by their row."""
+        """Sustain `pop` and open the edges it gates, each under its source;
+        a cell's relays are indexed by their row too."""
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained_since = since
@@ -1004,27 +1006,24 @@ class Network:
             relay = self._pops.get(conn.source)
             if type(relay) is _Relay:
                 self._row_emitting.setdefault(relay.row, set()).add(conn.source)
-            else:
-                self._emitting.add(conn.source)
 
     def _unsustain(self, pop: Population) -> None:
-        """Release `pop` and close the edges it gates; a source left with no
-        open edge stops emitting."""
+        """Release `pop` and close the edges it gates, all open while it was
+        sustained; a source left with no open edge leaves the index, and a
+        relay its row's."""
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained_since = None
+        open_out = self._open_binding_out
         for conn in self._binding_edges.get(pop.pid, ()):
-            out = self._open_binding_out.get(conn.source)
-            if out is not None and conn in out:
-                out.remove(conn)
-                if out:
-                    continue
-                if conn.source in self._emitting:  # a relay never is
-                    if conn.source not in self._control_out and conn.source not in self._rows:
-                        self._emitting.discard(conn.source)
-                else:  # a relay's one out-edge
-                    row = self._pops[conn.source].row
-                    relays = self._row_emitting[row]
-                    relays.discard(conn.source)
-                    if not relays:
-                        del self._row_emitting[row]
+            out = open_out[conn.source]
+            out.remove(conn)
+            if out:
+                continue
+            del open_out[conn.source]
+            relay = self._pops.get(conn.source)  # a concept may still be reserved
+            if type(relay) is _Relay:
+                relays = self._row_emitting[relay.row]
+                relays.discard(conn.source)
+                if not relays:
+                    del self._row_emitting[relay.row]

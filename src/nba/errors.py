@@ -19,6 +19,12 @@ class InvalidNetworkChange(NbaError, ValueError):
     population directly."""
 
 
+class InvalidLexiconChange(NbaError, ValueError):
+    """A word that is not a nonempty string, a word type that is not a
+    `WordType`, or a relation label that is not a nonempty string, given to
+    a lexicon directly; the message names the call and its word."""
+
+
 class UnknownWord(NbaError):
     def __init__(self, word, line=None):
         self.word = word

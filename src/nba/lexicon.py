@@ -16,7 +16,7 @@ from enum import Enum
 
 from . import labels
 from .dynamics import Network, PopulationKind
-from .errors import DuplicateWord, InvalidState, ParseError, UnknownWord, expect
+from .errors import DuplicateWord, InvalidLexiconChange, InvalidState, ParseError, UnknownWord, expect
 
 
 class WordType(Enum):
@@ -71,9 +71,13 @@ class Lexicon:
     # -------------------------------------------------------------- entries
 
     def add_word(self, word: str, word_type: WordType) -> LexicalEntry:
+        """Add one word; a word that is not a nonempty string or a type that
+        is not a `WordType` raises InvalidLexiconChange naming the word."""
+        if type(word) is not str or not word:
+            raise InvalidLexiconChange(f"add_word: word must be a nonempty string, got {word!r}")
+        if type(word_type) is not WordType:
+            raise InvalidLexiconChange(f"add_word({word!r}): type must be a WordType, got {word_type!r}")
         key = word.casefold()
-        if not key:
-            raise ValueError("word must be nonempty")
         if key in self._index:
             raise DuplicateWord(key)
         self._add_entries([key], [word_type])
@@ -148,8 +152,11 @@ class Lexicon:
     def add_semantic_relation(self, subject: str, relation_label: str, obj: str) -> None:
         """Install a directed control-gated edge subject -> object plus its mirror."""
         s, o = self._words[self._row(subject)], self._words[self._row(obj)]
-        if not relation_label:
-            raise ValueError("relation label must be nonempty")
+        if type(relation_label) is not str or not relation_label:
+            raise InvalidLexiconChange(
+                f"add_semantic_relation({subject!r}, ..., {obj!r}): relation label must be a nonempty string,"
+                f" got {relation_label!r}"
+            )
         self._add_relations([(s, relation_label, o)])
 
     def _add_relations(self, triples: list[tuple[str, str, str]]) -> None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.corpus import build_lexicon, make_word_lists, random_template_sentence, random_tree_sentence
-from nba.dynamics import PopulationKind
+from nba.dynamics import BindingGate, PopulationKind
 from nba.encoder import compile, execute, parse_conllu
 from nba.errors import (
     CellBusy,
@@ -474,6 +474,23 @@ def test_reserved_working_memory_is_built_on_first_touch():
     bb.release_all()
     assert len(net.populations()) == built + 1  # stays built after release
     assert not net.population(binding.wm).sustained
+
+
+def test_is_open_on_reserved_working_memory_builds_nothing():
+    """Reading a reserved working memory's gate builds neither the word's
+    population nor the cell's three; an unknown id still raises."""
+    bb = small_board()
+    net = bb.network
+    built = len(net.populations())
+    word_wm = bb.word_wms("cat")[0]
+    cell_wm = bb.cells["N0", "V0", "agent"].wm
+    for wm in (word_wm, cell_wm):
+        assert not net.is_open(BindingGate(wm))
+        assert len(net.populations()) == built
+    with pytest.raises(UnknownPopulation):
+        net.is_open(BindingGate(net.population_count()))
+    binding = bb.bind_concept("cat", bb.allocate_hub("N"))
+    assert net.is_open(BindingGate(binding.wm))
 
 
 def test_unknown_population_past_reservations():

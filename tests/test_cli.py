@@ -330,6 +330,28 @@ def test_scaling_script_prints_header_and_one_row_per_size():
     assert all(float(cell) > 0.0 for row in rows for cell in row.split()[2:])
 
 
+def test_trajectory_hash_script_prints_one_line_per_seed_and_config_and_repeats():
+    """`scripts/trajectory_hash.py` prints `seed config hash` per pair, and
+    two runs print the same lines."""
+    import nba
+
+    src = os.path.dirname(os.path.dirname(nba.__file__))
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "trajectory_hash.py")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    runs = [subprocess.Popen([sys.executable, script, "--seeds", "1"], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, env=env) for _ in range(2)]
+    outputs = []
+    for run in runs:
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    rows = [line.split() for line in outputs[0].splitlines()]
+    assert [row[:2] for row in rows] == [["1", c] for c in ("default", "wm_decay", "threshold0", "decay")]
+    assert all(len(row) == 3 and len(row[2]) == 64 and int(row[2], 16) >= 0 for row in rows)
+    assert len({row[2] for row in rows}) == 4
+
+
 def _encoded_state(workdir):
     state = workdir / "state.json"
     assert main(["encode", "--lexicon", str(workdir / "lex.tsv"), "--relations", str(workdir / "rel.tsv"),

@@ -13,6 +13,7 @@ from nba.dynamics import (
     BindingGate,
     ControlGate,
     Network,
+    Population,
     PopulationKind,
     clamp01,
 )
@@ -378,7 +379,7 @@ def _reference_step(net):
         if isinstance(conn.gate, ControlGate):
             control_out.setdefault(conn.source, []).append(conn)
     inflow = {}
-    for src in sorted(net._active):
+    for src in net.active_pids():
         a = net.population(src).activation
         if a <= 0.0:
             continue
@@ -389,7 +390,7 @@ def _reference_step(net):
                 inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
     floors, net._floors = net._floors, {}
     horizon = net.wm_decay_horizon
-    for pid in sorted(set(net._active) | set(inflow) | set(floors)):
+    for pid in sorted(set(net.active_pids()) | set(inflow) | set(floors)):
         pop = net.population(pid)
         if pop.kind is CONTROL:  # its level is its label's
             continue
@@ -583,9 +584,13 @@ def test_step_past_settled_working_memory_matches_reference(wm_decay, horizon, t
             for _ in range(rng.randrange(1, 6)):
                 probed.inject(rng.choice(pops), 1.0)
                 probed.step()
+                _check_indexes(probed)
             probed.restore_state(saved)
+            _check_indexes(probed)
         probed.step()
         _reference_step_with_change(plain)
+        for net in nets:
+            _check_indexes(net)
         state = [
             [(p.pid, p.activation, p.sustained, p.sustained_since) for p in net.populations()]
             for net in nets
@@ -660,6 +665,22 @@ def test_settled_working_memory_flows_once_it_becomes_a_source(how):
     assert net.activation(target) == 0.8
 
 
+@pytest.mark.parametrize("horizon", (None, 2))
+def test_working_memory_that_settles_at_0_stays_inactive(horizon):
+    """At sustain threshold 0, working memory is sustained at rest; with
+    wm_decay 0 an injected one falls back to 0 and settles there, which
+    leaves it out of the active set, steps included."""
+    net = Network(wm_decay=0.0, sustain_threshold=0.0, wm_decay_horizon=horizon)
+    wm = net.add_population(WM)
+    net.inject(wm, 0.8)
+    assert net.active_pids() == [wm]
+    for _ in range(4):
+        net.step()
+        _check_indexes(net)
+    assert net.activation(wm) == 0.0 and net.population(wm).sustained
+    assert net.active_pids() == []
+
+
 def test_board_at_rest_steps_no_working_memory():
     """Four encoded tree sentences at rest leave only sustained working
     memory active, and all of it is settled: nothing flows, a probe saves
@@ -684,30 +705,42 @@ def test_board_at_rest_steps_no_working_memory():
     assert net.active_pids() == sustained
 
 
-def _emitting_by_recount(net):
-    """Ids other than relays with an open binding out-edge, a control
-    out-edge or rows; and per row, its relays with an open binding out-edge."""
-    emitting, rows = set(net._control_out) | set(net._rows), {}
-    for src, out in net._open_binding_out.items():
-        if out:
-            row = net._relay_row(src)
-            if row is None:
-                emitting.add(src)
-            else:
-                rows.setdefault(row, set()).add(src)
-    return emitting, rows
+def _check_indexes(net):
+    """Recount every index the network keeps from first principles: the
+    flowing and settled ids from the levels and sustain records, the active
+    set from the levels, and the open binding edges and each row's open
+    relays from the edges of built, sustained working memory."""
+    pops, flowing, settled = net._pops, net._flowing, net._settled
+    assert not flowing & settled
+    assert all(type(pops[pid]) is Population and pops[pid].activation > 0.0 for pid in flowing | settled)
+    assert all(pops[pid].sustained and pid not in net._sources for pid in settled)
+    assert all(level > 0.0 for level in net._lit.values())
+    active = net.active_pids()
+    assert len(active) == len(set(active))
+    above = {pop.pid for pop in net.populations() if pop.activation > 0.0}
+    assert set(active) == above.union(*net._lit)
+    open_out, rows = {}, {}
+    for wm, edges in net._binding_edges.items():
+        if pops[wm].sustained:
+            for conn in edges:
+                open_out.setdefault(conn.source, []).append(conn)
+                row = net._relay_row(conn.source)
+                if row is not None:
+                    rows.setdefault(row, set()).add(conn.source)
+    assert net._open_binding_out == {src: sorted(out, key=lambda c: c.cid) for src, out in open_out.items()}
+    assert net._row_emitting == rows
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_emitting_ids_match_a_recount_on_random_networks(seed):
     """Connections, reserved cells (a grid without to-hubs among them),
-    injections, controls, releases, the decay horizon and probes keep the
-    emitting ids equal to a recount from the edge indexes."""
+    injections, controls, releases, the decay horizon and probes keep every
+    index of the network equal to a recount (`_check_indexes`)."""
     net, pops, wms, labels = _wm_flow_network(seed, 0.9, 3, (0.5, 0.0)[seed % 2])
     rng = random.Random(seed)
     net.reserve_cells((pops[2], pops[3]), (pops[4],), "L0", "L1")
     net.reserve_cells((pops[5],), (), "L2", "L1")
-    assert (net._emitting, net._row_emitting) == _emitting_by_recount(net)
+    _check_indexes(net)
     for _ in range(40):
         r = rng.random()
         if r < 0.4:
@@ -722,10 +755,12 @@ def test_emitting_ids_match_a_recount_on_random_networks(seed):
             saved = net.save_state()
             net.inject(rng.choice(pops), 1.0)
             net.step()
+            _check_indexes(net)
             net.step()
             net.restore_state(saved)
+        _check_indexes(net)
         net.step()
-        assert (net._emitting, net._row_emitting) == _emitting_by_recount(net)
+        _check_indexes(net)
 
 
 # ------------------------------------------------- reserved rows against wiring

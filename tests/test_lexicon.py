@@ -8,7 +8,7 @@ from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.corpus import make_word_lists
 from nba.dynamics import ControlGate, Network, PopulationKind
-from nba.errors import DuplicateWord, ParseError, UnknownWord
+from nba.errors import DuplicateWord, NbaError, ParseError, UnknownWord
 from nba.lexicon import Lexicon, WordType, load_lexicon
 from nba.query import parse_query, run_query
 
@@ -38,6 +38,27 @@ def test_case_folding_lookup():
     lex.add_word("SpongeBob", WordType.NOUN)
     assert "spongebob" in lex
     assert lex.classify("SPONGEBOB") is WordType.NOUN
+
+
+@pytest.mark.parametrize("call, args, message", [
+    ("add_word", ("cat", "N"), "add_word('cat'): type must be a WordType, got 'N'"),
+    ("add_word", ("", WordType.NOUN), "add_word: word must be a nonempty string, got ''"),
+    ("add_word", (None, WordType.NOUN), "add_word: word must be a nonempty string, got None"),
+    ("add_semantic_relation", ("cat", "", "run"),
+     "add_semantic_relation('cat', ..., 'run'): relation label must be a nonempty string, got ''"),
+    ("add_semantic_relation", ("cat", None, "run"),
+     "add_semantic_relation('cat', ..., 'run'): relation label must be a nonempty string, got None"),
+], ids=["type", "empty-word", "word-not-a-string", "empty-label", "label-not-a-string"])
+def test_bad_lexicon_input_is_a_located_nba_error(call, args, message):
+    """A bad word, type or relation label is refused with an NbaError that
+    is also a ValueError and names the call, and adds nothing: a board on
+    the lexicon still builds."""
+    lex = load_lexicon("cat\tN\nrun\tV\n")
+    with pytest.raises(NbaError) as info:
+        getattr(lex, call)(*args)
+    assert isinstance(info.value, ValueError) and str(info.value) == message
+    assert lex.words() == ["cat", "run"] and lex.semantic_triples == []
+    Blackboard(lex, Config(k_n=2, k_v=2, k_c=1))
 
 
 def test_load_lexicon_tsv():

@@ -17,7 +17,7 @@ from nba.errors import QuerySyntaxError, UnknownRelation, UnknownWord
 from nba.lexicon import WordType, load_lexicon
 from nba.oracle import OracleStore
 from nba.query import EPISODIC, SEMANTIC, AnswerSet, Query, parse_query, run_query
-from test_dynamics import _emitting_by_recount
+from test_dynamics import _check_indexes
 
 
 def test_parse_query_forward():
@@ -224,6 +224,7 @@ def test_queries_are_non_destructive_under_decay_horizon(horizon, ops):
                 run_query(queried, parse_query(text))
         for bb in boards:
             _random_op(bb, op, n, nouns, verbs)
+            _check_indexes(bb.network)
         assert _network_state(queried.network) == _network_state(plain.network)
 
 
@@ -270,12 +271,14 @@ def test_snapshot_round_trip_under_random_interleavings(horizon, wm_decay, ops, 
     bb = Blackboard(build_lexicon(nouns, verbs, []), config)
     for op, n in ops:
         _random_op(bb, op, n, nouns, verbs)
+        _check_indexes(bb.network)
     bb.network.step()  # no injection is pending when the snapshot is taken
     restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
     assert restored.snapshot_bytes() == bb.snapshot_bytes()
     for _ in range(more_steps):
         bb.network.step()
         restored.network.step()
+        _check_indexes(restored.network)
         assert restored.snapshot_bytes() == bb.snapshot_bytes()
     for word in nouns + verbs:
         for relation in config.relation_names():
@@ -484,17 +487,7 @@ def test_a_horizon_release_in_a_probe_leaves_the_row_index_as_saved():
     net.restore_state(saved)
     assert net._row_emitting == before
     assert net.population(cell.wm).sustained_since == 0
-    assert (net._emitting, net._row_emitting) == _emitting_by_recount(net)
-
-
-def _check_active_set(net):
-    """No relay id is in the active set; `active_pids()` is the active set
-    and the relays of the lit rows, and holds every population above 0 and
-    nothing at 0."""
-    assert all(net._relay_row(pid) is None for pid in net._active)
-    assert net.active_pids() == sorted(net._active.union(*net._lit))
-    assert {pop.pid for pop in net.populations() if pop.activation > 0.0} <= set(net.active_pids())
-    assert all(net.activation(pid) > 0.0 for pid in net.active_pids())
+    _check_indexes(net)
 
 
 @given(
@@ -508,8 +501,9 @@ def _check_active_set(net):
 @settings(max_examples=40, deadline=None)
 def test_lit_relays_stay_out_of_the_active_set(horizon, threshold, ops):
     """Binds, releases, steps and probes, under a sustain threshold of 0 and
-    a decay horizon too, keep relays out of the active set; a probe is also
-    checked after each of its steps."""
+    a decay horizon too, keep relays out of the flowing and settled sets and
+    every index equal to a recount; a probe is also checked after each of
+    its steps."""
     nouns, verbs, _ = make_word_lists(4, 3, 0)
     config = Config(k_n=3, k_v=2, k_c=1, relations=("agent", "theme", "modifier"),
                     sustain_threshold=threshold, wm_decay_horizon=horizon)
@@ -528,11 +522,11 @@ def test_lit_relays_stay_out_of_the_active_set(horizon, threshold, ops):
                 for _ in range(1 + n % 5):
                     net.inject(bb.lexicon.concept(word), 1.0)
                     net.step()
-                    _check_active_set(net)
+                    _check_indexes(net)
                 net.restore_state(saved)
         else:
             _random_op(bb, op, n, nouns, verbs)
-        _check_active_set(net)
+        _check_indexes(net)
 
 
 @given(
@@ -551,7 +545,7 @@ def test_emitting_ids_match_a_recount_under_random_operations(horizon, threshold
                     sustain_threshold=threshold, wm_decay_horizon=horizon)
     bb = Blackboard(build_lexicon(nouns, verbs, []), config)
     net = bb.network
-    assert (net._emitting, net._row_emitting) == _emitting_by_recount(net)
+    _check_indexes(net)
     for op, n in ops:
         if op == "query":
             word = (nouns + verbs)[n % (len(nouns) + len(verbs))]
@@ -565,4 +559,4 @@ def test_emitting_ids_match_a_recount_under_random_operations(horizon, threshold
             bb.release_all()
         else:
             _random_op(bb, op, n, nouns, verbs)
-        assert (net._emitting, net._row_emitting) == _emitting_by_recount(net), op
+        _check_indexes(net)

@@ -8,8 +8,10 @@ and hash, after every encode step, the clock, `active_pids()`, two
 hashes the answer to every word of the batch so far under every relation,
 asked forward and in reverse, which covers every fact the batch encodes,
 and the board's snapshot bytes; after each batch, five more steps
-and the snapshot again. It prints one `seed config hash` line per pair, so
-the output of two checkouts can be diffed:
+and the snapshot again. The board restored from that snapshot is hashed
+too: its `active_pids()`, then its answers to every word of the batch, as
+above, so the check covers the restore path. It prints one `seed config
+hash` line per pair, so the output of two checkouts can be diffed:
 
     PYTHONPATH=src python3 scripts/trajectory_hash.py > new.txt
     PYTHONPATH=/path/to/other/src python3 scripts/trajectory_hash.py > old.txt
@@ -57,6 +59,12 @@ def trajectory_hash(seed: int, overrides: dict) -> str:
         record(net.time, net.active_pids(), net.total_activation(TRACE_KINDS),
                net.total_activation(PopulationKind), net.last_change)
 
+    def record_answers(board, words):
+        for word in sorted(words):
+            for relation in board.relation_names:
+                for direction in (FORWARD, REVERSE):
+                    record(run_query(board, Query(word, relation, direction=direction)).entries)
+
     for _ in range(BATCHES):
         words = set()
         for _ in range(SENTENCES):
@@ -66,15 +74,15 @@ def trajectory_hash(seed: int, overrides: dict) -> str:
             except NbaError as exc:
                 record(type(exc).__name__, str(exc))
             words.update(token.surface for token in tokens if token.surface in bb.lexicon)
-            for word in sorted(words):
-                for relation in bb.relation_names:
-                    for direction in (FORWARD, REVERSE):
-                        record(run_query(bb, Query(word, relation, direction=direction)).entries)
+            record_answers(bb, words)
             record(bb.snapshot_bytes())
         for _ in range(5):
             net.step()
             on_step(net)
         record(bb.snapshot_bytes())
+        restored = Blackboard.from_snapshot(bb.to_snapshot())
+        record(restored.network.active_pids())
+        record_answers(restored, words)
         bb.release_all()
     return digest.hexdigest()
 

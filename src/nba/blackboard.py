@@ -431,6 +431,7 @@ class Blackboard:
             net._set_activation(pop, level)
             if "age" in rec:
                 pop.sustained_since = net.time - age
+            net._settle(pop)  # settled as on the board it was saved from
 
 
 class _Cells(Mapping):

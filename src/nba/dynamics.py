@@ -51,7 +51,9 @@ connections are never built. Reading a level builds nothing.
 A step updates only what can change. Sustained working memory gates the
 flow of activation rather than taking part in it: once its next update is a
 no-op it is settled, and steps pass it by until inflow, an injection, a
-release or the decay horizon makes it change again (see `Network.step`).
+release or the decay horizon makes it change again. One rule says when
+(`Network._settle`), and an injection, a step and a restored binding each
+apply it, so a binding settles as it is bound, not a step later.
 Each fact is kept once: the network holds the flowing ids and the settled
 ones, and reads the rest of the active set from where it lives, control
 populations from the asserted labels and lit relays from the lit rows. A
@@ -62,8 +64,8 @@ its row is lit but emits nothing. Each row indexes its open relays, kept as
 working memory sustains and releases, so a probe pays for the paths its
 bindings open, not for every relay its label lights. A step with nothing
 flowing, no pending floor, no lit row and no horizon entry due is idle: it
-only moves the clock. An encode spends most of its steps so, between the
-bindings it makes.
+only moves the clock. Under the default config every step of an encode is
+idle, since each binding settles as it is made.
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
@@ -77,6 +79,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import itertools
+import operator
 from enum import Enum
 
 from .errors import FrozenNetwork, InvalidNetworkChange, UnknownPopulation
@@ -178,8 +181,8 @@ class GatedConnection:
         self.gain = gain
 
 
-def _cid(conn: GatedConnection) -> int:
-    return conn.cid
+# the sort key of connections, in C
+_cid = operator.attrgetter("cid")
 
 
 class _Block:
@@ -655,7 +658,9 @@ class Network:
             self.asserted.discard(label)
 
     def inject(self, pid: int, level: float) -> None:
-        """Raise activation to `level` now and floor the next update at it."""
+        """Raise activation to `level` now and floor the next update at it.
+        Working memory whose next update is then already a no-op settles at
+        once (`_settle`): a binding's step has nothing to update."""
         if not 0.0 <= level <= 1.0:
             raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
         pop = self._pops.get(pid)
@@ -671,6 +676,7 @@ class Network:
             prev = self._floors.get(pid, 0.0)
             if level > prev:
                 self._floors[pid] = level
+        self._settle(pop)
 
     def release_wm(self, pid: int) -> None:
         """Explicitly release a working-memory population (idempotent)."""
@@ -690,21 +696,19 @@ class Network:
         """One synchronous update of every population whose update is not a
         no-op.
 
-        A working memory is settled when it is sustained, has no pending
-        floor, is the source of no connection, and its next update without
-        inflow leaves its activation as it is (`decay * a == a`, or `a` is
-        pinned at its sustain threshold); it joins the settled set if its
-        level is above 0, since working memory sustained at rest stays
-        inactive. Sources are the flowing ids, whose out-edges are looked up
-        by id (an id with none adds nothing), plus the open relays of each
-        lit row, read from the row's index, so a lit row costs its open
-        relays, not its length; no other id has an edge that could carry
-        its activation. Rows are updated in `_step_rows`. Candidates are the
-        flowing ids plus this step's inflow targets and floors, plus, under
-        a decay horizon, the settled ids due for release at this step.
-        Candidates therefore include every id whose update is not a no-op,
-        and an extra one is active, so it is updated exactly as if every
-        active id were a candidate.
+        A working memory updated here settles by the rule `inject` uses
+        (`_settle`): sustained, above 0, the source of no connection, and
+        its level a fixed point of its update. Working memory sustained at
+        rest stays inactive. Sources are the flowing ids, whose out-edges
+        are looked up by id (an id with none adds nothing), plus the open
+        relays of each lit row, read from the row's index, so a lit row
+        costs its open relays, not its length; no other id has an edge that
+        could carry its activation. Rows are updated in `_step_rows`.
+        Candidates are the flowing ids plus this step's inflow targets and
+        floors, plus, under a decay horizon, the settled ids due for
+        release at this step. Candidates therefore include every id whose
+        update is not a no-op, and an extra one is active, so it is updated
+        exactly as if every active id were a candidate.
 
         Each target's inflow is summed in source order, then connection id
         order. `last_change` is set to the largest activation change made.
@@ -763,7 +767,7 @@ class Network:
             # any active id may be a candidate, so stale entries change nothing
             candidates.update(self._settled.intersection(due))
         horizon, decay, wm_decay, threshold = self.wm_decay_horizon, self.decay, self.wm_decay, self.sustain_threshold
-        flowing, settled, sources, woken = self._flowing, self._settled, self._sources, self._woken
+        flowing, woken = self._flowing, self._woken
         for pid in sorted(candidates):
             try:
                 pop = pops[pid]
@@ -800,18 +804,8 @@ class Network:
                         flowing.add(pid)
                     else:
                         flowing.discard(pid)
-            since = pop.sustained_since
-            if (
-                since is not None
-                and pid not in sources
-                and max(clamp01(wm_decay * nxt), threshold) == nxt
-            ):
-                # settled: without inflow or a floor, its next update is a no-op
-                flowing.discard(pid)
-                if nxt > 0.0:
-                    settled.add(pid)
-                if horizon is not None:
-                    self._due.setdefault(since + horizon, set()).add(pid)
+            if pop.sustained_since is not None:
+                self._settle(pop)
         self.last_change = change
         self.time += 1
 
@@ -977,6 +971,24 @@ class Network:
         for pid in pids:
             if pid in self._settled:
                 self._set_activation(self._pops[pid], self._pops[pid].activation)
+
+    def _settle(self, pop: Population) -> None:
+        """Settle `pop` if its next update without inflow is a no-op: it is
+        sustained working memory above 0, the source of no connection, and
+        its level is a fixed point of the update (`wm_decay * a == a`, or
+        `a` is pinned at its threshold). A pending floor is at most its
+        level, so it changes nothing and is dropped. Under a decay horizon
+        it is due for release at `since + horizon`, or at the next step if
+        that has passed."""
+        a, since = pop.activation, pop.sustained_since
+        if since is None or a <= 0.0 or pop.pid in self._sources \
+                or max(clamp01(self.wm_decay * a), self.sustain_threshold) != a:
+            return
+        self._flowing.discard(pop.pid)
+        self._settled.add(pop.pid)
+        self._floors.pop(pop.pid, None)
+        if self.wm_decay_horizon is not None:
+            self._due.setdefault(max(since + self.wm_decay_horizon, self.time), set()).add(pop.pid)
 
     def _set_activation(self, pop: Population, value: float) -> None:
         pid = pop.pid

@@ -503,7 +503,7 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
                 raise
             tick()
         elif isinstance(instr, BindConcept):
-            if instr.word not in blackboard.lexicon and blackboard.config.auto_add_words:
+            if blackboard.config.auto_add_words and instr.word not in blackboard.lexicon:
                 blackboard.add_word(instr.word, instr.word_type)
             created.append(blackboard.bind_concept(instr.word, slot_hub[instr.slot]))
             tick()
@@ -514,9 +514,7 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
             net.set_control(labels.matrix_forward(instr.relation), True)
             tick()
         elif isinstance(instr, CloseConstituent):
-            for label in sorted(
-                l for l in net.asserted if l.startswith(labels.MATRIX_FORWARD_PREFIX)
-            ):
+            for label in [l for l in net.asserted if l.startswith(labels.MATRIX_FORWARD_PREFIX)]:
                 net.set_control(label, False)
             tick()
             program.spans[instr.span_index].close_step = net.time

@@ -605,6 +605,44 @@ def test_restored_board_keeps_binding_age_under_decay_horizon():
     assert [rec["age"] for rec in json.loads(bb.snapshot_bytes())["bindings"]] == [4, 4, 4]
 
 
+def test_restored_binding_past_its_horizon_is_released_by_the_next_step():
+    """A state file may give an age past the decay horizon: the restored
+    binding is sustained until the first step, which releases it."""
+    bb = Blackboard(load_lexicon("n000\tN\n"), Config(wm_decay_horizon=6))
+    bb.bind_concept("n000", "N0")
+    data = json.loads(bb.snapshot_bytes())
+    data["bindings"][0]["age"] = 9
+    restored = Blackboard.from_snapshot(data)
+    assert len(restored.active_bindings()) == 1
+    restored.network.step()
+    assert restored.active_bindings() == []
+    assert restored.network.active_pids() == []
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("overrides", (
+    {}, dict(wm_decay=0.9, wm_decay_horizon=7), dict(sustain_threshold=0.0), dict(decay=0.3),
+), ids=("default", "wm_decay", "threshold0", "decay"))
+def test_restored_board_is_settled_like_the_original(overrides, seed):
+    """A restored board holds the same flowing and active ids as the board
+    it was saved from, so its first step updates no working memory the
+    original had settled. The corpus and configs are those of
+    `scripts/trajectory_hash.py`."""
+    rng = random.Random(seed)
+    nouns, verbs, adjectives = make_word_lists(60, 20, 20)
+    bb = Blackboard(build_lexicon(nouns, verbs, adjectives), Config(k_n=40, k_v=12, k_c=8, **overrides))
+    for _ in range(3):
+        tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjectives)
+        try:
+            execute(compile(tokens, arcs), bb)
+        except CellBusy:  # at sustain_threshold 0 every cell is sustained at rest
+            pass
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+    assert restored.network.flowing_pids() == bb.network.flowing_pids()
+    assert restored.network.active_pids() == bb.network.active_pids()
+    assert restored.snapshot_bytes() == bb.snapshot_bytes()
+
+
 # ------------------------------------------------- reserved cells and relays
 
 

@@ -352,6 +352,29 @@ def test_trajectory_hash_script_prints_one_line_per_seed_and_config_and_repeats(
     assert len({row[2] for row in rows}) == 4
 
 
+def test_trajectory_hash_covers_the_restored_board(monkeypatch):
+    """`scripts/trajectory_hash.py` hashes the board restored after each
+    batch: a restore that drops a binding changes the hash."""
+    import importlib.util
+
+    from nba.blackboard import Blackboard
+
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "trajectory_hash.py")
+    spec = importlib.util.spec_from_file_location("trajectory_hash", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    intact = module.trajectory_hash(1, {})
+    restore = Blackboard.from_snapshot.__func__
+
+    def lossy(cls, data):
+        board = restore(cls, data)
+        board.release(next(iter(board._bindings)))
+        return board
+
+    monkeypatch.setattr(Blackboard, "from_snapshot", classmethod(lossy))
+    assert module.trajectory_hash(1, {}) != intact
+
+
 def _encoded_state(workdir):
     state = workdir / "state.json"
     assert main(["encode", "--lexicon", str(workdir / "lex.tsv"), "--relations", str(workdir / "rel.tsv"),

@@ -705,6 +705,31 @@ def test_board_at_rest_steps_no_working_memory():
     assert net.active_pids() == sustained
 
 
+@pytest.mark.parametrize("overrides, busy", (({}, False), (dict(decay=0.3), False), (dict(wm_decay=0.9), True)))
+def test_an_encode_steps_only_what_decays(overrides, busy):
+    """A binding's working memory settles as it is bound, so an encode's
+    steps have nothing to update, counted without a timer: no step starts
+    with an id flowing, a floor pending, a row lit or a horizon entry due.
+    Working memory that decays is not settled so, and keeps steps busy."""
+    rng = random.Random(5)
+    nouns, verbs, adjs = make_word_lists(30, 10, 10)
+    bb = Blackboard(build_lexicon(nouns, verbs, adjs), Config(k_n=40, k_v=12, k_c=8, **overrides))
+    net, counts = bb.network, {"busy": 0, "steps": 0}
+    step = net.step
+
+    def counted():
+        counts["steps"] += 1
+        counts["busy"] += bool(net._flowing or net._floors or net._lit or net.time in net._due)
+        step()
+
+    net.step = counted
+    for _ in range(4):
+        tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjs)
+        execute(compile(tokens, arcs), bb)
+    assert counts["steps"] > 40
+    assert (counts["busy"] > 0) is busy
+
+
 def _check_indexes(net):
     """Recount every index the network keeps from first principles: the
     flowing and settled ids from the levels and sustain records, the active
@@ -761,6 +786,59 @@ def test_emitting_ids_match_a_recount_on_random_networks(seed):
         _check_indexes(net)
         net.step()
         _check_indexes(net)
+
+
+_SETTLE_OPS = st.lists(
+    st.tuples(st.sampled_from(("inject_wm", "inject", "step", "release", "control", "probe")),
+              st.integers(0, 5), st.integers(0, 2)),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("horizon", (None, 3))
+@pytest.mark.parametrize("threshold", (0.5, 0.0))
+@pytest.mark.parametrize("wm_decay", (1.0, 0.9))
+@given(seed=st.integers(0, 1000), ops=_SETTLE_OPS)
+@settings(max_examples=30, deadline=None)
+def test_working_memory_settled_by_inject_steps_like_the_reference(wm_decay, threshold, horizon, seed, ops):
+    """Working memory that an injection settles, or a step, steps exactly as
+    if every active population were updated, under random injections (to
+    working memory and to concepts, at 1, at the threshold and in between),
+    steps, releases, labels and probes saved and restored by hand. One working
+    memory of the network is the source of a connection and never settles."""
+    (net, pops, wms, labels), (plain, _, _, _) = (
+        _wm_flow_network(seed, wm_decay, horizon, threshold) for _ in range(2)
+    )
+    levels = (1.0, threshold, (1.0 + threshold) / 2)
+    for kind, i, level in ops:
+        if kind == "probe":
+            saved = net.save_state()
+            net.set_control(labels[i % 3], True)
+            for n in range(level + 1):
+                net.inject(pops[i], 1.0)
+                if n == 1:
+                    net.inject(wms[i % 3], levels[level])
+                net.step()
+                _check_indexes(net)
+            net.restore_state(saved)
+        for target in (net, plain):
+            if kind == "inject_wm":
+                target.inject(wms[i % 3], levels[level])
+            elif kind == "inject":
+                target.inject(pops[i], levels[level])
+            elif kind == "release":
+                target.release_wm(wms[i % 3])
+            elif kind == "control":
+                target.set_control(labels[i % 3], level > 0)
+        if kind == "step":
+            net.step()
+            _reference_step_with_change(plain)
+            assert net.last_change == plain.last_change
+        _check_indexes(net)
+        assert [(p.pid, p.activation, p.sustained_since) for p in net.populations()] == [
+            (p.pid, p.activation, p.sustained_since) for p in plain.populations()
+        ]
+        assert net.active_pids() == plain.active_pids()
 
 
 # ------------------------------------------------- reserved rows against wiring

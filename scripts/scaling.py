@@ -9,12 +9,20 @@ Probes: for each multiple of the benchmark's hub pools (40 noun, 12 verb and
 asking every fact of one board of four random tree sentences, the same
 sentences at every size. A probe pays for the paths its cue's bindings
 open, so its time should stay flat as the pools grow.
+
+Memory: at the benchmark's pools over a 3,000-word lexicon, the populations
+built and the bytes `tracemalloc` sees still held since the board was
+built, each read after `release_all`, after 10, 100 and 300 batches of four
+random tree sentences. A released binding leaves no record behind, so both
+should stay flat.
 """
 
 import argparse
+import gc
 import random
 import statistics
 import time
+import tracemalloc
 
 from nba.blackboard import Blackboard
 from nba.config import Config
@@ -64,6 +72,28 @@ def probe_table(scales: list[int], rounds: int) -> None:
         print(f"{pools:>12} {len(queries):>7} {forward:>11.1f} {reverse:>11.1f}")
 
 
+def memory_table(marks: tuple[int, ...] = (10, 100, 300)) -> None:
+    nouns, verbs, adjectives = make_word_lists(1000, 1000, 1000)
+    k_n, k_v, k_c = BENCH_POOLS
+    bb = Blackboard(build_lexicon(nouns, verbs, adjectives), Config(k_n=k_n, k_v=k_v, k_c=k_c))
+    rng, done = random.Random(1), 0
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    print(f"{'batches':>8} {'populations':>12} {'held bytes':>11}")
+    for mark in marks:
+        for done in range(done, mark):
+            for _ in range(4):
+                tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjectives)
+                execute(compile(tokens, arcs), bb)
+            bb.release_all()
+        done = mark
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+        print(f"{mark:>8} {len(bb.network.populations()):>12} {held:>11}")
+    tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[10, 100, 1000])
@@ -77,6 +107,8 @@ def main() -> int:
     if args.pools:
         print()
         probe_table(args.pools, args.rounds)
+    print()
+    memory_table()
     return 0
 
 

@@ -15,13 +15,15 @@ The structure is fixed at construction. Binding, releasing and querying
 change only working-memory and control state; adding a word later is an
 explicit structural extension that wires the new concept to its pool.
 A word's working memory for each hub of its pool is reserved, not built:
-the network builds it on the word's first binding to that hub. Its ids
-follow from the word's lexicon row: the board keeps each row's first id,
-made in one pass in C. Matrix cells and their relays are reserved too: the
-network builds a cell when it is bound or looked up, and keeps the level of
-the relays a query lights per row, without building their cells.
-Every count reports the whole fixed structure, and `cells` is derived from
-each grid's reserved ids rather than stored.
+the network keeps a record of it while it is held, from its binding to its
+release, and derives the two connections it gates from the reservation. Its
+ids follow from the word's lexicon row: the board keeps each row's first
+id, made in one pass in C. Matrix cells and their relays are reserved too:
+a bound cell's working memory is held the same way, its relays are never
+built, and the network keeps the level of the relays a query lights per
+row. Reading a binding's state (`is_open`, `activation`, a snapshot) makes
+no record. Every count reports the whole fixed structure, and `cells` is
+derived from each grid's reserved ids rather than stored.
 """
 
 from __future__ import annotations
@@ -279,7 +281,7 @@ class Blackboard:
         wm = self._cell_wm(from_hub, to_hub, relation)
         if wm is None:
             raise NoSuchCell(f"no cell {from_hub} -> {to_hub} for relation {relation!r}")
-        if self.network.population(wm).sustained:
+        if self.network.is_open(BindingGate(wm)):
             if self.config.sustain_threshold == 0.0:
                 raise CellBusy(
                     f"cell {from_hub} -> {to_hub} ({relation}) cannot be bound: "
@@ -356,13 +358,12 @@ class Blackboard:
     def to_snapshot(self) -> dict:
         allocation = [[hub, self.hub_word(hub)] for kind in sorted(self.pools)
                       for hub in self.pools[kind].hubs if hub in self._allocation]
-        bindings = []
+        bindings, net = [], self.network
         for b in self._bindings.values():
-            pop = self.network.population(b.wm)
             rec = b.describe()
-            rec["activation"] = pop.activation
-            if self.config.wm_decay_horizon is not None and pop.sustained:
-                rec["age"] = self.network.time - pop.sustained_since
+            rec["activation"] = net.activation(b.wm)  # read without building a record the horizon dropped
+            if self.config.wm_decay_horizon is not None and net.is_open(BindingGate(b.wm)):
+                rec["age"] = net.time - net.population(b.wm).sustained_since
             bindings.append(rec)
         return {
             "format": "nba-state",
@@ -424,6 +425,7 @@ class Blackboard:
             raise InvalidState(f"{where}: {exc}") from exc
         net = self.network
         pop = net.population(binding.wm)
+        net._drop_due(pop)  # the bind dated its horizon release from now, not from the saved age
         if level < net.sustain_threshold:
             # saved after its decay horizon released it; its hub stays allocated
             net.release_wm(binding.wm)

@@ -30,15 +30,21 @@ when first needed. A lexicon's concepts are reserved as one block; a concept
 is built the first time it is touched: cued, reached by inflow, or looked
 up, and the control-gated connections reserved from it, such as a lexicon's
 semantic relations, are built with it. Working memory is reserved with the
-two connections it gates, either
-for many words' hubs as one block or as a grid of matrix cells, each of
-which adds a forward and a reverse relay. A reservation only describes its
-layout: the working memory that owns an id, and the two connections it
-gates. One builder builds a working memory the first time one of its ids is
-touched (bound or looked up): it registers the two connections, then a
-cell's relays, then the working memory, so that working memory sustained at
-rest opens them. Counts cover reserved structure, so the structure is the
-same either way.
+two connections it gates, either for many words' hubs as one block or as a
+grid of matrix cells, each of which adds a forward and a reverse relay. A
+reservation only describes its layout: each working memory's id and the two
+connections it gates.
+
+A reserved working memory exists while it is held: binding it (or looking
+it up with `population`) makes its record, which carries the two edges its
+reservation gives it, so sustaining it opens them and releasing it closes
+them; no edge of it is stored anywhere else. A release that leaves it at
+rest drops the record, unless a probe's saved state is open. Reading a
+level or a gate makes none: a working memory without a record is at rest
+and its gate is closed. Relays are never built: `population` hands one out
+as a view of its row's level. Only binding-gated connections added one by
+one are stored, per working memory. Counts cover reserved structure, so
+the structure is the same either way.
 
 Relays are not stepped one by one. A relay's one in-edge runs from its row's
 hub under its row's label, and a row's relays share one gain and one decay,
@@ -123,8 +129,17 @@ class Population:
         return self.sustained_since is not None
 
 
+class _Memory(Population):
+    """The record of a reserved working memory, kept while it is held, with
+    the edges it gates: the two its reservation gives it (`_Bindings.gated`,
+    `_Grid.gated`), then any added one by one."""
+
+    __slots__ = ("gated",)
+
+
 class _Relay(Population):
-    """A built relay: its level is its row's, which only the row's hub drives."""
+    """A relay as `population` hands it out, never built: its level is its
+    row's, which only the row's hub drives."""
 
     __slots__ = ("_net", "row")
 
@@ -171,6 +186,9 @@ class BindingGate(Value):
 
 
 class GatedConnection:
+    """A connection as `connections` lists it; the network keeps its edges
+    as tuples."""
+
     __slots__ = ("cid", "source", "target", "gate", "gain")
 
     def __init__(self, cid: int, source: int, target: int, gate: ControlGate | BindingGate, gain: float = 1.0):
@@ -181,7 +199,7 @@ class GatedConnection:
         self.gain = gain
 
 
-# the sort key of connections, in C
+# the sort key of listed connections, in C
 _cid = operator.attrgetter("cid")
 
 
@@ -199,33 +217,29 @@ class _Block:
 class _Bindings:
     """Working memory of many words, one run of consecutive ids per word.
 
-    Word w binds the hubs `pools[keys[w]]`. Its run starts at `starts[w]`;
-    its i-th id gates concepts[w] -> that pool's i-th hub over connection id
-    `cid + 2 * (pid - pids.start)` and the mirror over the id after it.
+    Word w binds the hubs `hubs[w]`, its pool's tuple. Its run starts at
+    `starts[w]`; its i-th id gates concepts[w] -> hubs[w][i] over connection
+    id `cid + 2 * (pid - pids.start)` and the mirror over the id after it.
+    Every id is a working memory.
     """
 
-    __slots__ = ("pids", "cid", "starts", "concepts", "pools", "keys", "gain")
+    __slots__ = ("pids", "cid", "starts", "concepts", "hubs", "gain")
 
-    def __init__(self, pids: range, cid: int, starts: list[int], concepts: list[int],
-                 pools: dict, keys: list, gain: float):
+    def __init__(self, pids: range, cid: int, starts: list[int], concepts: list[int], hubs: list, gain: float):
         self.pids = pids
         self.cid = cid
         self.starts = starts
         self.concepts = concepts
-        self.pools = pools
-        self.keys = keys
+        self.hubs = hubs
         self.gain = gain
 
-    def owner(self, pid: int) -> int:
-        """The working memory that owns `pid`: every id is one."""
-        return pid
-
     def gated(self, wm: int):
-        """The (cid, source, target) of the two connections `wm` gates."""
+        """The two connections `wm` gates, as (source, (cid, target, gain),
+        None): neither source is a relay."""
         w = bisect.bisect_right(self.starts, wm) - 1
-        concept, hub = self.concepts[w], self.pools[self.keys[w]][wm - self.starts[w]]
-        cid = self.cid + 2 * (wm - self.pids.start)
-        return (cid, concept, hub), (cid + 1, hub, concept)
+        concept, hub = self.concepts[w], self.hubs[w][wm - self.starts[w]]
+        cid, gain = self.cid + 2 * (wm - self.pids.start), self.gain
+        return (concept, (cid, hub, gain), None), (hub, (cid + 1, concept, gain), None)
 
 
 class _Grid:
@@ -256,17 +270,14 @@ class _Grid:
             list(map(range, range(start + 2, start + stride, 3), repeat(stop), repeat(stride))),
         ) if pids else ([], [])
 
-    def owner(self, pid: int) -> int:
-        """The working memory of the cell that owns `pid`."""
-        return pid - (pid - self.pids.start) % 3
-
     def gated(self, wm: int):
-        """The (cid, source, target) of the two relay -> hub connections `wm`
-        gates."""
+        """The two relay -> hub connections `wm` gates, as (source, (cid,
+        target, gain), the source's row)."""
         k = (wm - self.pids.start) // 3
         i, j = divmod(k, len(self.to_hubs))
-        cid = self.cid + 4 * k
-        return (cid + 1, wm + 1, self.to_hubs[j]), (cid + 3, wm + 2, self.from_hubs[i])
+        cid, gain = self.cid + 4 * k, self.gain
+        return ((wm + 1, (cid + 1, self.to_hubs[j], gain), self.rows[0][i]),
+                (wm + 2, (cid + 3, self.from_hubs[i], gain), self.rows[1][j]))
 
     def relay_row(self, pid: int) -> range | None:
         """The row of relay `pid`; None for working memory."""
@@ -327,17 +338,19 @@ class Network:
         self.sustain_threshold = float(sustain_threshold)
         self.wm_decay_horizon = wm_decay_horizon
         self._pops: dict[int, Population] = {}
-        # static: control-gated out-edges per built source, then per label, in id order
-        self._control_out: dict[int, dict[str, list[GatedConnection]]] = {}
+        # static: control-gated out-edges per built source, then per label, as
+        # (cid, target, gain) in id order
+        self._control_out: dict[int, dict[str, list[tuple[int, int, float]]]] = {}
         # reserved: control-gated out-edges per source not yet built, as (cid, target, label, gain)
         self._unbuilt_control: dict[int, list[tuple[int, int, str, float]]] = {}
-        # dynamic: binding-gated out-edges per source whose WM is sustained, in id order;
-        # a source with none is absent
-        self._open_binding_out: dict[int, list[GatedConnection]] = {}
-        # all binding-gated edges per gating WM
-        self._binding_edges: dict[int, list[GatedConnection]] = {}
+        # dynamic: binding-gated out-edges per source whose WM is sustained, as
+        # (cid, target, gain) in id order; a source with none is absent
+        self._open_binding_out: dict[int, list[tuple[int, int, float]]] = {}
+        # static: binding-gated edges added one by one, per gating WM, as
+        # (source, (cid, target, gain), None); a reserved WM's record holds them too
+        self._wired: dict[int, tuple[tuple[int, tuple[int, int, float], None], ...]] = {}
         self._control_pops: dict[str, int] = {}
-        # reserved structure, in id order; built on first touch
+        # reserved structure, in id order
         self._reservations: list[_Block | _Bindings | _Grid] = []
         self._reserved_starts: list[int] = []
         # static: the relay rows each hub feeds, per label, with their gain
@@ -388,15 +401,21 @@ class Network:
         gain: float = 1.0,
     ) -> int:
         self._check_structure(((source, target),), gain)
-        if isinstance(gate, BindingGate):
-            wm = self.population(gate.wm)
-            if wm.kind is not WORKING_MEMORY:
-                raise InvalidNetworkChange(f"gate population {gate.wm} is not working memory")
-        cid = self._next_cid
+        if isinstance(gate, BindingGate) and self.population(gate.wm).kind is not WORKING_MEMORY:
+            raise InvalidNetworkChange(f"gate population {gate.wm} is not working memory")
+        cid, gain = self._next_cid, float(gain)
         self._next_cid += 1
-        self._build_connection(
-            GatedConnection(cid=cid, source=source, target=target, gate=gate, gain=float(gain))
-        )
+        self._add_sources((source,))
+        if isinstance(gate, ControlGate):
+            bisect.insort(self._control_out.setdefault(source, {}).setdefault(gate.label, []), (cid, target, gain))
+        else:
+            edge = (source, (cid, target, gain), None)
+            self._wired[gate.wm] = self._wired.get(gate.wm, ()) + (edge,)
+            record = self._pops.get(gate.wm)
+            if type(record) is _Memory:
+                record.gated += (edge,)
+            if self.is_open(gate):  # open now; working memory sustained later opens it then
+                bisect.insort(self._open_binding_out.setdefault(source, []), edge[1])
         return cid
 
     def reserve_populations(self, kind: PopulationKind, count: int) -> range:
@@ -443,21 +462,20 @@ class Network:
         and its mirror. A word whose pool is empty takes no id.
 
         Ids are taken now, word after word, exactly as adding each population
-        and its two connections in turn would take them; a population and its
-        connections are built, at rest, the first time it is touched. Returns
-        each word's first working-memory id, then the id after the last word's:
+        and its two connections in turn would take them; a working memory has
+        a record, with its two connections, while it is held. Returns each
+        word's first working-memory id, then the id after the last word's:
         word w's ids, in hub order, run from the w-th to the next. The pass
         over the words runs in C.
         """
         self._check_structure((concepts, *pools.values()), gain)
-        sizes = {key: len(hubs) for key, hubs in pools.items()}
-        starts = list(itertools.accumulate(map(sizes.__getitem__, keys), initial=self._next_pid))
+        hubs = list(map(pools.__getitem__, keys))
+        starts = list(itertools.accumulate(map(len, hubs), initial=self._next_pid))
         pids, cid = self._take_ids(starts[-1] - starts[0], 2 * (starts[-1] - starts[0]))
-        # the hubs are sources from now on, as wired ones would be; the
-        # concepts, one per word, become sources as their connections are built
-        self._add_sources(set().union(*pools.values()))
+        # the concepts and hubs are sources from now on, as wired ones would be
+        self._add_sources(set(concepts).union(*pools.values()))
         if pids:
-            self._reserve(_Bindings(pids, cid, starts[:-1], list(concepts), dict(pools), list(keys), float(gain)))
+            self._reserve(_Bindings(pids, cid, starts[:-1], list(concepts), hubs, float(gain)))
         return starts
 
     def reserve_cells(
@@ -475,26 +493,20 @@ class Network:
         working memory is sustained, and to-hub -> reverse relay -> from-hub
         likewise under `reverse`. Ids are taken now, exactly as adding each
         cell's three populations and four connections in turn would take
-        them (see `_Grid`). A cell is built, at rest, when one of its
-        populations is first touched; its relays' levels are kept per row
+        them (see `_Grid`). A cell's working memory has a record while it is
+        held; its relays are never built, and their levels are kept per row
         (see the module docstring). Returns the cells' population ids: cell
         k = i * len(to_hubs) + j has working memory `pids[3k]` and relays
         `pids[3k + 1]` (forward) and `pids[3k + 2]` (reverse).
         """
         self._check_structure((from_hubs, to_hubs), gain)
-        hubs = {*from_hubs, *to_hubs}
         cells = len(from_hubs) * len(to_hubs)
         pids, cid = self._take_ids(3 * cells, 4 * cells)
         grid = _Grid(pids, cid, from_hubs, to_hubs, float(gain))
-        self._add_sources(hubs)
-        if cells:
-            for feeders, label, rows in zip((from_hubs, to_hubs), (forward, reverse), grid.rows):
-                for hub, row in zip(feeders, rows):
-                    by_label = self._rows.get(hub)
-                    if by_label is None:
-                        self._rows[hub] = {label: [(row, grid.gain)]}
-                    else:
-                        by_label.setdefault(label, []).append((row, grid.gain))
+        self._add_sources({*from_hubs, *to_hubs})
+        for feeders, label, rows in zip((from_hubs, to_hubs), (forward, reverse), grid.rows):
+            for hub, row in zip(feeders, rows):
+                self._rows.setdefault(hub, {}).setdefault(label, []).append((row, grid.gain))
         self._reserve(grid)
         return pids
 
@@ -536,10 +548,10 @@ class Network:
         self._reservations.append(res)
         self._reserved_starts.append(res.pids.start)
         if self.sustain_threshold <= 0.0 and not isinstance(res, _Block):
-            # working memory at rest is already sustained, so its edges conduct;
-            # a block holds none
-            for pid in res.pids:
-                self.population(pid)
+            # working memory at rest is already sustained, so it is held and its
+            # edges conduct; a block holds none
+            for wm in res.pids[::3] if isinstance(res, _Grid) else res.pids:
+                self._sustain(self._build_reserved(wm), self.time)
 
     def register_control(self, label: str) -> int:
         """Create (once) a control population that mirrors an asserted label."""
@@ -571,22 +583,34 @@ class Network:
     # ------------------------------------------------------------ inspection
 
     def population(self, pid: int) -> Population:
-        """The population with id `pid`; reserved structure is built here."""
-        try:
-            return self._pops[pid]
-        except KeyError:
-            return self._build_reserved(pid)
+        """The population with id `pid`. A reserved concept or working
+        memory is built here, at rest: a working memory's record lasts until
+        a release leaves it at rest (`release_wm`). A relay is never built:
+        it is handed out as a view of its row's level."""
+        pop = self._pops.get(pid)
+        if pop is not None:
+            return pop
+        row = self._relay_row(pid)
+        return self._build_reserved(pid) if row is None else _Relay(self, pid, row)
 
     def populations(self):
-        """Built populations; reserved ones not yet built are not listed."""
+        """Built populations, held working memory among them; reserved ones
+        not built and working memory not held are not listed."""
         return self._pops.values()
 
     def connections(self) -> list[GatedConnection]:
-        """Built connections, in id order; reserved ones not yet built are
-        not listed. Each is in one index: binding-gated ones by their working
-        memory, control-gated ones by their source and label."""
-        conns = [conn for edges in self._binding_edges.values() for conn in edges]
-        conns += [conn for by_label in self._control_out.values() for edges in by_label.values() for conn in edges]
+        """Built connections, in id order, made on each call: the two each
+        held working memory gates, read from its record, the binding-gated
+        ones added one by one, and the control-gated ones of built sources.
+        Those of working memory not held, and of sources not built, are not
+        listed."""
+        gated = dict(self._wired)  # a held record's edges include its wired ones
+        gated.update((pop.pid, pop.gated) for pop in self._pops.values() if type(pop) is _Memory)
+        conns = [GatedConnection(cid, source, target, BindingGate(wm), gain)
+                 for wm, edges in gated.items() for source, (cid, target, gain), _ in edges]
+        conns += [GatedConnection(cid, source, target, ControlGate(label), gain)
+                  for source, by_label in self._control_out.items()
+                  for label, edges in by_label.items() for cid, target, gain in edges]
         return sorted(conns, key=_cid)
 
     def activation(self, pid: int) -> float:
@@ -607,15 +631,14 @@ class Network:
         return self._next_cid
 
     def is_open(self, gate: ControlGate | BindingGate) -> bool:
-        """Whether `gate` is open, read without building anything: reserved
-        working memory is at rest, so its gate is closed."""
+        """Whether `gate` is open, read without building anything: working
+        memory with no record is at rest, so its gate is closed."""
         if isinstance(gate, ControlGate):
             return gate.label in self.asserted
         pop = self._pops.get(gate.wm)
-        if pop is None:
-            self._reservation(gate.wm)  # an unknown id raises
-            return False
-        return pop.sustained
+        if pop is None and not 0 <= gate.wm < self._next_pid:  # every id taken and not built is reserved
+            raise UnknownPopulation(f"no population with id {gate.wm}")
+        return pop is not None and pop.sustained
 
     def total_activation(self, kinds) -> float:
         """Sum of the active levels of some kinds, in id order, the relays of
@@ -664,31 +687,31 @@ class Network:
         if not 0.0 <= level <= 1.0:
             raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
         pop = self._pops.get(pid)
-        if type(pop) is not Population:  # reserved, a relay or a control population
+        if pop is None:
+            pop = self._build_reserved(pid)  # refuses a relay
+        elif pop.kind is CONTROL:
             self._refuse_driven(pid)
-            pop = self._build_reserved(pid)
-        if level > pop.activation:
-            self._set_activation(pop, level)
-        else:
-            # still refresh sustain bookkeeping for equal levels
-            self._set_activation(pop, pop.activation)
-        if level > 0.0:
-            prev = self._floors.get(pid, 0.0)
-            if level > prev:
-                self._floors[pid] = level
+        # a level at or below the current one still refreshes the sustain bookkeeping
+        self._set_activation(pop, level if level > pop.activation else pop.activation)
+        if level > self._floors.get(pid, 0.0):
+            self._floors[pid] = level
         self._settle(pop)
 
     def release_wm(self, pid: int) -> None:
-        """Explicitly release a working-memory population (idempotent)."""
+        """Explicitly release a working-memory population (idempotent). A
+        reserved working memory left at rest is no longer held, so its
+        record is dropped, unless a probe's saved state is open, whose
+        restore may sustain it again. A record handed out before reads at
+        rest from then on, and a later bind makes a new one."""
         pop = self.population(pid)
         if pop.kind is not WORKING_MEMORY:
             raise InvalidNetworkChange(f"population {pid} is not working memory")
-        if not pop.sustained and pop.activation == 0.0:
-            return
         if pop.sustained:
             self._unsustain(pop)
         self._floors.pop(pid, None)
-        self._set_activation(pop, 0.0)
+        self._set_activation(pop, 0.0)  # a no-op at rest
+        if type(pop) is _Memory and pop.sustained_since is None and self._woken is None:
+            del self._pops[pid]
 
     # ------------------------------------------------------------------ step
 
@@ -729,17 +752,17 @@ class Network:
         pops, open_out, control_out, rows, row_emitting = (
             self._pops, self._open_binding_out, self._control_out, self._rows, self._row_emitting
         )
-        sources = set(self._flowing)
-        for row in lit:  # a lit row's emitting relays are those whose working memory is sustained
-            relays = row_emitting.get(row)
-            if relays:
-                sources.update(relays)
-        for src in sorted(sources):
-            a = pops[src].activation  # flowing or a lit relay, so above 0
+        relays = {}  # each emitting relay of a lit row (its working memory is sustained), with the row's level
+        for row, level in lit.items():
+            for relay in row_emitting.get(row, ()):
+                relays[relay] = level
+        for src in sorted(self._flowing.union(relays)):
+            pop = pops.get(src)  # a relay is never built
+            a = relays[src] if pop is None else pop.activation  # above 0
             out = open_out.get(src)
             if out:
-                for conn in out:
-                    inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
+                for _, target, gain in out:
+                    inflow[target] = inflow.get(target, 0.0) + gain * a
             by_label = rows.get(src)
             if by_label is not None:
                 for label in asserted:
@@ -752,9 +775,9 @@ class Network:
             for label in asserted:
                 out = by_label.get(label)
                 if out:
-                    edges = out if edges is None else sorted(edges + out, key=_cid)
-            for conn in edges or ():
-                inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
+                    edges = out if edges is None else sorted(edges + out)
+            for _, target, gain in edges or ():
+                inflow[target] = inflow.get(target, 0.0) + gain * a
         change = self._step_rows(fed) if fed or lit else 0.0
         floors = self._floors
         self._floors = {}
@@ -905,21 +928,10 @@ class Network:
 
     def _build_control(self, source: int) -> None:
         """Build the reserved control-gated out-edges of `source`, built now."""
+        self._add_sources((source,))
+        by_label = self._control_out.setdefault(source, {})
         for cid, target, label, gain in self._unbuilt_control.pop(source):
-            self._build_connection(GatedConnection(cid, source, target, ControlGate(label), gain))
-
-    def _build_connection(self, conn: GatedConnection) -> None:
-        self._add_sources((conn.source,))
-        if isinstance(conn.gate, ControlGate):
-            by_label = self._control_out.setdefault(conn.source, {})
-            bisect.insort(by_label.setdefault(conn.gate.label, []), conn, key=_cid)
-        else:
-            self._binding_edges.setdefault(conn.gate.wm, []).append(conn)
-            # open now if the condition already holds; working memory not yet
-            # built opens it as it is built
-            wm = self._pops.get(conn.gate.wm)
-            if wm is not None and wm.sustained:
-                bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
+            bisect.insort(by_label.setdefault(label, []), (cid, target, gain))
 
     def _reservation(self, pid: int) -> _Block | _Bindings | _Grid:
         """The reserved structure that owns `pid`."""
@@ -930,10 +942,9 @@ class Network:
         return res
 
     def _relay_row(self, pid: int) -> range | None:
-        """The row of relay `pid`, built or not; None for any other id."""
-        pop = self._pops.get(pid)
-        if pop is not None:
-            return pop.row if type(pop) is _Relay else None
+        """The row of relay `pid`; None for any other id. Relays are never built."""
+        if pid in self._pops:
+            return None
         grid = self._reservation(pid)
         return grid.relay_row(pid) if isinstance(grid, _Grid) else None
 
@@ -946,31 +957,28 @@ class Network:
             raise InvalidNetworkChange(f"population {pid} is a relay: only its row's hub drives it")
 
     def _build_reserved(self, pid: int) -> Population:
-        """Build the reserved structure that owns `pid`, at rest: a
-        population of a block, or the working memory that owns `pid` with
-        the two connections it gates and, in a grid, its cell's relays."""
+        """Build reserved `pid`, at rest: a population of a block, or the
+        record of a working memory, with the two edges it gates read from
+        its reservation. A relay is refused: it is never built. Working
+        memory is sustained at rest only at threshold 0, where `_reserve`
+        makes every record and a release never drops one."""
         res = self._reservation(pid)
         if isinstance(res, _Block):
             return self._build_population(pid, res.kind)
-        wm = res.owner(pid)
-        gate = BindingGate(wm)
-        for cid, source, target in res.gated(wm):
-            self._build_connection(GatedConnection(cid, source, target, gate, res.gain))
-        if isinstance(res, _Grid):
-            for relay in (wm + 1, wm + 2):
-                self._pops[relay] = _Relay(self, relay, res.relay_row(relay))
-        # built after its edges and relays, so that working memory sustained
-        # at rest opens the edges and indexes the relays by row
-        self._build_population(wm, WORKING_MEMORY)
-        return self._pops[pid]
+        if isinstance(res, _Grid) and (pid - res.pids.start) % 3:
+            self._refuse_driven(pid)  # raises: a relay is never built
+        pop = self._pops[pid] = _Memory(pid, WORKING_MEMORY)
+        pop.gated = res.gated(pid) + self._wired.get(pid, ())
+        if pid in self._unbuilt_control:  # working memory may be a source too
+            self._build_control(pid)
+        return pop
 
     def _add_sources(self, pids) -> None:
         """Keep `pids` among the sources, which never settle: settled
         working memory among them flows again."""
         self._sources.update(pids)
-        for pid in pids:
-            if pid in self._settled:
-                self._set_activation(self._pops[pid], self._pops[pid].activation)
+        for pid in self._settled.intersection(pids):
+            self._set_activation(self._pops[pid], self._pops[pid].activation)
 
     def _settle(self, pop: Population) -> None:
         """Settle `pop` if its next update without inflow is a no-op: it is
@@ -990,6 +998,15 @@ class Network:
         if self.wm_decay_horizon is not None:
             self._due.setdefault(max(since + self.wm_decay_horizon, self.time), set()).add(pop.pid)
 
+    def _drop_due(self, pop: Population) -> None:
+        """Take `pop`, sustained and settled at this step, off the horizon
+        entry `_settle` dated from now, before its `sustained_since` moves."""
+        if self.wm_decay_horizon is not None and pop.pid in self._settled:
+            at = self.time + self.wm_decay_horizon
+            self._due[at].discard(pop.pid)
+            if not self._due[at]:
+                del self._due[at]
+
     def _set_activation(self, pop: Population, value: float) -> None:
         pid = pop.pid
         if self._woken is not None and pid not in self._flowing:
@@ -1008,16 +1025,22 @@ class Network:
             self._sustain(pop, self.time)
 
     def _sustain(self, pop: Population, since: int) -> None:
-        """Sustain `pop` and open the edges it gates, each under its source;
-        a cell's relays are indexed by their row too."""
+        """Sustain `pop` and open the edges it gates, each under its source:
+        a reserved working memory's are its record's, an added one's those
+        added one by one. A relay among the sources joins its row's emitting
+        set."""
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained_since = since
-        for conn in self._binding_edges.get(pop.pid, ()):
-            bisect.insort(self._open_binding_out.setdefault(conn.source, []), conn, key=_cid)
-            relay = self._pops.get(conn.source)
-            if type(relay) is _Relay:
-                self._row_emitting.setdefault(relay.row, set()).add(conn.source)
+        open_out = self._open_binding_out
+        for source, edge, row in pop.gated if type(pop) is _Memory else self._wired.get(pop.pid, ()):
+            out = open_out.get(source)
+            if out is None:
+                open_out[source] = [edge]
+            else:
+                bisect.insort(out, edge)
+            if row is not None:
+                self._row_emitting.setdefault(row, set()).add(source)
 
     def _unsustain(self, pop: Population) -> None:
         """Release `pop` and close the edges it gates, all open while it was
@@ -1026,16 +1049,15 @@ class Network:
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained_since = None
-        open_out = self._open_binding_out
-        for conn in self._binding_edges.get(pop.pid, ()):
-            out = open_out[conn.source]
-            out.remove(conn)
+        open_out, emitting = self._open_binding_out, self._row_emitting
+        for source, edge, row in pop.gated if type(pop) is _Memory else self._wired.get(pop.pid, ()):
+            out = open_out[source]
+            out.remove(edge)
             if out:
                 continue
-            del open_out[conn.source]
-            relay = self._pops.get(conn.source)  # a concept may still be reserved
-            if type(relay) is _Relay:
-                relays = self._row_emitting[relay.row]
-                relays.discard(conn.source)
+            del open_out[source]
+            if row is not None:
+                relays = emitting[row]
+                relays.discard(source)
                 if not relays:
-                    del self._row_emitting[relay.row]
+                    del emitting[row]

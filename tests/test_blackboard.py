@@ -458,22 +458,119 @@ def test_counts_equal_closed_form_under_operations(sizes, caps, families, preps,
     assert _counts(bb) == _closed_form(bb, n_semantic)
 
 
-def test_reserved_working_memory_is_built_on_first_touch():
+def test_a_held_working_memory_is_one_record_and_a_released_one_none():
+    """Binding a word makes one record for its working memory, which gates
+    the two connections its reservation gives it. Releasing it drops the
+    record: a record handed out before reads at rest, and stays detached
+    when the word is bound again."""
     bb = small_board()
     net = bb.network
-    built = len(net.populations())
-    assert built < net.population_count()
+    built = set(net.populations())
+    assert len(built) < net.population_count()
     n0 = bb.allocate_hub("N")
     binding = bb.bind_concept("cat", n0)
-    assert len(net.populations()) == built + 1
-    wm = net.population(binding.wm)
-    assert wm.sustained and net.wm_decay == bb.config.wm_decay
+    held = net.population(binding.wm)
+    assert set(net.populations()) == built | {held}
+    assert held.sustained and net.wm_decay == bb.config.wm_decay
     cat, hub = bb.lexicon.concept("cat"), bb.pools["N"].pids[n0]
     gated = [(c.source, c.target) for c in net.connections() if getattr(c.gate, "wm", None) == binding.wm]
     assert gated == [(cat, hub), (hub, cat)]
     bb.release_all()
-    assert len(net.populations()) == built + 1  # stays built after release
-    assert not net.population(binding.wm).sustained
+    assert set(net.populations()) == built
+    assert not any(isinstance(c.gate, BindingGate) for c in net.connections())
+    assert held.activation == 0.0 and not held.sustained
+    again = bb.bind_concept("cat", bb.allocate_hub("N"))
+    assert again.wm == binding.wm and net.population(again.wm) is not held
+    assert net.population(again.wm).sustained
+    assert held.activation == 0.0 and not held.sustained
+
+
+def test_bind_release_batches_leave_the_built_populations_as_they_were():
+    """Over 300 four-sentence batches at the benchmark's pools, each
+    released, no record of what was bound stays behind."""
+    rng = random.Random(11)
+    nouns, verbs, adjs = make_word_lists(200, 100, 100)
+    bb = Blackboard(build_lexicon(nouns, verbs, adjs), Config(k_n=40, k_v=12, k_c=8))
+    net = bb.network
+    before = set(net.populations())
+    for _ in range(300):
+        for _ in range(4):
+            tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjs)
+            execute(compile(tokens, arcs), bb)
+        assert len(net.populations()) > len(before)
+        bb.release_all()
+        assert set(net.populations()) == before
+    assert not any(isinstance(c.gate, BindingGate) for c in net.connections())
+
+
+def test_reading_bindings_makes_no_record():
+    """A snapshot, `active_bindings`, `cell_binding`, `is_open` and
+    `activation` make no record: not for a held binding, not for one the
+    decay horizon released, and not for working memory never bound."""
+    bb = small_board(wm_decay_horizon=3)
+    net = bb.network
+    bb.bind_concept("cat", "N0")
+    bb.bind_concept("run", "V0")
+    bb.bind_hubs("N0", "V0", "agent")
+    for _ in range(4):
+        net.step()  # the horizon releases all three at the fourth step
+    dog = bb.bind_concept("dog", "N1")
+    built = set(net.populations())
+    assert [pop.pid for pop in built if pop.kind is PopulationKind.WORKING_MEMORY] == [dog.wm]
+    records = json.loads(bb.snapshot_bytes())["bindings"]
+    assert [rec["activation"] for rec in records] == [0.0, 0.0, 0.0, 1.0]
+    assert bb.active_bindings() == [dog]
+    wms = [*bb.word_wms("cat"), *bb.word_wms("dog"), *bb.word_wms("eat"), *bb.word_wms("run")]
+    for key, cell in bb.cells.items():
+        bb.cell_binding(*key)
+        wms.append(cell.wm)
+    for wm in wms:
+        net.is_open(BindingGate(wm))
+        net.activation(wm)
+    assert set(net.populations()) == built
+
+
+def test_at_zero_sustain_threshold_every_working_memory_is_held_at_rest():
+    """Working memory at rest is sustained, so each has a record from the
+    start, and a release, which sustains it again, keeps it."""
+    bb = small_board(sustain_threshold=0.0)
+    net = bb.network
+    built = set(net.populations())
+    wms = [*bb.word_wms("cat"), *bb.word_wms("run"), *(cell.wm for cell in bb.cells.values())]
+    assert set(wms) <= {pop.pid for pop in built if pop.kind is PopulationKind.WORKING_MEMORY}
+    assert all(net.is_open(BindingGate(wm)) for wm in wms)
+    binding = bb.bind_concept("cat", "N0")
+    bb.release(binding)
+    assert set(net.populations()) == built and net.is_open(BindingGate(binding.wm))
+
+
+def test_a_horizon_release_in_a_probe_keeps_the_record_for_the_restore():
+    """The decay horizon releases a bound cell in mid-probe; its record
+    stays while the probe's saved state is open, and the restore sustains
+    the same record again. Released by a step outside a probe, it is gone."""
+    bb = Blackboard(load_lexicon("cat\tN\nchase\tV\n"), Config(k_n=2, k_v=2, k_c=1, wm_decay_horizon=3))
+    bb.bind_concept("cat", "N0")
+    bb.bind_concept("chase", "V0")
+    cell = bb.bind_hubs("N0", "V0", "agent")
+    net = bb.network
+    net.step()
+    net.step()
+    held = net.population(cell.wm)
+    seen = []
+    step = net.step
+
+    def recorded():
+        step()
+        seen.append((held.sustained, net.population(cell.wm) is held))
+
+    net.step = recorded
+    assert run_query(bb, parse_query("cat do?")).words == ()
+    del net.step
+    assert (False, True) in seen
+    assert net.population(cell.wm) is held and held.sustained_since == 0
+    net.step()
+    net.step()
+    assert not net.is_open(BindingGate(cell.wm)) and held not in set(net.populations())
 
 
 def test_is_open_on_reserved_working_memory_builds_nothing():
@@ -605,6 +702,40 @@ def test_restored_board_keeps_binding_age_under_decay_horizon():
     assert [rec["age"] for rec in json.loads(bb.snapshot_bytes())["bindings"]] == [4, 4, 4]
 
 
+def test_a_restore_leaves_no_stale_horizon_entry():
+    """The replayed binds date their horizon release from the saved age, not
+    from the restore: the restored board's horizon entries match the
+    original's relative to the clock, so its steps are busy exactly where
+    the original's are. A replayed binding the horizon had released leaves
+    no entry and no record."""
+    horizon = 6
+    bb = Blackboard(load_lexicon("cat\tN\nrun\tV\n"), Config(k_n=2, k_v=2, k_c=1, wm_decay_horizon=horizon))
+    bb.bind_concept("cat", "N0")
+    bb.bind_concept("run", "V0")
+    bb.bind_hubs("N0", "V0", "agent")
+    for _ in range(4):
+        bb.network.step()
+    restored = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))
+
+    def due(net):
+        return {at - net.time: sorted(pids) for at, pids in net._due.items()}
+
+    assert due(restored.network) == due(bb.network) == {2: sorted(b.wm for b in bb.active_bindings())}
+    held = {pop.pid for pop in restored.network.populations() if pop.kind is PopulationKind.WORKING_MEMORY}
+    assert held == {b.wm for b in restored.active_bindings()}
+    busy = {bb: [], restored: []}
+    for _ in range(horizon + 2):
+        for board, steps in busy.items():
+            net = board.network
+            steps.append(bool(net._flowing or net._floors or net._lit or net.time in net._due))
+            net.step()
+    assert busy[bb] == busy[restored] and any(busy[bb])
+
+    released = Blackboard.from_snapshot(json.loads(bb.snapshot_bytes()))  # every binding is past its horizon
+    assert released.active_bindings() == [] and released.network._due == {}
+    assert not any(pop.kind is PopulationKind.WORKING_MEMORY for pop in released.network.populations())
+
+
 def test_restored_binding_past_its_horizon_is_released_by_the_next_step():
     """A state file may give an age past the decay horizon: the restored
     binding is sustained until the first step, which releases it."""
@@ -704,17 +835,17 @@ def test_reserved_cells_are_invisible(threshold, gain, decay, horizon, seed):
 
 
 def _built_cells(bb):
+    """The cells whose working memory has a record; no relay is ever built."""
     built = {pop.pid for pop in bb.network.populations()}
-    cells = {}
+    cells = set()
     for key, cell in bb.cells.items():
-        parts = {cell.wm, cell.relay_fwd, cell.relay_rev} & built
-        assert parts in (set(), {cell.wm, cell.relay_fwd, cell.relay_rev})  # built whole or not at all
-        if parts:
-            cells[key] = cell
-    return set(cells)
+        assert not {cell.relay_fwd, cell.relay_rev} & built
+        if cell.wm in built:
+            cells.add(key)
+    return cells
 
 
-def test_restore_and_forward_query_build_only_reached_cells():
+def test_restore_and_forward_query_hold_only_bound_cells():
     rng = random.Random(3)
     nouns, verbs, adjs = make_word_lists(60, 60, 60)
     bb = Blackboard(build_lexicon(nouns, verbs, adjs), Config(k_n=40, k_v=12, k_c=8))

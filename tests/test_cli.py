@@ -318,7 +318,7 @@ def test_scaling_script_prints_header_and_one_row_per_size():
     result = subprocess.run([sys.executable, script, "--sizes", "10", "100", "--pools", "1", "2", "--rounds", "2"],
                             capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    wiring, probes = result.stdout.split("\n\n")
+    wiring, probes, memory = result.stdout.split("\n\n")
     header, *rows = wiring.splitlines()
     assert header.split() == ["lexicon", "gated", "links", "direct", "wiring", "expressible"]
     assert [row.split() for row in rows] == [["10", "144", "50", "50"], ["100", "864", "5000", "5000"]]
@@ -328,6 +328,11 @@ def test_scaling_script_prints_header_and_one_row_per_size():
     assert [row.split()[0] for row in rows] == ["40/12/8", "80/24/16"]
     assert len({row.split()[1] for row in rows}) == 1 and all(len(row.split()) == 4 for row in rows)
     assert all(float(cell) > 0.0 for row in rows for cell in row.split()[2:])
+    # the memory table: a released binding leaves no population built
+    header, *rows = memory.splitlines()
+    assert header.split() == ["batches", "populations", "held", "bytes"]
+    assert [row.split()[0] for row in rows] == ["10", "100", "300"]
+    assert len({row.split()[1] for row in rows}) == 1 and all(int(row.split()[2]) >= 0 for row in rows)
 
 
 def test_trajectory_hash_script_prints_one_line_per_seed_and_config_and_repeats():

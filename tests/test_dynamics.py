@@ -13,7 +13,6 @@ from nba.dynamics import (
     BindingGate,
     ControlGate,
     Network,
-    Population,
     PopulationKind,
     clamp01,
 )
@@ -383,8 +382,8 @@ def _reference_step(net):
         a = net.population(src).activation
         if a <= 0.0:
             continue
-        for conn in net._open_binding_out.get(src, ()):
-            inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
+        for _, target, gain in net._open_binding_out.get(src, ()):
+            inflow[target] = inflow.get(target, 0.0) + gain * a
         for conn in control_out.get(src, ()):
             if conn.gate.label in net.asserted:
                 inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
@@ -480,7 +479,7 @@ def test_step_reports_largest_change_including_horizon_releases():
 
 def _full_state(net):
     pops = [(p.pid, p.activation, p.sustained, p.sustained_since) for p in net.populations()]
-    open_edges = {src: [c.cid for c in out] for src, out in sorted(net._open_binding_out.items()) if out}
+    open_edges = {src: [cid for cid, _, _ in out] for src, out in sorted(net._open_binding_out.items()) if out}
     return net.time, sorted(net.asserted), dict(net._floors), net.last_change, pops, open_edges
 
 
@@ -734,10 +733,11 @@ def _check_indexes(net):
     """Recount every index the network keeps from first principles: the
     flowing and settled ids from the levels and sustain records, the active
     set from the levels, and the open binding edges and each row's open
-    relays from the edges of built, sustained working memory."""
+    relays from each held, sustained working memory: the two edges its
+    reservation says it gates, and those added one by one."""
     pops, flowing, settled = net._pops, net._flowing, net._settled
     assert not flowing & settled
-    assert all(type(pops[pid]) is Population and pops[pid].activation > 0.0 for pid in flowing | settled)
+    assert all(pops[pid].kind is not CONTROL and pops[pid].activation > 0.0 for pid in flowing | settled)
     assert all(pops[pid].sustained and pid not in net._sources for pid in settled)
     assert all(level > 0.0 for level in net._lit.values())
     active = net.active_pids()
@@ -745,14 +745,18 @@ def _check_indexes(net):
     above = {pop.pid for pop in net.populations() if pop.activation > 0.0}
     assert set(active) == above.union(*net._lit)
     open_out, rows = {}, {}
-    for wm, edges in net._binding_edges.items():
-        if pops[wm].sustained:
-            for conn in edges:
-                open_out.setdefault(conn.source, []).append(conn)
-                row = net._relay_row(conn.source)
-                if row is not None:
-                    rows.setdefault(row, set()).add(conn.source)
-    assert net._open_binding_out == {src: sorted(out, key=lambda c: c.cid) for src, out in open_out.items()}
+    for wm in [pop.pid for pop in net.populations() if pop.kind is WM and pop.sustained]:
+        try:
+            edges = list(net._reservation(wm).gated(wm))
+        except UnknownPopulation:  # added, not reserved
+            edges = []
+        edges += net._wired.get(wm, ())
+        for source, (cid, target, gain), _ in edges:
+            open_out.setdefault(source, []).append((cid, target, gain))
+            row = net._relay_row(source)
+            if row is not None:
+                rows.setdefault(row, set()).add(source)
+    assert net._open_binding_out == {src: sorted(out) for src, out in open_out.items()}
     assert net._row_emitting == rows
 
 
@@ -1033,16 +1037,18 @@ def _one_grid(threshold=0.5):
     return net, hubs, cells
 
 
-@pytest.mark.parametrize("built", (False, True))
-def test_inject_refuses_a_relay(built):
+@pytest.mark.parametrize("looked_up", (False, True))
+def test_inject_refuses_a_relay(looked_up):
+    """A relay is never built: looking it up hands out a view of its row's
+    level, and injecting it is refused either way."""
     net, hubs, cells = _one_grid()
     relay = cells[1]
-    if built:
-        net.population(relay)
+    if looked_up:
+        assert net.population(relay).activation == 0.0
     with pytest.raises(ValueError, match=f"population {relay} is a relay"):
         net.inject(relay, 1.0)
     assert net.active_pids() == [] and net.activation(relay) == 0.0
-    assert sorted(pop.pid for pop in net.populations()) == sorted([*hubs, *(cells[:3] if built else ())])
+    assert sorted(pop.pid for pop in net.populations()) == sorted(hubs)
 
 
 def test_add_gated_connection_refuses_a_relay():

@@ -177,7 +177,7 @@ def _network_state(net):
         for p in sorted(net.populations(), key=lambda p: p.pid)
         if p.activation or p.sustained
     ]
-    open_edges = {src: [c.cid for c in out] for src, out in sorted(net._open_binding_out.items()) if out}
+    open_edges = {src: [cid for cid, _, _ in out] for src, out in sorted(net._open_binding_out.items()) if out}
     return net.time, sorted(net.asserted), dict(net._floors), net.last_change, pops, open_edges
 
 

@@ -393,18 +393,11 @@ class Network:
             self._build_population(pid, kind)
         return pids
 
-    def add_gated_connection(
-        self,
-        source: int,
-        target: int,
-        gate: ControlGate | BindingGate,
-        gain: float = 1.0,
-    ) -> int:
+    def add_gated_connection(self, source: int, target: int, gate: ControlGate | BindingGate, gain: float = 1.0) -> int:
         self._check_structure(((source, target),), gain)
-        if isinstance(gate, BindingGate) and self.population(gate.wm).kind is not WORKING_MEMORY:
+        if isinstance(gate, BindingGate) and self._kind(gate.wm) is not WORKING_MEMORY:
             raise InvalidNetworkChange(f"gate population {gate.wm} is not working memory")
-        cid, gain = self._next_cid, float(gain)
-        self._next_cid += 1
+        cid, gain = self._take_ids(0, 1)[1], float(gain)
         self._add_sources((source,))
         if isinstance(gate, ControlGate):
             bisect.insort(self._control_out.setdefault(source, {}).setdefault(gate.label, []), (cid, target, gain))
@@ -698,15 +691,17 @@ class Network:
         self._settle(pop)
 
     def release_wm(self, pid: int) -> None:
-        """Explicitly release a working-memory population (idempotent). A
-        reserved working memory left at rest is no longer held, so its
-        record is dropped, unless a probe's saved state is open, whose
-        restore may sustain it again. A record handed out before reads at
+        """Explicitly release a working-memory population (idempotent), with
+        its horizon entry (`_drop_due`), so the step at which the decay
+        horizon would have released it is idle. A reserved working memory
+        left at rest is no longer held, so its record is dropped, unless a
+        probe's saved state is open, whose restore may sustain it again. A record handed out before reads at
         rest from then on, and a later bind makes a new one."""
         pop = self.population(pid)
         if pop.kind is not WORKING_MEMORY:
             raise InvalidNetworkChange(f"population {pid} is not working memory")
         if pop.sustained:
+            self._drop_due(pop)
             self._unsustain(pop)
         self._floors.pop(pid, None)
         self._set_activation(pop, 0.0)  # a no-op at rest
@@ -941,6 +936,14 @@ class Network:
             raise UnknownPopulation(f"no population with id {pid}")
         return res
 
+    def _kind(self, pid: int) -> PopulationKind:
+        """The kind of `pid`, read without building it: a reserved id not of
+        a block is working memory or a relay."""
+        if pid in self._pops:
+            return self._pops[pid].kind
+        res = self._reservation(pid)
+        return res.kind if isinstance(res, _Block) else HUB if self._relay_row(pid) is not None else WORKING_MEMORY
+
     def _relay_row(self, pid: int) -> range | None:
         """The row of relay `pid`; None for any other id. Relays are never built."""
         if pid in self._pops:
@@ -999,13 +1002,18 @@ class Network:
             self._due.setdefault(max(since + self.wm_decay_horizon, self.time), set()).add(pop.pid)
 
     def _drop_due(self, pop: Population) -> None:
-        """Take `pop`, sustained and settled at this step, off the horizon
-        entry `_settle` dated from now, before its `sustained_since` moves."""
-        if self.wm_decay_horizon is not None and pop.pid in self._settled:
-            at = self.time + self.wm_decay_horizon
-            self._due[at].discard(pop.pid)
-            if not self._due[at]:
-                del self._due[at]
+        """Take sustained `pop` off the horizon entry `_settle` gave it, if
+        any, before its `sustained_since` moves: the entry is at `since +
+        horizon`, or at the step of the settle when that had passed, which
+        is this step if the entry is still there. While a probe's saved
+        state is open the entry stays, since the restore may sustain `pop`
+        again."""
+        if self.wm_decay_horizon is not None and self._woken is None:
+            at = max(pop.sustained_since + self.wm_decay_horizon, self.time)
+            if pop.pid in self._due.get(at, ()):
+                self._due[at].discard(pop.pid)
+                if not self._due[at]:
+                    del self._due[at]
 
     def _set_activation(self, pop: Population, value: float) -> None:
         pid = pop.pid

@@ -6,12 +6,19 @@ of allocate/bind/close instructions over symbolic hub slots. Execution
 resolves slots against a blackboard, activates the bindings, and asserts the
 relation labels in play until the enclosing constituent closes.
 
+A tree is checked by `validate_tree` when it is parsed, and again when it
+is handed to `compile`, which cannot know that it came from the parser
+unchanged. The check's one pass over the arcs also indexes them: the arc
+of each dependent, the dependents of each head, and an order from the root
+down, which `compile` reads instead of building its own.
+
 Constituent spans are derived from head projections. A head with left
 dependents closes the chunk ending at the head's own position when the head
 arrives; the full projection closes when its last descendant has been
 processed. Both events can fire for one head, which is what produces the
 inner and outer rise/decline pattern for phrases like "ten sad students of
-Bill Gates".
+Bill Gates". Each head's first and last position come from one pass over
+that order reversed, which meets every dependent before its head.
 """
 
 from __future__ import annotations
@@ -59,16 +66,14 @@ class DependencyArc(Value):
 def iter_conllu(text: str):
     """Yield (tokens, arcs) per sentence from a CoNLL-U subset document."""
     rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
             if rows:
                 yield _build_sentence(rows)
                 rows = []
-            continue
-        if line.lstrip().startswith("#"):
-            continue
-        rows.append((lineno, line))
+        elif stripped[0] != "#":
+            rows.append((lineno, line))
     if rows:
         yield _build_sentence(rows)
 
@@ -109,38 +114,43 @@ def _build_sentence(rows):
         deprel = cols[7]
         if not deprel or deprel == "_":
             raise ParseError("missing DEPREL", line=lineno)
-        tokens.append(Token(index=i, surface=form, word_type=_UPOS_MAP[upos]))
-        arcs.append(DependencyArc(head=head, dependent=i, label=deprel))
+        tokens.append(Token(i, form, _UPOS_MAP[upos]))
+        arcs.append(DependencyArc(head, i, deprel))
     validate_tree(tokens, arcs)
     return tokens, arcs
 
 
-def validate_tree(tokens: list[Token], arcs: list[DependencyArc]) -> None:
+def validate_tree(tokens: list[Token], arcs: list[DependencyArc]):
+    """Refuse arcs that are not one tree over `tokens` under root 0, naming
+    the first fault. Returns the tree's indexes: the arc of each dependent,
+    the dependents of each head in arc order, and the positions, root
+    first, in an order that reaches each head before its dependents."""
     n = len(tokens)
-    heads: dict[int, int] = {}
+    head_arc: dict[int, DependencyArc] = {}
+    children: dict[int, list[int]] = {}
     for arc in arcs:
-        if arc.dependent == arc.head:
-            raise NotATree(f"token {arc.dependent} is its own head")
-        if not 0 <= arc.head <= n:
-            raise NotATree(f"head {arc.head} out of range")
-        if not 1 <= arc.dependent <= n:
-            raise NotATree(f"dependent {arc.dependent} out of range")
-        if arc.dependent in heads:
-            raise NotATree(f"token {arc.dependent} has more than one head")
-        heads[arc.dependent] = arc.head
+        head, dep = arc.head, arc.dependent
+        if dep == head:
+            raise NotATree(f"token {dep} is its own head")
+        if not 0 <= head <= n:
+            raise NotATree(f"head {head} out of range")
+        if not 1 <= dep <= n:
+            raise NotATree(f"dependent {dep} out of range")
+        if dep in head_arc:
+            raise NotATree(f"token {dep} has more than one head")
+        head_arc[dep] = arc
+        children.setdefault(head, []).append(dep)
     for tok in tokens:
-        if tok.index not in heads:
+        if tok.index not in head_arc:
             raise NotATree(f"token {tok.index} has no head")
-    rooted = {0}  # tokens known to reach the root
-    for tok in tokens:
-        path = set()
-        cur = tok.index
-        while cur not in rooted:
-            if cur in path:
-                raise NotATree("cyclic heads")
-            path.add(cur)
-            cur = heads[cur]
-        rooted |= path
+    # each token has one head, so it reaches the root exactly when a walk
+    # down from the root meets it; the rest lie on or under a cycle
+    order = [0]
+    for node in order:  # grows as it goes
+        order += children.get(node, ())
+    if len(order) <= len(head_arc):
+        raise NotATree("cyclic heads")
+    return head_arc, children, order
 
 
 # ------------------------------------------------------------- relation map
@@ -277,10 +287,6 @@ class ConnectionPathReport(Value):
 
 # ------------------------------------------------------------------ compile
 
-def _bindable(tok: Token) -> bool:
-    return tok.word_type in POOL_FOR_TYPE
-
-
 # relation family -> the arc ends (dep or head) bound to its grid's from and to pools
 _ENDPOINTS = {
     "agent": ("dep", "head"),
@@ -288,6 +294,9 @@ _ENDPOINTS = {
     "modifier": ("head", "dep"),
     "prep": ("head", "dep"),
 }
+# relation family -> whether the grid's from end is the arc's dependent, then
+# the grid's from and to pools
+_ARC_GRID = {family: (ends[0] == "dep", *FAMILY_GRIDS[family][0]) for family, ends in _ENDPOINTS.items()}
 
 
 def compile(
@@ -301,16 +310,13 @@ def compile(
 ) -> ControlProgram:
     """Build the left-to-right control program for one sentence."""
     rm = relation_map or _DEFAULT_RELATION_MAP
-    validate_tree(tokens, arcs)
+    head_arc, children, order = validate_tree(tokens, arcs)
     tok = {t.index: t for t in tokens}
-    head_arc = {a.dependent: a for a in arcs}
-    children: dict[int, list[int]] = {}
-    for a in arcs:
-        children.setdefault(a.head, []).append(a.dependent)
+    pool = {i: POOL_FOR_TYPE.get(t.word_type) for i, t in tok.items()}  # None: binds no hub
 
     if strict_words and lexicon is not None:
         for t in tokens:
-            if _bindable(t) and t.surface.casefold() not in lexicon:
+            if t.word_type in POOL_FOR_TYPE and t.surface.casefold() not in lexicon:
                 raise UnknownWord(t.surface)
 
     def skip(reason: str):
@@ -319,39 +325,37 @@ def compile(
         return None
 
     # map arcs to emission records keyed by the earliest position where all
-    # endpoints are available
+    # endpoints are available: (0, src, dst, relation) binds two hubs and
+    # (1, governor, dep) chains a clause, so a position's records sort binds first
+    lookup = rm.lookup
     emissions: dict[int, list[tuple]] = {}
     for arc in arcs:
-        if arc.head == 0:
+        head, dep = arc.head, arc.dependent
+        if head == 0:
             continue
-        mapped = rm.lookup(arc.label)
+        mapped = lookup(arc.label)
         if mapped is None:
             skip(f"no mapping for dependency label {arc.label!r}")
             continue
         if mapped == IGNORE:
             continue
-        head_tok, dep_tok = tok[arc.head], tok[arc.dependent]
+        head_pool, dep_pool, at = pool[head], pool[dep], head if head > dep else dep
         if mapped == "clause":
-            if POOL_FOR_TYPE.get(dep_tok.word_type) != "V" or POOL_FOR_TYPE.get(head_tok.word_type) != "N":
+            if dep_pool != "V" or head_pool != "N":
                 skip(f"clause arc needs a verb under a nominal head ({arc.label})")
                 continue
             # gap binding: a clause verb with its own subject leaves an object
             # gap filled by the head noun; otherwise the head noun is its agent
-            has_subject = any(
-                rm.lookup(head_arc[d].label) == "agent" for d in children.get(arc.dependent, ())
-            )
-            if has_subject:
-                _emit(emissions, max(arc.head, arc.dependent), ("bind", arc.dependent, arc.head, "theme"))
+            if any(lookup(head_arc[d].label) == "agent" for d in children.get(dep, ())):
+                emissions.setdefault(at, []).append((0, dep, head, "theme"))
             else:
-                _emit(emissions, max(arc.head, arc.dependent), ("bind", arc.head, arc.dependent, "agent"))
-            governor = _governing_verb(arc.head, head_arc, tok)
+                emissions.setdefault(at, []).append((0, head, dep, "agent"))
+            governor = _governing_verb(head, head_arc, pool)
             if governor is not None:
-                _emit(emissions, max(arc.dependent, governor), ("chain", governor, arc.dependent))
+                emissions.setdefault(max(dep, governor), []).append((1, governor, dep))
             continue
         if mapped == "prep":
-            case_deps = [
-                d for d in children.get(arc.dependent, ()) if head_arc[d].label in rm.case_labels
-            ]
+            case_deps = [d for d in children.get(dep, ()) if head_arc[d].label in rm.case_labels]
             if not case_deps:
                 skip("nmod arc without a case marker")
                 continue
@@ -360,112 +364,100 @@ def compile(
         else:
             relation = mapped
             family = mapped.split(":")[0]
-        ends = _ENDPOINTS.get(family)
-        if ends is None:
+        grid = _ARC_GRID.get(family)
+        if grid is None:
             skip(f"relation {relation!r} has no endpoint scheme")
             continue
-        from_end, to_end = ends
-        ((from_pool, to_pool),) = FAMILY_GRIDS[family]
-        src = dep_tok if from_end == "dep" else head_tok
-        dst = dep_tok if to_end == "dep" else head_tok
-        if POOL_FOR_TYPE.get(src.word_type) != from_pool or POOL_FOR_TYPE.get(dst.word_type) != to_pool:
+        dep_first, from_pool, to_pool = grid
+        src, dst = (dep, head) if dep_first else (head, dep)
+        if pool[src] != from_pool or pool[dst] != to_pool:
             skip(f"label {arc.label!r} endpoints do not fit pools {from_pool}->{to_pool}")
             continue
-        _emit(emissions, max(arc.head, arc.dependent), ("bind", src.index, dst.index, relation))
+        emissions.setdefault(at, []).append((0, src, dst, relation))
 
-    spans, closures_by_pos = _derive_spans(tokens, children)
+    spans, closing = _derive_spans(order, children)
 
     instructions: list = []
+    append = instructions.append
     slot_of: dict[int, int] = {}
     next_slot = 0
     for pos in range(1, len(tokens) + 1):
         t = tok[pos]
-        if _bindable(t):
+        kind = pool[pos]
+        if kind is not None:
             slot_of[pos] = next_slot
-            pool = POOL_FOR_TYPE[t.word_type]
-            instructions.append(Allocate(kind=pool, slot=next_slot, position=pos))
-            instructions.append(
-                BindConcept(word=t.surface.casefold(), slot=next_slot, word_type=t.word_type, position=pos)
-            )
+            append(Allocate(kind, next_slot, pos))
+            append(BindConcept(t.surface.casefold(), next_slot, t.word_type, pos))
             next_slot += 1
-        for record in sorted(emissions.get(pos, []), key=lambda r: (r[0] != "bind", r[1], r[2])):
-            if record[0] == "bind":
-                _, src_idx, dst_idx, relation = record
-                instructions.append(
-                    BindHubs(from_slot=slot_of[src_idx], to_slot=slot_of[dst_idx], relation=relation, position=pos)
-                )
-            else:
-                _, governor, dep_idx = record
-                c_slot = next_slot
-                next_slot += 1
-                instructions.append(Allocate(kind="C", slot=c_slot, position=pos))
-                instructions.append(
-                    BindHubs(from_slot=slot_of[governor], to_slot=c_slot, relation="clause", position=pos)
-                )
-                instructions.append(
-                    BindHubs(from_slot=c_slot, to_slot=slot_of[dep_idx], relation="clause", position=pos)
-                )
-        for span_index in closures_by_pos.get(pos, []):
-            sp = spans[span_index]
-            instructions.append(
-                CloseConstituent(span_index=span_index, start=sp.start, end=sp.end, position=pos)
-            )
+        records = emissions.get(pos)
+        if records:
+            records.sort()
+            for record in records:
+                if record[0] == 0:
+                    append(BindHubs(slot_of[record[1]], slot_of[record[2]], record[3], pos))
+                else:
+                    _, governor, dep = record
+                    append(Allocate("C", next_slot, pos))
+                    append(BindHubs(slot_of[governor], next_slot, "clause", pos))
+                    append(BindHubs(next_slot, slot_of[dep], "clause", pos))
+                    next_slot += 1
+        if pos in closing:
+            instructions += closing[pos]
 
-    text = " ".join(t.surface for t in tokens)
-    return ControlProgram(instructions=instructions, spans=spans, tokens=list(tokens), text=text)
+    text = " ".join([t.surface for t in tokens])
+    return ControlProgram(instructions, spans, list(tokens), text)
 
 
-def _emit(emissions, pos, record):
-    emissions.setdefault(pos, []).append(record)
-
-
-def _governing_verb(index: int, head_arc, tok) -> int | None:
+def _governing_verb(index: int, head_arc, pool) -> int | None:
     cur = index
     while True:
         arc = head_arc.get(cur)
         if arc is None or arc.head == 0:
             return None
-        if POOL_FOR_TYPE.get(tok[arc.head].word_type) == "V":
+        if pool[arc.head] == "V":
             return arc.head
         cur = arc.head
 
 
-def _derive_spans(tokens, children):
-    desc: dict[int, set[int]] = {}
-
-    def collect(node: int) -> set[int]:
-        if node in desc:
-            return desc[node]
-        out: set[int] = set()
-        for child in children.get(node, ()):
-            out.add(child)
-            out.update(collect(child))
-        desc[node] = out
-        return out
+def _derive_spans(order, children):
+    """The constituent spans of the tree and, by position, the instructions
+    that close them; `order` reaches each head before its dependents."""
+    bounds: dict[int, tuple[int, int]] = {}  # head -> first and last position of its subtree
+    for head in reversed(order):  # dependents before their heads
+        kids = children.get(head)
+        if kids is None:
+            continue
+        lo = hi = head
+        for kid in kids:
+            kid_lo, kid_hi = bounds.get(kid, (kid, kid))
+            if kid_lo < lo:
+                lo = kid_lo
+            if kid_hi > hi:
+                hi = kid_hi
+        bounds[head] = lo, hi
 
     events: set[tuple[int, int, int, int]] = set()  # (close_pos, start, end, head)
     for head in sorted(children):
         if head == 0:
             continue
-        kids = collect(head)
-        if not kids:
-            continue
-        lo = min(kids | {head})
-        hi = max(kids | {head})
+        lo, hi = bounds[head]
         if lo < head:
             events.add((head, lo, head, head))
         events.add((hi, lo, hi, head))
 
     spans: list[ConstituentSpan] = []
-    closures_by_pos: dict[int, list[int]] = {}
+    closing: dict[int, list[CloseConstituent]] = {}
     # inner-first at a shared close position: larger start closes first
     for close_pos, start, end, head in sorted(events, key=lambda e: (e[0], -e[1], e[2])):
-        spans.append(ConstituentSpan(start=start, end=end, head=head))
-        closures_by_pos.setdefault(close_pos, []).append(len(spans) - 1)
-    return spans, closures_by_pos
+        closing.setdefault(close_pos, []).append(CloseConstituent(len(spans), start, end, close_pos))
+        spans.append(ConstituentSpan(start, end, head))
+    return spans, closing
 
 
 # ------------------------------------------------------------------ execute
+
+_NEVER = float("inf")  # the start of no span
+
 
 def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) -> ConnectionPathReport:
     """Run a control program against a blackboard, building its connection path.
@@ -481,40 +473,46 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
     slot_hub: dict[int, str] = {}
     created: list[Binding] = []
     steps: list[tuple] = []
-
-    def tick():
-        net.step()
-        if on_step is not None:
+    if on_step is None:
+        tick = net.step
+    else:
+        def tick():
+            net.step()
             on_step(net)
 
     # a span opens at the first instruction at or past its start; positions
     # never decrease, so one cursor over the spans by start finds each once
-    opening = sorted(program.spans, key=lambda sp: sp.start)
-    opened = 0
+    opening = iter(sorted(program.spans, key=lambda sp: sp.start))
+    span = next(opening, None)
+    due = _NEVER if span is None else span.start
+    auto_add, lexicon = blackboard.config.auto_add_words, blackboard.lexicon
+    forward, prefix = labels.matrix_forward, labels.MATRIX_FORWARD_PREFIX
     for instr in program.instructions:
-        while opened < len(opening) and opening[opened].start <= instr.position:
-            opening[opened].open_step = net.time
-            opened += 1
-        if isinstance(instr, Allocate):
+        while due <= instr.position:
+            span.open_step = net.time
+            span = next(opening, None)
+            due = _NEVER if span is None else span.start
+        kind = type(instr)
+        if kind is BindConcept:
+            if auto_add and instr.word not in lexicon:
+                blackboard.add_word(instr.word, instr.word_type)
+            created.append(blackboard.bind_concept(instr.word, slot_hub[instr.slot]))
+            tick()
+        elif kind is Allocate:
             try:
                 slot_hub[instr.slot] = blackboard.allocate_hub(instr.kind)
             except PoolExhausted as exc:
                 exc.token = next(t.surface for t in program.tokens if t.index == instr.position)
                 raise
             tick()
-        elif isinstance(instr, BindConcept):
-            if blackboard.config.auto_add_words and instr.word not in blackboard.lexicon:
-                blackboard.add_word(instr.word, instr.word_type)
-            created.append(blackboard.bind_concept(instr.word, slot_hub[instr.slot]))
-            tick()
-        elif isinstance(instr, BindHubs):
+        elif kind is BindHubs:
             created.append(
                 blackboard.bind_hubs(slot_hub[instr.from_slot], slot_hub[instr.to_slot], instr.relation)
             )
-            net.set_control(labels.matrix_forward(instr.relation), True)
+            net.set_control(forward(instr.relation), True)
             tick()
-        elif isinstance(instr, CloseConstituent):
-            for label in [l for l in net.asserted if l.startswith(labels.MATRIX_FORWARD_PREFIX)]:
+        elif kind is CloseConstituent:
+            for label in [l for l in net.asserted if l.startswith(prefix)]:
                 net.set_control(label, False)
             tick()
             program.spans[instr.span_index].close_step = net.time
@@ -523,7 +521,5 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
     tick()
     tick()
     return ConnectionPathReport(
-        bindings=[b.describe() for b in created],
-        hubs_used=list(dict.fromkeys(slot_hub.values())),
-        instruction_steps=steps,
+        [b.describe() for b in created], list(dict.fromkeys(slot_hub.values())), steps
     )

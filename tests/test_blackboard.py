@@ -736,6 +736,24 @@ def test_a_restore_leaves_no_stale_horizon_entry():
     assert not any(pop.kind is PopulationKind.WORKING_MEMORY for pop in released.network.populations())
 
 
+def test_a_release_before_the_horizon_leaves_no_horizon_entry():
+    """A binding released before its decay horizon takes its horizon entry
+    with it, so the step at which it would have expired is idle."""
+    bb = Blackboard(load_lexicon("cat\tN\nrun\tV\n"), Config(k_n=2, k_v=2, k_c=1, wm_decay_horizon=6))
+    bb.bind_concept("cat", "N0")
+    bb.bind_concept("run", "V0")
+    bb.bind_hubs("N0", "V0", "agent")
+    net = bb.network
+    assert net._due
+    bb.release_all()
+    assert net._due == {}
+    busy = 0
+    for _ in range(8):
+        busy += bool(net._flowing or net._floors or net._lit or net.time in net._due)
+        net.step()
+    assert busy == 0
+
+
 def test_restored_binding_past_its_horizon_is_released_by_the_next_step():
     """A state file may give an age past the decay horizon: the restored
     binding is sustained until the first step, which releases it."""

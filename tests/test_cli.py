@@ -599,6 +599,17 @@ def test_cold_query_script_prints_one_median_per_phase(workdir, pycache):
     assert any(cache.rglob("*.pyc")) == pycache
 
 
+def test_encode_split_script_prints_one_median_per_layer():
+    """`scripts/encode_split.py`, which the README documents, runs as a script."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "encode_split.py")
+    result = subprocess.run([sys.executable, script, "-n", "1"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    header, *rows = [line.split() for line in result.stdout.splitlines()]
+    assert header == ["layer", "us"]
+    assert [row[0] for row in rows] == ["parse", "compile", "execute", "release_all"]
+    assert all(len(row) == 2 and float(row[1]) > 0.0 for row in rows)
+
+
 def test_size_script_prints_one_row_per_module_and_a_total():
     """`scripts/size.py`, which the README documents, runs as a script."""
     import nba

@@ -1061,6 +1061,21 @@ def test_add_gated_connection_refuses_a_relay():
     net.add_gated_connection(hubs[0], hubs[2], BindingGate(cells[0]))  # working memory is no relay
 
 
+def test_a_binding_gate_on_reserved_working_memory_builds_no_record():
+    """The gate's kind is read from the reservation: working memory at rest
+    gets no record, and a gate on anything but working memory is refused."""
+    net, hubs, cells = _one_grid()
+    concept = net.reserve_populations(CONCEPT, 1)[0]
+    net.add_gated_connection(hubs[0], hubs[2], BindingGate(cells[0]))
+    assert len(net.populations()) == 3
+    for pid in (hubs[1], cells[1], cells[2], concept):
+        with pytest.raises(ValueError, match=f"gate population {pid} is not working memory"):
+            net.add_gated_connection(hubs[0], hubs[2], BindingGate(pid))
+    with pytest.raises(UnknownPopulation, match=f"no population with id {concept + 1}"):
+        net.add_gated_connection(hubs[0], hubs[2], BindingGate(concept + 1))
+    assert len(net.populations()) == 3
+
+
 def test_reserve_cells_refuses_a_relay_among_its_hubs():
     net, hubs, cells = _one_grid()
     count = net.population_count()

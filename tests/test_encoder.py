@@ -3,15 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nba.blackboard import Blackboard
-from nba.config import Config
+from nba.config import FAMILY_GRIDS, Config
 from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence
 from nba.encoder import (
     Allocate,
     BindConcept,
     BindHubs,
     CloseConstituent,
+    ConstituentSpan,
     ControlProgram,
     DependencyArc,
     Token,
@@ -22,6 +25,7 @@ from nba.encoder import (
     parse_conllu,
 )
 from nba.errors import (
+    NbaError,
     NotATree,
     ParseError,
     PoolExhausted,
@@ -29,7 +33,7 @@ from nba.errors import (
     UnknownWord,
     UnmappedLabel,
 )
-from nba.lexicon import Lexicon, WordType, load_lexicon
+from nba.lexicon import POOL_FOR_TYPE, Lexicon, WordType, load_lexicon
 from nba.query import parse_query, run_query
 
 CAT_RUNS = (
@@ -373,3 +377,190 @@ def test_bad_trees_are_refused_with_their_message(heads, message):
         with pytest.raises(NotATree) as info:
             refuse()
         assert str(info.value) == message
+
+
+# ------------------------------------------- differential: a reference compile
+
+def _reference_validate(tokens, arcs):
+    """Walk each token up to the root, refusing as `validate_tree` does."""
+    n, heads = len(tokens), {}
+    for arc in arcs:
+        if arc.dependent == arc.head:
+            raise NotATree(f"token {arc.dependent} is its own head")
+        if not 0 <= arc.head <= n:
+            raise NotATree(f"head {arc.head} out of range")
+        if not 1 <= arc.dependent <= n:
+            raise NotATree(f"dependent {arc.dependent} out of range")
+        if arc.dependent in heads:
+            raise NotATree(f"token {arc.dependent} has more than one head")
+        heads[arc.dependent] = arc.head
+    for tok in tokens:
+        if tok.index not in heads:
+            raise NotATree(f"token {tok.index} has no head")
+    rooted = {0}
+    for tok in tokens:
+        path, cur = set(), tok.index
+        while cur not in rooted:
+            if cur in path:
+                raise NotATree("cyclic heads")
+            path.add(cur)
+            cur = heads[cur]
+        rooted |= path
+
+
+def _reference_spans(children):
+    """Each head's descendants as a set, by recursion; the events as a set,
+    sorted by (close, -start, end)."""
+    desc = {}
+
+    def collect(node):
+        if node not in desc:
+            desc[node] = set()
+            for child in children.get(node, ()):
+                desc[node] |= {child} | collect(child)
+        return desc[node]
+
+    events = set()
+    for head in sorted(children):
+        kids = collect(head) if head else None
+        if kids:
+            lo, hi = min(kids | {head}), max(kids | {head})
+            if lo < head:
+                events.add((head, lo, head, head))
+            events.add((hi, lo, hi, head))
+    spans, closing = [], {}
+    for close, start, end, head in sorted(events, key=lambda e: (e[0], -e[1], e[2])):
+        closing.setdefault(close, []).append(len(spans))
+        spans.append(ConstituentSpan(start, end, head))
+    return spans, closing
+
+
+def _reference_compile(tokens, arcs, strict_labels):
+    """The instructions and spans of a sentence under the default relation
+    map, derived arc by arc, with each position's emissions sorted by a key."""
+    _reference_validate(tokens, arcs)
+    rm = default_relation_map()
+    tok = {t.index: t for t in tokens}
+    head_arc = {a.dependent: a for a in arcs}
+    children = {}
+    for a in arcs:
+        children.setdefault(a.head, []).append(a.dependent)
+    pool = {i: POOL_FOR_TYPE.get(t.word_type) for i, t in tok.items()}
+    emissions = {}
+
+    def emit(at, *record):
+        emissions.setdefault(at, []).append(record)
+
+    def skip(reason):
+        if strict_labels:
+            raise UnmappedLabel(reason)
+
+    for arc in arcs:
+        mapped = rm.lookup(arc.label) if arc.head else "ignore"
+        head, dep, at = arc.head, arc.dependent, max(arc.head, arc.dependent)
+        if mapped is None:
+            skip(f"no mapping for dependency label {arc.label!r}")
+        elif mapped == "clause":
+            if pool[dep] != "V" or pool[head] != "N":
+                skip(f"clause arc needs a verb under a nominal head ({arc.label})")
+                continue
+            if any(rm.lookup(head_arc[d].label) == "agent" for d in children.get(dep, ())):
+                emit(at, "bind", dep, head, "theme")
+            else:
+                emit(at, "bind", head, dep, "agent")
+            governor = head
+            while governor and pool[governor] != "V":
+                governor = head_arc[governor].head
+            if governor:
+                emit(max(dep, governor), "chain", governor, dep)
+        elif mapped != "ignore":
+            relation = mapped
+            if mapped == "prep":
+                case = [d for d in children.get(dep, ()) if head_arc[d].label in rm.case_labels]
+                if not case:
+                    skip("nmod arc without a case marker")
+                    continue
+                relation = f"prep:{tok[case[0]].surface.casefold()}"
+            ((from_pool, to_pool),) = FAMILY_GRIDS[mapped]
+            src, dst = (dep, head) if mapped == "agent" else (head, dep)
+            if pool[src] != from_pool or pool[dst] != to_pool:
+                skip(f"label {arc.label!r} endpoints do not fit pools {from_pool}->{to_pool}")
+            else:
+                emit(at, "bind", src, dst, relation)
+
+    spans, closing = _reference_spans(children)
+    instructions, slot_of = [], {}
+
+    def next_slot():  # one per Allocate
+        return sum(isinstance(i, Allocate) for i in instructions)
+
+    for pos in range(1, len(tokens) + 1):
+        if pool[pos] is not None:
+            slot_of[pos] = next_slot()
+            instructions += [Allocate(pool[pos], slot_of[pos], pos),
+                             BindConcept(tok[pos].surface.casefold(), slot_of[pos], tok[pos].word_type, pos)]
+        for record in sorted(emissions.get(pos, []), key=lambda r: (r[0] != "bind", r[1], r[2])):
+            if record[0] == "bind":
+                instructions.append(BindHubs(slot_of[record[1]], slot_of[record[2]], record[3], pos))
+            else:
+                c = next_slot()
+                instructions += [Allocate("C", c, pos), BindHubs(slot_of[record[1]], c, "clause", pos),
+                                 BindHubs(c, slot_of[record[2]], "clause", pos)]
+        for k in closing.get(pos, []):
+            instructions.append(CloseConstituent(k, spans[k].start, spans[k].end, pos))
+    return instructions, spans
+
+
+_UPOS_OF = {WordType.NOUN: "NOUN", WordType.VERB: "VERB", WordType.ADJECTIVE: "ADJ",
+            WordType.PREPOSITION: "ADP", WordType.DETERMINER: "DET", WordType.OTHER: "PUNCT"}
+_LABELS = ("nsubj", "obj", "amod", "nmod", "case", "acl:relcl", "det", "root", "punct", "acl", "xcomp")
+_WORDS = make_word_lists(20, 8, 8)
+
+
+@st.composite
+def _mutated_trees(draw):
+    """A `random_tree_sentence` tree, then up to three mutations: a
+    reassigned head (possibly out of range), a relabelled arc or a swapped
+    UPOS."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tokens, arcs, _ = random_tree_sentence(rng, *_WORDS, preps=("of", "in", "on"))
+    n = len(tokens)
+    for _ in range(draw(st.integers(0, 3))):
+        i, what = draw(st.integers(0, n - 1)), draw(st.sampled_from(("head", "label", "upos")))
+        t, a = tokens[i], arcs[i]
+        if what == "head":
+            arcs[i] = DependencyArc(draw(st.integers(0, n + 1)), a.dependent, a.label)
+        elif what == "label":
+            arcs[i] = DependencyArc(a.head, a.dependent, draw(st.sampled_from(_LABELS)))
+        else:
+            tokens[i] = Token(t.index, t.surface, draw(st.sampled_from(list(_UPOS_OF))))
+    return tokens, arcs
+
+
+def _outcome(run):
+    try:
+        return run()
+    except NbaError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_trees())
+def test_compile_matches_a_reference_derivation(tree):
+    """Programs and spans equal a derivation kept here, with set-based spans
+    and keyed emission sorts; a tree that is refused is refused with the
+    same error when parsed and when compiled under either label policy."""
+    tokens, arcs = tree
+    text = _conllu(*((t.surface, _UPOS_OF[t.word_type], a.head, a.label) for t, a in zip(tokens, arcs)))
+    parsed = _outcome(lambda: parse_conllu(text))
+    for strict in (True, False):
+        expected = _outcome(lambda: _reference_compile(tokens, arcs, strict))
+        program = _outcome(lambda: compile(tokens, arcs, strict_labels=strict))
+        got = program if isinstance(program, tuple) else (program.instructions, program.spans)
+        assert got == expected
+        if isinstance(program, ControlProgram):
+            assert program.text == " ".join(t.surface for t in tokens) and program.tokens == tokens
+        if expected[0] is NotATree:
+            assert parsed == expected
+    if parsed[0] is not NotATree:
+        assert parsed == (tokens, arcs)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Where an ingest sentence spends its time: the median raw microseconds
-per sentence of parse, compile, execute and `release_all`, for the `src/`
-of the checkout this script sits in.
+per sentence of parse, compile, execute and `release_all`, and of one
+word's bind, for the `src/` of the checkout this script sits in.
 
     python3 scripts/encode_split.py [-n 5]
 
@@ -12,6 +12,8 @@ documents of four sentences. Each of `-n` rounds, after one untimed round,
 encodes every document onto one board, as the ingest benchmark does, and
 then releases it: parse is taking the next sentence from `iter_conllu`,
 and a batch's `release_all` counts a quarter to each of its sentences.
+The `bind` row is one noun's `bind_concept` to hub N0 plus its `release`,
+timed for each of the 1,000 nouns in turn on the released board.
 
 To compare two checkouts, run each one's copy of this script in its own
 process, alternating. In one process `nba`'s package attributes bind to
@@ -34,7 +36,7 @@ from nba.encoder import compile, execute, iter_conllu  # noqa: E402
 from nba.lexicon import WordType  # noqa: E402
 
 SEED, BATCHES, BATCH = 11, 300, 4
-LAYERS = ("parse", "compile", "execute", "release_all")
+LAYERS = ("parse", "compile", "execute", "release_all", "bind")
 _UPOS = {WordType.NOUN: "NOUN", WordType.VERB: "VERB", WordType.ADJECTIVE: "ADJ", WordType.PREPOSITION: "ADP"}
 
 
@@ -71,6 +73,14 @@ def encode_round(bb: Blackboard, docs: list[str], samples: dict) -> None:
         samples["release_all"].append((clock() - t0) / BATCH)
 
 
+def bind_round(bb: Blackboard, nouns: list[str], samples: dict) -> None:
+    clock, bind, release = time.perf_counter, bb.bind_concept, bb.release
+    for noun in nouns:
+        t0 = clock()
+        release(bind(noun, "N0"))
+        samples["bind"].append(clock() - t0)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-n", type=int, default=5, help="timed rounds over the sentences (default 5)")
@@ -83,6 +93,7 @@ def main() -> int:
     samples = {layer: [] for layer in LAYERS}
     for _ in range(args.n):
         encode_round(bb, docs, samples)
+        bind_round(bb, nouns, samples)
     print(f"{'layer':<12} {'us':>8}")
     for layer in LAYERS:
         print(f"{layer:<12} {statistics.median(samples[layer]) * 1e6:8.1f}")

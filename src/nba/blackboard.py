@@ -172,8 +172,10 @@ class Blackboard:
             self._build_grid(spec)
             self.grid_counts[spec.name] = self.grid_counts.get(spec.name, 0) + 1
         self.relation_names = tuple(self.grid_counts)
-        for name in self.relation_names:
-            self.network.register_control(labels.matrix_forward(name))
+        # relation -> its forward label, which `execute` asserts after each cell it binds
+        self.forward_labels = {name: labels.matrix_forward(name) for name in self.relation_names}
+        for name, forward in self.forward_labels.items():
+            self.network.register_control(forward)
             self.network.register_control(labels.matrix_reverse(name))
         self.network.freeze()
 
@@ -274,23 +276,22 @@ class Blackboard:
         bound = self._allocation.get(hub)
         if bound is not None:
             raise HubBusy(f"hub {hub} already bound to {bound.word!r}")
-        binding = self._allocation[hub] = Binding(self, "concept", self._first_wm(row) + index, word=word, hub=hub)
+        binding = self._allocation[hub] = Binding(self, "concept", self._first_wm(row) + index, word, hub)
         return self._hold(binding)
 
     def bind_hubs(self, from_hub: str, to_hub: str, relation: str) -> Binding:
         wm = self._cell_wm(from_hub, to_hub, relation)
         if wm is None:
             raise NoSuchCell(f"no cell {from_hub} -> {to_hub} for relation {relation!r}")
-        if self.network.is_open(BindingGate(wm)):
+        record = self.network._pops.get(wm)  # is_open without a gate: no record is closed
+        if record is not None and record.sustained_since is not None:
             if self.config.sustain_threshold == 0.0:
                 raise CellBusy(
                     f"cell {from_hub} -> {to_hub} ({relation}) cannot be bound: "
                     "every cell is sustained at rest because sustain_threshold is 0"
                 )
             raise CellBusy(f"cell {from_hub} -> {to_hub} ({relation}) already bound")
-        return self._hold(
-            Binding(self, "cell", wm, from_hub=from_hub, to_hub=to_hub, relation=relation)
-        )
+        return self._hold(Binding(self, "cell", wm, None, None, from_hub, to_hub, relation))
 
     def _hold(self, binding: Binding) -> Binding:
         """Sustain a binding's working memory and hold it last in bind order,

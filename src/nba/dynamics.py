@@ -82,10 +82,10 @@ for one query does not load `dataclasses`.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import itertools
 import operator
+from bisect import bisect_right, insort
 from enum import Enum
 
 from .errors import FrozenNetwork, InvalidNetworkChange, UnknownPopulation
@@ -236,7 +236,7 @@ class _Bindings:
     def gated(self, wm: int):
         """The two connections `wm` gates, as (source, (cid, target, gain),
         None): neither source is a relay."""
-        w = bisect.bisect_right(self.starts, wm) - 1
+        w = bisect_right(self.starts, wm) - 1
         concept, hub = self.concepts[w], self.hubs[w][wm - self.starts[w]]
         cid, gain = self.cid + 2 * (wm - self.pids.start), self.gain
         return (concept, (cid, hub, gain), None), (hub, (cid + 1, concept, gain), None)
@@ -400,7 +400,7 @@ class Network:
         cid, gain = self._take_ids(0, 1)[1], float(gain)
         self._add_sources((source,))
         if isinstance(gate, ControlGate):
-            bisect.insort(self._control_out.setdefault(source, {}).setdefault(gate.label, []), (cid, target, gain))
+            insort(self._control_out.setdefault(source, {}).setdefault(gate.label, []), (cid, target, gain))
         else:
             edge = (source, (cid, target, gain), None)
             self._wired[gate.wm] = self._wired.get(gate.wm, ()) + (edge,)
@@ -408,7 +408,7 @@ class Network:
             if type(record) is _Memory:
                 record.gated += (edge,)
             if self.is_open(gate):  # open now; working memory sustained later opens it then
-                bisect.insort(self._open_binding_out.setdefault(source, []), edge[1])
+                insort(self._open_binding_out.setdefault(source, []), edge[1])
         return cid
 
     def reserve_populations(self, kind: PopulationKind, count: int) -> range:
@@ -676,7 +676,10 @@ class Network:
     def inject(self, pid: int, level: float) -> None:
         """Raise activation to `level` now and floor the next update at it.
         Working memory whose next update is then already a no-op settles at
-        once (`_settle`): a binding's step has nothing to update."""
+        once (`_settle`), with no floor: a binding's step has nothing to
+        update. The id is filed once: as settled by `_settle`, or else as
+        flowing, with its floor. While a probe's saved state is open, its
+        prior level is logged as `_set_activation` logs it."""
         if not 0.0 <= level <= 1.0:
             raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
         pop = self._pops.get(pid)
@@ -684,23 +687,33 @@ class Network:
             pop = self._build_reserved(pid)  # refuses a relay
         elif pop.kind is CONTROL:
             self._refuse_driven(pid)
-        # a level at or below the current one still refreshes the sustain bookkeeping
-        self._set_activation(pop, level if level > pop.activation else pop.activation)
-        if level > self._floors.get(pid, 0.0):
-            self._floors[pid] = level
-        self._settle(pop)
+        if self._woken is not None and pid not in self._flowing:
+            self._woken.setdefault(pid, pop.activation)
+        if level > pop.activation:  # a level at or below it still refreshes the sustain bookkeeping
+            pop.activation = level
+        if pop.sustained_since is None and pop.kind is WORKING_MEMORY and pop.activation >= self.sustain_threshold:
+            self._sustain(pop, self.time)
+        if not self._settle(pop) and pop.activation > 0.0:  # an id at rest is filed nowhere
+            self._settled.discard(pid)
+            self._flowing.add(pid)
+            if level > self._floors.get(pid, 0.0):
+                self._floors[pid] = level
 
     def release_wm(self, pid: int) -> None:
         """Explicitly release a working-memory population (idempotent), with
         its horizon entry (`_drop_due`), so the step at which the decay
         horizon would have released it is idle. A reserved working memory
         left at rest is no longer held, so its record is dropped, unless a
-        probe's saved state is open, whose restore may sustain it again. A record handed out before reads at
-        rest from then on, and a later bind makes a new one."""
-        pop = self.population(pid)
-        if pop.kind is not WORKING_MEMORY:
+        probe's saved state is open, whose restore may sustain it again. A
+        record handed out before reads at rest from then on, and a later
+        bind makes a new one. One with no record is at rest already: its
+        release checks its id and builds nothing."""
+        pop = self._pops.get(pid)
+        if (pop.kind if pop is not None else self._kind(pid)) is not WORKING_MEMORY:
             raise InvalidNetworkChange(f"population {pid} is not working memory")
-        if pop.sustained:
+        if pop is None:
+            return
+        if pop.sustained_since is not None:
             self._drop_due(pop)
             self._unsustain(pop)
         self._floors.pop(pid, None)
@@ -926,11 +939,11 @@ class Network:
         self._add_sources((source,))
         by_label = self._control_out.setdefault(source, {})
         for cid, target, label, gain in self._unbuilt_control.pop(source):
-            bisect.insort(by_label.setdefault(label, []), (cid, target, gain))
+            insort(by_label.setdefault(label, []), (cid, target, gain))
 
     def _reservation(self, pid: int) -> _Block | _Bindings | _Grid:
         """The reserved structure that owns `pid`."""
-        i = bisect.bisect_right(self._reserved_starts, pid) - 1
+        i = bisect_right(self._reserved_starts, pid) - 1
         res = self._reservations[i] if i >= 0 else None
         if res is None or pid not in res.pids:
             raise UnknownPopulation(f"no population with id {pid}")
@@ -966,12 +979,15 @@ class Network:
         memory is sustained at rest only at threshold 0, where `_reserve`
         makes every record and a release never drops one."""
         res = self._reservation(pid)
-        if isinstance(res, _Block):
+        cls = type(res)
+        if cls is _Block:
             return self._build_population(pid, res.kind)
-        if isinstance(res, _Grid) and (pid - res.pids.start) % 3:
+        if cls is _Grid and (pid - res.pids.start) % 3:
             self._refuse_driven(pid)  # raises: a relay is never built
         pop = self._pops[pid] = _Memory(pid, WORKING_MEMORY)
-        pop.gated = res.gated(pid) + self._wired.get(pid, ())
+        pop.gated = res.gated(pid)
+        if pid in self._wired:
+            pop.gated += self._wired[pid]
         if pid in self._unbuilt_control:  # working memory may be a source too
             self._build_control(pid)
         return pop
@@ -983,23 +999,24 @@ class Network:
         for pid in self._settled.intersection(pids):
             self._set_activation(self._pops[pid], self._pops[pid].activation)
 
-    def _settle(self, pop: Population) -> None:
-        """Settle `pop` if its next update without inflow is a no-op: it is
-        sustained working memory above 0, the source of no connection, and
-        its level is a fixed point of the update (`wm_decay * a == a`, or
-        `a` is pinned at its threshold). A pending floor is at most its
-        level, so it changes nothing and is dropped. Under a decay horizon
-        it is due for release at `since + horizon`, or at the next step if
-        that has passed."""
-        a, since = pop.activation, pop.sustained_since
-        if since is None or a <= 0.0 or pop.pid in self._sources \
-                or max(clamp01(self.wm_decay * a), self.sustain_threshold) != a:
-            return
+    def _settle(self, pop: Population) -> bool:
+        """Settle `pop` if its next update without inflow is a no-op, and
+        return whether it did: it is sustained working memory above 0, the
+        source of no connection, and its level is a fixed point of the
+        update (`wm_decay * a == a`, or `a` is pinned at its threshold). A
+        pending floor is at most its level, so it changes nothing and is
+        dropped. Under a decay horizon it is due for release at `since +
+        horizon`, or at the next step if that has passed."""
+        a, since, threshold = pop.activation, pop.sustained_since, self.sustain_threshold
+        nxt = self.wm_decay * a  # both lie in [0, 1], so clamping it changes nothing
+        if since is None or a <= 0.0 or pop.pid in self._sources or (nxt if nxt > threshold else threshold) != a:
+            return False
         self._flowing.discard(pop.pid)
         self._settled.add(pop.pid)
         self._floors.pop(pop.pid, None)
         if self.wm_decay_horizon is not None:
             self._due.setdefault(max(since + self.wm_decay_horizon, self.time), set()).add(pop.pid)
+        return True
 
     def _drop_due(self, pop: Population) -> None:
         """Take sustained `pop` off the horizon entry `_settle` gave it, if
@@ -1046,7 +1063,7 @@ class Network:
             if out is None:
                 open_out[source] = [edge]
             else:
-                bisect.insort(out, edge)
+                insort(out, edge)
             if row is not None:
                 self._row_emitting.setdefault(row, set()).add(source)
 

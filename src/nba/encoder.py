@@ -10,7 +10,9 @@ A tree is checked by `validate_tree` when it is parsed, and again when it
 is handed to `compile`, which cannot know that it came from the parser
 unchanged. The check's one pass over the arcs also indexes them: the arc
 of each dependent, the dependents of each head, and an order from the root
-down, which `compile` reads instead of building its own.
+down; its pass over the tokens, which refuses an index that is not one of
+1 to n once, keeps the token at each position. `compile` reads these
+instead of building its own.
 
 Constituent spans are derived from head projections. A head with left
 dependents closes the chunk ending at the head's own position when the head
@@ -121,10 +123,12 @@ def _build_sentence(rows):
 
 
 def validate_tree(tokens: list[Token], arcs: list[DependencyArc]):
-    """Refuse arcs that are not one tree over `tokens` under root 0, naming
-    the first fault. Returns the tree's indexes: the arc of each dependent,
-    the dependents of each head in arc order, and the positions, root
-    first, in an order that reaches each head before its dependents."""
+    """Refuse arcs that are not one tree over `tokens` under root 0, and
+    tokens whose indexes are not 1 to n each once, naming the first fault.
+    Returns the tree's indexes: the arc of each dependent, the dependents of
+    each head in arc order, the positions, root first, in an order that
+    reaches each head before its dependents, and the token at each
+    position."""
     n = len(tokens)
     head_arc: dict[int, DependencyArc] = {}
     children: dict[int, list[int]] = {}
@@ -140,9 +144,14 @@ def validate_tree(tokens: list[Token], arcs: list[DependencyArc]):
             raise NotATree(f"token {dep} has more than one head")
         head_arc[dep] = arc
         children.setdefault(head, []).append(dep)
-    for tok in tokens:
-        if tok.index not in head_arc:
-            raise NotATree(f"token {tok.index} has no head")
+    tok: dict[int, Token] = {}
+    for t in tokens:  # every dependent lies in 1..n, so an index with a head does too
+        index = t.index
+        if index not in head_arc:
+            raise NotATree(f"token {index} has no head")
+        if index in tok:
+            raise NotATree(f"token {index} appears more than once")
+        tok[index] = t
     # each token has one head, so it reaches the root exactly when a walk
     # down from the root meets it; the rest lie on or under a cycle
     order = [0]
@@ -150,7 +159,7 @@ def validate_tree(tokens: list[Token], arcs: list[DependencyArc]):
         order += children.get(node, ())
     if len(order) <= len(head_arc):
         raise NotATree("cyclic heads")
-    return head_arc, children, order
+    return head_arc, children, order, tok
 
 
 # ------------------------------------------------------------- relation map
@@ -276,13 +285,40 @@ class ControlProgram(Value):
 
 
 class ConnectionPathReport(Value):
-    __slots__ = ("bindings", "hubs_used", "instruction_steps")
+    """What `execute` did: `bindings`, each binding's `describe()` in bind
+    order, `hubs_used`, the hubs its slots took in slot order, and the
+    `(instruction, step index after it ran)` of each instruction. The first
+    two are made on first read, from the bindings and the slots' hubs, which
+    never change once bound, not even on release. It compares and prints by
+    those three fields."""
+
+    __slots__ = ("_created", "_slot_hub", "_bindings", "_hubs_used", "instruction_steps")
     __hash__ = None
 
-    def __init__(self, bindings: list, hubs_used: list, instruction_steps: list):
-        self.bindings = bindings
-        self.hubs_used = hubs_used
-        self.instruction_steps = instruction_steps  # (instruction, step index after it ran)
+    def __init__(self, created: list, slot_hub: dict, instruction_steps: list):
+        self._created = created
+        self._slot_hub = slot_hub
+        self._bindings = self._hubs_used = None
+        self.instruction_steps = instruction_steps
+
+    @property
+    def bindings(self) -> list[dict]:
+        if self._bindings is None:
+            self._bindings = [b.describe() for b in self._created]
+        return self._bindings
+
+    @property
+    def hubs_used(self) -> list[str]:
+        if self._hubs_used is None:
+            self._hubs_used = list(dict.fromkeys(self._slot_hub.values()))
+        return self._hubs_used
+
+    def _values(self) -> tuple:
+        return self.bindings, self.hubs_used, self.instruction_steps
+
+    def __repr__(self):
+        return (f"ConnectionPathReport(bindings={self.bindings!r}, hubs_used={self.hubs_used!r}, "
+                f"instruction_steps={self.instruction_steps!r})")
 
 
 # ------------------------------------------------------------------ compile
@@ -310,8 +346,7 @@ def compile(
 ) -> ControlProgram:
     """Build the left-to-right control program for one sentence."""
     rm = relation_map or _DEFAULT_RELATION_MAP
-    head_arc, children, order = validate_tree(tokens, arcs)
-    tok = {t.index: t for t in tokens}
+    head_arc, children, order, tok = validate_tree(tokens, arcs)
     pool = {i: POOL_FOR_TYPE.get(t.word_type) for i, t in tok.items()}  # None: binds no hub
 
     if strict_words and lexicon is not None:
@@ -486,7 +521,7 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
     span = next(opening, None)
     due = _NEVER if span is None else span.start
     auto_add, lexicon = blackboard.config.auto_add_words, blackboard.lexicon
-    forward, prefix = labels.matrix_forward, labels.MATRIX_FORWARD_PREFIX
+    forward, prefix = blackboard.forward_labels, labels.MATRIX_FORWARD_PREFIX
     for instr in program.instructions:
         while due <= instr.position:
             span.open_step = net.time
@@ -509,7 +544,7 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
             created.append(
                 blackboard.bind_hubs(slot_hub[instr.from_slot], slot_hub[instr.to_slot], instr.relation)
             )
-            net.set_control(forward(instr.relation), True)
+            net.set_control(forward[instr.relation], True)
             tick()
         elif kind is CloseConstituent:
             for label in [l for l in net.asserted if l.startswith(prefix)]:
@@ -520,6 +555,4 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
         steps.append((instr, net.time))
     tick()
     tick()
-    return ConnectionPathReport(
-        [b.describe() for b in created], list(dict.fromkeys(slot_hub.values())), steps
-    )
+    return ConnectionPathReport(created, slot_hub, steps)

@@ -1,5 +1,6 @@
 """Blackboard structure: pools, matrix cells, bindings, counting, snapshots."""
 
+import functools
 import json
 import random
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.corpus import build_lexicon, make_word_lists, random_template_sentence, random_tree_sentence
-from nba.dynamics import BindingGate, PopulationKind
+from nba.dynamics import BindingGate, PopulationKind, _Memory, clamp01
 from nba.encoder import compile, execute, parse_conllu
 from nba.errors import (
     CellBusy,
     HubBusy,
     InvalidConfig,
+    InvalidNetworkChange,
     NbaError,
     NoSuchCell,
     PoolExhausted,
@@ -26,6 +28,7 @@ from nba.errors import (
 )
 from nba.lexicon import POOL_FOR_TYPE, Lexicon, WordType, load_lexicon
 from nba.query import parse_query, run_query
+from test_dynamics import _check_indexes
 
 
 def small_board(**overrides):
@@ -790,6 +793,125 @@ def test_restored_board_is_settled_like_the_original(overrides, seed):
     assert restored.network.flowing_pids() == bb.network.flowing_pids()
     assert restored.network.active_pids() == bb.network.active_pids()
     assert restored.snapshot_bytes() == bb.snapshot_bytes()
+
+
+# ------------------------------------------- differential: the bind path
+
+def _reference_inject(net, pid, level):
+    """`Network.inject` filing an id twice: its level through
+    `_set_activation`, which files it as flowing, then its floor, then
+    `_reference_settle`, which may move it to settled and drop the floor."""
+    if not 0.0 <= level <= 1.0:
+        raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
+    pop = net._pops.get(pid)
+    if pop is None:
+        pop = net._build_reserved(pid)
+    elif pop.kind is PopulationKind.CONTROL:
+        net._refuse_driven(pid)
+    net._set_activation(pop, max(level, pop.activation))
+    if level > net._floors.get(pid, 0.0):
+        net._floors[pid] = level
+    _reference_settle(net, pop)
+
+
+def _reference_settle(net, pop):
+    """`Network._settle` with its fixed-point test through `clamp01` and `max`."""
+    a, since = pop.activation, pop.sustained_since
+    if since is None or a <= 0.0 or pop.pid in net._sources \
+            or max(clamp01(net.wm_decay * a), net.sustain_threshold) != a:
+        return
+    net._flowing.discard(pop.pid)
+    net._settled.add(pop.pid)
+    net._floors.pop(pop.pid, None)
+    if net.wm_decay_horizon is not None:
+        net._due.setdefault(max(since + net.wm_decay_horizon, net.time), set()).add(pop.pid)
+
+
+def _reference_release(net, pid):
+    """`Network.release_wm` looking its population up through `population`,
+    which builds a record, and setting its level to 0 even at rest."""
+    pop = net.population(pid)
+    if pop.kind is not PopulationKind.WORKING_MEMORY:
+        raise InvalidNetworkChange(f"population {pid} is not working memory")
+    if pop.sustained:
+        net._drop_due(pop)
+        net._unsustain(pop)
+    net._floors.pop(pid, None)
+    net._set_activation(pop, 0.0)
+    if type(pop) is _Memory and pop.sustained_since is None and net._woken is None:
+        del net._pops[pid]
+
+
+def _filing(net):
+    """How the network files its ids: flowing, settled, floors and horizon
+    entries relative to the clock, with every built level and sustain step."""
+    return (set(net._flowing), set(net._settled), dict(net._floors),
+            {at - net.time: set(ids) for at, ids in net._due.items()},
+            sorted((pop.pid, pop.activation, pop.sustained_since) for pop in net.populations()),
+            net.active_pids())
+
+
+def _bind_op(bb, op, n, words):
+    """Apply one bind, release, query or steps op chosen by `n`; returns what
+    it answered or refused."""
+    try:
+        if op == "concept":
+            word = words[n % len(words)]
+            pool = POOL_FOR_TYPE[bb.lexicon.lookup(word)[1]]
+            if bb.free_hubs(pool):
+                bb.bind_concept(word, bb.allocate_hub(pool))
+        elif op == "cell":
+            cells = sorted(key for key in bb.cells if bb.hub_word(key[0]) and bb.hub_word(key[1]))
+            if cells:
+                bb.bind_hubs(*cells[n % len(cells)])
+        elif op == "release":
+            held = sorted(bb._bindings)
+            if held:
+                bb.release(held[n % len(held)])
+        elif op == "release_all":
+            bb.release_all()
+        elif op == "query":
+            bound = sorted(b.word for b in bb.active_bindings() if b.kind == "concept")
+            if bound:
+                relation = bb.relation_names[n // len(bound) % len(bb.relation_names)]
+                word = bound[n % len(bound)]
+                return run_query(bb, parse_query(f"{word} {relation}?" if n % 2 else f"? {relation} {word}"))
+        else:
+            for _ in range(n % 4 + 1):
+                bb.network.step()
+    except NbaError as exc:  # such as a cell already bound, or every cell at threshold 0
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("overrides", (
+    {}, dict(wm_decay=0.9, wm_decay_horizon=7), dict(sustain_threshold=0.0), dict(decay=0.3),
+), ids=("default", "wm_decay", "threshold0", "decay"))
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(("concept", "cell", "release", "release_all", "query", "step")),
+              st.integers(0, 10**6)),
+    max_size=30,
+))
+@settings(max_examples=50, deadline=None)
+def test_the_bind_path_files_each_id_as_a_reference_inject_does(overrides, ops):
+    """Binds, releases, queries and steps leave every index consistent
+    (`_check_indexes`) and file each id as a network does whose `inject`
+    files it as flowing, floors it and then settles it, and whose
+    `release_wm` builds a record to release and sets a level at rest. The
+    configs are those of `scripts/trajectory_hash.py`."""
+    nouns, verbs, adjectives = make_word_lists(5, 3, 2)
+    config = Config(k_n=3, k_v=2, k_c=1, **overrides)
+    bb, ref = (Blackboard(build_lexicon(nouns, verbs, adjectives), config) for _ in range(2))
+    net = ref.network
+    net.inject = functools.partial(_reference_inject, net)
+    net.release_wm = functools.partial(_reference_release, net)
+    net._settle = functools.partial(_reference_settle, net)
+    words = nouns + verbs + adjectives
+    for op, n in ops:
+        assert _bind_op(bb, op, n, words) == _bind_op(ref, op, n, words)
+        _check_indexes(bb.network)
+        assert _filing(bb.network) == _filing(net)
+    assert bb.snapshot_bytes() == ref.snapshot_bytes()
 
 
 # ------------------------------------------------- reserved cells and relays

@@ -357,6 +357,23 @@ def test_trajectory_hash_script_prints_one_line_per_seed_and_config_and_repeats(
     assert len({row[2] for row in rows}) == 4
 
 
+def test_trajectory_hashes_match_their_golden_lines():
+    """The `seed config hash` lines `scripts/trajectory_hash.py --seeds 1`
+    prints, computed in process, equal the recorded ones: every trajectory,
+    answer, snapshot and restore of its four configs is bit-identical."""
+    import importlib.util
+
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "trajectory_hash.py")
+    spec = importlib.util.spec_from_file_location("trajectory_hash", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    golden = os.path.join(os.path.dirname(__file__), "data", "trajectory_hash_seed_1.txt")
+    with open(golden, encoding="utf-8") as f:
+        expected = f.read().splitlines()
+    assert [f"1 {name} {module.trajectory_hash(1, overrides)}" for name, overrides in module.CONFIGS.items()] \
+        == expected
+
+
 def test_trajectory_hash_covers_the_restored_board(monkeypatch):
     """`scripts/trajectory_hash.py` hashes the board restored after each
     batch: a restore that drops a binding changes the hash."""
@@ -606,7 +623,7 @@ def test_encode_split_script_prints_one_median_per_layer():
     assert result.returncode == 0, result.stderr
     header, *rows = [line.split() for line in result.stdout.splitlines()]
     assert header == ["layer", "us"]
-    assert [row[0] for row in rows] == ["parse", "compile", "execute", "release_all"]
+    assert [row[0] for row in rows] == ["parse", "compile", "execute", "release_all", "bind"]
     assert all(len(row) == 2 and float(row[1]) > 0.0 for row in rows)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nba import demos
 from nba.blackboard import Blackboard
 from nba.config import FAMILY_GRIDS, Config
 from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence
@@ -377,6 +378,51 @@ def test_bad_trees_are_refused_with_their_message(heads, message):
         with pytest.raises(NotATree) as info:
             refuse()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("indexes, message", [
+    ((1, 1), "token 1 appears more than once"),
+    ((1, 3), "token 3 has no head"),
+    ((0, 2), "token 0 has no head"),
+])
+def test_token_indexes_not_one_to_n_are_refused_naming_the_token(indexes, message):
+    """A token list from a library caller, whose arcs form a tree over 1..n
+    but whose indexes repeat or fall outside it, is refused by `compile`
+    with a located error, not a `KeyError` from its pool lookup."""
+    tokens = [Token(index, surface, word_type)
+              for index, (surface, word_type) in zip(indexes, (("cat", WordType.NOUN), ("runs", WordType.VERB)))]
+    arcs = [DependencyArc(2, 1, "nsubj"), DependencyArc(0, 2, "root")]
+    for strict in (True, False):
+        with pytest.raises(NotATree) as info:
+            compile(tokens, arcs, strict_labels=strict)
+        assert str(info.value) == message
+
+
+_FIG1D = _conllu(("cat", "NOUN", 2, "nsubj"), ("run", "VERB", 0, "root"))
+
+
+@pytest.mark.parametrize("text, config", [
+    (_FIG1D, Config(k_n=2, k_v=2, k_c=1)),
+    (demos._REPORTER_CONLLU, Config()),
+])
+def test_a_report_reads_the_same_before_and_after_a_release(text, config):
+    """`execute` reports on two fresh boards compare equal and print alike.
+    Its bindings and hubs read the same before and after `release_all`,
+    whether first read before it or after it, and it is not hashable."""
+    boards = [Blackboard(Lexicon(), config) for _ in range(2)]
+    early, late = (execute(compile(*parse_conllu(text)), bb) for bb in boards)
+    bindings, hubs = early.bindings, early.hubs_used
+    assert bindings[0]["kind"] == "concept" and any(b["kind"] == "cell" for b in bindings)
+    assert hubs and len(set(hubs)) == len(hubs)
+    for bb in boards:
+        bb.release_all()
+    assert early.bindings == bindings and early.hubs_used == hubs
+    assert late.bindings == bindings and late.hubs_used == hubs
+    assert early == late and repr(early) == repr(late)
+    assert repr(early) == (f"ConnectionPathReport(bindings={bindings!r}, hubs_used={hubs!r}, "
+                           f"instruction_steps={early.instruction_steps!r})")
+    with pytest.raises(TypeError):
+        hash(early)
 
 
 # ------------------------------------------- differential: a reference compile

@@ -9,8 +9,10 @@ host's speed falls on both sides alike. Each run happens in its checkout's
 root, and nothing under `bench/` is written to but the run's own output.
 The script then prints one Markdown row per metric: the parent's and the
 change's first quartile, median and third quartile, the ratio of the
-medians, and the pairs in which the change did better. Whether lower or
-higher is better is read from `BENCHMARK.json` in the change's checkout.
+medians, the metric's bound, and the pairs in which the change did better.
+Whether lower or higher is better, and each end-to-end metric's bound, are
+read from `BENCHMARK.json` in the change's checkout; a ratio worse than its
+bound in that direction is marked `**over bound**`.
 With `--trace 1` the rows are the per-layer metrics instead.
 """
 
@@ -43,6 +45,21 @@ def number(value: float) -> str:
     return f"{value:.0f}" if abs(value) >= 1e4 else f"{value:.4g}"
 
 
+def row(workload: str, name: str, parent: list[float], change: list[float], better: str,
+        bound: float | None) -> str:
+    """One metric's Markdown row. The ratio of the medians is marked when it
+    is worse than `bound`, a share of the parent's median, in the `better`
+    direction; a metric with no bound is never marked."""
+    lower = better == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    parent_q, change_q = quartiles(parent), quartiles(change)
+    ratio = change_q[1] / parent_q[1] if parent_q[1] else float("nan")
+    over = bound is not None and (ratio > 1 + bound if lower else ratio < 1 - bound)
+    return (f"| {workload} | {name} | {' / '.join(map(number, parent_q))} | {' / '.join(map(number, change_q))} | "
+            f"{ratio:.3f}{' **over bound**' if over else ''} | {'' if bound is None else bound} | "
+            f"{wins}/{len(parent)} |")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -57,6 +74,7 @@ def main() -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -67,17 +85,14 @@ def main() -> int:
             print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: attempted {result['attempted']} "
                   f"failed {result['failed']}", file=sys.stderr, flush=True)
 
-    print("| workload | metric | parent q1 / median / q3 | change q1 / median / q3 | change/parent | change wins |")
-    print("|---|---|---|---|---|---|")
+    print("| workload | metric | parent q1 / median / q3 | change q1 / median / q3 | change/parent | bound "
+          "| change wins |")
+    print("|---|---|---|---|---|---|---|")
     names = [name for name in results["change"][0]["metrics"] if name in results["parent"][0]["metrics"]]
     for name in sorted(names):
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in sides}
-        lower = better.get(name, "lower") == "lower"
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-        parent, change = quartiles(values["parent"]), quartiles(values["change"])
-        ratio = change[1] / parent[1] if parent[1] else float("nan")
-        print(f"| {args.workload} | {name} | {' / '.join(map(number, parent))} | "
-              f"{' / '.join(map(number, change))} | {ratio:.3f} | {wins}/{args.pairs} |")
+        print(row(args.workload, name, values["parent"], values["change"], better.get(name, "lower"),
+                  bounds.get(name)))
     failed = {side: sum(r["failed"] for r in results[side]) for side in sides}
     print(f"\nfailed operations: parent {failed['parent']}, change {failed['change']}")
     return 0

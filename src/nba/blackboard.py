@@ -426,15 +426,20 @@ class Blackboard:
             raise InvalidState(f"{where}: {exc}") from exc
         net = self.network
         pop = net.population(binding.wm)
+        if level == pop.activation and "age" not in rec:
+            return  # the bind left it as saved, filed and, under a horizon, due
         net._drop_due(pop)  # the bind dated its horizon release from now, not from the saved age
         if level < net.sustain_threshold:
             # saved after its decay horizon released it; its hub stays allocated
             net.release_wm(binding.wm)
-        else:
-            net._set_activation(pop, level)
-            if "age" in rec:
-                pop.sustained_since = net.time - age
-            net._settle(pop)  # settled as on the board it was saved from
+            return
+        pop.activation = level
+        if "age" in rec:
+            pop.sustained_since = net.time - age
+        if not net._settle(pop):  # settled as on the board it was saved from, or else flowing
+            net._settled.discard(pop.pid)
+            if level > 0.0:
+                net._flowing.add(pop.pid)
 
 
 class _Cells(Mapping):

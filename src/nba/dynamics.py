@@ -675,11 +675,15 @@ class Network:
 
     def inject(self, pid: int, level: float) -> None:
         """Raise activation to `level` now and floor the next update at it.
-        Working memory whose next update is then already a no-op settles at
-        once (`_settle`), with no floor: a binding's step has nothing to
-        update. The id is filed once: as settled by `_settle`, or else as
-        flowing, with its floor. While a probe's saved state is open, its
-        prior level is logged as `_set_activation` logs it."""
+        While a probe's saved state is open, the id's prior level is logged
+        as `_set_activation` logs it.
+
+        Only working memory sustains and settles: it is sustained once at
+        its threshold, and if its next update is then already a no-op it
+        settles at once (`_settle`), with no floor, so a binding's step has
+        nothing to update. Any other kind, such as a probe's cue concept,
+        skips both. The id is filed once: as settled by `_settle`, or else,
+        above 0, as flowing, with its floor."""
         if not 0.0 <= level <= 1.0:
             raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
         pop = self._pops.get(pid)
@@ -691,10 +695,13 @@ class Network:
             self._woken.setdefault(pid, pop.activation)
         if level > pop.activation:  # a level at or below it still refreshes the sustain bookkeeping
             pop.activation = level
-        if pop.sustained_since is None and pop.kind is WORKING_MEMORY and pop.activation >= self.sustain_threshold:
-            self._sustain(pop, self.time)
-        if not self._settle(pop) and pop.activation > 0.0:  # an id at rest is filed nowhere
+        if pop.kind is WORKING_MEMORY:
+            if pop.sustained_since is None and pop.activation >= self.sustain_threshold:
+                self._sustain(pop, self.time)
+            if self._settle(pop):
+                return
             self._settled.discard(pid)
+        if pop.activation > 0.0:  # an id at rest is filed nowhere
             self._flowing.add(pid)
             if level > self._floors.get(pid, 0.0):
                 self._floors[pid] = level
@@ -727,24 +734,31 @@ class Network:
         """One synchronous update of every population whose update is not a
         no-op.
 
-        A working memory updated here settles by the rule `inject` uses
-        (`_settle`): sustained, above 0, the source of no connection, and
-        its level a fixed point of its update. Working memory sustained at
-        rest stays inactive. Sources are the flowing ids, whose out-edges
-        are looked up by id (an id with none adds nothing), plus the open
+        Sources are the flowing ids, whose out-edges are looked up by id (an
+        id with none adds nothing), plus, while a row is lit, the open
         relays of each lit row, read from the row's index, so a lit row
         costs its open relays, not its length; no other id has an edge that
-        could carry its activation. Rows are updated in `_step_rows`.
-        Candidates are the flowing ids plus this step's inflow targets and
-        floors, plus, under a decay horizon, the settled ids due for
-        release at this step. Candidates therefore include every id whose
-        update is not a no-op, and an extra one is active, so it is updated
-        exactly as if every active id were a candidate.
+        could carry its activation. Sources are visited in id order, and
+        each target's inflow is summed in source order, then connection id
+        order. Rows are updated in `_step_rows`. Candidates are the flowing
+        ids plus this step's inflow targets and floors, plus, under a decay
+        horizon, the settled ids due for release at this step. Candidates
+        therefore include every id whose update is not a no-op, and an
+        extra one is active, so it is updated exactly as if every active
+        id were a candidate. They are updated in id order.
 
-        Each target's inflow is summed in source order, then connection id
-        order. `last_change` is set to the largest activation change made.
-        Working memory takes a new level through `_set_activation`, which
-        may sustain it; any other kind gets the same bookkeeping in place.
+        Each candidate's next level is computed once, by its kind's decay,
+        then clamped and floored; the update then splits by kind. A concept
+        or hub, which never sustains, takes the level in place and is filed
+        as flowing while it is above 0, its prior level logged while a
+        probe's saved state is open. Working memory sustained past its
+        decay horizon is released, and otherwise pinned at or above its
+        threshold while sustained; a new level goes through
+        `_set_activation`, which may sustain it. Sustained working memory
+        then settles by the rule `inject` uses (`_settle`): above 0, the
+        source of no connection, and its level a fixed point of its update.
+        Working memory sustained at rest stays inactive.
+        `last_change` is set to the largest activation change made.
 
         A step is idle when nothing is flowing, no floor is pending, no row
         is lit and no horizon entry is due now: it has no source and no
@@ -756,15 +770,15 @@ class Network:
             return
         inflow: dict[int, float] = {}
         fed: dict[range, float] = {}
-        asserted, lit = self.asserted, self._lit
-        pops, open_out, control_out, rows, row_emitting = (
-            self._pops, self._open_binding_out, self._control_out, self._rows, self._row_emitting
-        )
-        relays = {}  # each emitting relay of a lit row (its working memory is sustained), with the row's level
-        for row, level in lit.items():
-            for relay in row_emitting.get(row, ()):
-                relays[relay] = level
-        for src in sorted(self._flowing.union(relays)):
+        asserted, lit, flowing, woken = self.asserted, self._lit, self._flowing, self._woken
+        pops, open_out, control_out, rows = self._pops, self._open_binding_out, self._control_out, self._rows
+        relays = None  # each emitting relay of a lit row (its working memory is sustained), with the row's level
+        if lit:
+            relays, row_emitting = {}, self._row_emitting
+            for row, level in lit.items():
+                for relay in row_emitting.get(row, ()):
+                    relays[relay] = level
+        for src in sorted(flowing.union(relays) if relays else flowing):
             pop = pops.get(src)  # a relay is never built
             a = relays[src] if pop is None else pop.activation  # above 0
             out = open_out.get(src)
@@ -789,52 +803,54 @@ class Network:
         change = self._step_rows(fed) if fed or lit else 0.0
         floors = self._floors
         self._floors = {}
-        candidates = set(self._flowing)
-        candidates.update(inflow)
-        candidates.update(floors)
-        # a probe reads its steps' entries and leaves them for the restored clock
-        due = self._due.get(self.time) if self._woken is not None else self._due.pop(self.time, None)
-        if due:
-            # any active id may be a candidate, so stale entries change nothing
-            candidates.update(self._settled.intersection(due))
-        horizon, decay, wm_decay, threshold = self.wm_decay_horizon, self.decay, self.wm_decay, self.sustain_threshold
-        flowing, woken = self._flowing, self._woken
+        candidates = flowing.union(inflow, floors)
+        if self._due:
+            # a probe reads its steps' entries and leaves them for the restored clock
+            due = self._due.get(self.time) if woken is not None else self._due.pop(self.time, None)
+            if due:
+                # any active id may be a candidate, so stale entries change nothing
+                candidates.update(self._settled.intersection(due))
+        decay, wm_decay, threshold = self.decay, self.wm_decay, self.sustain_threshold
         for pid in sorted(candidates):
             try:
                 pop = pops[pid]
             except KeyError:  # an inflow target still reserved, such as a concept
                 pop = self._build_reserved(pid)
-            is_wm = pop.kind is WORKING_MEMORY
-            nxt = (wm_decay if is_wm else decay) * pop.activation + inflow.get(pid, 0.0)
+            a, is_wm = pop.activation, pop.kind is WORKING_MEMORY
+            nxt = (wm_decay if is_wm else decay) * a + inflow.get(pid, 0.0)
             nxt = 0.0 if nxt < 0.0 else (1.0 if nxt > 1.0 else nxt)  # clamp01
             if floors:
                 floor = floors.get(pid, 0.0)
                 if floor > nxt:
                     nxt = floor
-            if pop.sustained_since is not None:  # only working memory sustains
-                if horizon is not None and self.time - pop.sustained_since >= horizon:
-                    if pop.activation > change:
-                        change = pop.activation
-                    self.release_wm(pid)
-                    continue
-                if nxt < threshold:
-                    nxt = threshold
-            if nxt != pop.activation:
-                # an unchanged level needs no update: a working memory that
-                # is not sustained always sits below its threshold
-                delta = abs(nxt - pop.activation)
-                if delta > change:
-                    change = delta
-                if is_wm:
-                    self._set_activation(pop, nxt)
-                else:
+            if not is_wm:  # a concept or hub: it never sustains or settles
+                if nxt != a:
+                    delta = a - nxt if a > nxt else nxt - a  # abs(), without the call
+                    if delta > change:
+                        change = delta
                     if woken is not None and pid not in flowing:
-                        woken.setdefault(pid, pop.activation)
+                        woken.setdefault(pid, a)
                     pop.activation = nxt
                     if nxt > 0.0:
                         flowing.add(pid)
                     else:
                         flowing.discard(pid)
+                continue
+            if pop.sustained_since is not None:
+                if self.wm_decay_horizon is not None and self.time - pop.sustained_since >= self.wm_decay_horizon:
+                    if a > change:
+                        change = a
+                    self.release_wm(pid)
+                    continue
+                if nxt < threshold:
+                    nxt = threshold
+            if nxt != a:
+                # an unchanged level needs no update: a working memory that
+                # is not sustained always sits below its threshold
+                delta = a - nxt if a > nxt else nxt - a
+                if delta > change:
+                    change = delta
+                self._set_activation(pop, nxt)
             if pop.sustained_since is not None:
                 self._settle(pop)
         self.last_change = change
@@ -872,49 +888,47 @@ class Network:
         Only flowing ids and lit rows are copied. Any other id is logged
         with its prior activation when it first changes, so settled working
         memory costs nothing unless the probe wakes it."""
-        self._sustain_log = []
-        self._woken = {}
-        return _SavedState(
-            activations={pid: self._pops[pid].activation for pid in self._flowing},
-            lit=dict(self._lit),
-            asserted=set(self.asserted),
-            floors=dict(self._floors),
-            time=self.time,
-            last_change=self.last_change,
-            sustain_log=self._sustain_log,
-            woken=self._woken,
-        )
+        self._sustain_log, self._woken, pops = [], {}, self._pops
+        activations = {pid: pops[pid].activation for pid in self._flowing} if self._flowing else {}
+        return _SavedState(activations, dict(self._lit), set(self.asserted), dict(self._floors), self.time,
+                           self.last_change, self._sustain_log, self._woken)
 
     def restore_state(self, saved: _SavedState) -> None:
-        """Return to a saved state. Sustain changes made since, such as
-        releases by the decay horizon, are undone newest first, so
-        `sustained_since` and the open binding edges are as saved.
+        """Return to a saved state, doing work only for what the probe
+        changed. Sustain changes made since, such as releases by the decay
+        horizon, are undone newest first, so `sustained_since` and the open
+        binding edges are as saved; a probe that made none skips the pass.
 
         Levels are then written straight back, woken ids first, so that a
-        saved flowing level wins, and the flowing and settled sets are
-        fixed in bulk: a woken id is settled again if its level is above 0
-        and it was not flowing at the save, since an id flowing then may
-        have settled and been woken in one probe. The lit rows and the
-        asserted labels are the saved ones, which is all a restore does for
+        saved flowing level wins. Each woken id leaves the flowing and
+        settled sets and is settled again, in the same loop, if its level
+        is above 0, since it was not flowing at the save; a probe that woke
+        none skips this. The saved flowing ids are then flowing and not
+        settled, since an id flowing at the save may have settled and been
+        woken in one probe. Copies of the saved lit rows, asserted labels
+        and floors replace the network's, which is all a restore does for
         relays and control populations. No write can newly sustain a
         working memory, as each one at or above the threshold is sustained
         as saved. Working memory woken since settles again: the flowing set
         is the saved one, and `step` keeps the horizon entries a probe
         reads."""
         self._sustain_log = self._woken = None
-        for pop, since in reversed(saved.sustain_log):
-            if pop.sustained:
-                self._unsustain(pop)
-            if since is not None:
-                self._sustain(pop, since)
-        pops, woken = self._pops, saved.woken
-        for pid, act in itertools.chain(woken.items(), saved.activations.items()):
+        if saved.sustain_log:
+            for pop, since in reversed(saved.sustain_log):
+                if pop.sustained:
+                    self._unsustain(pop)
+                if since is not None:
+                    self._sustain(pop, since)
+        pops, woken, settled, flowing = self._pops, saved.woken, self._settled, self._flowing
+        if woken:
+            settled.difference_update(woken)
+            flowing.difference_update(woken)
+            for pid, act in woken.items():
+                pops[pid].activation = act
+                if act > 0.0:  # it was not flowing at the save, so it was settled
+                    settled.add(pid)
+        for pid, act in saved.activations.items():
             pops[pid].activation = act
-        settled, flowing = self._settled, self._flowing
-        settled.difference_update(woken)
-        flowing.difference_update(woken)
-        # a woken id not flowing at the save was settled if its level is above 0
-        settled.update(pid for pid in woken if pops[pid].activation > 0.0)
         settled.difference_update(saved.activations)
         # an id starts flowing only through a change, which logs it as woken
         flowing.update(saved.activations)

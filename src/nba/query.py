@@ -37,6 +37,11 @@ class Query(Value):
         self.mode = mode
 
 
+def _strongest_first(pair: tuple) -> tuple:
+    """The sort key of (word, activation) pairs: strongest first, ties lexicographic."""
+    return -pair[1], pair[0]
+
+
 class AnswerSet(Value):
     """Words read out at or above threshold, strongest first, ties lexicographic."""
 
@@ -47,8 +52,7 @@ class AnswerSet(Value):
 
     @classmethod
     def from_pairs(cls, pairs) -> "AnswerSet":
-        ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
-        return cls(entries=tuple((w, a) for w, a in ordered))
+        return cls(tuple(sorted(((w, a) for w, a in pairs), key=_strongest_first)))
 
     @classmethod
     def from_words(cls, words, activation: float = 1.0) -> "AnswerSet":
@@ -134,12 +138,13 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
         depth = 2 + 2 * grids
 
     net = blackboard.network
+    inject, step = net.inject, net.step
     saved = net.save_state()
     try:
         net.set_control(label, True)
         for n in range(min(depth, blackboard.config.settle_budget)):
-            net.inject(cue, 1.0)
-            net.step()
+            inject(cue, 1.0)
+            step()
             # from the second step on, re-injecting the held cue changes nothing,
             # so the step's largest change is that between successive states
             if n and net.last_change <= _SETTLE_TOL:
@@ -152,6 +157,7 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
                 word = lex.word_of(pop.pid)
                 if word is not None:
                     pairs.append((word, pop.activation))
-        return AnswerSet.from_pairs(pairs)
+        pairs.sort(key=_strongest_first)
+        return AnswerSet(tuple(pairs))
     finally:
         net.restore_state(saved)

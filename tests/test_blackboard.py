@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.corpus import build_lexicon, make_word_lists, random_template_sentence, random_tree_sentence
-from nba.dynamics import BindingGate, PopulationKind, _Memory, clamp01
+from nba.dynamics import BindingGate, Network, PopulationKind, _Memory, clamp01
 from nba.encoder import compile, execute, parse_conllu
 from nba.errors import (
     CellBusy,
@@ -29,6 +29,7 @@ from nba.errors import (
 from nba.lexicon import POOL_FOR_TYPE, Lexicon, WordType, load_lexicon
 from nba.query import parse_query, run_query
 from test_dynamics import _check_indexes
+from test_query import _bench_pools_board
 
 
 def small_board(**overrides):
@@ -793,6 +794,31 @@ def test_restored_board_is_settled_like_the_original(overrides, seed):
     assert restored.network.flowing_pids() == bb.network.flowing_pids()
     assert restored.network.active_pids() == bb.network.active_pids()
     assert restored.snapshot_bytes() == bb.snapshot_bytes()
+
+
+@pytest.mark.parametrize("overrides", ({}, dict(wm_decay=0.9, wm_decay_horizon=7)), ids=("default", "wm_decay"))
+def test_a_restore_files_each_replayed_binding_once(overrides, monkeypatch):
+    """A replayed bind that leaves its binding as saved, as every bind does
+    under the default config, is filed by the bind's own settle: one
+    `_settle` per binding over the whole `from_snapshot`, and no
+    `_set_activation`. Under `wm_decay` 0.9 with a horizon, where the saved
+    levels and ages are not the bind's, every index holds after the
+    restore."""
+    bb, _ = _bench_pools_board(3, **overrides)
+    data = json.loads(bb.snapshot_bytes())
+    calls = dict.fromkeys(("_settle", "_set_activation"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(Network, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(Network, name, counted)
+    restored = Blackboard.from_snapshot(data)
+    monkeypatch.undo()
+    _check_indexes(restored.network)
+    assert restored.network.flowing_pids() == bb.network.flowing_pids()
+    assert restored.snapshot_bytes() == bb.snapshot_bytes()
+    if not overrides:
+        assert calls == {"_settle": len(data["bindings"]), "_set_activation": 0}
 
 
 # ------------------------------------------- differential: the bind path

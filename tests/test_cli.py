@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, file round-trips, the repl loop."""
 
+import importlib.util
 import io
 import json
 import os
@@ -625,6 +626,39 @@ def test_encode_split_script_prints_one_median_per_layer():
     assert header == ["layer", "us"]
     assert [row[0] for row in rows] == ["parse", "compile", "execute", "release_all", "bind"]
     assert all(len(row) == 2 and float(row[1]) > 0.0 for row in rows)
+
+
+def test_probe_split_script_prints_one_median_per_layer():
+    """`scripts/probe_split.py`, which the README documents, runs as a script."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "probe_split.py")
+    result = subprocess.run([sys.executable, script, "-n", "1"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    header, *rows = [line.split() for line in result.stdout.splitlines()]
+    assert header == ["layer", "us"]
+    assert [row[0] for row in rows] == ["parse_query", "save_state", "inject", "step", "restore_state",
+                                        "per_step", "rest", "run_query"]
+    assert all(len(row) == 2 for row in rows)
+    assert all(float(row[1]) > 0.0 for row in rows if row[0] != "rest")  # a difference of two timings
+
+
+def test_bench_pairs_marks_a_ratio_worse_than_its_bound():
+    """`scripts/bench_pairs.py` marks a metric whose change/parent ratio is
+    worse than its bound in its better direction, and only then."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = [1.0, 1.0, 1.0]
+
+    def cells(ratio, better, bound):
+        line = bench_pairs.row("probe", "m", parent, [ratio] * 3, better, bound)
+        return [cell.strip() for cell in line.strip("|").split("|")]
+
+    assert cells(1.12, "lower", 0.1)[4:] == ["1.120 **over bound**", "0.1", "0/3"]
+    assert cells(1.08, "lower", 0.1)[4:] == ["1.080", "0.1", "0/3"]
+    assert cells(0.88, "lower", 0.1)[4:] == ["0.880", "0.1", "3/3"]
+    assert cells(0.88, "higher", 0.1)[4] == "0.880 **over bound**"
+    assert cells(1.5, "lower", None)[4:] == ["1.500", "", "0/3"]
 
 
 def test_size_script_prints_one_row_per_module_and_a_total():

@@ -464,6 +464,55 @@ def test_each_query_leaves_the_kernel_as_it_found_it(overrides):
         ), text
 
 
+def _kernel_indexes(net):
+    """Every index a step reads or keeps, copied: the flowing and settled
+    ids, the lit rows, the emitting relays, the open binding edges, the
+    horizon entries, the floors, the controls, the clock and the last
+    change."""
+    return (set(net._flowing), set(net._settled), dict(net._lit),
+            {row: set(relays) for row, relays in net._row_emitting.items()},
+            {src: list(out) for src, out in net._open_binding_out.items()},
+            {at: set(due) for at, due in net._due.items()},
+            dict(net._floors), set(net.asserted), net.time, net.last_change)
+
+
+# (steps, answers) over every (word, relation, direction) query of
+# `_bench_pools_board(5)`, as the probe read them before its fixed costs were
+# cut; every config of the test reads the same
+_PROBE_TOTALS = (1389, 48)
+
+
+@pytest.mark.parametrize("name", ["default", *sorted(_ORACLE_CONFIGS)])
+def test_a_probe_leaves_every_kernel_index_as_saved(name):
+    """Every (word, relation, direction) query on a bench-pools board, under
+    the default and each config of `_ORACLE_CONFIGS`, leaves each index of
+    the network and each built population's level and sustain record as it
+    found them; a population the probe built is at rest. The steps run and
+    the answers read over all of them are pinned."""
+    bb, _ = _bench_pools_board(5, **_ORACLE_CONFIGS.get(name, {}))
+    net, counts = bb.network, [0, 0]
+    step = net.step
+
+    def counted():
+        counts[0] += 1
+        step()
+
+    net.step = counted
+    for word in bb.lexicon.words():
+        for relation in bb.relation_names:
+            for direction in ("forward", "reverse"):
+                indexes = _kernel_indexes(net)
+                pops = {pop.pid: (pop.activation, pop.sustained_since) for pop in net.populations()}
+                counts[1] += len(run_query(bb, Query(word, relation, direction)))
+                where = f"{word} {relation} {direction} under {name}"
+                assert _kernel_indexes(net) == indexes, where
+                after = {pop.pid: (pop.activation, pop.sustained_since) for pop in net.populations()}
+                assert {pid: after[pid] for pid in pops} == pops, where
+                assert all(after[pid] == (0.0, None) for pid in after.keys() - pops.keys()), where
+                _check_indexes(net)
+    assert tuple(counts) == _PROBE_TOTALS
+
+
 def test_a_horizon_release_in_a_probe_leaves_the_row_index_as_saved():
     """The decay horizon releases a bound cell in mid-probe, which takes its
     relays out of their rows' index; the restore puts them back."""

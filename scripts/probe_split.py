@@ -6,13 +6,14 @@ step, of the rest of `run_query` and of `run_query` as a whole, for the
 
     python3 scripts/probe_split.py [-n 3]
 
-The boards and queries are drawn as the probe benchmark draws them: 3,000
-words, 300 semantic relations (isa, has, near), pools k_n=40 k_v=12 k_c=8,
-and seed 11's stream of tree sentences (up to two adjectives and the
-prepositions of, in and on), four sentences to a board. Each of the 8
-boards gets 512 queries: 70% episodic hits, 10% semantic hits and 20%
-misses, each hit a fact asked forward from its subject or in reverse from
-its object.
+The boards and queries are the probe benchmark's for seed 11, drawn in
+the order `bench/gen.py` and `bench/workloads.py` draw them: 3,000 words
+in a shuffled lexicon, 300 semantic relations (isa, has, near), pools
+k_n=40 k_v=12 k_c=8, and the seed's stream of tree sentences (up to two
+adjectives and the prepositions of, in and on), four sentences to a
+board. Each of the first 8 boards gets 512 queries: 70% episodic hits,
+10% semantic hits and 20% misses, each hit a fact asked forward from its
+subject or in reverse from its object.
 
 Each of `-n` rounds, after one untimed round, encodes each board and asks
 its queries twice. The first pass times `parse_query` and `run_query`
@@ -37,8 +38,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from nba.blackboard import Blackboard  # noqa: E402
 from nba.config import Config  # noqa: E402
-from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence  # noqa: E402
+from nba.corpus import make_word_lists, random_tree_sentence  # noqa: E402
 from nba.encoder import compile, execute  # noqa: E402
+from nba.lexicon import Lexicon  # noqa: E402
 from nba.oracle import OracleStore  # noqa: E402
 from nba.query import EPISODIC, FORWARD, REVERSE, SEMANTIC, Query, parse_query, run_query  # noqa: E402
 
@@ -55,15 +57,16 @@ def text(query: Query) -> str:
 def boards(nouns, verbs, adjectives, semantic, relations) -> list[tuple[list, list[str]]]:
     """Each board's sentences, as (tokens, arcs), and its queries' texts."""
     corpus, out = random.Random(f"corpus:{SEED}"), []
+    labels = sorted({label for _, label, _ in semantic})
     for board in range(BOARDS):
         sentences, oracle = [], OracleStore()
-        for s, r, o in semantic:
-            oracle.record(s, r, o, SEMANTIC)
         for _ in range(SENTENCES):
             tokens, arcs, triples = random_tree_sentence(corpus, nouns, verbs, adjectives, preps=("of", "in", "on"))
             sentences.append((tokens, arcs))
             for s, r, o in triples:
                 oracle.record(s, r, o, EPISODIC)
+        for s, r, o in semantic:
+            oracle.record(s, r, o, SEMANTIC)
         facts = {mode: [Query(cue, r, d, m) for m, s, r, o in oracle.triples() if m == mode
                         for cue, d in ((s, FORWARD), (o, REVERSE))] for mode in (EPISODIC, SEMANTIC)}
         words = sorted({w for m, s, _, o in oracle.triples() if m == EPISODIC for w in (s, o)})
@@ -73,11 +76,13 @@ def boards(nouns, verbs, adjectives, semantic, relations) -> list[tuple[list, li
             if r < 0.8:
                 queries.append(rng.choice(facts[EPISODIC if r < 0.7 else SEMANTIC]))
                 continue
-            while True:  # a miss: a board word whose oracle answer is empty
-                semantic_miss = rng.random() < 0.1
-                query = Query(rng.choice(words), rng.choice(("isa", "has", "near") if semantic_miss else relations),
-                              rng.choice((FORWARD, REVERSE)), SEMANTIC if semantic_miss else EPISODIC)
-                if not oracle.query(query):
+            while True:  # a miss: a board word whose oracle answer, less the cue, is empty
+                cue, direction = rng.choice(words), rng.choice((FORWARD, REVERSE))
+                if rng.random() < 0.1:
+                    query = Query(cue, rng.choice(labels), direction, SEMANTIC)
+                else:
+                    query = Query(cue, rng.choice(relations), direction, EPISODIC)
+                if not oracle.query(query).word_set() - {cue}:
                     queries.append(query)
                     break
         out.append((sentences, list(map(text, queries))))
@@ -140,7 +145,10 @@ def main() -> int:
     args = parser.parse_args()
 
     nouns, verbs, adjectives = make_word_lists(1000, 1000, 1000)
-    lex, rng, semantic = build_lexicon(nouns, verbs, adjectives), random.Random(f"lexicon:{SEED}"), {}
+    rows = [(w, "N") for w in nouns] + [(w, "V") for w in verbs] + [(w, "ADJ") for w in adjectives]
+    rng, semantic = random.Random(f"lexicon:{SEED}"), {}
+    rng.shuffle(rows)
+    lex = Lexicon.from_tsv("".join(f"{w}\t{tag}\n" for w, tag in rows))
     while len(semantic) < 300:
         s, o = rng.choice(nouns), rng.choice(verbs + adjectives + nouns)
         if s != o:

@@ -440,6 +440,8 @@ class Blackboard:
             net._settled.discard(pop.pid)
             if level > 0.0:
                 net._flowing.add(pop.pid)
+            else:  # held at rest under threshold 0: the replayed bind filed it as flowing
+                net._flowing.discard(pop.pid)
 
 
 class _Cells(Mapping):

@@ -889,6 +889,7 @@ class Network:
         with its prior activation when it first changes, so settled working
         memory costs nothing unless the probe wakes it."""
         self._sustain_log, self._woken, pops = [], {}, self._pops
+        # a settled board has nothing flowing, and an empty comprehension still costs a call
         activations = {pid: pops[pid].activation for pid in self._flowing} if self._flowing else {}
         return _SavedState(activations, dict(self._lit), set(self.asserted), dict(self._floors), self.time,
                            self.last_change, self._sustain_log, self._woken)
@@ -897,7 +898,7 @@ class Network:
         """Return to a saved state, doing work only for what the probe
         changed. Sustain changes made since, such as releases by the decay
         horizon, are undone newest first, so `sustained_since` and the open
-        binding edges are as saved; a probe that made none skips the pass.
+        binding edges are as saved.
 
         Levels are then written straight back, woken ids first, so that a
         saved flowing level wins. Each woken id leaves the flowing and
@@ -913,12 +914,11 @@ class Network:
         is the saved one, and `step` keeps the horizon entries a probe
         reads."""
         self._sustain_log = self._woken = None
-        if saved.sustain_log:
-            for pop, since in reversed(saved.sustain_log):
-                if pop.sustained:
-                    self._unsustain(pop)
-                if since is not None:
-                    self._sustain(pop, since)
+        for pop, since in reversed(saved.sustain_log):
+            if pop.sustained:
+                self._unsustain(pop)
+            if since is not None:
+                self._sustain(pop, since)
         pops, woken, settled, flowing = self._pops, saved.woken, self._settled, self._flowing
         if woken:
             settled.difference_update(woken)

@@ -52,7 +52,7 @@ class AnswerSet(Value):
 
     @classmethod
     def from_pairs(cls, pairs) -> "AnswerSet":
-        return cls(tuple(sorted(((w, a) for w, a in pairs), key=_strongest_first)))
+        return cls(tuple(sorted(map(tuple, pairs), key=_strongest_first)))  # entries hash as tuples
 
     @classmethod
     def from_words(cls, words, activation: float = 1.0) -> "AnswerSet":
@@ -157,7 +157,6 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
                 word = lex.word_of(pop.pid)
                 if word is not None:
                     pairs.append((word, pop.activation))
-        pairs.sort(key=_strongest_first)
-        return AnswerSet(tuple(pairs))
+        return AnswerSet.from_pairs(pairs)
     finally:
         net.restore_state(saved)

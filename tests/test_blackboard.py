@@ -796,29 +796,44 @@ def test_restored_board_is_settled_like_the_original(overrides, seed):
     assert restored.snapshot_bytes() == bb.snapshot_bytes()
 
 
-@pytest.mark.parametrize("overrides", ({}, dict(wm_decay=0.9, wm_decay_horizon=7)), ids=("default", "wm_decay"))
+@pytest.mark.parametrize("overrides", (
+    {}, dict(wm_decay=0.9, wm_decay_horizon=7), dict(sustain_threshold=0.0, wm_decay=0.9, wm_decay_horizon=7),
+), ids=("default", "wm_decay", "threshold0"))
 def test_a_restore_files_each_replayed_binding_once(overrides, monkeypatch):
     """A replayed bind that leaves its binding as saved, as every bind does
     under the default config, is filed by the bind's own settle: one
     `_settle` per binding over the whole `from_snapshot`, and no
     `_set_activation`. Under `wm_decay` 0.9 with a horizon, where the saved
     levels and ages are not the bind's, every index holds after the
-    restore."""
-    bb, _ = _bench_pools_board(3, **overrides)
-    data = json.loads(bb.snapshot_bytes())
-    calls = dict.fromkeys(("_settle", "_set_activation"), 0)
-    for name in calls:
-        def counted(self, *args, _name=name, _method=getattr(Network, name)):
-            calls[_name] += 1
-            return _method(self, *args)
-        monkeypatch.setattr(Network, name, counted)
-    restored = Blackboard.from_snapshot(data)
-    monkeypatch.undo()
-    _check_indexes(restored.network)
-    assert restored.network.flowing_pids() == bb.network.flowing_pids()
-    assert restored.snapshot_bytes() == bb.snapshot_bytes()
-    if not overrides:
-        assert calls == {"_settle": len(data["bindings"]), "_set_activation": 0}
+    restore, also at threshold 0, where the horizon leaves a binding held
+    at rest, which is filed nowhere. The board is saved as built and again
+    once stepped past the horizon."""
+    rng = random.Random(3)
+    nouns, verbs, adjs = make_word_lists(30, 12, 8)
+    bb = Blackboard(build_lexicon(nouns, verbs, adjs), Config(k_n=40, k_v=12, k_c=8, prep_labels=("of", "in"), **overrides))
+    for _ in range(4):
+        tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjs, preps=("of", "in"))
+        try:
+            execute(compile(tokens, arcs), bb)
+        except CellBusy:  # at sustain_threshold 0 every cell is sustained at rest
+            pass
+    for steps in (0, 10):
+        for _ in range(steps):
+            bb.network.step()
+        data = json.loads(bb.snapshot_bytes())
+        calls = dict.fromkeys(("_settle", "_set_activation"), 0)
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(Network, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(Network, name, counted)
+        restored = Blackboard.from_snapshot(data)
+        monkeypatch.undo()
+        _check_indexes(restored.network)
+        assert restored.network.flowing_pids() == bb.network.flowing_pids()
+        assert restored.snapshot_bytes() == bb.snapshot_bytes()
+        if not overrides:
+            assert calls == {"_settle": len(data["bindings"]), "_set_activation": 0}
 
 
 # ------------------------------------------- differential: the bind path

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """How large nba's sources are: per module of `src/nba`, in total, and over
-the query path, the lines, the code lines and the median milliseconds
-`compile()` takes.
+the query path, the lines, the code lines, the options and the median
+milliseconds `compile()` takes.
 
     python3 scripts/size.py
 
@@ -12,7 +12,10 @@ state written to a temporary directory.
 Code lines are the lines that hold a token of code: blank lines, comments and
 docstrings (the first string of a module, class or function) are left out. A
 multi-line statement counts each of its lines; a string that spans lines
-counts each line it spans. Compiling is what importing a module costs when no
+counts each line it spans. Options are the parameters with a default of the
+public functions and methods, those whose name does not start with `_`, and
+of the `__init__` of public classes; functions defined inside functions are
+left out. Compiling is what importing a module costs when no
 bytecode is cached, as under `PYTHONDONTWRITEBYTECODE=1`.
 """
 
@@ -63,6 +66,18 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
+def options(source: str) -> int:
+    count, scopes = 0, [(ast.parse(source), True)]
+    for scope, public in scopes:  # grows as it goes: the module, then its classes
+        for node in scope.body:
+            if isinstance(node, ast.ClassDef):
+                scopes.append((node, public and not node.name.startswith("_")))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    not node.name.startswith("_") or node.name == "__init__" and public):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+    return count
+
+
 def compile_ms(source: str, path: str) -> float:
     times = []
     for _ in range(REPEAT):
@@ -91,21 +106,21 @@ def query_path() -> set[str]:
 
 
 def main() -> int:
-    print(f"{'module':<16} {'lines':>6} {'code':>6} {'compile_ms':>11}")
-    totals, path_totals, path = [0, 0, 0.0], [0, 0, 0.0], query_path()
+    print(f"{'module':<16} {'lines':>6} {'code':>6} {'options':>7} {'compile_ms':>11}")
+    totals, path_totals, path = [0, 0, 0, 0.0], [0, 0, 0, 0.0], query_path()
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
         path_name = os.path.join(SRC, name)
         with open(path_name, encoding="utf-8") as f:
             source = f.read()
-        row = (source.count("\n"), code_lines(source), compile_ms(source, path_name))
+        row = (source.count("\n"), code_lines(source), options(source), compile_ms(source, path_name))
         totals = [total + value for total, value in zip(totals, row)]
         if name[:-3] in path:
             path_totals = [total + value for total, value in zip(path_totals, row)]
-        print(f"{name[:-3]:<16} {row[0]:>6} {row[1]:>6} {row[2]:>11.2f}")
+        print(f"{name[:-3]:<16} {row[0]:>6} {row[1]:>6} {row[2]:>7} {row[3]:>11.2f}")
     for label, row in (("total", totals), ("query path", path_totals)):
-        print(f"{label:<16} {row[0]:>6} {row[1]:>6} {row[2]:>11.2f}")
+        print(f"{label:<16} {row[0]:>6} {row[1]:>6} {row[2]:>7} {row[3]:>11.2f}")
     return 0
 
 

@@ -29,10 +29,8 @@ _EXPORTS = {
         "ConstituentSpan",
         "ControlProgram",
         "DependencyArc",
-        "RelationMap",
         "Token",
         "compile",
-        "default_relation_map",
         "execute",
         "iter_conllu",
         "parse_conllu",

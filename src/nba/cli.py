@@ -55,10 +55,7 @@ def main(argv=None) -> int:
         from .commands import run
 
         return run(argv, query)
-    except NbaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NbaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

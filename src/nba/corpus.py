@@ -78,6 +78,10 @@ class _Builder:
         return tokens, arcs
 
 
+P_PP = 0.35  # chance that a noun phrase of `random_tree_sentence` takes a prepositional phrase
+P_RELATIVE = 0.25  # chance that a subject or object takes a relative clause
+
+
 def random_tree_sentence(
     rng: random.Random,
     nouns,
@@ -86,8 +90,6 @@ def random_tree_sentence(
     *,
     preps=("of", "in"),
     max_adjectives: int = 2,
-    p_pp: float = 0.35,
-    p_relative: float = 0.25,
 ):
     """A transitive sentence with optional modifiers, a prepositional
     attachment, and a relative clause; word order is head-medial and
@@ -106,7 +108,7 @@ def random_tree_sentence(
         for adj_slot, adj in adj_slots:
             b.rows[adj_slot][2] = slot
             triples.append((noun, "modifier", adj))
-        if allow_clause and rng.random() < p_relative:
+        if allow_clause and rng.random() < P_RELATIVE:
             ev = rng.choice(verbs)
             if rng.random() < 0.5:
                 # object gap: "noun [es ev]" -> es is agent of ev, noun its theme
@@ -121,7 +123,7 @@ def random_tree_sentence(
                 b.add(ev, WordType.VERB, slot, "acl:relcl")
                 triples.append((noun, "agent", ev))
             triples.append((verb, "clause", ev))
-        if rng.random() < p_pp:
+        if rng.random() < P_PP:
             prep = rng.choice(list(preps))
             pnoun = rng.choice(nouns)
             prep_slot = b.add(prep, WordType.PREPOSITION, None, "case")

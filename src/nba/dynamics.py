@@ -593,10 +593,11 @@ class Network:
 
     def connections(self) -> list[GatedConnection]:
         """Built connections, in id order, made on each call: the two each
-        held working memory gates, read from its record, the binding-gated
-        ones added one by one, and the control-gated ones of built sources.
-        Those of working memory not held, and of sources not built, are not
-        listed."""
+        held working memory gates, read from its record, and every
+        connection added one by one, binding- or control-gated, built source
+        or not. A reserved connection is listed once it is built: those of
+        working memory not held, and the reserved control-gated ones of
+        sources not built, are not."""
         gated = dict(self._wired)  # a held record's edges include its wired ones
         gated.update((pop.pid, pop.gated) for pop in self._pops.values() if type(pop) is _Memory)
         conns = [GatedConnection(cid, source, target, BindingGate(wm), gain)

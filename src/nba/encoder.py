@@ -164,38 +164,20 @@ def validate_tree(tokens: list[Token], arcs: list[DependencyArc]):
 
 # ------------------------------------------------------------- relation map
 
-class RelationMap(Value):
-    """Dependency label -> blackboard relation (or "ignore"); absent = unmapped."""
-
-    __slots__ = ("table", "case_labels")
-
-    def __init__(self, table: dict, case_labels: frozenset = frozenset({"case"})):
-        self.table = table
-        self.case_labels = case_labels
-
-    def lookup(self, label: str) -> str | None:
-        return self.table.get(label)
-
-
-def default_relation_map() -> RelationMap:
-    return RelationMap(
-        table={
-            "nsubj": "agent",
-            "obj": "theme",
-            "dobj": "theme",
-            "amod": "modifier",
-            "nmod": "prep",
-            "acl": "clause",
-            "acl:relcl": "clause",
-            "det": IGNORE,
-            "punct": IGNORE,
-            "root": IGNORE,
-            "case": IGNORE,  # consumed as the prep label of its nmod arc
-        }
-    )
-
-
-_DEFAULT_RELATION_MAP = default_relation_map()  # what `compile` uses when given none
+# dependency label -> blackboard relation, or IGNORE; a label not here is unmapped
+RELATION_OF = {
+    "nsubj": "agent",
+    "obj": "theme",
+    "dobj": "theme",
+    "amod": "modifier",
+    "nmod": "prep",
+    "acl": "clause",
+    "acl:relcl": "clause",
+    "det": IGNORE,
+    "punct": IGNORE,
+    "root": IGNORE,
+    "case": IGNORE,  # consumed as the prep label of its nmod arc
+}
 
 
 # ------------------------------------------------------------- instructions
@@ -338,14 +320,12 @@ _ARC_GRID = {family: (ends[0] == "dep", *FAMILY_GRIDS[family][0]) for family, en
 def compile(
     tokens: list[Token],
     arcs: list[DependencyArc],
-    relation_map: RelationMap | None = None,
     lexicon: Lexicon | None = None,
     *,
     strict_labels: bool = True,
     strict_words: bool = False,
 ) -> ControlProgram:
     """Build the left-to-right control program for one sentence."""
-    rm = relation_map or _DEFAULT_RELATION_MAP
     head_arc, children, order, tok = validate_tree(tokens, arcs)
     pool = {i: POOL_FOR_TYPE.get(t.word_type) for i, t in tok.items()}  # None: binds no hub
 
@@ -362,7 +342,7 @@ def compile(
     # map arcs to emission records keyed by the earliest position where all
     # endpoints are available: (0, src, dst, relation) binds two hubs and
     # (1, governor, dep) chains a clause, so a position's records sort binds first
-    lookup = rm.lookup
+    lookup = RELATION_OF.get
     emissions: dict[int, list[tuple]] = {}
     for arc in arcs:
         head, dep = arc.head, arc.dependent
@@ -390,7 +370,7 @@ def compile(
                 emissions.setdefault(max(dep, governor), []).append((1, governor, dep))
             continue
         if mapped == "prep":
-            case_deps = [d for d in children.get(dep, ()) if head_arc[d].label in rm.case_labels]
+            case_deps = [d for d in children.get(dep, ()) if head_arc[d].label == "case"]
             if not case_deps:
                 skip("nmod arc without a case marker")
                 continue

@@ -57,8 +57,8 @@ class Lexicon:
     network and freezes it, so a lexicon serves one board: a second
     `Blackboard` on it is refused."""
 
-    def __init__(self, network: Network | None = None):
-        self.network = network if network is not None else Network()
+    def __init__(self):
+        self.network = Network()
         # one row per word, in insertion order; concept ids ascend
         self._words: list[str] = []
         self._types: list[WordType] = []
@@ -128,7 +128,7 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self._words)
 
-    def columns(self, start: int = 0, stop: int | None = None) -> tuple[list[WordType], list[int]]:
+    def columns(self, start: int, stop: int) -> tuple[list[WordType], list[int]]:
         """The types and the concept ids of rows `start` to `stop`, as two
         lists made in C."""
         return self._types[start:stop], self._concepts[start:stop]
@@ -177,7 +177,7 @@ class Lexicon:
     # ------------------------------------------------------------- file I/O
 
     @classmethod
-    def from_tsv(cls, text: str, network: Network | None = None) -> "Lexicon":
+    def from_tsv(cls, text: str) -> "Lexicon":
         """Parse word<TAB>type rows; every row is checked before any is added,
         so an error names the first bad line and leaves nothing built."""
         words, word_types = [], []
@@ -200,7 +200,7 @@ class Lexicon:
             seen.add(key)
             words.append(key)
             word_types.append(_TAGS[tag])
-        lex = cls(network)
+        lex = cls()
         lex._add_entries(words, word_types)
         return lex
 
@@ -235,11 +235,11 @@ class Lexicon:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, network: Network | None = None) -> "Lexicon":
+    def from_dict(cls, data: dict) -> "Lexicon":
         """The lexicon of a state snapshot's `lexicon` record (see `to_dict`).
         A malformed record raises InvalidState naming it, such as
         `lexicon.entries[3]: unknown type tag 'Q'`."""
-        lex = cls(network)
+        lex = cls()
         entries = expect(data.get("entries", []), list, "lexicon.entries")
         words, word_types = _read(entries, "lexicon.entries", _entry_problem, lambda: (
             [word.casefold() for word, _ in entries], [_TAGS[tag] for _, tag in entries]))

@@ -55,8 +55,8 @@ class AnswerSet(Value):
         return cls(tuple(sorted(map(tuple, pairs), key=_strongest_first)))  # entries hash as tuples
 
     @classmethod
-    def from_words(cls, words, activation: float = 1.0) -> "AnswerSet":
-        return cls.from_pairs((w, activation) for w in words)
+    def from_words(cls, words) -> "AnswerSet":
+        return cls.from_pairs((w, 1.0) for w in words)
 
     @property
     def words(self) -> tuple:
@@ -118,24 +118,23 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
     if query.mode == SEMANTIC:
         if query.relation not in lex.semantic_labels:
             raise UnknownRelation(f"no semantic relation {query.relation!r}")
-        label = (
-            labels.semantic_forward(query.relation)
-            if query.direction == FORWARD
-            else labels.semantic_reverse(query.relation)
-        )
-        depth = 1
-    else:
+        relation, forward, reverse, depth = query.relation, labels.semantic_forward, labels.semantic_reverse, 1
+    elif query.mode == EPISODIC:
         relation = blackboard.config.query_aliases.get(query.relation, query.relation)
         grids = blackboard.grid_counts.get(relation)
         if grids is None:
             raise UnknownRelation(f"no blackboard relation {query.relation!r}")
-        label = (
-            labels.matrix_forward(relation)
-            if query.direction == FORWARD
-            else labels.matrix_reverse(relation)
-        )
+        forward, reverse = labels.matrix_forward, labels.matrix_reverse
         # clause facts ride two chained grids (via a C hub), others one cell
         depth = 2 + 2 * grids
+    else:
+        raise QuerySyntaxError(f"query mode {query.mode!r} is not {EPISODIC!r} or {SEMANTIC!r}")
+    if query.direction == FORWARD:
+        label = forward(relation)
+    elif query.direction == REVERSE:
+        label = reverse(relation)
+    else:
+        raise QuerySyntaxError(f"query direction {query.direction!r} is not {FORWARD!r} or {REVERSE!r}")
 
     net = blackboard.network
     inject, step = net.inject, net.step

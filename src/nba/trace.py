@@ -135,22 +135,20 @@ def trace_encode(program: ControlProgram, blackboard) -> tuple:
     return report, trace
 
 
-def detect_rise_decline(
-    trace: ActivityTrace,
-    span: ConstituentSpan,
-    *,
-    settle_steps: int = 2,
-    rise_eps: float = 1e-6,
-    drop_eps: float = 1e-6,
-) -> PatternReport:
+SETTLE_STEPS = 2  # `execute` takes two steps per closure, so a closed span has settled two steps on
+RISE_EPS = 1e-6  # how far the peak must rise above the activity at the span's open
+DROP_EPS = 1e-6  # how far the activity must fall below the peak once the span has settled
+
+
+def detect_rise_decline(trace: ActivityTrace, span: ConstituentSpan) -> PatternReport:
     """Check the rise-within / decline-after pattern for one constituent span."""
     if span.open_step is None or span.close_step is None:
         raise SpanNotClosed(f"span {span.start}..{span.end} has no recorded open/close steps")
     baseline = trace.activity_at(span.open_step)
     peak = trace.max_between(span.open_step, span.close_step)
-    after_close = trace.activity_at(span.close_step + settle_steps)
-    rose = peak > baseline + rise_eps
-    declined = after_close <= peak - drop_eps
+    after_close = trace.activity_at(span.close_step + SETTLE_STEPS)
+    rose = peak > baseline + RISE_EPS
+    declined = after_close <= peak - DROP_EPS
     return PatternReport(
         rose=rose, declined=declined, baseline=baseline, peak=peak, after_close=after_close
     )

@@ -1242,9 +1242,7 @@ def test_a_cue_builds_its_concept_and_a_lookup_does_not():
 def test_no_concept_is_built_at_rest_even_at_zero_sustain_threshold():
     """Only working memory sustains, so a zero threshold builds every word's
     working memory at rest and none of its concepts."""
-    from nba.dynamics import Network
-
-    lex = Lexicon.from_tsv("cat\tN\ndog\tN\nrun\tV\n", Network(sustain_threshold=0.0))
+    lex = Lexicon.from_tsv("cat\tN\ndog\tN\nrun\tV\n")
     bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1, sustain_threshold=0.0))
     assert _built_concepts(bb) == set()
     assert all(bb.network.population(wm).sustained for wms in _word_wms(bb).values() for wm in wms)

@@ -668,20 +668,59 @@ def test_size_script_prints_one_row_per_module_and_a_total():
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "size.py")
     result = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    header, *rows = [line.rsplit(None, 3) for line in result.stdout.splitlines()]
-    assert header == ["module", "lines", "code", "compile_ms"]
+    header, *rows = [line.rsplit(None, 4) for line in result.stdout.splitlines()]
+    assert header == ["module", "lines", "code", "options", "compile_ms"]
     modules = sorted(name[:-3] for name in os.listdir(os.path.dirname(nba.__file__)) if name.endswith(".py"))
     assert [row[0] for row in rows] == modules + ["total", "query path"]
     *rows, total, query_path = rows
-    for column in (1, 2):
+    for column in (1, 2, 3):
         assert sum(int(row[column]) for row in rows) == int(total[column])
-    assert all(0 < int(code) < int(lines) for _, lines, code, _ in rows + [total, query_path])
+        assert 0 <= int(query_path[column]) <= int(total[column])
+    assert all(0 < int(code) < int(lines) for _, lines, code, _, _ in rows + [total, query_path])
     assert all(float(ms) > 0.0 for *_, ms in rows + [total, query_path])
     # the query path holds the engine, the board and the CLI's entry point, but no other command
     lines = {row[0]: int(row[1]) for row in rows}
     off_path = ("commands", "encoder", "trace", "demos", "oracle", "corpus")
     assert sum(lines[m] for m in ("cli", "dynamics", "blackboard", "query")) <= int(query_path[1])
     assert int(query_path[1]) <= int(total[1]) - sum(lines[m] for m in off_path)
+
+
+
+def test_size_script_counts_the_defaulted_parameters_of_public_functions():
+    """An option is a defaulted parameter of a public function or method, or
+    of a public class's `__init__`; a private name or a function defined in
+    a function adds none."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "size.py")
+    spec = importlib.util.spec_from_file_location("size", path)
+    size = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(size)
+    source = """
+def f(a, b=1, *, c=2, d):
+    def inner(x=0):
+        pass
+
+def _private(a=1):
+    pass
+
+class Public:
+    def __init__(self, a=1, b=2):
+        pass
+
+    def method(self, *, a=1):
+        pass
+
+    def _helper(self, a=1):
+        pass
+
+class _Private:
+    def __init__(self, a=1):
+        pass
+
+    def method(self, a=1):
+        pass
+"""
+    assert size.options(source) == 2 + 2 + 1 + 1
+    assert size.options("") == 0
 
 
 # a replayed bind that fails names its binding record

@@ -11,6 +11,7 @@ from nba.blackboard import Blackboard
 from nba.config import FAMILY_GRIDS, Config
 from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence
 from nba.encoder import (
+    RELATION_OF,
     Allocate,
     BindConcept,
     BindHubs,
@@ -20,7 +21,6 @@ from nba.encoder import (
     DependencyArc,
     Token,
     compile,
-    default_relation_map,
     execute,
     iter_conllu,
     parse_conllu,
@@ -80,10 +80,9 @@ def test_parse_conllu_errors():
 
 
 def test_default_relation_map_lookups():
-    rm = default_relation_map()
-    assert rm.lookup("nsubj") == "agent"
-    assert rm.lookup("det") == "ignore"
-    assert rm.lookup("xcomp") is None
+    assert RELATION_OF.get("nsubj") == "agent"
+    assert RELATION_OF.get("det") == "ignore"
+    assert RELATION_OF.get("xcomp") is None
 
 
 def test_compile_cat_runs_exact_program():
@@ -482,10 +481,9 @@ def _reference_spans(children):
 
 
 def _reference_compile(tokens, arcs, strict_labels):
-    """The instructions and spans of a sentence under the default relation
-    map, derived arc by arc, with each position's emissions sorted by a key."""
+    """The instructions and spans of a sentence under the encoder's relation
+    table, derived arc by arc, with each position's emissions sorted by a key."""
     _reference_validate(tokens, arcs)
-    rm = default_relation_map()
     tok = {t.index: t for t in tokens}
     head_arc = {a.dependent: a for a in arcs}
     children = {}
@@ -502,7 +500,7 @@ def _reference_compile(tokens, arcs, strict_labels):
             raise UnmappedLabel(reason)
 
     for arc in arcs:
-        mapped = rm.lookup(arc.label) if arc.head else "ignore"
+        mapped = RELATION_OF.get(arc.label) if arc.head else "ignore"
         head, dep, at = arc.head, arc.dependent, max(arc.head, arc.dependent)
         if mapped is None:
             skip(f"no mapping for dependency label {arc.label!r}")
@@ -510,7 +508,7 @@ def _reference_compile(tokens, arcs, strict_labels):
             if pool[dep] != "V" or pool[head] != "N":
                 skip(f"clause arc needs a verb under a nominal head ({arc.label})")
                 continue
-            if any(rm.lookup(head_arc[d].label) == "agent" for d in children.get(dep, ())):
+            if any(RELATION_OF.get(head_arc[d].label) == "agent" for d in children.get(dep, ())):
                 emit(at, "bind", dep, head, "theme")
             else:
                 emit(at, "bind", head, dep, "agent")
@@ -522,7 +520,7 @@ def _reference_compile(tokens, arcs, strict_labels):
         elif mapped != "ignore":
             relation = mapped
             if mapped == "prep":
-                case = [d for d in children.get(dep, ()) if head_arc[d].label in rm.case_labels]
+                case = [d for d in children.get(dep, ()) if head_arc[d].label == "case"]
                 if not case:
                     skip("nmod arc without a case marker")
                     continue

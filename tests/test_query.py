@@ -11,6 +11,7 @@ from nba import labels
 from nba.blackboard import Blackboard
 from nba.config import Config
 from nba.corpus import build_lexicon, make_word_lists, random_tree_sentence
+from nba.demos import scenario_fig1d
 from nba.dynamics import PopulationKind
 from nba.encoder import compile, execute
 from nba.errors import QuerySyntaxError, UnknownRelation, UnknownWord
@@ -154,6 +155,22 @@ def test_unknown_word_and_relation_errors():
         run_query(bb, parse_query("cat frobnicates?"))
     with pytest.raises(UnknownRelation):
         run_query(bb, parse_query("sem:cat can?"))  # label never recorded
+
+
+@pytest.mark.parametrize("query, message", [
+    (Query("run", "agent", "sideways"), "query direction 'sideways' is not 'forward' or 'reverse'"),
+    (Query("cat", "agent", mode="junk"), "query mode 'junk' is not 'episodic' or 'semantic'"),
+], ids=["direction", "mode"])
+def test_a_query_of_no_direction_or_mode_is_refused_and_changes_nothing(query, message):
+    """Only a forward or reverse query in episodic or semantic mode runs: any
+    other direction once read as reverse, and any other mode as episodic."""
+    bb, _ = scenario_fig1d()
+    net = bb.network
+    before = bb.snapshot_bytes(), net.time, set(net.asserted)
+    with pytest.raises(QuerySyntaxError) as exc:
+        run_query(bb, query)
+    assert str(exc.value) == message
+    assert (bb.snapshot_bytes(), net.time, set(net.asserted)) == before
 
 
 def test_queries_are_non_destructive():

@@ -15,8 +15,8 @@ multi-line statement counts each of its lines; a string that spans lines
 counts each line it spans. Options are the parameters with a default of the
 public functions and methods, those whose name does not start with `_`, and
 of the `__init__` of public classes; functions defined inside functions are
-left out. Compiling is what importing a module costs when no
-bytecode is cached, as under `PYTHONDONTWRITEBYTECODE=1`.
+left out. Compiling is what importing a module costs when no bytecode is
+cached, as under `PYTHONDONTWRITEBYTECODE=1`.
 """
 
 import ast

@@ -118,22 +118,19 @@ def run_query(blackboard: Blackboard, query: Query) -> AnswerSet:
     if query.mode == SEMANTIC:
         if query.relation not in lex.semantic_labels:
             raise UnknownRelation(f"no semantic relation {query.relation!r}")
-        relation, forward, reverse, depth = query.relation, labels.semantic_forward, labels.semantic_reverse, 1
+        label = (labels.semantic_forward if query.direction == FORWARD else labels.semantic_reverse)(query.relation)
+        depth = 1
     elif query.mode == EPISODIC:
         relation = blackboard.config.query_aliases.get(query.relation, query.relation)
         grids = blackboard.grid_counts.get(relation)
         if grids is None:
             raise UnknownRelation(f"no blackboard relation {query.relation!r}")
-        forward, reverse = labels.matrix_forward, labels.matrix_reverse
+        label = (labels.matrix_forward if query.direction == FORWARD else labels.matrix_reverse)(relation)
         # clause facts ride two chained grids (via a C hub), others one cell
         depth = 2 + 2 * grids
     else:
         raise QuerySyntaxError(f"query mode {query.mode!r} is not {EPISODIC!r} or {SEMANTIC!r}")
-    if query.direction == FORWARD:
-        label = forward(relation)
-    elif query.direction == REVERSE:
-        label = reverse(relation)
-    else:
+    if query.direction != FORWARD and query.direction != REVERSE:
         raise QuerySyntaxError(f"query direction {query.direction!r} is not {FORWARD!r} or {REVERSE!r}")
 
     net = blackboard.network

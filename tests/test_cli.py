@@ -719,7 +719,7 @@ class _Private:
     def method(self, a=1):
         pass
 """
-    assert size.options(source) == 2 + 2 + 1 + 1
+    assert size.options(source) == 2 + 2 + 1 + 1  # f, Public.__init__, Public.method, _Private.method
     assert size.options("") == 0
 
 

@@ -12,7 +12,10 @@ change's first quartile, median and third quartile, the ratio of the
 medians, the metric's bound, and the pairs in which the change did better.
 Whether lower or higher is better, and each end-to-end metric's bound, are
 read from `BENCHMARK.json` in the change's checkout; a ratio worse than its
-bound in that direction is marked `**over bound**`.
+bound in that direction is marked `**over bound**`. A row whose medians
+differ by no more than the parent's interquartile range is marked `within
+parent spread`: the pairs cannot tell the two checkouts apart on it, so it
+is unresolved, neither a gain nor a loss.
 With `--trace 1` the rows are the per-layer metrics instead.
 """
 
@@ -49,14 +52,18 @@ def row(workload: str, name: str, parent: list[float], change: list[float], bett
         bound: float | None) -> str:
     """One metric's Markdown row. The ratio of the medians is marked when it
     is worse than `bound`, a share of the parent's median, in the `better`
-    direction; a metric with no bound is never marked."""
+    direction; a metric with no bound is never so marked. It is also marked
+    when the medians differ by no more than the parent's interquartile
+    range."""
     lower = better == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     parent_q, change_q = quartiles(parent), quartiles(change)
     ratio = change_q[1] / parent_q[1] if parent_q[1] else float("nan")
     over = bound is not None and (ratio > 1 + bound if lower else ratio < 1 - bound)
+    spread = abs(change_q[1] - parent_q[1]) <= parent_q[2] - parent_q[0]
     return (f"| {workload} | {name} | {' / '.join(map(number, parent_q))} | {' / '.join(map(number, change_q))} | "
-            f"{ratio:.3f}{' **over bound**' if over else ''} | {'' if bound is None else bound} | "
+            f"{ratio:.3f}{' **over bound**' if over else ''}{' within parent spread' if spread else ''} | "
+            f"{'' if bound is None else bound} | "
             f"{wins}/{len(parent)} |")
 
 

@@ -428,20 +428,16 @@ class Blackboard:
         pop = net.population(binding.wm)
         if level == pop.activation and "age" not in rec:
             return  # the bind left it as saved, filed and, under a horizon, due
-        net._drop_due(pop)  # the bind dated its horizon release from now, not from the saved age
         if level < net.sustain_threshold:
-            # saved after its decay horizon released it; its hub stays allocated
+            # saved after its decay horizon released it; its hub stays allocated. The
+            # release drops the horizon entry the bind gave it
             net.release_wm(binding.wm)
             return
-        pop.activation = level
+        net._drop_due(pop)  # the bind dated its horizon release from now, not from the saved age
+        net._set_activation(pop, level)  # filed by the network's own rule: flowing above 0
         if "age" in rec:
             pop.sustained_since = net.time - age
-        if not net._settle(pop):  # settled as on the board it was saved from, or else flowing
-            net._settled.discard(pop.pid)
-            if level > 0.0:
-                net._flowing.add(pop.pid)
-            else:  # held at rest under threshold 0: the replayed bind filed it as flowing
-                net._flowing.discard(pop.pid)
+        net._settle(pop)  # settled as on the board it was saved from, or else left flowing
 
 
 class _Cells(Mapping):

@@ -2,8 +2,8 @@
 
 Every key has a documented default and a kind of value, both in one table
 (`_FIELDS`); a JSON config file may override any subset of keys. Unknown
-keys and values of the wrong type are rejected, naming the key, so typos
-fail loudly.
+keys are rejected, and so is a value of the wrong type or out of range,
+naming its key and the value, so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -89,30 +89,26 @@ class Config:
             value = getattr(self, key)
             if not _KINDS[kind](value):
                 raise InvalidConfig(f"{key}: expected {kind}, got {value!r}")
-        if self.k_n < 1 or self.k_v < 1 or self.k_c < 1:
-            raise InvalidConfig(f"pool capacities must be >= 1, got k_n={self.k_n} k_v={self.k_v} k_c={self.k_c}")
+        for key in ("k_n", "k_v", "k_c", "settle_budget", "wm_decay_horizon"):
+            value = getattr(self, key)
+            if value is not None and value < 1:  # only the horizon may be null
+                raise InvalidConfig(f"{key}: expected an integer >= 1, got {value!r}")
+        for key in ("decay", "wm_decay", "sustain_threshold", "readout_threshold"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidConfig(f"{key}: expected a number in [0, 1], got {value!r}")
+        if not self.gain > 0.0:
+            raise InvalidConfig(f"gain: expected a number > 0, got {self.gain!r}")
         for i, fam in enumerate(self.relations):
             if fam not in FAMILY_GRIDS:
-                raise InvalidConfig(f"unknown relation family {fam!r}")
+                raise InvalidConfig(f"relations: expected a relation family ({', '.join(FAMILY_GRIDS)}), got {fam!r}")
             if fam in self.relations[:i]:  # its grids would be reserved twice
                 raise InvalidConfig(f"relations: repeated relation family {fam!r}")
         for i, label in enumerate(self.prep_labels):
             if not label or any(ch.isspace() for ch in label):
-                raise InvalidConfig(f"bad preposition label {label!r}")
+                raise InvalidConfig(f"prep_labels: expected a nonempty label without whitespace, got {label!r}")
             if label in self.prep_labels[:i]:
                 raise InvalidConfig(f"prep_labels: repeated preposition label {label!r}")
-        if not self.gain > 0.0:
-            raise InvalidConfig(f"gain must be positive, got {self.gain}")
-        if not 0.0 <= self.decay <= 1.0 or not 0.0 <= self.wm_decay <= 1.0:
-            raise InvalidConfig("decay values must be in [0, 1]")
-        if not 0.0 <= self.sustain_threshold <= 1.0:
-            raise InvalidConfig("sustain_threshold must be in [0, 1]")
-        if not 0.0 <= self.readout_threshold <= 1.0:
-            raise InvalidConfig("readout_threshold must be in [0, 1]")
-        if self.settle_budget < 1:
-            raise InvalidConfig("settle_budget must be >= 1")
-        if self.wm_decay_horizon is not None and self.wm_decay_horizon < 1:
-            raise InvalidConfig("wm_decay_horizon must be >= 1 when set")
         return self
 
     def relation_specs(self) -> list[RelationSpec]:
@@ -145,7 +141,7 @@ class Config:
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
         if type(data) is not dict:
-            raise InvalidConfig(f"config must be an object, got {data!r}")
+            raise InvalidConfig(f"config: expected an object, got {data!r}")
         values = dict(data)
         for key in ("relations", "prep_labels"):
             if type(values.get(key)) is list:
@@ -158,6 +154,4 @@ class Config:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InvalidConfig("config JSON must be an object")
-        return cls.from_dict(data)
+        return cls.from_dict(data)  # which refuses any JSON but an object

@@ -28,12 +28,14 @@ Structure may be reserved rather than built: ids are taken in construction
 order, and the populations and connections behind them are built, at rest,
 when first needed. A lexicon's concepts are reserved as one block; a concept
 is built the first time it is touched: cued, reached by inflow, or looked
-up, and the control-gated connections reserved from it, such as a lexicon's
-semantic relations, are built with it. Working memory is reserved with the
-two connections it gates, either for many words' hubs as one block or as a
-grid of matrix cells, each of which adds a forward and a reverse relay. A
-reservation only describes its layout: each working memory's id and the two
-connections it gates.
+up. A control-gated connection, such as one of a lexicon's semantic
+relations, is filed under its source and label as its id is taken, whether
+the source is built or not: only a built source can flow, and the
+connection is listed while its source is built. Working memory is reserved
+with the two connections it gates, either for many words' hubs as one block
+or as a grid of matrix cells, each of which adds a forward and a reverse
+relay. A reservation only describes its layout: each working memory's id
+and the two connections it gates.
 
 A reserved working memory exists while it is held: binding it (or looking
 it up with `population`) makes its record, which carries the two edges its
@@ -338,11 +340,9 @@ class Network:
         self.sustain_threshold = float(sustain_threshold)
         self.wm_decay_horizon = wm_decay_horizon
         self._pops: dict[int, Population] = {}
-        # static: control-gated out-edges per built source, then per label, as
-        # (cid, target, gain) in id order
+        # static: control-gated out-edges per source, built or not, then per
+        # label, as (cid, target, gain) in id order
         self._control_out: dict[int, dict[str, list[tuple[int, int, float]]]] = {}
-        # reserved: control-gated out-edges per source not yet built, as (cid, target, label, gain)
-        self._unbuilt_control: dict[int, list[tuple[int, int, str, float]]] = {}
         # dynamic: binding-gated out-edges per source whose WM is sustained, as
         # (cid, target, gain) in id order; a source with none is absent
         self._open_binding_out: dict[int, list[tuple[int, int, float]]] = {}
@@ -394,13 +394,20 @@ class Network:
         return pids
 
     def add_gated_connection(self, source: int, target: int, gate: ControlGate | BindingGate, gain: float = 1.0) -> int:
+        """Add one connection and return its id. A control-gated one is
+        filed under its source and label, and its source is built, as
+        `population` builds it, so `connections` lists it. Connection ids
+        only grow, so appending keeps each list in id order. A binding-gated
+        one is kept per gating working memory, and in its record while it is
+        held."""
         self._check_structure(((source, target),), gain)
         if isinstance(gate, BindingGate) and self._kind(gate.wm) is not WORKING_MEMORY:
             raise InvalidNetworkChange(f"gate population {gate.wm} is not working memory")
         cid, gain = self._take_ids(0, 1)[1], float(gain)
         self._add_sources((source,))
         if isinstance(gate, ControlGate):
-            insort(self._control_out.setdefault(source, {}).setdefault(gate.label, []), (cid, target, gain))
+            self.population(source)
+            self._control_out.setdefault(source, {}).setdefault(gate.label, []).append((cid, target, gain))
         else:
             edge = (source, (cid, target, gain), None)
             self._wired[gate.wm] = self._wired.get(gate.wm, ()) + (edge,)
@@ -432,19 +439,19 @@ class Network:
         label), such as a lexicon's semantic relations.
 
         Connection ids are taken now, in order, exactly as adding each
-        connection in turn would take them. A source's connections are built
-        when the source is built (cued, reached by inflow or looked up), or
-        now if it is built already: a source at rest sends nothing, so
-        nothing else can tell them from connections built at once.
+        connection in turn would take them, and each connection is filed
+        under its source and label as its id is taken, so every list stays
+        in id order. No source is built: one at rest sends nothing, so only
+        `connections`, which lists a connection while its source is built,
+        can tell them from connections added one by one.
         """
         sources, targets, _ = zip(*edges) if edges else ((), (), ())
         self._check_structure((sources, targets), gain)
         _, cid = self._take_ids(0, len(edges))
-        gain, unbuilt = float(gain), self._unbuilt_control
+        gain, control_out = float(gain), self._control_out
         for cid, (source, target, label) in enumerate(edges, cid):
-            unbuilt.setdefault(source, []).append((cid, target, label, gain))
-        for source in sorted(self._pops.keys() & unbuilt.keys()):
-            self._build_control(source)
+            control_out.setdefault(source, {}).setdefault(label, []).append((cid, target, gain))
+        self._add_sources(sources)
 
     def reserve_bindings(
         self, concepts: list[int], pools: dict, keys: list, gain: float = 1.0
@@ -593,17 +600,17 @@ class Network:
 
     def connections(self) -> list[GatedConnection]:
         """Built connections, in id order, made on each call: the two each
-        held working memory gates, read from its record, and every
-        connection added one by one, binding- or control-gated, built source
-        or not. A reserved connection is listed once it is built: those of
-        working memory not held, and the reserved control-gated ones of
-        sources not built, are not."""
+        held working memory gates, read from its record; every binding-gated
+        connection added one by one; and every control-gated one while its
+        source is built. The two of a working memory not held are not
+        listed, nor the control-gated ones of a source not built, such as a
+        working memory whose record a release dropped."""
         gated = dict(self._wired)  # a held record's edges include its wired ones
         gated.update((pop.pid, pop.gated) for pop in self._pops.values() if type(pop) is _Memory)
         conns = [GatedConnection(cid, source, target, BindingGate(wm), gain)
                  for wm, edges in gated.items() for source, (cid, target, gain), _ in edges]
         conns += [GatedConnection(cid, source, target, ControlGate(label), gain)
-                  for source, by_label in self._control_out.items()
+                  for source, by_label in self._control_out.items() if source in self._pops
                   for label, edges in by_label.items() for cid, target, gain in edges]
         return sorted(conns, key=_cid)
 
@@ -943,18 +950,9 @@ class Network:
 
     def _build_population(self, pid: int, kind: PopulationKind) -> Population:
         pop = self._pops[pid] = Population(pid, kind)
-        if pid in self._unbuilt_control:
-            self._build_control(pid)
         if kind is WORKING_MEMORY and self.sustain_threshold <= 0.0:  # sustained at rest
             self._sustain(pop, self.time)
         return pop
-
-    def _build_control(self, source: int) -> None:
-        """Build the reserved control-gated out-edges of `source`, built now."""
-        self._add_sources((source,))
-        by_label = self._control_out.setdefault(source, {})
-        for cid, target, label, gain in self._unbuilt_control.pop(source):
-            insort(by_label.setdefault(label, []), (cid, target, gain))
 
     def _reservation(self, pid: int) -> _Block | _Bindings | _Grid:
         """The reserved structure that owns `pid`."""
@@ -1003,8 +1001,6 @@ class Network:
         pop.gated = res.gated(pid)
         if pid in self._wired:
             pop.gated += self._wired[pid]
-        if pid in self._unbuilt_control:  # working memory may be a source too
-            self._build_control(pid)
         return pop
 
     def _add_sources(self, pids) -> None:

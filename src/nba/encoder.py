@@ -369,21 +369,14 @@ def compile(
             if governor is not None:
                 emissions.setdefault(max(dep, governor), []).append((1, governor, dep))
             continue
+        relation = mapped
         if mapped == "prep":
             case_deps = [d for d in children.get(dep, ()) if head_arc[d].label == "case"]
             if not case_deps:
                 skip("nmod arc without a case marker")
                 continue
             relation = f"prep:{tok[case_deps[0]].surface.casefold()}"
-            family = "prep"
-        else:
-            relation = mapped
-            family = mapped.split(":")[0]
-        grid = _ARC_GRID.get(family)
-        if grid is None:
-            skip(f"relation {relation!r} has no endpoint scheme")
-            continue
-        dep_first, from_pool, to_pool = grid
+        dep_first, from_pool, to_pool = _ARC_GRID[mapped]  # every relation but clause has a grid
         src, dst = (dep, head) if dep_first else (head, dep)
         if pool[src] != from_pool or pool[dst] != to_pool:
             skip(f"label {arc.label!r} endpoints do not fit pools {from_pool}->{to_pool}")

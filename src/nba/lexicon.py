@@ -5,8 +5,8 @@ control-gated relations between them (semantic memory). Word types come
 from the lexicon file; classification is a lookup. A word is a row of three
 parallel columns, its word, type and concept id; the concepts of words added
 together are reserved as one block, so a concept is built only when
-something first touches it. Its relations are reserved too, indexed by the
-concept they leave, and built with it.
+something first touches it. Its relations are reserved too, filed by the
+concept they leave and their label as their connection ids are taken.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class Lexicon:
     def _add_relations(self, triples: list[tuple[str, str, str]]) -> None:
         """Reserve the two edges of each checked (subject, label, object)
         triple of casefolded words not yet installed, in one structural
-        extension; a concept's edges are built with the concept."""
+        extension, filed under the concept each edge leaves."""
         index, concepts = self._index, self._concepts
         new = dict.fromkeys(t for t in triples if t not in self._triples)
         edges = []

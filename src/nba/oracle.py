@@ -8,7 +8,8 @@ routes stay independent.
 
 from __future__ import annotations
 
-from .query import EPISODIC, FORWARD, REVERSE, AnswerSet, Query
+from .errors import QuerySyntaxError
+from .query import EPISODIC, FORWARD, REVERSE, SEMANTIC, AnswerSet, Query
 
 
 class OracleStore:
@@ -22,8 +23,13 @@ class OracleStore:
         self._index.setdefault((mode, REVERSE, o, relation), set()).add(s)
 
     def query(self, query: Query) -> AnswerSet:
-        direction = FORWARD if query.direction == FORWARD else REVERSE
-        matches = self._index.get((query.mode, direction, query.cue.casefold(), query.relation), ())
+        """The recorded answers, sorted; a query of no known mode or
+        direction is refused as `run_query` refuses it."""
+        if query.mode != EPISODIC and query.mode != SEMANTIC:
+            raise QuerySyntaxError(f"query mode {query.mode!r} is not {EPISODIC!r} or {SEMANTIC!r}")
+        if query.direction != FORWARD and query.direction != REVERSE:
+            raise QuerySyntaxError(f"query direction {query.direction!r} is not {FORWARD!r} or {REVERSE!r}")
+        matches = self._index.get((query.mode, query.direction, query.cue.casefold(), query.relation), ())
         return AnswerSet.from_words(sorted(matches))
 
     def triples(self):

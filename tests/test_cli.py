@@ -159,6 +159,21 @@ def test_bad_config_key_is_domain_error(workdir, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("k_n = 3", "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "config: expected an object, got [1, 2]"),
+    ('"k_n"', "config: expected an object, got 'k_n'"),
+], ids=["not-json", "list", "string"])
+def test_a_bad_config_file_is_refused_in_one_line_naming_what_is_wrong(workdir, capsys, text, message):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(text)
+    capsys.readouterr()
+    rc = main(["encode", "--lexicon", str(workdir / "lex.tsv"), "--config", str(cfg),
+               "--sentence", str(workdir / "s.conllu"), "--state", str(workdir / "x.json")])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert not (workdir / "x.json").exists()
+
+
 def test_trace_command_writes_csv(workdir, capsys):
     out = workdir / "trace.csv"
     rc = main(["trace", "--lexicon", str(workdir / "lex.tsv"),
@@ -483,6 +498,27 @@ _BAD_STATES = {
                                   "wm_decay_horizon: expected an integer or null, got 2.0"),
     "config-aliases-list": _edit(["config", "query_aliases"], ["do"],
                                  "query_aliases: expected an object of strings, got ['do']"),
+    "config-not-an-object": _edit(["config"], [], "config: expected an object, got []"),
+    "config-relations-unknown": _edit(
+        ["config", "relations"], ["agent", "actor"],
+        "relations: expected a relation family (agent, theme, modifier, clause, prep), got 'actor'"),
+    "config-prep_labels-space": _edit(["config", "prep_labels"], ["of", "next to"],
+                                      "prep_labels: expected a nonempty label without whitespace, got 'next to'"),
+    "config-prep_labels-empty": _edit(["config", "prep_labels"], [""],
+                                      "prep_labels: expected a nonempty label without whitespace, got ''"),
+    "config-gain-zero": _edit(["config", "gain"], 0, "gain: expected a number > 0, got 0"),
+    "config-gain-negative": _edit(["config", "gain"], -0.5, "gain: expected a number > 0, got -0.5"),
+    "config-k_c-zero": _edit(["config", "k_c"], 0, "k_c: expected an integer >= 1, got 0"),
+    "config-decay-negative": _edit(["config", "decay"], -0.1, "decay: expected a number in [0, 1], got -0.1"),
+    "config-wm_decay-above-1": _edit(["config", "wm_decay"], 1.5, "wm_decay: expected a number in [0, 1], got 1.5"),
+    "config-sustain_threshold-above-1": _edit(["config", "sustain_threshold"], 2,
+                                              "sustain_threshold: expected a number in [0, 1], got 2"),
+    "config-readout_threshold-negative": _edit(["config", "readout_threshold"], -1,
+                                               "readout_threshold: expected a number in [0, 1], got -1"),
+    "config-settle_budget-zero": _edit(["config", "settle_budget"], 0,
+                                       "settle_budget: expected an integer >= 1, got 0"),
+    "config-horizon-zero": _edit(["config", "wm_decay_horizon"], 0,
+                                 "wm_decay_horizon: expected an integer >= 1, got 0"),
 }
 
 
@@ -650,7 +686,7 @@ def test_bench_pairs_marks_a_ratio_worse_than_its_bound():
     spec.loader.exec_module(bench_pairs)
     parent = [1.0, 1.0, 1.0]
 
-    def cells(ratio, better, bound):
+    def cells(ratio, better, bound, parent=parent):
         line = bench_pairs.row("probe", "m", parent, [ratio] * 3, better, bound)
         return [cell.strip() for cell in line.strip("|").split("|")]
 
@@ -659,6 +695,13 @@ def test_bench_pairs_marks_a_ratio_worse_than_its_bound():
     assert cells(0.88, "lower", 0.1)[4:] == ["0.880", "0.1", "3/3"]
     assert cells(0.88, "higher", 0.1)[4] == "0.880 **over bound**"
     assert cells(1.5, "lower", None)[4:] == ["1.500", "", "0/3"]
+    # medians no further apart than the parent's interquartile range are unresolved
+    spread = [0.9, 1.0, 1.1]  # quartiles 0.95 / 1.0 / 1.05
+    assert cells(1.0, "lower", 0.1)[4] == "1.000 within parent spread"
+    assert cells(1.05, "lower", 0.1, spread)[4:] == ["1.050 within parent spread", "0.1", "1/3"]
+    assert cells(0.95, "lower", 0.1, spread)[4:] == ["0.950 within parent spread", "0.1", "2/3"]
+    assert cells(1.2, "lower", 0.1, spread)[4] == "1.200 **over bound**"
+    assert cells(1.2, "lower", 0.25, [0.5, 1.0, 1.5])[4] == "1.200 within parent spread"
 
 
 def test_size_script_prints_one_row_per_module_and_a_total():

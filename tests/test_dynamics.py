@@ -1030,6 +1030,96 @@ def test_reserved_control_connections_step_like_explicit_ones(edges, built_first
     assert set(_control_view(nets[0])[1]) == reference
 
 
+def test_control_connections_reserved_and_added_in_turn_step_like_ones_added_one_by_one():
+    """Control-gated connections from one source, reserved in some calls and
+    added one by one between them under two labels, are filed in id order:
+    a step sums a target's inflow in the order edges added one by one give,
+    to the bit, under either label alone and under both."""
+    calls = [  # (reserved?, [(target, label)], gain), in turn
+        (True, [(0, "a"), (0, "b"), (1, "a")], 0.1),
+        (False, [(0, "a")], 0.2),
+        (True, [(0, "b"), (0, "a"), (1, "b")], 0.3),
+        (False, [(0, "b")], 0.15),
+        (True, [(0, "a"), (1, "a")], 0.05),
+        (False, [(1, "b")], 0.25),
+    ]
+    level = 0.7
+
+    def in_turn(gains):  # a target's inflow, summed as a step sums it
+        total = 0.0
+        for gain in gains:
+            total += gain * level
+        return total
+
+    # target 0 takes these gains under a and under b, in id order; summed in
+    # another order, they give other bits
+    for gains in ((0.1, 0.2, 0.3, 0.05), (0.1, 0.3, 0.15)):
+        assert in_turn(gains) != in_turn(gains[::-1])
+    nets = [Network(), Network()]
+    source, *targets = [net.reserve_populations(CONCEPT, 3) for net in nets][0]
+    for reserved, edges, gain in calls:
+        triples = [(source, targets[t], label) for t, label in edges]
+        if reserved:
+            nets[0].reserve_control_connections(triples, gain)
+        else:
+            for s, t, label in triples:
+                nets[0].add_gated_connection(s, t, ControlGate(label), gain)
+        for s, t, label in triples:
+            nets[1].add_gated_connection(s, t, ControlGate(label), gain)
+    assert _control_view(nets[0]) == _control_view(nets[1])
+    # target 0's gains in id order under each set of labels
+    for labels, gains in ((("a",), (0.1, 0.2, 0.3, 0.05)), (("b",), (0.1, 0.3, 0.15)),
+                          (("a", "b"), (0.1, 0.1, 0.2, 0.3, 0.3, 0.15, 0.05))):
+        views = []
+        for net in nets:
+            saved = net.save_state()
+            for label in labels:
+                net.set_control(label, True)
+            net.inject(source, level)
+            net.step()
+            views.append(_twin_view(net))
+            assert net.activation(targets[0]) == in_turn(gains), labels
+            net.restore_state(saved)
+            _check_indexes(net)
+        assert views[0] == views[1], labels
+
+
+@pytest.mark.parametrize("held", (False, True), ids=["before-its-record", "while-held"])
+def test_a_binding_edge_added_to_reserved_working_memory_flows_while_it_is_held(held):
+    """A binding-gated connection added one by one to reserved working
+    memory joins the memory's record, whether the record is made after it
+    (at the bind) or is held as it is added. It carries flow exactly while
+    the memory is sustained, through a release and a second bind, and it is
+    listed throughout."""
+    net = Network()
+    concept, hub, source, target = net.add_populations(HUB, 4)
+    wm = net.reserve_bindings([concept], {"N": (hub,)}, ["N"])[0]
+
+    def check(is_open):
+        saved = net.save_state()
+        net.inject(source, 1.0)
+        net.step()
+        assert net.activation(target) == (0.5 if is_open else 0.0)
+        net.restore_state(saved)
+        listed = {(c.cid, c.source, c.target, c.gate.wm) for c in net.connections() if isinstance(c.gate, BindingGate)}
+        assert (cid, source, target, wm) in listed
+        assert net.is_open(BindingGate(wm)) is is_open
+        _check_indexes(net)
+
+    if held:
+        net.inject(wm, 1.0)
+    cid = net.add_gated_connection(source, target, BindingGate(wm), 0.5)
+    assert cid == 2  # after the two the reservation gives the memory
+    check(held)
+    for op in ("bind", "release", "bind"):
+        if op == "bind":
+            net.inject(wm, 1.0)
+        else:
+            net.release_wm(wm)
+            assert wm not in {pop.pid for pop in net.populations()}  # the record is dropped
+        check(op == "bind")
+
+
 def _one_grid(threshold=0.5):
     net = Network(sustain_threshold=threshold)
     hubs = tuple(net.add_populations(HUB, 3))

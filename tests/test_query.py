@@ -157,10 +157,14 @@ def test_unknown_word_and_relation_errors():
         run_query(bb, parse_query("sem:cat can?"))  # label never recorded
 
 
-@pytest.mark.parametrize("query, message", [
+# a query of no known direction, then of no known mode, with the refusal each gets
+_BAD_QUERIES = [
     (Query("run", "agent", "sideways"), "query direction 'sideways' is not 'forward' or 'reverse'"),
     (Query("cat", "agent", mode="junk"), "query mode 'junk' is not 'episodic' or 'semantic'"),
-], ids=["direction", "mode"])
+]
+
+
+@pytest.mark.parametrize("query, message", _BAD_QUERIES, ids=["direction", "mode"])
 def test_a_query_of_no_direction_or_mode_is_refused_and_changes_nothing(query, message):
     """Only a forward or reverse query in episodic or semantic mode runs: any
     other direction once read as reverse, and any other mode as episodic."""
@@ -171,6 +175,21 @@ def test_a_query_of_no_direction_or_mode_is_refused_and_changes_nothing(query, m
         run_query(bb, query)
     assert str(exc.value) == message
     assert (bb.snapshot_bytes(), net.time, set(net.asserted)) == before
+
+
+@pytest.mark.parametrize("query, message", _BAD_QUERIES, ids=["direction", "mode"])
+def test_the_oracle_refuses_a_query_of_no_direction_or_mode_as_run_query_does(query, message):
+    """The reference refuses what the flow refuses: a query of no known
+    direction or mode raises `run_query`'s own error, with the same message,
+    instead of being answered; a known one is still answered."""
+    bb, _ = scenario_fig1d()
+    oracle = OracleStore()
+    oracle.record("cat", "agent", "run")
+    for answer in (lambda q: run_query(bb, q), oracle.query):
+        with pytest.raises(QuerySyntaxError) as exc:
+            answer(query)
+        assert str(exc.value) == message
+    assert oracle.query(Query("run", "agent", "reverse")).words == ("cat",)
 
 
 def test_queries_are_non_destructive():

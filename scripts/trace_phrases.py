@@ -1,29 +1,17 @@
 #!/usr/bin/env python3
-"""Export activity traces for the constituent rise/decline phrases."""
+"""Export activity traces for the constituent rise/decline phrases of the
+`nelson` demo."""
 
 import argparse
 from pathlib import Path
 
 from nba.blackboard import Blackboard
+from nba.demos import NELSON_LONG, NELSON_SHORT
 from nba.encoder import compile, parse_conllu
 from nba.lexicon import Lexicon
 from nba.trace import detect_rise_decline, export, trace_encode
 
-PHRASES = {
-    "ten_sad_students": (
-        "1\tten\t_\tADJ\t_\t_\t3\tamod\t_\t_\n"
-        "2\tsad\t_\tADJ\t_\t_\t3\tamod\t_\t_\n"
-        "3\tstudents\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
-    ),
-    "ten_sad_students_of_bill_gates": (
-        "1\tten\t_\tADJ\t_\t_\t3\tamod\t_\t_\n"
-        "2\tsad\t_\tADJ\t_\t_\t3\tamod\t_\t_\n"
-        "3\tstudents\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
-        "4\tof\t_\tADP\t_\t_\t6\tcase\t_\t_\n"
-        "5\tBill\t_\tPROPN\t_\t_\t6\tamod\t_\t_\n"
-        "6\tGates\t_\tPROPN\t_\t_\t3\tnmod\t_\t_\n"
-    ),
-}
+PHRASES = {"ten_sad_students": NELSON_SHORT, "ten_sad_students_of_bill_gates": NELSON_LONG}
 
 
 def main() -> int:

@@ -7,6 +7,8 @@ check (nonzero exit on mismatch).
 
 from __future__ import annotations
 
+import functools
+
 from .blackboard import Blackboard
 from .config import Config
 from .dynamics import BindingGate, PopulationKind
@@ -21,16 +23,6 @@ def _conllu(rows: list[tuple]) -> str:
     for i, (form, upos, head, deprel) in enumerate(rows, start=1):
         lines.append(f"{i}\t{form}\t_\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_")
     return "\n".join(lines) + "\n"
-
-
-def _check_queries(bb, checks, lines) -> bool:
-    ok = True
-    for text, expected in checks:
-        got = run_query(bb, parse_query(text)).words
-        mark = "ok" if got == expected else f"MISMATCH (expected {expected})"
-        lines.append(f"  {text:<24} -> {list(got)}  [{mark}]")
-        ok = ok and got == expected
-    return ok
 
 
 def scenario_fig1a() -> tuple[Blackboard, list[tuple]]:
@@ -49,14 +41,6 @@ def scenario_fig1a() -> tuple[Blackboard, list[tuple]]:
     return bb, checks
 
 
-def demo_fig1a() -> tuple[bool, list[str]]:
-    """Long-term relations behind control gates: cat has? / cat can?"""
-    lines = ["control-gated semantic relations"]
-    bb, checks = scenario_fig1a()
-    ok = _check_queries(bb, checks, lines)
-    return ok, lines
-
-
 def scenario_fig1b() -> tuple[Blackboard, list[tuple]]:
     lex = Lexicon()
     lex.add_word("cat", WordType.NOUN)
@@ -66,16 +50,6 @@ def scenario_fig1b() -> tuple[Blackboard, list[tuple]]:
     lex.add_semantic_relation("cat", "do", "eat")
     bb = Blackboard(lex, Config(k_n=2, k_v=2, k_c=1))
     return bb, [("sem:cat do?", ("eat", "run"))]
-
-
-def demo_fig1b() -> tuple[bool, list[str]]:
-    """Generic action gates: 'cat do?' over memory activates every stored action."""
-    lines = ["generic semantic gates (no current-event selectivity)"]
-    bb, checks = scenario_fig1b()
-    ok = _check_queries(bb, checks, lines)
-    lines.append("  both stored actions answer; the generic gate cannot single out")
-    lines.append("  what the cat is doing right now")
-    return ok, lines
 
 
 def demo_fig1c() -> tuple[bool, list[str]]:
@@ -124,14 +98,6 @@ def scenario_fig1d() -> tuple[Blackboard, list[tuple]]:
     return bb, checks
 
 
-def demo_fig1d() -> tuple[bool, list[str]]:
-    """Hub populations plus dual gates: episodic 'cat do?' answers run only."""
-    lines = ["noun/verb hubs with binding + control gates"]
-    bb, checks = scenario_fig1d()
-    ok = _check_queries(bb, checks, lines)
-    return ok, lines
-
-
 _FIG1E_CONLLU = (
     _conllu([("cat", "NOUN", 2, "nsubj"), ("runs", "VERB", 0, "root")])
     + "\n"
@@ -151,14 +117,6 @@ def scenario_fig1e() -> tuple[Blackboard, list[tuple]]:
         ("? do eats", ("dog",)),
     ]
     return bb, checks
-
-
-def demo_fig1e() -> tuple[bool, list[str]]:
-    """Two sentences on one blackboard, no cross-talk between their paths."""
-    lines = ["connection matrix holding cat-runs and dog-eats simultaneously"]
-    bb, checks = scenario_fig1e()
-    ok = _check_queries(bb, checks, lines)
-    return ok, lines
 
 
 _FIG1F_CONLLU = _conllu(
@@ -183,14 +141,6 @@ def scenario_fig1f() -> tuple[Blackboard, list[tuple]]:
         ("cat do?", ("eats", "runs")),
     ]
     return bb, checks
-
-
-def demo_fig1f() -> tuple[bool, list[str]]:
-    """Clause populations: an embedded clause rides a C hub between verbs."""
-    lines = ["hierarchical structure via clause (C) populations"]
-    bb, checks = scenario_fig1f()
-    ok = _check_queries(bb, checks, lines)
-    return ok, lines
 
 
 _REPORTER_CONLLU = _conllu(
@@ -223,15 +173,7 @@ def scenario_reporter() -> tuple[Blackboard, list[tuple]]:
     return bb, checks
 
 
-def demo_reporter() -> tuple[bool, list[str]]:
-    """One noun hub in two roles at once: agent of one verb, theme of another."""
-    lines = ["double role: the reporter that the senator attacked admitted the error"]
-    bb, checks = scenario_reporter()
-    ok = _check_queries(bb, checks, lines)
-    return ok, lines
-
-
-_NELSON_SHORT = _conllu(
+NELSON_SHORT = _conllu(
     [
         ("ten", "ADJ", 3, "amod"),
         ("sad", "ADJ", 3, "amod"),
@@ -239,7 +181,7 @@ _NELSON_SHORT = _conllu(
     ]
 )
 
-_NELSON_LONG = _conllu(
+NELSON_LONG = _conllu(
     [
         ("ten", "ADJ", 3, "amod"),
         ("sad", "ADJ", 3, "amod"),
@@ -267,7 +209,7 @@ def demo_nelson() -> tuple[bool, list[str]]:
 
     lex1 = Lexicon()
     bb1 = Blackboard(lex1)
-    tokens, arcs = parse_conllu(_NELSON_SHORT)
+    tokens, arcs = parse_conllu(NELSON_SHORT)
     program = compile(tokens, arcs)
     _, trace1 = trace_encode(program, bb1)
     report = detect_rise_decline(trace1, program.span(1, 3))
@@ -278,7 +220,7 @@ def demo_nelson() -> tuple[bool, list[str]]:
 
     lex2 = Lexicon()
     bb2 = Blackboard(lex2)
-    tokens, arcs = parse_conllu(_NELSON_LONG)
+    tokens, arcs = parse_conllu(NELSON_LONG)
     program = compile(tokens, arcs)
     _, trace2 = trace_encode(program, bb2)
     inner = detect_rise_decline(trace2, program.span(1, 3))
@@ -295,26 +237,38 @@ def demo_nelson() -> tuple[bool, list[str]]:
     return ok, lines
 
 
-DEMOS = {
-    "fig1a": demo_fig1a,
-    "fig1b": demo_fig1b,
+def _query_demo(first: str, scenario, closing: tuple[str, ...]) -> tuple[bool, list[str]]:
+    """Ask a scenario's queries, one line each under `first`, then add the
+    closing lines."""
+    bb, checks = scenario()
+    lines, ok = [first], True
+    for text, expected in checks:
+        got = run_query(bb, parse_query(text)).words
+        mark = "ok" if got == expected else f"MISMATCH (expected {expected})"
+        lines.append(f"  {text:<24} -> {list(got)}  [{mark}]")
+        ok = ok and got == expected
+    return ok, lines + list(closing)
+
+
+# every demo, in the order `nba demo all` runs them: a query demo as (its
+# first line, its scenario, its closing lines), any other as its function
+_TABLE = {
+    "fig1a": ("control-gated semantic relations", scenario_fig1a, ()),
+    "fig1b": ("generic semantic gates (no current-event selectivity)", scenario_fig1b,
+              ("  both stored actions answer; the generic gate cannot single out",
+               "  what the cat is doing right now")),
     "fig1c": demo_fig1c,
-    "fig1d": demo_fig1d,
-    "fig1e": demo_fig1e,
-    "fig1f": demo_fig1f,
-    "reporter": demo_reporter,
+    "fig1d": ("noun/verb hubs with binding + control gates", scenario_fig1d, ()),
+    "fig1e": ("connection matrix holding cat-runs and dog-eats simultaneously", scenario_fig1e, ()),
+    "fig1f": ("hierarchical structure via clause (C) populations", scenario_fig1f, ()),
+    "reporter": ("double role: the reporter that the senator attacked admitted the error", scenario_reporter, ()),
     "nelson": demo_nelson,
 }
 
+DEMOS = {name: functools.partial(_query_demo, *row) if type(row) is tuple else row for name, row in _TABLE.items()}
+
 # query-answer scenarios reused by the persistence round-trip checks
-SCENARIOS = {
-    "fig1a": scenario_fig1a,
-    "fig1b": scenario_fig1b,
-    "fig1d": scenario_fig1d,
-    "fig1e": scenario_fig1e,
-    "fig1f": scenario_fig1f,
-    "reporter": scenario_reporter,
-}
+SCENARIOS = {name: row[1] for name, row in _TABLE.items() if type(row) is tuple}
 
 
 def demo_names() -> list[str]:

@@ -29,8 +29,8 @@ order, and the populations and connections behind them are built, at rest,
 when first needed. A lexicon's concepts are reserved as one block; a concept
 is built the first time it is touched: cued, reached by inflow, or looked
 up. A control-gated connection, such as one of a lexicon's semantic
-relations, is filed under its source and label as its id is taken, whether
-the source is built or not: only a built source can flow, and the
+relations, is filed under its source, with its label, as its id is taken,
+whether the source is built or not: only a built source can flow, and the
 connection is listed while its source is built. Working memory is reserved
 with the two connections it gates, either for many words' hubs as one block
 or as a grid of matrix cells, each of which adds a forward and a reverse
@@ -66,13 +66,14 @@ Each fact is kept once: the network holds the flowing ids and the settled
 ones, and reads the rest of the active set from where it lives, control
 populations from the asserted labels and lit relays from the lit rows. A
 step looks up the out-edges of every flowing id: open binding edges by
-source, control edges by source and label, and rows by hub. A lit relay
-whose cell working memory is sustained emits its row's level; the rest of
-its row is lit but emits nothing. Each row indexes its open relays, kept as
-working memory sustains and releases, so a probe pays for the paths its
-bindings open, not for every relay its label lights. A step with nothing
-flowing, no pending floor, no lit row and no horizon entry due is idle: it
-only moves the clock. Under the default config every step of an encode is
+source, control edges by source, each read against the asserted labels,
+and rows by hub and label. A lit relay whose cell working memory is
+sustained emits its row's level; the rest of its row is lit but emits
+nothing. Each row indexes its open relays, kept as working memory
+sustains and releases, so a probe pays for the paths its bindings open,
+not for every relay its label lights. A step with nothing flowing, no
+pending floor, no lit row and no horizon entry due is idle: it only moves
+the clock. Under the default config every step of an encode is
 idle, since each binding settles as it is made.
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
@@ -193,7 +194,7 @@ class GatedConnection:
 
     __slots__ = ("cid", "source", "target", "gate", "gain")
 
-    def __init__(self, cid: int, source: int, target: int, gate: ControlGate | BindingGate, gain: float = 1.0):
+    def __init__(self, cid: int, source: int, target: int, gate: ControlGate | BindingGate, gain: float):
         self.cid = cid
         self.source = source
         self.target = target
@@ -340,9 +341,9 @@ class Network:
         self.sustain_threshold = float(sustain_threshold)
         self.wm_decay_horizon = wm_decay_horizon
         self._pops: dict[int, Population] = {}
-        # static: control-gated out-edges per source, built or not, then per
-        # label, as (cid, target, gain) in id order
-        self._control_out: dict[int, dict[str, list[tuple[int, int, float]]]] = {}
+        # static: control-gated out-edges per source, built or not, as (cid,
+        # target, gain, label) in id order
+        self._control_out: dict[int, list[tuple[int, int, float, str]]] = {}
         # dynamic: binding-gated out-edges per source whose WM is sustained, as
         # (cid, target, gain) in id order; a source with none is absent
         self._open_binding_out: dict[int, list[tuple[int, int, float]]] = {}
@@ -395,7 +396,7 @@ class Network:
 
     def add_gated_connection(self, source: int, target: int, gate: ControlGate | BindingGate, gain: float = 1.0) -> int:
         """Add one connection and return its id. A control-gated one is
-        filed under its source and label, and its source is built, as
+        filed under its source, with its label, and its source is built, as
         `population` builds it, so `connections` lists it. Connection ids
         only grow, so appending keeps each list in id order. A binding-gated
         one is kept per gating working memory, and in its record while it is
@@ -407,7 +408,7 @@ class Network:
         self._add_sources((source,))
         if isinstance(gate, ControlGate):
             self.population(source)
-            self._control_out.setdefault(source, {}).setdefault(gate.label, []).append((cid, target, gain))
+            self._control_out.setdefault(source, []).append((cid, target, gain, gate.label))
         else:
             edge = (source, (cid, target, gain), None)
             self._wired[gate.wm] = self._wired.get(gate.wm, ()) + (edge,)
@@ -440,17 +441,17 @@ class Network:
 
         Connection ids are taken now, in order, exactly as adding each
         connection in turn would take them, and each connection is filed
-        under its source and label as its id is taken, so every list stays
-        in id order. No source is built: one at rest sends nothing, so only
-        `connections`, which lists a connection while its source is built,
-        can tell them from connections added one by one.
+        under its source, with its label, as its id is taken, so every list
+        stays in id order. No source is built: one at rest sends nothing, so
+        only `connections`, which lists a connection while its source is
+        built, can tell them from connections added one by one.
         """
         sources, targets, _ = zip(*edges) if edges else ((), (), ())
         self._check_structure((sources, targets), gain)
         _, cid = self._take_ids(0, len(edges))
         gain, control_out = float(gain), self._control_out
         for cid, (source, target, label) in enumerate(edges, cid):
-            control_out.setdefault(source, {}).setdefault(label, []).append((cid, target, gain))
+            control_out.setdefault(source, []).append((cid, target, gain, label))
         self._add_sources(sources)
 
     def reserve_bindings(
@@ -610,8 +611,8 @@ class Network:
         conns = [GatedConnection(cid, source, target, BindingGate(wm), gain)
                  for wm, edges in gated.items() for source, (cid, target, gain), _ in edges]
         conns += [GatedConnection(cid, source, target, ControlGate(label), gain)
-                  for source, by_label in self._control_out.items() if source in self._pops
-                  for label, edges in by_label.items() for cid, target, gain in edges]
+                  for source, edges in self._control_out.items() if source in self._pops
+                  for cid, target, gain, label in edges]
         return sorted(conns, key=_cid)
 
     def activation(self, pid: int) -> float:
@@ -798,16 +799,9 @@ class Network:
                 for label in asserted:
                     for row, gain in by_label.get(label, ()):
                         fed[row] = gain * a  # a relay's one in-edge
-            by_label = control_out.get(src)
-            if by_label is None:
-                continue
-            edges = None
-            for label in asserted:
-                out = by_label.get(label)
-                if out:
-                    edges = out if edges is None else sorted(edges + out)
-            for _, target, gain in edges or ():
-                inflow[target] = inflow.get(target, 0.0) + gain * a
+            for _, target, gain, label in control_out.get(src, ()):
+                if label in asserted:
+                    inflow[target] = inflow.get(target, 0.0) + gain * a
         change = self._step_rows(fed) if fed or lit else 0.0
         floors = self._floors
         self._floors = {}

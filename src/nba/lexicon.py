@@ -5,8 +5,9 @@ control-gated relations between them (semantic memory). Word types come
 from the lexicon file; classification is a lookup. A word is a row of three
 parallel columns, its word, type and concept id; the concepts of words added
 together are reserved as one block, so a concept is built only when
-something first touches it. Its relations are reserved too, filed by the
-concept they leave and their label as their connection ids are taken.
+something first touches it. Its relations are reserved too, each filed
+under the concept it leaves, with its label, as its connection id is taken,
+so a concept's relations are one list in id order.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ class Lexicon:
     def _add_relations(self, triples: list[tuple[str, str, str]]) -> None:
         """Reserve the two edges of each checked (subject, label, object)
         triple of casefolded words not yet installed, in one structural
-        extension, filed under the concept each edge leaves."""
+        extension: each edge is appended, with its label, to the one list of
+        the concept it leaves."""
         index, concepts = self._index, self._concepts
         new = dict.fromkeys(t for t in triples if t not in self._triples)
         edges = []

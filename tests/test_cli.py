@@ -206,6 +206,15 @@ def test_demo_all(capsys):
     assert out.count("PASS") == 8
 
 
+def test_demo_all_prints_its_golden_transcript(capsys):
+    """`nba demo all` prints `tests/data/demo_all.txt` byte for byte (written
+    with `nba demo all > tests/data/demo_all.txt`)."""
+    golden = os.path.join(os.path.dirname(__file__), "data", "demo_all.txt")
+    assert main(["demo", "all"]) == 0
+    with open(golden, "rb") as f:
+        assert capsys.readouterr().out.encode("utf-8") == f.read()
+
+
 def test_repl_loop(workdir):
     state = workdir / "state.json"
     main(["encode", "--lexicon", str(workdir / "lex.tsv"),

@@ -192,6 +192,18 @@ def test_the_oracle_refuses_a_query_of_no_direction_or_mode_as_run_query_does(qu
     assert oracle.query(Query("run", "agent", "reverse")).words == ("cat",)
 
 
+def test_the_oracle_refuses_to_record_a_mode_no_query_can_ask():
+    """A triple recorded under a mode that is neither episodic nor semantic
+    could never be answered, so it is refused with the message a query of
+    that mode gets, and nothing is recorded."""
+    oracle = OracleStore()
+    oracle.record("cat", "agent", "runs")
+    with pytest.raises(QuerySyntaxError) as exc:
+        oracle.record("cat", "agent", "eats", mode="junk")
+    assert str(exc.value) == _BAD_QUERIES[1][1]
+    assert len(oracle) == 1 and oracle.triples() == [("episodic", "cat", "agent", "runs")]
+
+
 def test_queries_are_non_destructive():
     bb = _encoded_board()
     net = bb.network

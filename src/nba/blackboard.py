@@ -91,8 +91,8 @@ class Binding:
 
     __slots__ = ("_board", "kind", "wm", "word", "hub", "from_hub", "to_hub", "relation")
 
-    def __init__(self, board: Blackboard, kind: str, wm: int, word: str | None = None, hub: str | None = None,
-                 from_hub: str | None = None, to_hub: str | None = None, relation: str | None = None):
+    def __init__(self, board: Blackboard, kind: str, wm: int, word: str | None, hub: str | None,
+                 from_hub: str | None, to_hub: str | None, relation: str | None):
         self._board = board
         self.kind = kind  # "concept" | "cell"
         self.wm = wm
@@ -270,13 +270,13 @@ class Blackboard:
         pool, index = self._hubs.get(hub, (None, None))
         if pool is None:
             raise UnknownHub(f"unknown hub {hub!r}")
-        needed = POOL_FOR_TYPE.get(word_type)
-        if needed is None or needed != pool.kind:
+        if POOL_FOR_TYPE.get(word_type) != pool.kind:  # None for a type no pool holds
             raise TypeMismatch(f"{word!r} has type {word_type.value}, cannot bind hub {hub}")
         bound = self._allocation.get(hub)
         if bound is not None:
             raise HubBusy(f"hub {hub} already bound to {bound.word!r}")
-        binding = self._allocation[hub] = Binding(self, "concept", self._first_wm(row) + index, word, hub)
+        wm = self._first_wm(row) + index
+        self._allocation[hub] = binding = Binding(self, "concept", wm, word, hub, None, None, None)
         return self._hold(binding)
 
     def bind_hubs(self, from_hub: str, to_hub: str, relation: str) -> Binding:

@@ -29,24 +29,25 @@ order, and the populations and connections behind them are built, at rest,
 when first needed. A lexicon's concepts are reserved as one block; a concept
 is built the first time it is touched: cued, reached by inflow, or looked
 up. A control-gated connection, such as one of a lexicon's semantic
-relations, is filed under its source, with its label, as its id is taken,
-whether the source is built or not: only a built source can flow, and the
-connection is listed while its source is built. Working memory is reserved
-with the two connections it gates, either for many words' hubs as one block
-or as a grid of matrix cells, each of which adds a forward and a reverse
-relay. A reservation only describes its layout: each working memory's id
-and the two connections it gates.
+relations, is filed among its source's out-edges, with its label, as its
+id is taken, whether the source is built or not: only a built source can
+flow, and the connection is listed while its source is built. Working
+memory is reserved with the two connections it gates, either for many
+words' hubs as one block or as a grid of matrix cells, each of which adds
+a forward and a reverse relay. A reservation only describes its layout:
+each working memory's id and the two connections it gates.
 
 A reserved working memory exists while it is held: binding it (or looking
 it up with `population`) makes its record, which carries the two edges its
-reservation gives it, so sustaining it opens them and releasing it closes
-them; no edge of it is stored anywhere else. A release that leaves it at
-rest drops the record, unless a probe's saved state is open. Reading a
-level or a gate makes none: a working memory without a record is at rest
-and its gate is closed. Relays are never built: `population` hands one out
-as a view of its row's level. Only binding-gated connections added one by
-one are stored, per working memory. Counts cover reserved structure, so
-the structure is the same either way.
+reservation gives it. Sustaining it files them among their sources'
+out-edges and releasing it takes them out again; no edge of it is kept
+anywhere else. A release that leaves it at rest drops the record, unless a
+probe's saved state is open. Reading a level or a gate makes none: a
+working memory without a record is at rest and its gate is closed. Relays
+are never built: `population` hands one out as a view of its row's level.
+Only binding-gated connections added one by one are stored, per working
+memory. Counts cover reserved structure, so the structure is the same
+either way.
 
 Relays are not stepped one by one. A relay's one in-edge runs from its row's
 hub under its row's label, and a row's relays share one gain and one decay,
@@ -65,16 +66,17 @@ apply it, so a binding settles as it is bound, not a step later.
 Each fact is kept once: the network holds the flowing ids and the settled
 ones, and reads the rest of the active set from where it lives, control
 populations from the asserted labels and lit relays from the lit rows. A
-step looks up the out-edges of every flowing id: open binding edges by
-source, control edges by source, each read against the asserted labels,
-and rows by hub and label. A lit relay whose cell working memory is
+step looks up the out-edges of every flowing id once, as one id-ordered
+list of its control edges and its open binding edges, and passes flow on
+every binding edge and on each control edge whose label is asserted; rows
+are looked up by hub and label. A lit relay whose cell working memory is
 sustained emits its row's level; the rest of its row is lit but emits
-nothing. Each row indexes its open relays, kept as working memory
-sustains and releases, so a probe pays for the paths its bindings open,
-not for every relay its label lights. A step with nothing flowing, no
-pending floor, no lit row and no horizon entry due is idle: it only moves
-the clock. Under the default config every step of an encode is
-idle, since each binding settles as it is made.
+nothing. Each row indexes its open relays, kept as working memory sustains
+and releases, so a probe pays for the paths its bindings open, not for
+every relay its label lights. A step with nothing flowing, no pending
+floor, no lit row and no horizon entry due is idle: it only moves the
+clock. Under the default config every step of an encode is idle, since
+each binding settles as it is made.
 
 Steps are dimensionless. Two runs from equal state with equal schedules of
 injections and control assertions produce bit-identical trajectories.
@@ -237,12 +239,14 @@ class _Bindings:
         self.gain = gain
 
     def gated(self, wm: int):
-        """The two connections `wm` gates, as (source, (cid, target, gain),
-        None): neither source is a relay."""
+        """The two connections `wm` gates, as (source, edge, None): the edge
+        is (cid, target, gain, None), as its source's out-edges file it,
+        under no label, and there is no row, since neither source is a
+        relay."""
         w = bisect_right(self.starts, wm) - 1
         concept, hub = self.concepts[w], self.hubs[w][wm - self.starts[w]]
         cid, gain = self.cid + 2 * (wm - self.pids.start), self.gain
-        return (concept, (cid, hub, gain), None), (hub, (cid + 1, concept, gain), None)
+        return (concept, (cid, hub, gain, None), None), (hub, (cid + 1, concept, gain, None), None)
 
 
 class _Grid:
@@ -274,13 +278,14 @@ class _Grid:
         ) if pids else ([], [])
 
     def gated(self, wm: int):
-        """The two relay -> hub connections `wm` gates, as (source, (cid,
-        target, gain), the source's row)."""
+        """The two relay -> hub connections `wm` gates, as (source, edge,
+        the source's row): the edge is (cid, target, gain, None), as its
+        source's out-edges file it, under no label."""
         k = (wm - self.pids.start) // 3
         i, j = divmod(k, len(self.to_hubs))
         cid, gain = self.cid + 4 * k, self.gain
-        return ((wm + 1, (cid + 1, self.to_hubs[j], gain), self.rows[0][i]),
-                (wm + 2, (cid + 3, self.from_hubs[i], gain), self.rows[1][j]))
+        return ((wm + 1, (cid + 1, self.to_hubs[j], gain, None), self.rows[0][i]),
+                (wm + 2, (cid + 3, self.from_hubs[i], gain, None), self.rows[1][j]))
 
     def relay_row(self, pid: int) -> range | None:
         """The row of relay `pid`; None for working memory."""
@@ -341,15 +346,14 @@ class Network:
         self.sustain_threshold = float(sustain_threshold)
         self.wm_decay_horizon = wm_decay_horizon
         self._pops: dict[int, Population] = {}
-        # static: control-gated out-edges per source, built or not, as (cid,
-        # target, gain, label) in id order
-        self._control_out: dict[int, list[tuple[int, int, float, str]]] = {}
-        # dynamic: binding-gated out-edges per source whose WM is sustained, as
-        # (cid, target, gain) in id order; a source with none is absent
-        self._open_binding_out: dict[int, list[tuple[int, int, float]]] = {}
+        # the edges that can carry each source's flow, as (cid, target, gain,
+        # label) in id order: every control-gated one, built or not, under its
+        # label, and each binding-gated one under None while its WM is
+        # sustained; a source with none is absent
+        self._out: dict[int, list[tuple[int, int, float, str | None]]] = {}
         # static: binding-gated edges added one by one, per gating WM, as
-        # (source, (cid, target, gain), None); a reserved WM's record holds them too
-        self._wired: dict[int, tuple[tuple[int, tuple[int, int, float], None], ...]] = {}
+        # (source, (cid, target, gain, None), None); a reserved WM's record holds them too
+        self._wired: dict[int, tuple[tuple[int, tuple[int, int, float, None], None], ...]] = {}
         self._control_pops: dict[str, int] = {}
         # reserved structure, in id order
         self._reservations: list[_Block | _Bindings | _Grid] = []
@@ -396,11 +400,12 @@ class Network:
 
     def add_gated_connection(self, source: int, target: int, gate: ControlGate | BindingGate, gain: float = 1.0) -> int:
         """Add one connection and return its id. A control-gated one is
-        filed under its source, with its label, and its source is built, as
-        `population` builds it, so `connections` lists it. Connection ids
-        only grow, so appending keeps each list in id order. A binding-gated
-        one is kept per gating working memory, and in its record while it is
-        held."""
+        filed among its source's out-edges, with its label, and its source
+        is built, as `population` builds it, so `connections` lists it.
+        Connection ids only grow, so appending keeps each list in id order.
+        A binding-gated one is kept per gating working memory, and in its
+        record while it is held; it is filed among its source's out-edges,
+        in id order, while that working memory is sustained."""
         self._check_structure(((source, target),), gain)
         if isinstance(gate, BindingGate) and self._kind(gate.wm) is not WORKING_MEMORY:
             raise InvalidNetworkChange(f"gate population {gate.wm} is not working memory")
@@ -408,15 +413,15 @@ class Network:
         self._add_sources((source,))
         if isinstance(gate, ControlGate):
             self.population(source)
-            self._control_out.setdefault(source, []).append((cid, target, gain, gate.label))
+            self._out.setdefault(source, []).append((cid, target, gain, gate.label))
         else:
-            edge = (source, (cid, target, gain), None)
+            edge = (source, (cid, target, gain, None), None)
             self._wired[gate.wm] = self._wired.get(gate.wm, ()) + (edge,)
             record = self._pops.get(gate.wm)
             if type(record) is _Memory:
                 record.gated += (edge,)
             if self.is_open(gate):  # open now; working memory sustained later opens it then
-                insort(self._open_binding_out.setdefault(source, []), edge[1])
+                insort(self._out.setdefault(source, []), edge[1])
         return cid
 
     def reserve_populations(self, kind: PopulationKind, count: int) -> range:
@@ -441,17 +446,18 @@ class Network:
 
         Connection ids are taken now, in order, exactly as adding each
         connection in turn would take them, and each connection is filed
-        under its source, with its label, as its id is taken, so every list
-        stays in id order. No source is built: one at rest sends nothing, so
-        only `connections`, which lists a connection while its source is
-        built, can tell them from connections added one by one.
+        among its source's out-edges, with its label, as its id is taken,
+        so every list stays in id order. No source is built: one at rest
+        sends nothing, so only `connections`, which lists a connection while
+        its source is built, can tell them from connections added one by
+        one.
         """
         sources, targets, _ = zip(*edges) if edges else ((), (), ())
         self._check_structure((sources, targets), gain)
         _, cid = self._take_ids(0, len(edges))
-        gain, control_out = float(gain), self._control_out
+        gain, out = float(gain), self._out
         for cid, (source, target, label) in enumerate(edges, cid):
-            control_out.setdefault(source, []).append((cid, target, gain, label))
+            out.setdefault(source, []).append((cid, target, gain, label))
         self._add_sources(sources)
 
     def reserve_bindings(
@@ -602,17 +608,18 @@ class Network:
     def connections(self) -> list[GatedConnection]:
         """Built connections, in id order, made on each call: the two each
         held working memory gates, read from its record; every binding-gated
-        connection added one by one; and every control-gated one while its
-        source is built. The two of a working memory not held are not
-        listed, nor the control-gated ones of a source not built, such as a
-        working memory whose record a release dropped."""
+        connection added one by one; and every control-gated one, read from
+        the labelled entries of its source's out-edges, while its source is
+        built. The two of a working memory not held are not listed, nor the
+        control-gated ones of a source not built, such as a working memory
+        whose record a release dropped."""
         gated = dict(self._wired)  # a held record's edges include its wired ones
         gated.update((pop.pid, pop.gated) for pop in self._pops.values() if type(pop) is _Memory)
         conns = [GatedConnection(cid, source, target, BindingGate(wm), gain)
-                 for wm, edges in gated.items() for source, (cid, target, gain), _ in edges]
+                 for wm, edges in gated.items() for source, (cid, target, gain, _), _ in edges]
         conns += [GatedConnection(cid, source, target, ControlGate(label), gain)
-                  for source, edges in self._control_out.items() if source in self._pops
-                  for cid, target, gain, label in edges]
+                  for source, edges in self._out.items() if source in self._pops
+                  for cid, target, gain, label in edges if label is not None]
         return sorted(conns, key=_cid)
 
     def activation(self, pid: int) -> float:
@@ -743,13 +750,15 @@ class Network:
         """One synchronous update of every population whose update is not a
         no-op.
 
-        Sources are the flowing ids, whose out-edges are looked up by id (an
-        id with none adds nothing), plus, while a row is lit, the open
+        Sources are the flowing ids plus, while a row is lit, the open
         relays of each lit row, read from the row's index, so a lit row
         costs its open relays, not its length; no other id has an edge that
-        could carry its activation. Sources are visited in id order, and
-        each target's inflow is summed in source order, then connection id
-        order. Rows are updated in `_step_rows`. Candidates are the flowing
+        could carry its activation. A source's out-edges are looked up
+        once, as one id-ordered list of its control edges and its open
+        binding edges (an id with none adds nothing); a binding edge adds
+        its flow, and a control edge adds it while its label is asserted.
+        Sources are visited in id order, so each target's inflow is summed
+        in source order, then connection id order. Rows are updated in `_step_rows`. Candidates are the flowing
         ids plus this step's inflow targets and floors, plus, under a decay
         horizon, the settled ids due for release at this step. Candidates
         therefore include every id whose update is not a no-op, and an
@@ -780,7 +789,7 @@ class Network:
         inflow: dict[int, float] = {}
         fed: dict[range, float] = {}
         asserted, lit, flowing, woken = self.asserted, self._lit, self._flowing, self._woken
-        pops, open_out, control_out, rows = self._pops, self._open_binding_out, self._control_out, self._rows
+        pops, out, rows = self._pops, self._out, self._rows
         relays = None  # each emitting relay of a lit row (its working memory is sustained), with the row's level
         if lit:
             relays, row_emitting = {}, self._row_emitting
@@ -790,18 +799,14 @@ class Network:
         for src in sorted(flowing.union(relays) if relays else flowing):
             pop = pops.get(src)  # a relay is never built
             a = relays[src] if pop is None else pop.activation  # above 0
-            out = open_out.get(src)
-            if out:
-                for _, target, gain in out:
+            for _, target, gain, label in out.get(src, ()):
+                if label is None or label in asserted:
                     inflow[target] = inflow.get(target, 0.0) + gain * a
             by_label = rows.get(src)
             if by_label is not None:
                 for label in asserted:
                     for row, gain in by_label.get(label, ()):
                         fed[row] = gain * a  # a relay's one in-edge
-            for _, target, gain, label in control_out.get(src, ()):
-                if label in asserted:
-                    inflow[target] = inflow.get(target, 0.0) + gain * a
         change = self._step_rows(fed) if fed or lit else 0.0
         floors = self._floors
         self._floors = {}
@@ -1055,18 +1060,18 @@ class Network:
             self._sustain(pop, self.time)
 
     def _sustain(self, pop: Population, since: int) -> None:
-        """Sustain `pop` and open the edges it gates, each under its source:
-        a reserved working memory's are its record's, an added one's those
-        added one by one. A relay among the sources joins its row's emitting
-        set."""
+        """Sustain `pop` and open the edges it gates, each inserted in id
+        order among its source's out-edges: a reserved working memory's are
+        its record's, an added one's those added one by one. A relay among
+        the sources joins its row's emitting set."""
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained_since = since
-        open_out = self._open_binding_out
+        out_edges = self._out
         for source, edge, row in pop.gated if type(pop) is _Memory else self._wired.get(pop.pid, ()):
-            out = open_out.get(source)
+            out = out_edges.get(source)
             if out is None:
-                open_out[source] = [edge]
+                out_edges[source] = [edge]
             else:
                 insort(out, edge)
             if row is not None:
@@ -1074,18 +1079,19 @@ class Network:
 
     def _unsustain(self, pop: Population) -> None:
         """Release `pop` and close the edges it gates, all open while it was
-        sustained; a source left with no open edge leaves the index, and a
-        relay its row's."""
+        sustained, taking each out of its source's out-edges; a source left
+        with no out-edge leaves the index, and a relay, which has no control
+        edge, its row's."""
         if self._sustain_log is not None:
             self._sustain_log.append((pop, pop.sustained_since))
         pop.sustained_since = None
-        open_out, emitting = self._open_binding_out, self._row_emitting
+        out_edges, emitting = self._out, self._row_emitting
         for source, edge, row in pop.gated if type(pop) is _Memory else self._wired.get(pop.pid, ()):
-            out = open_out[source]
+            out = out_edges[source]
             out.remove(edge)
             if out:
                 continue
-            del open_out[source]
+            del out_edges[source]
             if row is not None:
                 relays = emitting[row]
                 relays.discard(source)

@@ -182,18 +182,9 @@ class Lexicon:
     def from_tsv(cls, text: str) -> "Lexicon":
         """Parse word<TAB>type rows; every row is checked before any is added,
         so an error names the first bad line and leaves nothing built."""
-        words, word_types = [], []
-        seen = set()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(f"expected 'word<TAB>type', got {raw!r}", line=lineno)
-            word, tag = cols[0].strip(), cols[1].strip()
-            if not word:
-                raise ParseError("empty word", line=lineno)
+        words, word_types, seen = [], [], set()
+        for lineno, (word, tag) in _tsv_rows(text, "word", "type"):
+            word, tag = word.strip(), tag.strip()
             if tag not in _TAGS:
                 raise ParseError(f"unknown type tag {tag!r}", line=lineno)
             key = word.casefold()
@@ -210,18 +201,11 @@ class Lexicon:
         """Load subject<TAB>label<TAB>object rows; returns the number of rows.
         Every row is checked before any is added."""
         triples = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ParseError(f"expected 'subject<TAB>label<TAB>object', got {raw!r}", line=lineno)
-            subject, label, obj = (c.strip() for c in cols)
-            if subject.casefold() not in self._index:
-                raise UnknownWord(subject, line=lineno)
-            if obj.casefold() not in self._index:
-                raise UnknownWord(obj, line=lineno)
+        for lineno, (subject, label, obj) in _tsv_rows(text, "subject", "label", "object"):
+            subject, label, obj = subject.strip(), label.strip(), obj.strip()
+            for word in (subject, obj):
+                if word.casefold() not in self._index:
+                    raise UnknownWord(word, line=lineno)
             if not label:
                 raise ParseError("empty relation label", line=lineno)
             triples.append((subject.casefold(), label, obj.casefold()))
@@ -267,6 +251,22 @@ class Lexicon:
             if word.casefold() not in self._index:
                 return f"unknown word {word!r}"
         return None if rec[1] else "empty relation label"
+
+
+def _tsv_rows(text: str, *names: str):
+    """Each row of a TSV text as (line number, its columns), skipping blank
+    and `#` lines. A row whose columns are not one per name raises
+    ParseError naming its line. The line is stripped, but not its columns:
+    a caller strips each one by name, which is cheaper than a call over
+    every column here."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != len(names):
+            raise ParseError(f"expected '{'<TAB>'.join(names)}', got {raw!r}", line=lineno)
+        yield lineno, cols
 
 
 def _entry_problem(rec) -> str | None:

@@ -91,8 +91,6 @@ def parse_query(text: str) -> Query:
             raise QuerySyntaxError(f"missing relation in {text!r}")
         return Query(cue=parts[0].casefold(), relation=relation, direction=FORWARD, mode=mode)
     if len(parts) == 3 and parts[0] == "?":
-        if not parts[1]:
-            raise QuerySyntaxError(f"missing relation in {text!r}")
         return Query(cue=parts[2].casefold(), relation=parts[1], direction=REVERSE, mode=mode)
     raise QuerySyntaxError(
         f"cannot parse {text!r}; expected '<word> <relation>?' or '? <relation> <word>'"

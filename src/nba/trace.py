@@ -102,10 +102,6 @@ class ActivityTrace(Value):
         values = [a for s, a in self.samples if start <= s <= end]
         return max(values) if values else 0.0
 
-    @property
-    def peak(self) -> float:
-        return max((a for _, a in self.samples), default=0.0)
-
 
 class PatternReport(Value):
     __slots__ = ("rose", "declined", "baseline", "peak", "after_close")

@@ -528,7 +528,23 @@ _BAD_STATES = {
                                        "settle_budget: expected an integer >= 1, got 0"),
     "config-horizon-zero": _edit(["config", "wm_decay_horizon"], 0,
                                  "wm_decay_horizon: expected an integer >= 1, got 0"),
+    "format-marker-other": _edit(["format"], "nba-trace", "not a state snapshot (missing format marker)"),
+    "format-marker-null": _edit(["format"], None, "not a state snapshot (missing format marker)"),
 }
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"format": "nba-state",', "invalid JSON: Expecting property name enclosed in double quotes: "
+                                "line 1 column 24 (char 23)"),
+    ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[]", "not a state snapshot (missing format marker)"),
+], ids=["truncated", "empty", "list"])
+def test_a_state_file_that_is_no_snapshot_is_a_one_line_domain_error(workdir, capsys, text, message):
+    state = workdir / "state.json"
+    state.write_text(text)
+    for command in (["query", "--state", str(state), "cat do?"], ["state", "show", "--state", str(state)]):
+        assert main(command) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_STATES))

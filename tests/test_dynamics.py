@@ -14,6 +14,8 @@ from nba.dynamics import (
     ControlGate,
     Network,
     PopulationKind,
+    _Bindings,
+    _Grid,
     clamp01,
 )
 from nba.encoder import compile, execute
@@ -366,27 +368,26 @@ def test_monotone_reachability(seed):
             assert b >= a
 
 
-# ------------------------------------------- control edges indexed by label
+# ------------------------------------- each source's open edges, in id order
 
 
 def _reference_step(net):
-    """One step as the engine took it before control edges were indexed by
-    label: every control out-edge of each active source, in connection id
-    order, is tested against the asserted labels."""
-    control_out = {}
+    """One step as the `step` docstring defines it, read from the listed
+    connections and no index: each active source, in id order, sends along
+    its open edges, control- and binding-gated alike, in connection id
+    order, so each target's inflow is summed in source order, then id
+    order."""
+    open_out = {}
     for conn in sorted(net.connections(), key=lambda c: c.cid):
-        if isinstance(conn.gate, ControlGate):
-            control_out.setdefault(conn.source, []).append(conn)
+        if net.is_open(conn.gate):
+            open_out.setdefault(conn.source, []).append(conn)
     inflow = {}
     for src in net.active_pids():
         a = net.population(src).activation
         if a <= 0.0:
             continue
-        for _, target, gain in net._open_binding_out.get(src, ()):
-            inflow[target] = inflow.get(target, 0.0) + gain * a
-        for conn in control_out.get(src, ()):
-            if conn.gate.label in net.asserted:
-                inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
+        for conn in open_out.get(src, ()):
+            inflow[conn.target] = inflow.get(conn.target, 0.0) + conn.gain * a
     floors, net._floors = net._floors, {}
     horizon = net.wm_decay_horizon
     for pid in sorted(set(net.active_pids()) | set(inflow) | set(floors)):
@@ -460,6 +461,24 @@ def test_label_indexed_step_matches_reference(seed):
         assert nets[0].active_pids() == nets[1].active_pids()
 
 
+def test_a_sources_binding_and_control_edges_are_summed_in_id_order():
+    """A binding edge (cid 0), a control edge (cid 1) and a binding edge
+    (cid 2) from one source to one target sum in connection id order, as the
+    `step` docstring says, not binding edges first: (0.1 + 0.2) + 0.4 and
+    0.1 + 0.4 + 0.2 differ in the last bit."""
+    net = Network()
+    src, dst = net.add_population(CONCEPT), net.add_population(CONCEPT)
+    wm = net.add_population(WM)
+    assert net.add_gated_connection(src, dst, BindingGate(wm), gain=0.1) == 0
+    assert net.add_gated_connection(src, dst, ControlGate("go"), gain=0.2) == 1
+    assert net.add_gated_connection(src, dst, BindingGate(wm), gain=0.4) == 2
+    net.set_control("go", True)
+    net.inject(wm, 1.0)
+    net.inject(src, 1.0)
+    net.step()
+    assert net.activation(dst) == (0.1 + 0.2) + 0.4 != 0.7
+
+
 def test_step_reports_largest_change_including_horizon_releases():
     net = Network(wm_decay_horizon=2)
     a, b = net.add_population(CONCEPT), net.add_population(CONCEPT)
@@ -479,8 +498,8 @@ def test_step_reports_largest_change_including_horizon_releases():
 
 def _full_state(net):
     pops = [(p.pid, p.activation, p.sustained, p.sustained_since) for p in net.populations()]
-    open_edges = {src: [cid for cid, _, _ in out] for src, out in sorted(net._open_binding_out.items()) if out}
-    return net.time, sorted(net.asserted), dict(net._floors), net.last_change, pops, open_edges
+    out_edges = {src: [cid for cid, *_ in out] for src, out in sorted(net._out.items())}
+    return net.time, sorted(net.asserted), dict(net._floors), net.last_change, pops, out_edges
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -732,9 +751,12 @@ def test_an_encode_steps_only_what_decays(overrides, busy):
 def _check_indexes(net):
     """Recount every index the network keeps from first principles: the
     flowing and settled ids from the levels and sustain records, the active
-    set from the levels, and the open binding edges and each row's open
-    relays from each held, sustained working memory: the two edges its
-    reservation says it gates, and those added one by one."""
+    set from the levels, and each source's out-edges and each row's open
+    relays. A source's out-edges are its control edges, which never change
+    once filed, one per connection id that no working memory gates, and the
+    binding edges that each held, sustained working memory gates: the two
+    its reservation says, and those added one by one. Each source's list is
+    in id order, and no source keeps an empty one."""
     pops, flowing, settled = net._pops, net._flowing, net._settled
     assert not flowing & settled
     assert all(pops[pid].kind is not CONTROL and pops[pid].activation > 0.0 for pid in flowing | settled)
@@ -744,19 +766,30 @@ def _check_indexes(net):
     assert len(active) == len(set(active))
     above = {pop.pid for pop in net.populations() if pop.activation > 0.0}
     assert set(active) == above.union(*net._lit)
-    open_out, rows = {}, {}
+    out_edges, rows = {}, {}
+    for src, out in net._out.items():
+        assert out and [cid for cid, *_ in out] == sorted(cid for cid, *_ in out), src
+        labelled = [edge for edge in out if edge[3] is not None]
+        if labelled:
+            out_edges[src] = labelled
+    # every connection id that no working memory gates is a control edge's, filed for good
+    gated = sum(4 * len(res.pids) // 3 if isinstance(res, _Grid) else 2 * len(res.pids)
+                for res in net._reservations if isinstance(res, (_Bindings, _Grid)))
+    gated += sum(map(len, net._wired.values()))
+    assert sum(map(len, out_edges.values())) == net.connection_count() - gated
     for wm in [pop.pid for pop in net.populations() if pop.kind is WM and pop.sustained]:
         try:
             edges = list(net._reservation(wm).gated(wm))
         except UnknownPopulation:  # added, not reserved
             edges = []
         edges += net._wired.get(wm, ())
-        for source, (cid, target, gain), _ in edges:
-            open_out.setdefault(source, []).append((cid, target, gain))
+        for source, (cid, target, gain, label), _ in edges:
+            assert label is None
+            out_edges.setdefault(source, []).append((cid, target, gain, None))
             row = net._relay_row(source)
             if row is not None:
                 rows.setdefault(row, set()).add(source)
-    assert net._open_binding_out == {src: sorted(out) for src, out in open_out.items()}
+    assert net._out == {src: sorted(out, key=lambda edge: edge[0]) for src, out in out_edges.items()}
     assert net._row_emitting == rows
 
 
@@ -1164,6 +1197,15 @@ def test_a_binding_gate_on_reserved_working_memory_builds_no_record():
     with pytest.raises(UnknownPopulation, match=f"no population with id {concept + 1}"):
         net.add_gated_connection(hubs[0], hubs[2], BindingGate(concept + 1))
     assert len(net.populations()) == 3
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_working_memory_is_not_reserved_as_a_block(count):
+    net = Network()
+    with pytest.raises(InvalidNetworkChange) as info:
+        net.reserve_populations(WM, count)
+    assert str(info.value) == "working memory is reserved with the connections it gates"
+    assert net.population_count() == 0
 
 
 def test_reserve_cells_refuses_a_relay_among_its_hubs():

@@ -79,6 +79,20 @@ def test_parse_conllu_errors():
         parse_conllu(self_head)
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("x\tcat\t_\tNOUN\t_\t_\t0\troot\t_\t_\n", "bad token id 'x'", 1),
+    (CAT_RUNS.replace("runs", "_"), "missing FORM", 2),
+    ("1\t\t_\tNOUN\t_\t_\t0\troot\t_\t_\n", "missing FORM", 1),
+    ("1\tcat\t_\tNOUN\t_\t_\tx\troot\t_\t_\n", "bad HEAD 'x'", 1),
+    (CAT_RUNS.replace("root", "_"), "missing DEPREL", 2),
+    (CAT_RUNS.replace("nsubj", ""), "missing DEPREL", 1),
+], ids=["bad-id", "form-underscore", "form-empty", "bad-head", "deprel-underscore", "deprel-empty"])
+def test_a_bad_conllu_row_is_refused_naming_its_line(text, message, line):
+    with pytest.raises(ParseError) as info:
+        parse_conllu(text)
+    assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+
+
 def test_default_relation_map_lookups():
     assert RELATION_OF.get("nsubj") == "agent"
     assert RELATION_OF.get("det") == "ignore"
@@ -377,6 +391,21 @@ def test_bad_trees_are_refused_with_their_message(heads, message):
         with pytest.raises(NotATree) as info:
             refuse()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("extra, message", [
+    (DependencyArc(2, 3, "obj"), "dependent 3 out of range"),
+    (DependencyArc(2, 0, "dep"), "dependent 0 out of range"),
+    (DependencyArc(0, 1, "dep"), "token 1 has more than one head"),
+])
+def test_arcs_that_name_no_token_or_two_heads_are_refused_by_compile(extra, message):
+    """Arcs handed to `compile` by a library caller, one arc too many for
+    the tree over `cat runs`, are refused with their message."""
+    tokens = [Token(1, "cat", WordType.NOUN), Token(2, "runs", WordType.VERB)]
+    arcs = [DependencyArc(2, 1, "nsubj"), DependencyArc(0, 2, "root"), extra]
+    with pytest.raises(NotATree) as info:
+        compile(tokens, arcs)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("indexes, message", [

@@ -121,6 +121,20 @@ def test_load_relations():
     assert info.value.line == 1
 
 
+@pytest.mark.parametrize("text, error, message, line", [
+    ("cat\thas\n", ParseError, "line 1: expected 'subject<TAB>label<TAB>object', got 'cat\\thas'", 1),
+    ("cat\thas\tpaw\n\ncat\thas\tpaw\tclaw\n", ParseError,
+     "line 3: expected 'subject<TAB>label<TAB>object', got 'cat\\thas\\tpaw\\tclaw'", 3),
+    ("# facts\ndog\thas\tpaw\n", UnknownWord, "unknown word 'dog' (line 2)", 2),
+], ids=["two-columns", "four-columns", "unknown-subject"])
+def test_a_bad_relation_row_is_refused_naming_its_line(text, error, message, line):
+    lex = load_lexicon("cat\tN\npaw\tN\n")
+    with pytest.raises(error) as info:
+        lex.load_relations(text)
+    assert (str(info.value), info.value.line) == (message, line)
+    assert lex.semantic_triples == []
+
+
 def test_semantic_relation_is_idempotent():
     lex = load_lexicon("cat\tN\npaw\tN\n")
     lex.add_semantic_relation("cat", "has", "paw")

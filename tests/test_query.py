@@ -219,14 +219,15 @@ def test_queries_are_non_destructive():
 
 def _network_state(net):
     """Everything a later step reads: clock, controls, floors, every population
-    that is active or sustained, and the open binding edges per source."""
+    that is active or sustained, and each source's out-edges, its open
+    binding edges among them."""
     pops = [
         (p.pid, p.activation, p.sustained, p.sustained_since)
         for p in sorted(net.populations(), key=lambda p: p.pid)
         if p.activation or p.sustained
     ]
-    open_edges = {src: [cid for cid, _, _ in out] for src, out in sorted(net._open_binding_out.items()) if out}
-    return net.time, sorted(net.asserted), dict(net._floors), net.last_change, pops, open_edges
+    out_edges = {src: [cid for cid, *_ in out] for src, out in sorted(net._out.items())}
+    return net.time, sorted(net.asserted), dict(net._floors), net.last_change, pops, out_edges
 
 
 def test_query_keeps_sustain_bookkeeping_under_decay_horizon():
@@ -514,12 +515,12 @@ def test_each_query_leaves_the_kernel_as_it_found_it(overrides):
 
 def _kernel_indexes(net):
     """Every index a step reads or keeps, copied: the flowing and settled
-    ids, the lit rows, the emitting relays, the open binding edges, the
+    ids, the lit rows, the emitting relays, each source's out-edges, the
     horizon entries, the floors, the controls, the clock and the last
     change."""
     return (set(net._flowing), set(net._settled), dict(net._lit),
             {row: set(relays) for row, relays in net._row_emitting.items()},
-            {src: list(out) for src, out in net._open_binding_out.items()},
+            {src: list(out) for src, out in net._out.items()},
             {at: set(due) for at, due in net._due.items()},
             dict(net._floors), set(net.asserted), net.time, net.last_change)
 

@@ -231,14 +231,12 @@ class Blackboard:
         grid = self._grids.get((relation, from_pool.kind, to_pool.kind))
         return None if grid is None else grid[3 * (i * len(to_pool.ids) + j)]
 
-    def extend_word(self, word: str) -> None:
-        """Wire a word added after construction to its pool (explicit extension)."""
-        self._first_wm(self.lexicon.lookup(word)[0])
-
     def add_word(self, word: str, word_type) -> None:
-        """Add to the lexicon and wire in one go; usable immediately."""
+        """Add to the lexicon and wire the word to its pool in one go, so its
+        ids follow the lexicon's order, as on a restored board; usable
+        immediately."""
         self.lexicon.add_word(word, word_type)
-        self.extend_word(word)
+        self._first_wm(len(self.lexicon) - 1)
 
     # ------------------------------------------------------------- allocation
 

@@ -296,22 +296,20 @@ class _Grid:
 
 
 class _SavedState:
-    __slots__ = ("activations", "lit", "asserted", "floors", "time", "last_change", "sustain_log", "woken")
+    __slots__ = ("flowing", "lit", "asserted", "floors", "time", "last_change", "woken")
 
-    def __init__(self, activations: dict[int, float], lit: dict[range, float], asserted: set[str],
-                 floors: dict[int, float], time: int, last_change: float, sustain_log: list,
-                 woken: dict[int, float]):
-        # activation of each flowing id at the save
-        self.activations = activations
+    def __init__(self, flowing: set[int], lit: dict[range, float], asserted: set[str], floors: dict[int, float],
+                 time: int, last_change: float, woken: dict[int, tuple[float, int | None]]):
+        # the ids flowing at the save; their levels are logged in `woken` as they change
+        self.flowing = flowing
         # level of each lit row at the save
         self.lit = lit
         self.asserted = asserted
         self.floors = floors
         self.time = time
         self.last_change = last_change
-        # (population, its sustained_since before the change) per sustain change since the save
-        self.sustain_log: list[tuple[Population, int | None]] = sustain_log
-        # prior activation of each id that was not flowing when it first changed since the save
+        # (activation, sustained_since) of every id changed since the save, as
+        # they were before its first change
         self.woken = woken
 
 
@@ -375,10 +373,9 @@ class Network:
         # step -> settled working memory the decay horizon may release then
         self._due: dict[int, set[int]] = {}
         self._floors: dict[int, float] = {}
-        # sustain changes since the last save_state, until it is restored
-        self._sustain_log: list[tuple[Population, int | None]] | None = None
-        # prior activation of ids changed while not flowing, likewise
-        self._woken: dict[int, float] | None = None
+        # prior (activation, sustained_since) of every id changed since the
+        # last save_state, logged at its first change, until it is restored
+        self._woken: dict[int, tuple[float, int | None]] | None = None
         # largest activation change made by the last step
         self.last_change = 0.0
         self._frozen = False
@@ -691,8 +688,8 @@ class Network:
 
     def inject(self, pid: int, level: float) -> None:
         """Raise activation to `level` now and floor the next update at it.
-        While a probe's saved state is open, the id's prior level is logged
-        as `_set_activation` logs it.
+        While a probe's saved state is open, the id's prior level and
+        sustain step are logged as `_set_activation` logs them.
 
         Only working memory sustains and settles: it is sustained once at
         its threshold, and if its next update is then already a no-op it
@@ -707,8 +704,8 @@ class Network:
             pop = self._build_reserved(pid)  # refuses a relay
         elif pop.kind is CONTROL:
             self._refuse_driven(pid)
-        if self._woken is not None and pid not in self._flowing:
-            self._woken.setdefault(pid, pop.activation)
+        if self._woken is not None:
+            self._woken.setdefault(pid, (pop.activation, pop.sustained_since))
         if level > pop.activation:  # a level at or below it still refreshes the sustain bookkeeping
             pop.activation = level
         if pop.kind is WORKING_MEMORY:
@@ -835,8 +832,8 @@ class Network:
                     delta = a - nxt if a > nxt else nxt - a  # abs(), without the call
                     if delta > change:
                         change = delta
-                    if woken is not None and pid not in flowing:
-                        woken.setdefault(pid, a)
+                    if woken is not None:
+                        woken.setdefault(pid, (a, None))
                     pop.activation = nxt
                     if nxt > 0.0:
                         flowing.add(pid)
@@ -892,53 +889,44 @@ class Network:
     def save_state(self) -> _SavedState:
         """Save what a probe changes; one saved state is open at a time.
 
-        Only flowing ids and lit rows are copied. Any other id is logged
-        with its prior activation when it first changes, so settled working
-        memory costs nothing unless the probe wakes it."""
-        self._sustain_log, self._woken, pops = [], {}, self._pops
-        # a settled board has nothing flowing, and an empty comprehension still costs a call
-        activations = {pid: pops[pid].activation for pid in self._flowing} if self._flowing else {}
-        return _SavedState(activations, dict(self._lit), set(self.asserted), dict(self._floors), self.time,
-                           self.last_change, self._sustain_log, self._woken)
+        The flowing set and the lit rows are copied, with no level: every
+        id's prior level and sustain step are logged in `_woken` when it
+        first changes, so an id the probe leaves alone costs nothing."""
+        self._woken = {}
+        return _SavedState(set(self._flowing), dict(self._lit), set(self.asserted), dict(self._floors),
+                           self.time, self.last_change, self._woken)
 
     def restore_state(self, saved: _SavedState) -> None:
         """Return to a saved state, doing work only for what the probe
-        changed. Sustain changes made since, such as releases by the decay
-        horizon, are undone newest first, so `sustained_since` and the open
-        binding edges are as saved.
+        changed, read from its one log of prior states.
 
-        Levels are then written straight back, woken ids first, so that a
-        saved flowing level wins. Each woken id leaves the flowing and
-        settled sets and is settled again, in the same loop, if its level
-        is above 0, since it was not flowing at the save; a probe that woke
-        none skips this. The saved flowing ids are then flowing and not
-        settled, since an id flowing at the save may have settled and been
-        woken in one probe. Copies of the saved lit rows, asserted labels
-        and floors replace the network's, which is all a restore does for
-        relays and control populations. No write can newly sustain a
-        working memory, as each one at or above the threshold is sustained
-        as saved. Working memory woken since settles again: the flowing set
-        is the saved one, and `step` keeps the horizon entries a probe
-        reads."""
-        self._sustain_log = self._woken = None
-        for pop, since in reversed(saved.sustain_log):
-            if pop.sustained:
-                self._unsustain(pop)
-            if since is not None:
-                self._sustain(pop, since)
-        pops, woken, settled, flowing = self._pops, saved.woken, self._settled, self._flowing
-        if woken:
-            settled.difference_update(woken)
-            flowing.difference_update(woken)
-            for pid, act in woken.items():
-                pops[pid].activation = act
-                if act > 0.0:  # it was not flowing at the save, so it was settled
-                    settled.add(pid)
-        for pid, act in saved.activations.items():
-            pops[pid].activation = act
-        settled.difference_update(saved.activations)
-        # an id starts flowing only through a change, which logs it as woken
-        flowing.update(saved.activations)
+        Each logged working memory whose sustain step moved, such as one the
+        decay horizon released, is unsustained and sustained again at its
+        saved step, so its gated edges are filed as saved. Each logged
+        level is written straight back, and the id is settled again if it
+        was active and not flowing at the save, since then it was settled,
+        and unsettled otherwise: an id flowing at the save may have settled
+        since, but only through a change, which logged it. A copy of the
+        saved flowing set then replaces the network's, as copies of the
+        saved lit rows, asserted labels and floors replace theirs, which is
+        all a restore does for relays and control populations. No write can
+        newly sustain a working memory, as each one at or above the
+        threshold is sustained as saved, and `step` keeps the horizon
+        entries a probe reads."""
+        pops, settled, was_flowing, self._woken = self._pops, self._settled, saved.flowing, None
+        for pid, (act, since) in saved.woken.items():
+            pop = pops[pid]
+            if pop.sustained_since != since:
+                if pop.sustained_since is not None:
+                    self._unsustain(pop)
+                if since is not None:
+                    self._sustain(pop, since)
+            pop.activation = act
+            if act > 0.0 and pid not in was_flowing:
+                settled.add(pid)
+            else:
+                settled.discard(pid)
+        self._flowing = set(was_flowing)
         self._lit = dict(saved.lit)
         self.asserted = set(saved.asserted)
         self._floors = dict(saved.floors)
@@ -1044,8 +1032,8 @@ class Network:
 
     def _set_activation(self, pop: Population, value: float) -> None:
         pid = pop.pid
-        if self._woken is not None and pid not in self._flowing:
-            self._woken.setdefault(pid, pop.activation)
+        if self._woken is not None:
+            self._woken.setdefault(pid, (pop.activation, pop.sustained_since))
         pop.activation = value
         self._settled.discard(pid)
         if value > 0.0:
@@ -1063,9 +1051,8 @@ class Network:
         """Sustain `pop` and open the edges it gates, each inserted in id
         order among its source's out-edges: a reserved working memory's are
         its record's, an added one's those added one by one. A relay among
-        the sources joins its row's emitting set."""
-        if self._sustain_log is not None:
-            self._sustain_log.append((pop, pop.sustained_since))
+        the sources joins its row's emitting set. It logs nothing for a
+        probe: each caller while a saved state is open has logged `pop`."""
         pop.sustained_since = since
         out_edges = self._out
         for source, edge, row in pop.gated if type(pop) is _Memory else self._wired.get(pop.pid, ()):
@@ -1081,9 +1068,11 @@ class Network:
         """Release `pop` and close the edges it gates, all open while it was
         sustained, taking each out of its source's out-edges; a source left
         with no out-edge leaves the index, and a relay, which has no control
-        edge, its row's."""
-        if self._sustain_log is not None:
-            self._sustain_log.append((pop, pop.sustained_since))
+        edge, its row's. While a probe's saved state is open, `pop` is
+        logged first, as `_set_activation` logs it: a release unsustains
+        before it sets the level."""
+        if self._woken is not None:
+            self._woken.setdefault(pop.pid, (pop.activation, pop.sustained_since))
         pop.sustained_since = None
         out_edges, emitting = self._out, self._row_emitting
         for source, edge, row in pop.gated if type(pop) is _Memory else self._wired.get(pop.pid, ()):

@@ -46,6 +46,11 @@ def test_cell_grid_count_matches_enumeration():
     assert set(bb.cells) == {
         (f"N{i}", f"V{j}", "agent") for i in range(2) for j in range(2)
     }
+    # a key that names no cell: a hub outside the pools, a relation with no
+    # grid, a reversed pair, or no triple at all
+    for key in (("N0", "V9", "agent"), ("N0", "V0", "theme"), ("V0", "N0", "agent"), "N0"):
+        with pytest.raises(KeyError):
+            bb.cells[key]
 
 
 def test_invalid_capacity_rejected():

@@ -194,6 +194,31 @@ def test_trace_command_json_format(workdir, capsys):
     assert doc["samples"][0] == [0, 0.0]
 
 
+def test_trace_of_two_sentences_is_one_trace_with_a_report_per_sentence(workdir, capsys):
+    """The sentences' traces merge into one whose sample steps rise by one
+    from 0, with every sentence's markers, and each sentence's span is
+    reported on its own line."""
+    out = workdir / "trace.json"
+    rc = main(["trace", "--lexicon", str(workdir / "lex.tsv"),
+               "--sentence", str(workdir / "two.conllu"), "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert [step for step, _ in doc["samples"]] == list(range(19))
+    assert len(doc["markers"]) == 12
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["'cat runs' span 1..2", "'dog eats' span 1..2"]
+    assert lines[-1] == f"trace (json, 19 samples) -> {out}"
+
+
+def test_trace_of_no_sentence_writes_nothing(workdir, capsys):
+    (workdir / "none.conllu").write_text("# only a comment\n")
+    out = workdir / "trace.json"
+    rc = main(["trace", "--lexicon", str(workdir / "lex.tsv"),
+               "--sentence", str(workdir / "none.conllu"), "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (2, "no sentences found\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f", "reporter", "nelson"])
 def test_demo_commands_pass(name, capsys):
     assert main(["demo", name]) == 0
@@ -239,6 +264,32 @@ def test_repl_loop(workdir):
     assert "error:" in text
     assert "paw" in text
     assert "(no answer)" in text
+
+
+@pytest.mark.parametrize("lines, said", [
+    ("cat do?\n", "nba> no state loaded; use :load <state.json>\nnba> "),  # ends at EOF, with no :quit
+    ("\n   \n:quit\n", "nba> nba> nba> "),  # blank lines are skipped
+    (":load\n:quit\n", "nba> usage: :load <state.json>\nnba> "),
+    (":release-all\n:quit\n", "nba> no state loaded\nnba> "),
+    (":quit\n:release-all\n", "nba> "),  # nothing after :quit is read
+])
+def test_repl_lines_without_a_state(lines, said):
+    out = io.StringIO()
+    assert run_repl(None, io.StringIO(lines), out) == 0
+    assert out.getvalue() == "query repl; :load <state.json>, :release-all, :quit\n" + said
+
+
+def test_repl_command_reads_stdin_on_the_loaded_state(workdir, capsys, monkeypatch):
+    state = workdir / "state.json"
+    main(["encode", "--lexicon", str(workdir / "lex.tsv"),
+          "--sentence", str(workdir / "s.conllu"), "--state", str(state)])
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO("cat do?\n:release-all\ncat do?\n"))
+    assert main(["repl", "--state", str(state)]) == 0
+    assert capsys.readouterr().out == (
+        "query repl; :load <state.json>, :release-all, :quit\n"
+        "nba> runs\nnba> released all bindings\nnba> (no answer)\nnba> "
+    )
 
 
 def test_pool_exhaustion_names_sentence_token_and_occupancy(workdir, capsys):

@@ -643,7 +643,7 @@ def test_restore_state_returns_woken_working_memory_exactly(wm_decay, wake):
     assert wm in probed.active_pids() and wm not in probed._flowing
     saved_view = _full_state(probed)
     saved = probed.save_state()
-    assert wm not in saved.activations
+    assert wm not in saved.flowing
     if wake == "inflow":
         probed.set_control("feed", True)
     for n in range(5):
@@ -716,7 +716,7 @@ def test_board_at_rest_steps_no_working_memory():
     assert net.active_pids() == sustained
     assert net._flowing == set()
     saved = net.save_state()
-    assert saved.activations == {}
+    assert saved.flowing == set()
     net.restore_state(saved)
     run_query(bb, parse_query(f"{bb.hub_word('N0')} agent?"))
     assert net._flowing == set()

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from nba.blackboard import Blackboard
 from nba.config import Config
-from nba.encoder import BindConcept, CloseConstituent, ConstituentSpan, compile, execute, parse_conllu
+from nba.encoder import BindConcept, CloseConstituent, ConstituentSpan, Token, compile, execute, parse_conllu
 from nba.errors import InvalidTrace, NbaError, SpanNotClosed
-from nba.lexicon import Lexicon
+from nba.lexicon import Lexicon, WordType
 from nba.trace import ActivityTrace, PatternReport, detect_rise_decline, export, load, trace_encode
 
 TEN_SAD_STUDENTS = (
@@ -52,6 +52,8 @@ def test_detector_on_up_then_down():
         trace.add_sample(step, value)
     report = detect_rise_decline(trace, synthetic_span(0, 3))
     assert report.rose and report.declined
+    # past its last sample a trace holds its last level
+    assert (trace.activity_at(3), trace.activity_at(6), trace.activity_at(40)) == (3.0, 1.0, 1.0)
 
 
 def test_detector_on_flat_trace():
@@ -134,6 +136,7 @@ def test_close_instructions_record_span_steps():
     _, program, report, _ = _traced(TEN_SAD_STUDENTS_OF_BILL_GATES)
     closes = [i for i, _ in report.instruction_steps if isinstance(i, CloseConstituent)]
     assert {(c.start, c.end) for c in closes} == {(1, 3), (4, 6), (1, 6)}
+    assert program.span(1, 6) is not None and program.span(2, 6) is None
     for span in program.spans:
         assert span.close_step is not None
         assert span.close_step >= span.open_step
@@ -153,6 +156,7 @@ def test_export_csv_shape_and_round_trip():
 def test_export_empty_csv_is_header_only():
     data = export(ActivityTrace(), "csv")
     assert data.decode().splitlines() == ["step,activity"]
+    assert ActivityTrace().activity_at(0) == ActivityTrace().activity_at(5) == 0.0
 
 
 def test_export_json_round_trip_identical():
@@ -212,6 +216,9 @@ def test_trace_records_are_value_classes():
     report = PatternReport(rose=True, declined=False, baseline=0.0, peak=1.0, after_close=1.0)
     assert report == PatternReport(True, False, 0.0, 1.0, 1.0)
     assert hash(report) == hash(PatternReport(True, False, 0.0, 1.0, 1.0))
+    # another class is no value of theirs: `==` falls back to identity
+    token = Token(1, "cat", WordType.NOUN)
+    assert token.__eq__(5) is NotImplemented and (token == 5) is False and token != report
 
 
 def _json_nodes(data, path=()):

@@ -15,7 +15,11 @@ read from `BENCHMARK.json` in the change's checkout; a ratio worse than its
 bound in that direction is marked `**over bound**`. A row whose medians
 differ by no more than the parent's interquartile range is marked `within
 parent spread`: the pairs cannot tell the two checkouts apart on it, so it
-is unresolved, neither a gain nor a loss.
+is unresolved, neither a gain nor a loss. A row is marked `**gain**` when
+it meets the rule for claiming one: the change did better in at least 9
+pairs and in at least 9 of every 10, a tie counting for neither side, and
+its median is better than the parent's by more than the parent's
+interquartile range.
 With `--trace 1` the rows are the per-layer metrics instead.
 """
 
@@ -54,15 +58,19 @@ def row(workload: str, name: str, parent: list[float], change: list[float], bett
     is worse than `bound`, a share of the parent's median, in the `better`
     direction; a metric with no bound is never so marked. It is also marked
     when the medians differ by no more than the parent's interquartile
-    range."""
+    range, and as a gain when the change wins at least 9 pairs, and 9 of
+    every 10, and its median is better by more than that range."""
     lower = better == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     parent_q, change_q = quartiles(parent), quartiles(change)
     ratio = change_q[1] / parent_q[1] if parent_q[1] else float("nan")
     over = bound is not None and (ratio > 1 + bound if lower else ratio < 1 - bound)
-    spread = abs(change_q[1] - parent_q[1]) <= parent_q[2] - parent_q[0]
+    iqr, better_by = parent_q[2] - parent_q[0], (parent_q[1] - change_q[1]) * (1 if lower else -1)
+    spread = abs(better_by) <= iqr
+    gain = wins >= 9 and 10 * wins >= 9 * len(parent) and better_by > iqr
     return (f"| {workload} | {name} | {' / '.join(map(number, parent_q))} | {' / '.join(map(number, change_q))} | "
-            f"{ratio:.3f}{' **over bound**' if over else ''}{' within parent spread' if spread else ''} | "
+            f"{ratio:.3f}{' **over bound**' if over else ''}{' within parent spread' if spread else ''}"
+            f"{' **gain**' if gain else ''} | "
             f"{'' if bound is None else bound} | "
             f"{wins}/{len(parent)} |")
 

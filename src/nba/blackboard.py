@@ -16,7 +16,9 @@ change only working-memory and control state; adding a word later is an
 explicit structural extension that wires the new concept to its pool.
 A word's working memory for each hub of its pool is reserved, not built:
 the network keeps a record of it while it is held, from its binding to its
-release, and derives the two connections it gates from the reservation. Its
+release, and derives the two connections it gates from the reservation. A
+bind holds it in one network pass (`Network.hold_wm`), and `release_all`
+releases every held one, in bind order, in another (`release_wms`). Its
 ids follow from the word's lexicon row: the board keeps each row's first
 id, made in one pass in C. Matrix cells and their relays are reserved too:
 a bound cell's working memory is held the same way, its relays are never
@@ -37,6 +39,7 @@ from .dynamics import BindingGate, PopulationKind
 from .errors import (
     CellBusy,
     HubBusy,
+    InvalidArgument,
     InvalidConfig,
     InvalidState,
     NbaError,
@@ -263,7 +266,12 @@ class Blackboard:
     # --------------------------------------------------------------- binding
 
     def bind_concept(self, word: str, hub: str) -> Binding:
-        row, word_type = self.lexicon.lookup(word)  # raises UnknownWord
+        """Bind `word` to `hub`: hold the working memory of that pair
+        (`Network.hold_wm`) and keep the binding last in bind order."""
+        try:
+            row, word_type = self.lexicon.lookup(word)  # raises UnknownWord
+        except AttributeError:  # not a string
+            raise InvalidArgument(f"bind_concept: word must be a string, got {word!r}") from None
         word = word.casefold()
         pool, index = self._hubs.get(hub, (None, None))
         if pool is None:
@@ -274,10 +282,15 @@ class Blackboard:
         if bound is not None:
             raise HubBusy(f"hub {hub} already bound to {bound.word!r}")
         wm = self._first_wm(row) + index
-        self._allocation[hub] = binding = Binding(self, "concept", wm, word, hub, None, None, None)
-        return self._hold(binding)
+        self.network.hold_wm(wm)
+        # a free hub's working memory is held by no binding, so it goes last as it is
+        self._allocation[hub] = self._bindings[wm] = binding = Binding(self, "concept", wm, word, hub, None, None, None)
+        return binding
 
     def bind_hubs(self, from_hub: str, to_hub: str, relation: str) -> Binding:
+        """Bind a matrix cell: hold its working memory (`Network.hold_wm`)
+        and keep the binding last in bind order, in place of any binding of
+        the cell the decay horizon released."""
         wm = self._cell_wm(from_hub, to_hub, relation)
         if wm is None:
             raise NoSuchCell(f"no cell {from_hub} -> {to_hub} for relation {relation!r}")
@@ -289,14 +302,9 @@ class Blackboard:
                     "every cell is sustained at rest because sustain_threshold is 0"
                 )
             raise CellBusy(f"cell {from_hub} -> {to_hub} ({relation}) already bound")
-        return self._hold(Binding(self, "cell", wm, None, None, from_hub, to_hub, relation))
-
-    def _hold(self, binding: Binding) -> Binding:
-        """Sustain a binding's working memory and hold it last in bind order,
-        in place of any binding of that working memory the horizon released."""
-        self.network.inject(binding.wm, 1.0)
-        self._bindings.pop(binding.wm, None)
-        self._bindings[binding.wm] = binding
+        self.network.hold_wm(wm)
+        self._bindings.pop(wm, None)
+        self._bindings[wm] = binding = Binding(self, "cell", wm, None, None, from_hub, to_hub, relation)
         return binding
 
     # --------------------------------------------------------------- release
@@ -306,8 +314,11 @@ class Blackboard:
         forget it. Releasing a concept frees its hub and releases the matrix
         bindings on it, so a reallocated hub starts clean."""
         binding = self._bindings.get(target) if isinstance(target, int) else target
-        if binding is None or binding.released:
-            return
+        try:
+            if binding is None or binding.released:
+                return
+        except AttributeError:  # neither a binding nor an id
+            raise InvalidArgument(f"release: target must be a Binding or its id, got {target!r}") from None
         del self._bindings[binding.wm]
         self.network.release_wm(binding.wm)
         if binding.kind == "concept":
@@ -322,8 +333,9 @@ class Blackboard:
             self.release(binding)
 
     def release_all(self) -> None:
-        for wm in self._bindings:
-            self.network.release_wm(wm)
+        """Release every binding, in bind order, in one pass
+        (`Network.release_wms`), and free every hub."""
+        self.network.release_wms(self._bindings)
         self._bindings.clear()
         self._allocation.clear()
 

@@ -43,8 +43,15 @@ reservation gives it. Sustaining it files them among their sources'
 out-edges and releasing it takes them out again; no edge of it is kept
 anywhere else. A release that leaves it at rest drops the record, unless a
 probe's saved state is open. Reading a level or a gate makes none: a
-working memory without a record is at rest and its gate is closed. Relays
-are never built: `population` hands one out as a view of its row's level.
+working memory without a record is at rest and its gate is closed. A
+binding is one pass each way, so an encode pays for its bindings, not for
+a chain of generic calls: `hold_wm` makes the record, raises it to 1,
+sustains it, which files its edges, and settles it, and `release_wms`
+releases every working memory a board holds, in bind order. Both file
+and unfile edges through `_sustain` and `_unsustain`, and a hold settles
+through `_settle`, as every other path does; nothing is kept past a
+release. Relays are never built: `population` hands one out as a view of
+its row's level.
 Only binding-gated connections added one by one are stored, per working
 memory. Counts cover reserved structure, so the structure is the same
 either way.
@@ -61,8 +68,9 @@ A step updates only what can change. Sustained working memory gates the
 flow of activation rather than taking part in it: once its next update is a
 no-op it is settled, and steps pass it by until inflow, an injection, a
 release or the decay horizon makes it change again. One rule says when
-(`Network._settle`), and an injection, a step and a restored binding each
-apply it, so a binding settles as it is bound, not a step later.
+(`Network._settle`), and a hold, an injection, a step and a restored
+binding each apply it, so a binding settles as it is bound, not a step
+later.
 Each fact is kept once: the network holds the flowing ids and the settled
 ones, and reads the rest of the active set from where it lives, control
 populations from the asserted labels and lit relays from the lit rows. A
@@ -93,7 +101,7 @@ import operator
 from bisect import bisect_right, insort
 from enum import Enum
 
-from .errors import FrozenNetwork, InvalidNetworkChange, UnknownPopulation
+from .errors import FrozenNetwork, InvalidArgument, InvalidNetworkChange, UnknownPopulation
 from .value import Value
 
 
@@ -140,6 +148,9 @@ class _Memory(Population):
     `_Grid.gated`), then any added one by one."""
 
     __slots__ = ("gated",)
+
+    def __init__(self, pid: int, gated: tuple):
+        self.pid, self.kind, self.activation, self.sustained_since, self.gated = pid, WORKING_MEMORY, 0.0, None, gated
 
 
 class _Relay(Population):
@@ -206,6 +217,7 @@ class GatedConnection:
 
 # the sort key of listed connections, in C
 _cid = operator.attrgetter("cid")
+_new_object = object.__new__
 
 
 class _Block:
@@ -696,14 +708,19 @@ class Network:
         settles at once (`_settle`), with no floor, so a binding's step has
         nothing to update. Any other kind, such as a probe's cue concept,
         skips both. The id is filed once: as settled by `_settle`, or else,
-        above 0, as flowing, with its floor."""
-        if not 0.0 <= level <= 1.0:
-            raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
-        pop = self._pops.get(pid)
-        if pop is None:
-            pop = self._build_reserved(pid)  # refuses a relay
-        elif pop.kind is CONTROL:
-            self._refuse_driven(pid)
+        above 0, as flowing, with its floor. An id or a level of no
+        comparable type raises InvalidArgument naming it. A binding holds its
+        working memory through `hold_wm`, this update at level 1 in one pass."""
+        try:  # in 3.11 a try costs nothing until it raises
+            if not 0.0 <= level <= 1.0:
+                raise InvalidNetworkChange(f"inject level must be in [0, 1], got {level}")
+            pop = self._pops.get(pid)
+            if pop is None:
+                pop = self._build_reserved(pid)  # refuses a relay
+            elif pop.kind is CONTROL:
+                self._refuse_driven(pid)
+        except TypeError:  # a level or an id of no comparable type
+            raise InvalidArgument(f"inject: expected an int pid and a number level, got {pid!r}, {level!r}") from None
         if self._woken is not None:
             self._woken.setdefault(pid, (pop.activation, pop.sustained_since))
         if level > pop.activation:  # a level at or below it still refreshes the sustain bookkeeping
@@ -720,26 +737,76 @@ class Network:
                 self._floors[pid] = level
 
     def release_wm(self, pid: int) -> None:
-        """Explicitly release a working-memory population (idempotent), with
-        its horizon entry (`_drop_due`), so the step at which the decay
-        horizon would have released it is idle. A reserved working memory
-        left at rest is no longer held, so its record is dropped, unless a
-        probe's saved state is open, whose restore may sustain it again. A
-        record handed out before reads at rest from then on, and a later
-        bind makes a new one. One with no record is at rest already: its
-        release checks its id and builds nothing."""
-        pop = self._pops.get(pid)
-        if (pop.kind if pop is not None else self._kind(pid)) is not WORKING_MEMORY:
-            raise InvalidNetworkChange(f"population {pid} is not working memory")
+        """Explicitly release a working-memory population (idempotent), as
+        `release_wms` releases each of its ids."""
+        self.release_wms((pid,))
+
+    def hold_wm(self, wm: int) -> None:
+        """Hold working memory `wm` at level 1 in one pass, exactly as
+        `inject(wm, 1.0)` would: a binding. A reserved one with no record
+        gets one, with the two edges its reservation gates and any added one
+        by one. While a probe's saved state is open its prior level and
+        sustain step are logged first. It is raised to 1 and, if it was not
+        sustained, sustained, which files its edges among their sources'
+        out-edges (`_sustain`); then it settles by the one rule (`_settle`),
+        or else it is filed as flowing with a floor of 1. An id that is not
+        working memory is refused before anything changes."""
+        pop = self._pops.get(wm)
         if pop is None:
-            return
-        if pop.sustained_since is not None:
-            self._drop_due(pop)
-            self._unsustain(pop)
-        self._floors.pop(pid, None)
-        self._set_activation(pop, 0.0)  # a no-op at rest
-        if type(pop) is _Memory and pop.sustained_since is None and self._woken is None:
-            del self._pops[pid]
+            try:  # `_reservation`, inlined: the last reservation to start at or before `wm`
+                res = self._reservations[bisect_right(self._reserved_starts, wm) - 1]
+            except (TypeError, IndexError):  # an id of no comparable type, or nothing reserved
+                raise InvalidArgument(f"hold: wm must be a working-memory id, got {wm!r}") from None
+            if wm in res.pids and (type(res) is _Bindings or type(res) is _Grid and not (wm - res.pids.start) % 3):
+                # `_Memory(wm, gated)` without its __init__ frame: a hold makes one per bind
+                pop = self._pops[wm] = _new_object(_Memory)
+                pop.pid, pop.kind, pop.activation, pop.sustained_since = wm, WORKING_MEMORY, 0.0, None
+                pop.gated = res.gated(wm) + self._wired.get(wm, ())
+        if pop is None or pop.kind is not WORKING_MEMORY:
+            self._kind(wm)  # raises UnknownPopulation for an id never taken
+            raise InvalidNetworkChange(f"population {wm} is not working memory")
+        if self._woken is not None:
+            self._woken.setdefault(wm, (pop.activation, pop.sustained_since))
+        pop.activation = 1.0
+        if pop.sustained_since is None:  # 1 is at or above every threshold
+            self._sustain(pop, self.time)
+        if not self._settle(pop):
+            self._settled.discard(wm)
+            self._flowing.add(wm)
+            self._floors[wm] = 1.0  # no floor is above it
+
+    def release_wms(self, wms) -> None:
+        """Release each working memory of `wms` in turn, such as every one
+        a board holds, in bind order, in one pass; each release is
+        idempotent. A sustained one loses its horizon entry (`_drop_due`),
+        so the step at which the decay horizon would have released it is
+        idle, and is unsustained, which takes its edges out of their
+        sources' out-edges (`_unsustain`). Its floor is dropped and its
+        level set at rest by `_set_activation`, which logs it while a
+        probe's saved state is open and, at `sustain_threshold` 0, sustains
+        it again. A reserved working memory left at rest is no longer held,
+        so its record is dropped, unless a probe's saved state is open,
+        whose restore may sustain it again. A record handed out before reads
+        at rest from then on, and a later bind makes a new one. One with no
+        record is at rest already: its release checks its id and builds
+        nothing."""
+        pops, floors, woken = self._pops, self._floors, self._woken
+        for wm in wms:
+            try:
+                pop = pops.get(wm)
+                if (pop.kind if pop is not None else self._kind(wm)) is not WORKING_MEMORY:
+                    raise InvalidNetworkChange(f"population {wm} is not working memory")
+            except TypeError:  # an id of no comparable type
+                raise InvalidArgument(f"release: wm must be a working-memory id, got {wm!r}") from None
+            if pop is None:
+                continue
+            if pop.sustained_since is not None:
+                self._drop_due(pop)
+                self._unsustain(pop)
+            floors.pop(wm, None)
+            self._set_activation(pop, 0.0)  # a no-op at rest
+            if type(pop) is _Memory and pop.sustained_since is None and woken is None:
+                del pops[wm]
 
     # ------------------------------------------------------------------ step
 
@@ -984,10 +1051,7 @@ class Network:
             return self._build_population(pid, res.kind)
         if cls is _Grid and (pid - res.pids.start) % 3:
             self._refuse_driven(pid)  # raises: a relay is never built
-        pop = self._pops[pid] = _Memory(pid, WORKING_MEMORY)
-        pop.gated = res.gated(pid)
-        if pid in self._wired:
-            pop.gated += self._wired[pid]
+        pop = self._pops[pid] = _Memory(pid, res.gated(pid) + self._wired.get(pid, ()))
         return pop
 
     def _add_sources(self, pids) -> None:

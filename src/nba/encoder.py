@@ -493,7 +493,7 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
     opening = iter(sorted(program.spans, key=lambda sp: sp.start))
     span = next(opening, None)
     due = _NEVER if span is None else span.start
-    auto_add, lexicon = blackboard.config.auto_add_words, blackboard.lexicon
+    auto_add = blackboard.config.auto_add_words
     forward, prefix = blackboard.forward_labels, labels.MATRIX_FORWARD_PREFIX
     for instr in program.instructions:
         while due <= instr.position:
@@ -502,9 +502,13 @@ def execute(program: ControlProgram, blackboard: Blackboard, *, on_step=None) ->
             due = _NEVER if span is None else span.start
         kind = type(instr)
         if kind is BindConcept:
-            if auto_add and instr.word not in lexicon:
+            try:
+                created.append(blackboard.bind_concept(instr.word, slot_hub[instr.slot]))
+            except UnknownWord:  # raised by the lookup, before the bind changes anything
+                if not auto_add:
+                    raise
                 blackboard.add_word(instr.word, instr.word_type)
-            created.append(blackboard.bind_concept(instr.word, slot_hub[instr.slot]))
+                created.append(blackboard.bind_concept(instr.word, slot_hub[instr.slot]))
             tick()
         elif kind is Allocate:
             try:

@@ -19,6 +19,12 @@ class InvalidNetworkChange(NbaError, ValueError):
     population directly."""
 
 
+class InvalidArgument(NbaError, TypeError):
+    """An argument of the wrong type given to a public call, such as a
+    word that is not a string or an id that is not an int; the message
+    names the call and the argument."""
+
+
 class InvalidLexiconChange(NbaError, ValueError):
     """A word that is not a nonempty string, a word type that is not a
     `WordType`, or a relation label that is not a nonempty string, given to

@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from nba.errors import (
 from nba.lexicon import POOL_FOR_TYPE, Lexicon, WordType, load_lexicon
 from nba.query import parse_query, run_query
 from test_dynamics import _check_indexes
-from test_query import _bench_pools_board
+from test_query import _bench_pools_board, _kernel_indexes
 
 
 def small_board(**overrides):
@@ -286,6 +287,79 @@ def test_release_all_equals_fresh_state():
     assert run_query(bb, parse_query("cat do?")).words == ()
 
 
+# the configs of `scripts/trajectory_hash.py`
+_HASH_CONFIGS = {
+    "default": {}, "wm_decay": dict(wm_decay=0.9, wm_decay_horizon=7), "threshold0": dict(sustain_threshold=0.0),
+    "decay": dict(decay=0.3),
+}
+
+
+def _encoded_board(name, seed, sentences=3):
+    """A board with `scripts/trajectory_hash.py`'s lexicon, pools and
+    config `name`, with `sentences` random tree sentences encoded on it."""
+    rng = random.Random(seed)
+    nouns, verbs, adjectives = make_word_lists(60, 20, 20)
+    bb = Blackboard(build_lexicon(nouns, verbs, adjectives), Config(k_n=40, k_v=12, k_c=8, **_HASH_CONFIGS[name]))
+    for _ in range(sentences):
+        tokens, arcs, _ = random_tree_sentence(rng, nouns, verbs, adjectives)
+        try:
+            execute(compile(tokens, arcs), bb)
+        except CellBusy:  # at sustain_threshold 0 every cell is sustained at rest
+            pass
+    return bb
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("name", sorted(_HASH_CONFIGS))
+def test_release_all_leaves_the_kernel_as_a_fresh_board(name, seed):
+    """`release_all`'s one pass leaves the kernel filed exactly as on a
+    fresh board built the same way. Under the decay horizon the board is
+    first stepped until a binding it holds has been released, so the pass
+    also meets one with no record, and then binds one more word."""
+    bb, fresh = _encoded_board(name, seed), _encoded_board(name, seed, sentences=0)
+    net = bb.network
+    if net.wm_decay_horizon is not None:
+        while all(b.active for b in bb._bindings.values()):
+            net.step()
+        bb.bind_concept(bb.lexicon.words()[0], bb.allocate_hub("N"))
+        assert {b.active for b in bb._bindings.values()} == {True, False}
+    assert bb._bindings
+    bb.release_all()
+    _check_indexes(net)
+    # the indexes, without the controls and the clock, and the working memory with a record
+    assert _kernel_indexes(net)[:7] == _kernel_indexes(fresh.network)[:7]
+    assert {pid for pid, pop in net._pops.items() if type(pop) is _Memory} \
+        == {pid for pid, pop in fresh.network._pops.items() if type(pop) is _Memory}
+
+
+@pytest.mark.parametrize("name", sorted(_HASH_CONFIGS))
+def test_a_hold_and_a_release_inside_a_probe_are_undone_by_its_restore(name):
+    """While a probe's saved state is open, the hold pass logs each id it
+    changes and the release pass keeps each record it releases, so the
+    restore leaves every binding filed as on a board that made neither."""
+    bb, twin = _encoded_board(name, 3), _encoded_board(name, 3)
+    net = bb.network
+    held = [b.wm for b in bb._bindings.values() if b.active]
+    free = [wm for wm in (bb.cells[key].wm for key in bb.cells) if wm not in bb._bindings][:3]
+    saved = net.save_state()
+    for wm in free:
+        net.hold_wm(wm)
+    net.release_wms(held[:4])
+    assert all(wm in net._pops for wm in held[:4])
+    _check_indexes(net)
+    net.step()
+    net.restore_state(saved)
+    _check_indexes(net)
+    # every index but the horizon entries: the hold's may stay, stale, as `step`
+    # keeps the entries a probe reads
+    other = twin.network
+    indexes, others = _kernel_indexes(net), _kernel_indexes(other)
+    assert indexes[:5] + indexes[6:] == others[:5] + others[6:]
+    assert {pid: (pop.activation, pop.sustained_since) for pid, pop in net._pops.items() if pop.sustained} \
+        == {pid: (pop.activation, pop.sustained_since) for pid, pop in other._pops.items() if pop.sustained}
+    assert bb.snapshot_bytes() == twin.snapshot_bytes()
+
+
 def test_structural_fixity_under_operations():
     bb = small_board()
     pops = bb.network.population_count()
@@ -311,6 +385,38 @@ def test_network_refusals_on_a_board_are_domain_errors():
     with pytest.raises(NbaError, match=f"population {relay} is a relay"):
         bb.network.inject(relay, 1.0)
     assert bb.network.active_pids() == []
+
+
+# a public call given an argument of the wrong type, and the refusal it gets
+_WRONG_ARGUMENTS = {
+    "bind_concept-word-none": (lambda bb: bb.bind_concept(None, "N0"),
+                               "bind_concept: word must be a string, got None"),
+    "release-string": (lambda bb: bb.release("x"), "release: target must be a Binding or its id, got 'x'"),
+    "release-float": (lambda bb: bb.release(3.5), "release: target must be a Binding or its id, got 3.5"),
+    "inject-pid-string": (lambda bb: bb.network.inject("x", 1.0),
+                          "inject: expected an int pid and a number level, got 'x', 1.0"),
+    "inject-level-string": (lambda bb: bb.network.inject(0, "a"),
+                            "inject: expected an int pid and a number level, got 0, 'a'"),
+    "release_wm-string": (lambda bb: bb.network.release_wm("x"),
+                          "release: wm must be a working-memory id, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_ARGUMENTS))
+def test_an_argument_of_the_wrong_type_is_refused_by_name(case):
+    """A board or network call given an argument of the wrong type raises
+    an NbaError, also a TypeError, that names the call and the argument,
+    and changes nothing. Releasing None is still a no-op."""
+    call, message = _WRONG_ARGUMENTS[case]
+    bb = small_board()
+    bb.bind_concept("cat", bb.allocate_hub("N"))
+    before = bb.snapshot_bytes()
+    with pytest.raises(NbaError, match=re.escape(message)) as caught:
+        call(bb)
+    assert isinstance(caught.value, TypeError)
+    bb.release(None)
+    assert bb.snapshot_bytes() == before
+    _check_indexes(bb.network)
 
 
 def test_a_second_board_on_a_wired_lexicon_is_refused_and_changes_nothing():
@@ -888,6 +994,12 @@ def _reference_release(net, pid):
         del net._pops[pid]
 
 
+def _reference_releases(net, wms):
+    """`Network.release_wms` as one `_reference_release` per id, in order."""
+    for wm in wms:
+        _reference_release(net, wm)
+
+
 def _filing(net):
     """How the network files its ids: flowing, settled, floors and horizon
     entries relative to the clock, with every built level and sustain step."""
@@ -941,16 +1053,19 @@ def _bind_op(bb, op, n, words):
 @settings(max_examples=50, deadline=None)
 def test_the_bind_path_files_each_id_as_a_reference_inject_does(overrides, ops):
     """Binds, releases, queries and steps leave every index consistent
-    (`_check_indexes`) and file each id as a network does whose `inject`
-    files it as flowing, floors it and then settles it, and whose
-    `release_wm` builds a record to release and sets a level at rest. The
-    configs are those of `scripts/trajectory_hash.py`."""
+    (`_check_indexes`) and file each id as a network does whose `inject`,
+    and so its hold pass, files it as flowing, floors it and then settles
+    it, and whose `release_wm`, and so its release pass, builds a record to
+    release and sets a level at rest. The configs are those of
+    `scripts/trajectory_hash.py`."""
     nouns, verbs, adjectives = make_word_lists(5, 3, 2)
     config = Config(k_n=3, k_v=2, k_c=1, **overrides)
     bb, ref = (Blackboard(build_lexicon(nouns, verbs, adjectives), config) for _ in range(2))
     net = ref.network
     net.inject = functools.partial(_reference_inject, net)
     net.release_wm = functools.partial(_reference_release, net)
+    net.hold_wm = functools.partial(_reference_inject, net, level=1.0)
+    net.release_wms = functools.partial(_reference_releases, net)
     net._settle = functools.partial(_reference_settle, net)
     words = nouns + verbs + adjectives
     for op, n in ops:

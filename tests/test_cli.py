@@ -413,20 +413,22 @@ def test_scaling_script_prints_header_and_one_row_per_size():
 
 def test_trajectory_hash_script_prints_one_line_per_seed_and_config_and_repeats():
     """`scripts/trajectory_hash.py` prints `seed config hash` per pair, and
-    two runs print the same lines."""
+    two runs under different hash seeds both print the recorded lines."""
     import nba
 
     src = os.path.dirname(os.path.dirname(nba.__file__))
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "trajectory_hash.py")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    runs = [subprocess.Popen([sys.executable, script, "--seeds", "1"], stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True, env=env) for _ in range(2)]
+    runs = [subprocess.Popen([sys.executable, script, "--seeds", "1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, env=dict(env, PYTHONHASHSEED=seed)) for seed in ("0", "1")]
     outputs = []
     for run in runs:
         out, err = run.communicate(timeout=120)
         assert run.returncode == 0, err
         outputs.append(out)
-    assert outputs[0] == outputs[1]
+    with open(os.path.join(os.path.dirname(__file__), "data", "trajectory_hash_seed_1.txt"), encoding="utf-8") as f:
+        expected = f.read()
+    assert outputs == [expected, expected]
     rows = [line.split() for line in outputs[0].splitlines()]
     assert [row[:2] for row in rows] == [["1", c] for c in ("default", "wm_decay", "threshold0", "decay")]
     assert all(len(row) == 3 and len(row[2]) == 64 and int(row[2], 16) >= 0 for row in rows)
@@ -778,6 +780,35 @@ def test_bench_pairs_marks_a_ratio_worse_than_its_bound():
     assert cells(0.95, "lower", 0.1, spread)[4:] == ["0.950 within parent spread", "0.1", "2/3"]
     assert cells(1.2, "lower", 0.1, spread)[4] == "1.200 **over bound**"
     assert cells(1.2, "lower", 0.25, [0.5, 1.0, 1.5])[4] == "1.200 within parent spread"
+
+
+def test_bench_pairs_marks_a_gain_by_the_claim_rule():
+    """`scripts/bench_pairs.py` marks a row `**gain**` when the change wins
+    at least 9 pairs and 9 of every 10, a tie counting for neither side,
+    and its median is better by more than the parent's interquartile range,
+    and only then."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = [1.0 + 0.01 * i for i in range(10)]  # quartiles 1.0225 / 1.045 / 1.0675
+
+    def cell(change, better="lower"):
+        line = bench_pairs.row("ingest", "m", parent, change, better, 0.2)
+        return [cell.strip() for cell in line.strip("|").split("|")][4]
+
+    faster = [p - 0.1 for p in parent]
+    assert cell(faster) == "0.904 **gain**"
+    assert cell([p + 0.1 for p in parent], "higher") == "1.096 **gain**"
+    assert cell(faster, "higher") == "0.904"  # 0/10 wins in the better direction
+    assert cell(faster[:9] + [parent[9] + 0.1]) == "0.904 **gain**"  # 9/10 wins
+    assert cell(faster[:8] + [parent[8] + 0.1, parent[9] + 0.1]) == "0.904"  # 8/10
+    assert cell(faster[:9] + parent[9:]) == "0.904 **gain**"  # 9 wins and a tie
+    assert cell(faster[:8] + parent[8:]) == "0.904"  # 8 wins and two ties
+    # 10/10 wins, but the medians are no further apart than the parent's spread
+    assert cell([p - 0.04 for p in parent]) == "0.962 within parent spread"
+    # every pair won, but fewer than 9 pairs
+    assert "gain" not in bench_pairs.row("ingest", "m", parent[:8], faster[:8], "lower", 0.2)
 
 
 def test_size_script_prints_one_row_per_module_and_a_total():

@@ -19,7 +19,7 @@ from nba.dynamics import (
     clamp01,
 )
 from nba.encoder import compile, execute
-from nba.errors import InvalidNetworkChange, UnknownPopulation
+from nba.errors import InvalidNetworkChange, NbaError, UnknownPopulation
 from nba.labels import matrix_forward, matrix_reverse
 from nba.lexicon import Lexicon
 from nba.query import parse_query, run_query
@@ -823,6 +823,69 @@ def test_emitting_ids_match_a_recount_on_random_networks(seed):
         _check_indexes(net)
         net.step()
         _check_indexes(net)
+
+
+def _kernel_state(net):
+    """`_full_state`, with the flowing and settled ids, the open relays,
+    the lit rows and the horizon entries, copied."""
+    return (_full_state(net), set(net._flowing), set(net._settled),
+            {row: set(relays) for row, relays in net._row_emitting.items()}, dict(net._lit),
+            {at: set(due) for at, due in net._due.items()})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_hold_and_release_passes_match_inject_and_release_wm(seed):
+    """`hold_wm` leaves a network as `inject(wm, 1.0)` does, and
+    `release_wms` as one `release_wm` per id in order, over added and
+    reserved working memory, one of them also gating a connection added
+    by itself, with probes between, under a decay horizon and at
+    threshold 0."""
+    nets = []
+    for _ in range(2):
+        net, pops, wms, labels = _wm_flow_network(seed, (1.0, 0.9)[seed % 2], (None, 3)[seed // 2 % 2],
+                                                  (0.5, 0.0)[seed // 4])
+        wms += net.reserve_cells((pops[2], pops[3]), (pops[4], pops[5]), "L0", "L1")[::3]
+        net.add_gated_connection(pops[1], pops[0], BindingGate(wms[-1]), gain=0.3)  # wired to a reserved one
+        nets.append(net)
+    passes, calls = nets
+    rng = random.Random(seed)
+    for _ in range(40):
+        r, wm, some = rng.random(), rng.choice(wms), rng.sample(wms, rng.randint(0, len(wms)))
+        probe = rng.random() < 0.3
+        for net in nets:
+            saved = net.save_state() if probe else None
+            if r < 0.4:
+                net.hold_wm(wm) if net is passes else net.inject(wm, 1.0)
+            elif r < 0.6:
+                net.release_wms(some) if net is passes else [net.release_wm(w) for w in some]
+            elif r < 0.8:
+                net.inject(pops[seed % 6], 0.8)
+            net.step()
+            _check_indexes(net)
+            if saved is not None:
+                net.restore_state(saved)
+        assert _kernel_state(passes) == _kernel_state(calls)
+
+
+def test_the_hold_and_release_passes_refuse_what_is_not_working_memory():
+    """A hold or a release of an id that is not working memory is refused
+    and changes nothing: a concept, a relay, an id never taken, or one of
+    no comparable type."""
+    net = Network()
+    concepts = net.reserve_populations(CONCEPT, 2)
+    cells = net.reserve_cells((net.add_population(HUB),), (net.add_population(HUB),), "F", "R")
+    before = _kernel_state(net)
+    for pid, error in ((concepts[0], InvalidNetworkChange), (cells[1], InvalidNetworkChange),
+                       (net.population_count(), UnknownPopulation), (-1, UnknownPopulation), ("x", TypeError)):
+        with pytest.raises(error):
+            net.hold_wm(pid)
+        with pytest.raises(error):
+            net.release_wms([cells[0], pid])
+        with pytest.raises(NbaError):
+            net.hold_wm(pid)
+    with pytest.raises(NbaError):
+        Network().hold_wm(0)
+    assert _kernel_state(net) == before
 
 
 _SETTLE_OPS = st.lists(
